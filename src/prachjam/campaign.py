@@ -4,13 +4,17 @@ A campaign is a series of independent intervals. In each interval the
 jammer runs for the whole span while the UE appears after a lead delay,
 retries a preamble every 100 ms until a random-access procedure succeeds,
 and disappears before the jammer stops. Intervals are simulated on a
-virtual clock that visits only PRACH occasions, so wall-clock cost scales
-with the number of occasions rather than the simulated duration.
+virtual clock that visits only PRACH occasions. Each occasion draws its
+jammer and noise from its own keyed random stream, so an occasion can be
+skipped without disturbing any other: without logs only the occasions in
+which the UE transmits are simulated, and the cost of an interval scales
+with the preambles sent rather than the simulated duration.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, fields
@@ -24,6 +28,7 @@ from .detector import DetectorConfig, detect_preambles
 from .errors import ConfigError, SimulationError
 from .jammer import JammerConfig, amplitude_from_snr, generate_jamming_frame
 from .prach import (
+    FRAME_MS,
     CellConfig,
     PrachConfig,
     PrachOccasion,
@@ -41,6 +46,7 @@ from .rafsm import (
     UeState,
     gnb_step,
     make_ue,
+    next_transmit_ms,
     ue_step,
 )
 from .waveform import cp_length, demap_prach, frame_length, modulate_preamble
@@ -64,9 +70,13 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 SEEDING_RULE = (
-    "interval_seed(i) = uint64(little-endian) of "
+    "v2: interval_seed(i) = uint64(little-endian) of "
     "blake2b(digest_size=8, data=pack('<QQ', base_seed, i)); "
-    "per-interval stream = numpy.random.default_rng(interval_seed(i))"
+    "interval stream = numpy.random.default_rng(interval_seed(i)), "
+    "drawing the validity flag, then each preamble's signature; "
+    "occasion stream = numpy.random.default_rng(numpy.random.SeedSequence("
+    "interval_seed(i), spawn_key=(sfn, slot, occasion_index))), "
+    "drawing that occasion's jammer, then its channel noise"
 )
 
 
@@ -149,15 +159,19 @@ class MetricsSummary:
 
 
 class LogCollector:
-    """Accumulates optional detection-log and event-trace JSON lines."""
+    """Accumulates optional detection-log and event-trace JSON lines.
+
+    Every entry names the interval it belongs to.
+    """
 
     def __init__(self) -> None:
         self.detections: list[dict[str, Any]] = []
         self.events: list[dict[str, Any]] = []
 
-    def detection(self, occ: PrachOccasion, result) -> None:
+    def detection(self, interval: int, occ: PrachOccasion, result) -> None:
         self.detections.append(
             {
+                "interval": interval,
                 "sfn": occ.sfn,
                 "occasion_index": occ.occasion_index,
                 "detections": [
@@ -167,9 +181,14 @@ class LogCollector:
             }
         )
 
-    def event(self, time_ms: float, entity: str, transition: str) -> None:
+    def event(self, interval: int, time_ms: float, entity: str, transition: str) -> None:
         self.events.append(
-            {"time_ms": time_ms, "entity": entity, "transition": transition}
+            {
+                "interval": interval,
+                "time_ms": time_ms,
+                "entity": entity,
+                "transition": transition,
+            }
         )
 
 
@@ -178,6 +197,17 @@ def interval_seed(base_seed: int, index: int) -> int:
     data = struct.pack("<QQ", base_seed & 0xFFFFFFFFFFFFFFFF, index)
     digest = hashlib.blake2b(data, digest_size=8).digest()
     return struct.unpack("<Q", digest)[0]
+
+
+def occasion_rng(seed: int, occ: PrachOccasion) -> np.random.Generator:
+    """The keyed stream of one occasion of the interval seeded ``seed``.
+
+    The key goes into ``spawn_key`` rather than the entropy: SeedSequence
+    pads short entropy with zeros, so ``default_rng([seed, 0, 0])`` would
+    repeat the interval stream ``default_rng(seed)``.
+    """
+    key = (occ.sfn, occ.slot, occ.occasion_index)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def occasion_time_ms(occ: PrachOccasion, cell: CellConfig) -> float:
@@ -198,24 +228,32 @@ def _signature_space(det: DetectorConfig, preamble_length: int):
 def run_interval(
     cfg: CampaignConfig,
     index: int,
-    rng: np.random.Generator,
-    seed: int = 0,
     collector: LogCollector | None = None,
 ) -> IntervalRecord:
-    """Simulate one interval and tally its outcome.
+    """Simulate interval ``index`` and tally its outcome.
 
     The jammer (when enabled) transmits in every occasion of every PRACH
     slot from t=0 until lead + duration + lag; the UE is active from
     t=lead until lead + duration and sends its first preamble after the
     configured startup delay. ``time_to_success`` is measured from the UE
     start.
+
+    Only an occasion in which the UE transmits can change the record: a
+    RAR is accepted only for the UE's own transmit occasion. Without a
+    collector the interval therefore visits just those occasions, jumping
+    from one possible transmission to the next, and ends once the UE has
+    connected or left. With a collector every occasion is simulated and
+    logged. Both draw from the same keyed streams (see ``SEEDING_RULE``),
+    so they produce the same record.
     """
     prach_cfg, cell, det_cfg = cfg.prach, cfg.cell, cfg.detector
+    seed = interval_seed(cfg.base_seed, index)
+    rng = np.random.default_rng(seed)
     lead_ms = cfg.jammer_lead * 1000.0
     ue_on = lead_ms
     ue_off = lead_ms + cfg.interval_duration * 1000.0
     jam_end = ue_off + cfg.jammer_lag * 1000.0
-    end_ms = jam_end if cfg.spectrum.enabled else ue_off
+    end_ms = jam_end if cfg.spectrum.enabled and collector is not None else ue_off
 
     valid = bool(rng.random() >= cfg.invalid_probability)
 
@@ -231,20 +269,32 @@ def run_interval(
     n_frame = frame_length(cell)
     preamble_cache: dict[tuple[int, int], Any] = {}
 
+    def log_event(t: float) -> None:
+        if collector is not None:
+            collector.event(index, t, f"ue{ue.unique_id}", ue.state.value)
+
     preambles_detected = 0
     ra_succeeded = False
     time_to_success: float | None = None
 
-    for sfn in itertools.count():
-        if sfn * 10.0 >= end_ms:
+    sfn = 0
+    while True:
+        if collector is None:
+            # Next event: the frame of the UE's next possible transmission
+            # (never, once it has connected).
+            sfn = max(sfn, int(min(next_transmit_ms(ue), end_ms) // FRAME_MS))
+        if sfn * FRAME_MS >= end_ms:
             break
         for occ in occasions_in_frame(prach_cfg, cell, sfn):
             t = occasion_time_ms(occ, cell)
             if t >= end_ms:
-                continue
+                break
+            if collector is None and t < next_transmit_ms(ue):
+                continue  # the UE is silent here: nothing can change the record
             jam_active = cfg.spectrum.enabled and t < jam_end
             ue_active = ue_on <= t < ue_off and ue.state is not UeState.CONNECTED
             key = (occ.sfn, occ.slot, occ.occasion_index)
+            occ_rng = occasion_rng(seed, occ)
 
             tx: PreambleTx | None = None
             if ue_active:
@@ -252,8 +302,8 @@ def run_interval(
                 ue, action = ue_step(ue, t, [], rng, occasion_key=key)
                 if isinstance(action, PreambleTx):
                     tx = action
-                if collector is not None and ue.state is not prev_state:
-                    collector.event(t, f"ue{ue.unique_id}", ue.state.value)
+                if ue.state is not prev_state:
+                    log_event(t)
 
             ue_frame = None
             if tx is not None:
@@ -271,7 +321,7 @@ def run_interval(
                 ue_frame = wave.frame
 
             jam_frame = (
-                generate_jamming_frame(cfg.spectrum, occ, cell, a_f, rng)
+                generate_jamming_frame(cfg.spectrum, occ, cell, a_f, occ_rng)
                 if jam_active
                 else None
             )
@@ -279,14 +329,14 @@ def run_interval(
                 ue_frame,
                 jam_frame,
                 cfg.channel,
-                rng,
+                occ_rng,
                 num_samples=n_frame,
                 sample_rate=cell.sample_rate,
             )
             _, avg_bins = demap_prach(rx, occ, cell)
             result = detect_preambles(avg_bins, det_cfg, occasion=occ)
             if collector is not None:
-                collector.detection(occ, result)
+                collector.detection(index, occ, result)
 
             ctx, rars = gnb_step(ctx, result, [])
             if tx is not None:
@@ -297,15 +347,14 @@ def run_interval(
             if ue_active and rars:
                 ue, action = ue_step(ue, t, rars, rng)
                 if isinstance(action, Msg3):
-                    if collector is not None:
-                        collector.event(t, f"ue{ue.unique_id}", ue.state.value)
+                    log_event(t)
                     ctx, msg4s = gnb_step(ctx, None, [action])
                     ue, _ = ue_step(ue, t, msg4s, rng)
-                    if collector is not None:
-                        collector.event(t, f"ue{ue.unique_id}", ue.state.value)
+                    log_event(t)
                     if ue.state is UeState.CONNECTED and not ra_succeeded:
                         ra_succeeded = True
                         time_to_success = (t - ue_on) / 1000.0
+        sfn += 1
 
     return IntervalRecord(
         index=index,
@@ -318,12 +367,6 @@ def run_interval(
     )
 
 
-def _interval_task(args: tuple[CampaignConfig, int]) -> IntervalRecord:
-    cfg, index = args
-    seed = interval_seed(cfg.base_seed, index)
-    return run_interval(cfg, index, np.random.default_rng(seed), seed=seed)
-
-
 def run_campaign(
     cfg: CampaignConfig,
     threads: int = 1,
@@ -333,25 +376,26 @@ def run_campaign(
 
     Intervals are independent, each with its own derived seed, so they may
     run in parallel; results are always ordered by interval index. Log
-    collection forces serial execution.
+    collection simulates every occasion and forces serial execution.
     """
     indices = range(cfg.n_intervals)
     if threads == 0:
-        import os
-
         threads = os.cpu_count() or 1
     if threads > 1 and collector is None:
+        # An interval can take under a millisecond: hand each worker a few
+        # large chunks rather than one interval per round trip.
+        chunksize = max(1, len(indices) // (4 * threads))
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_interval_task, [(cfg, i) for i in indices]))
-    else:
-        records = []
-        for i in indices:
-            seed = interval_seed(cfg.base_seed, i)
-            records.append(
-                run_interval(
-                    cfg, i, np.random.default_rng(seed), seed=seed, collector=collector
+            records = list(
+                pool.map(
+                    run_interval,
+                    itertools.repeat(cfg, len(indices)),
+                    indices,
+                    chunksize=chunksize,
                 )
             )
+    else:
+        records = [run_interval(cfg, i, collector) for i in indices]
     return records, compute_metrics(records)
 
 

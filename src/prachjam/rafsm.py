@@ -24,6 +24,7 @@ __all__ = [
     "PreambleTx",
     "Msg3",
     "make_ue",
+    "next_transmit_ms",
     "ue_step",
     "gnb_step",
     "RETRY_PERIOD_MS",
@@ -39,7 +40,6 @@ class UeState(enum.Enum):
     WAIT_RAR = "WAIT_RAR"
     WAIT_MSG4 = "WAIT_MSG4"
     CONNECTED = "CONNECTED"
-    BACKOFF = "BACKOFF"  # reserved for backoff indicators; never entered here
 
 
 Signature = tuple[int, int]  # (root, shift index)
@@ -180,6 +180,20 @@ def ue_step(
         action = PreambleTx(signature=signature, occasion_key=occasion_key)
 
     return ue, action
+
+
+def next_transmit_ms(ue: UeRaState) -> float:
+    """Earliest instant at which ``ue_step`` without events sends a preamble.
+
+    An idle UE sends once its retry timer has elapsed; a UE waiting for a
+    RAR also waits for the end of its RAR window. Any other state sends
+    nothing until an event moves it (``inf``).
+    """
+    if ue.state is UeState.IDLE:
+        return ue.retry_timer_ms
+    if ue.state is UeState.WAIT_RAR:
+        return max(ue.retry_timer_ms, ue.tx_deadline_ms)
+    return float("inf")
 
 
 @dataclass

@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import prachjam.campaign
 from prachjam.campaign import (
     CampaignConfig,
     IntervalRecord,
+    LogCollector,
     compute_metrics,
     interval_seed,
     load_campaign_config,
+    occasion_rng,
+    occasion_time_ms,
     record_from_dict,
     record_to_dict,
     run_campaign,
@@ -20,7 +24,7 @@ from prachjam.channel import ChannelConfig
 from prachjam.detector import DetectorConfig
 from prachjam.errors import ConfigError, SimulationError
 from prachjam.jammer import JammerConfig
-from prachjam.prach import PRESETS
+from prachjam.prach import PRESETS, PrachOccasion, occasions_in_frame
 
 PRACH, CELL = PRESETS["index98_40mhz_desk"]
 SIGMA_0DB = 1 / np.sqrt(2)  # per-bin SNR of 0 dB at unit preamble amplitude
@@ -153,6 +157,23 @@ class TestSeeding:
         assert interval_seed(1234, 5) == 615431646176257150
         assert interval_seed(1234, 0) != interval_seed(1234, 1)
 
+    def test_occasion_streams_differ_from_each_other_and_the_interval(self):
+        # SeedSequence pads short entropy with zeros, so a key appended to
+        # the entropy would give occasion (0, 0, 0) the interval's stream.
+        cfg = make_config()
+        seed = interval_seed(cfg.base_seed, 0)
+        end_ms = 1000.0 * (cfg.jammer_lead + cfg.interval_duration + cfg.jammer_lag)
+        occasions = [
+            occ
+            for sfn in range(int(end_ms // 10))
+            for occ in occasions_in_frame(cfg.prach, cfg.cell, sfn)
+        ]
+        occasions.append(PrachOccasion(0, 0, 0, 0, 0, 0, 139))
+        firsts = [occasion_rng(seed, occ).random() for occ in occasions]
+        firsts.append(np.random.default_rng(seed).random())
+        assert len(occasions) > 100
+        assert len(set(firsts)) == len(firsts)
+
     def test_record_round_trip(self):
         record = IntervalRecord(3, True, 10, 2, True, 1.25, 99)
         assert record_from_dict(record_to_dict(record)) == record
@@ -170,6 +191,44 @@ class TestIntervals:
         records_a, _ = run_campaign(cfg)
         records_b, _ = run_campaign(cfg)
         assert records_a == records_b
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"spectrum": JammerConfig(kind="S2", snr_db=-6.0, seed=1)},
+            {"spectrum": JammerConfig(kind="S1", snr_db=-6.0, seed=1, enabled=False)},
+            {"invalid_probability": 0.5},
+            # The UE retries: the fast path jumps from one attempt to the next.
+            {"spectrum": JammerConfig(kind="S1", snr_db=-18.0, seed=1)},
+        ],
+        ids=["S1", "S2", "jammer_off", "invalid_half", "S1_retrying"],
+    )
+    def test_fast_path_matches_log_path(self, overrides):
+        cfg = make_config(n_intervals=4, interval_duration=1.0, **overrides)
+        fast, _ = run_campaign(cfg)
+        logged, _ = run_campaign(cfg, collector=LogCollector())
+        assert fast == logged
+
+    def test_fast_path_simulates_only_transmit_occasions(self, monkeypatch):
+        cfg = make_config(
+            n_intervals=3, spectrum=JammerConfig(kind="S1", snr_db=-18.0, seed=1)
+        )
+        occasions = []
+        detect = prachjam.campaign.detect_preambles
+
+        def counting(bins, det_cfg, occasion=None):
+            occasions.append(occasion)
+            return detect(bins, det_cfg, occasion=occasion)
+
+        monkeypatch.setattr(prachjam.campaign, "detect_preambles", counting)
+        records = [run_interval(cfg, i) for i in range(cfg.n_intervals)]
+        assert len(occasions) == sum(r.preambles_sent for r in records)
+        assert any(r.preambles_sent > 1 for r in records)
+        # No jammer lead or lag, nothing after the UE has connected or left.
+        ue_on_ms = 1000.0 * cfg.jammer_lead
+        ue_off_ms = ue_on_ms + 1000.0 * cfg.interval_duration
+        assert all(ue_on_ms <= occasion_time_ms(o, cfg.cell) < ue_off_ms for o in occasions)
 
     def test_jammer_off_succeeds(self):
         cfg = make_config(

@@ -134,10 +134,29 @@ class TestSimulate:
         detections = (out / "detections.jsonl").read_text().strip().splitlines()
         assert detections
         entry = json.loads(detections[0])
-        assert set(entry) == {"sfn", "occasion_index", "detections", "noise_floor"}
+        assert set(entry) == {
+            "interval", "sfn", "occasion_index", "detections", "noise_floor"
+        }
         events = (out / "events.jsonl").read_text().strip().splitlines()
         assert events
-        assert set(json.loads(events[0])) == {"time_ms", "entity", "transition"}
+        assert set(json.loads(events[0])) == {
+            "interval", "time_ms", "entity", "transition"
+        }
+
+    def test_detection_log_keys_unique_across_intervals(self, tmp_path, capsys):
+        out = tmp_path / "quick"
+        argv = ["simulate", "--config", str(CONFIGS / "quick.json"), "--out", str(out),
+                "--set", "n_intervals=2", "--set", "detection_log=true",
+                "--set", "event_trace=true"]
+        assert main(argv) == 0
+        lines = (out / "detections.jsonl").read_text().splitlines()
+        keys = [
+            (e["interval"], e["sfn"], e["occasion_index"]) for e in map(json.loads, lines)
+        ]
+        assert {k[0] for k in keys} == {0, 1}
+        assert len(set(keys)) == len(keys)
+        events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        assert {e["interval"] for e in events} == {0, 1}
 
 
 class TestMetricsRoundTrip:

@@ -37,8 +37,8 @@ from .prach import (
     occupancy_ratio,
 )
 from .rafsm import GnbRaContext, UeRaState, UeState, gnb_step, make_ue, ue_step
-from .waveform import IqFrame, PreambleWaveform, demap_prach, modulate_preamble, read_iq, write_iq
-from .zc import CorrelationProfile, ZcSequence, cyclic_shift, dft, generate_zc, periodic_xcorr
+from .waveform import IqFrame, demap_prach, modulate_preamble, read_iq, write_iq
+from .zc import CorrelationProfile, ZcSequence, cyclic_shift, generate_zc, periodic_xcorr
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "PRESETS",
     "PrachConfig",
     "PrachOccasion",
-    "PreambleWaveform",
     "SimulationError",
     "UeRaState",
     "UeState",
@@ -70,7 +69,6 @@ __all__ = [
     "cyclic_shift",
     "demap_prach",
     "detect_preambles",
-    "dft",
     "generate_jamming_frame",
     "gnb_step",
     "interval_seed",

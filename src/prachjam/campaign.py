@@ -49,7 +49,7 @@ from .rafsm import (
     next_transmit_ms,
     ue_step,
 )
-from .waveform import cp_length, demap_prach, frame_length, modulate_preamble
+from .waveform import IqFrame, cp_length, demap_prach, frame_length, modulate_preamble
 from .zc import cyclic_shift, generate_zc
 
 __all__ = [
@@ -267,7 +267,7 @@ def run_interval(
     amp = cfg.preamble_amplitude
     a_f = amplitude_from_snr(amp, cfg.spectrum.snr_db)
     n_frame = frame_length(cell)
-    preamble_cache: dict[tuple[int, int], Any] = {}
+    preamble_cache: dict[tuple[int, int], IqFrame] = {}
 
     def log_event(t: float) -> None:
         if collector is not None:
@@ -310,15 +310,14 @@ def run_interval(
                 # All occasions share one frequency placement, so waveforms
                 # can be cached per signature.
                 root, shift_idx = tx.signature
-                wave = preamble_cache.get(tx.signature)
-                if wave is None:
+                ue_frame = preamble_cache.get(tx.signature)
+                if ue_frame is None:
                     seq = cyclic_shift(
                         generate_zc(root, prach_cfg.preamble_length),
                         shift_idx * det_cfg.shift_step,
                     )
-                    wave = modulate_preamble(seq, occ, cell, amp)
-                    preamble_cache[tx.signature] = wave
-                ue_frame = wave.frame
+                    ue_frame = modulate_preamble(seq, occ, cell, amp)
+                    preamble_cache[tx.signature] = ue_frame
 
             jam_frame = (
                 generate_jamming_frame(cfg.spectrum, occ, cell, a_f, occ_rng)
@@ -566,12 +565,11 @@ def load_campaign_config(data: dict[str, Any]) -> CampaignConfig:
 
     spec_data = dict(data["spectrum"])
     _check_fields(
-        spec_data, {"kind", "snr_db"}, {"seed", "enabled", "s1_literal"}, "spectrum"
+        spec_data, {"kind", "snr_db"}, {"enabled", "s1_literal"}, "spectrum"
     )
     spectrum = JammerConfig(
         kind=spec_data["kind"],
         snr_db=float(spec_data["snr_db"]),
-        seed=int(spec_data.get("seed", data["base_seed"])),
         enabled=bool(spec_data.get("enabled", True)),
         s1_literal=bool(spec_data.get("s1_literal", False)),
     )

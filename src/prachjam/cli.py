@@ -21,6 +21,7 @@ from .campaign import (
     LogCollector,
     build_summary_payload,
     compute_metrics,
+    interval_seed,
     load_campaign_config,
     record_from_dict,
     record_to_dict,
@@ -203,10 +204,21 @@ def _cmd_metrics(args) -> int:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{line_no}"
             try:
-                records.append(record_from_dict(json.loads(line)))
+                record = record_from_dict(json.loads(line))
             except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
+                raise ConfigError(f"{where}: invalid JSON ({exc.msg})") from exc
+            except (ConfigError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+            i = len(records)
+            if record.index != i:
+                raise ConfigError(f"{where}: interval index {record.index}, expected {i}")
+            if record.seed != interval_seed(cfg.base_seed, i):
+                raise ConfigError(
+                    f"{where}: seed {record.seed} is not interval_seed({cfg.base_seed}, {i})"
+                )
+            records.append(record)
     metrics = compute_metrics(records)
     _write_summary(out, build_summary_payload(cfg, metrics))
     print(f"{len(records)} records -> {out / 'summary.json'}")

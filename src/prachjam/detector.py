@@ -97,17 +97,22 @@ def _window_indices(length: int, step: int) -> np.ndarray:
     return idx
 
 
-def delay_profile(bins: np.ndarray, root: int) -> np.ndarray:
-    """Power delay profile of the bins against one root sequence.
+def _window_statistics(
+    bins: np.ndarray, root: int, step: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delay-profile statistic of bins ``(..., L)`` against one root.
 
-    The cyclic shift ``s`` of the root concentrates into tap
-    ``(-s) mod length``; a time delay of ``d`` samples moves the peak
-    forward by ``d * length / dft_size`` taps.
+    Returns the profile taps of each signature window ``(..., W, step)``,
+    the profile peak and the floor (the profile's mean with the peak
+    excluded). The cyclic shift ``s`` of the root concentrates into tap
+    ``(-s) mod L``; a time delay of ``d`` samples moves the peak forward by
+    ``d * L / dft_size`` taps.
     """
-    length = len(bins)
-    ref = _reference_spectrum(root, length)
-    taps = np.fft.ifft(bins * ref)
-    return np.abs(taps) ** 2
+    length = bins.shape[-1]
+    pdp = np.abs(np.fft.ifft(bins * _reference_spectrum(root, length))) ** 2
+    peak = pdp.max(axis=-1)
+    floor = (pdp.sum(axis=-1) - peak) / (length - 1)
+    return pdp[..., _window_indices(length, step)], peak, floor
 
 
 def detect_preambles(
@@ -122,51 +127,20 @@ def detect_preambles(
             f"expected at least {cfg.shift_step} averaged PRACH bins, got shape "
             f"{bins.shape}"
         )
-    length = bins.size
-    windows = _window_indices(length, cfg.shift_step)
     detected: list[Detection] = []
     floors: list[float] = []
     for root in cfg.roots:
-        pdp = delay_profile(bins, root)
-        peak_idx = int(np.argmax(pdp))
-        floor = float((pdp.sum() - pdp[peak_idx]) / (length - 1))
-        floors.append(floor)
-        floor_eff = max(floor, pdp[peak_idx] * _FLOOR_GUARD)
+        taps, peak, floor = _window_statistics(bins, root, cfg.shift_step)
+        floors.append(float(floor))
+        floor_eff = max(floor, peak * _FLOOR_GUARD)
         if floor_eff == 0.0:
             continue
-        peaks = pdp[windows].max(axis=1)
+        peaks = taps.max(axis=-1)
         for w in np.flatnonzero(peaks > cfg.threshold_factor * floor_eff):
             detected.append(Detection(root=root, signature=int(w), metric=float(peaks[w])))
     return DetectionResult(
         detected=detected, noise_floor=min(floors), occasion=occasion
     )
-
-
-def _occasion_statistics(
-    trials: int,
-    cfg: DetectorConfig,
-    rng: np.random.Generator,
-    l_ra: int,
-) -> np.ndarray:
-    """Noise-only decision statistic (best window peak over floor) per trial."""
-    windows = _window_indices(l_ra, cfg.shift_step)
-    stats = np.full(trials, -np.inf)
-    chunk = 4096
-    for start in range(0, trials, chunk):
-        m = min(chunk, trials - start)
-        bins = (
-            rng.standard_normal((m, l_ra)) + 1j * rng.standard_normal((m, l_ra))
-        ) / np.sqrt(2.0)
-        best = np.full(m, -np.inf)
-        for root in cfg.roots:
-            ref = _reference_spectrum(root, l_ra)
-            pdp = np.abs(np.fft.ifft(bins * ref, axis=1)) ** 2
-            peak = pdp.max(axis=1)
-            floor = (pdp.sum(axis=1) - peak) / (l_ra - 1)
-            wpeak = pdp[:, windows].max(axis=(1, 2))
-            best = np.maximum(best, wpeak / floor)
-        stats[start : start + m] = best
-    return stats
 
 
 def calibrate_threshold(
@@ -190,7 +164,18 @@ def calibrate_threshold(
             f"insufficient trials: need at least {int(np.ceil(10 / target_far))} "
             f"for target_far {target_far}"
         )
-    stats = _occasion_statistics(trials, cfg, rng, l_ra)
+    # Noise-only decision statistic per trial: best window peak over floor.
+    stats = np.full(trials, -np.inf)
+    chunk = 4096
+    for start in range(0, trials, chunk):
+        m = min(chunk, trials - start)
+        bins = (
+            rng.standard_normal((m, l_ra)) + 1j * rng.standard_normal((m, l_ra))
+        ) / np.sqrt(2.0)
+        best = stats[start : start + m]  # a view: updated in place
+        for root in cfg.roots:
+            taps, _, floor = _window_statistics(bins, root, cfg.shift_step)
+            np.maximum(best, taps.max(axis=(-2, -1)) / floor, out=best)
 
     def far(factor: float) -> float:
         return float(np.mean(stats > factor))

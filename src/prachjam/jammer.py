@@ -34,7 +34,6 @@ class JammerConfig:
 
     kind: str
     snr_db: float
-    seed: int
     enabled: bool = True
     s1_literal: bool = False
 

@@ -198,6 +198,16 @@ def occasions_in_frame(
     return occasions
 
 
+def _symbols_per_period(config: PrachConfig) -> int:
+    """PRACH symbols per PRACH period (all occasions of one PRACH frame)."""
+    return (
+        config.prach_subframes_per_frame
+        * config.slots_per_subframe_with_prach
+        * config.occasions_per_slot
+        * config.duration_symbols
+    )
+
+
 def occupancy_factors(config: PrachConfig, cell: CellConfig) -> dict[str, float]:
     """The three factors of the PRACH resource-occupancy ratio.
 
@@ -209,14 +219,8 @@ def occupancy_factors(config: PrachConfig, cell: CellConfig) -> dict[str, float]
     if cell.cell_bandwidth <= 0:
         raise ConfigError("cell_bandwidth must be positive")
     period_ms = config.sfn_modulus * FRAME_MS
-    symbols_per_occasion_set = (
-        config.prach_subframes_per_frame
-        * config.slots_per_subframe_with_prach
-        * config.occasions_per_slot
-        * config.duration_symbols
-    )
     period = FRAME_MS / period_ms
-    temporal = symbols_per_occasion_set / (
+    temporal = _symbols_per_period(config) / (
         SUBFRAMES_PER_FRAME * (1 << cell.numerology) * SYMBOLS_PER_SLOT
     )
     bandwidth = (
@@ -245,18 +249,12 @@ def jammer_resource_budget(config: PrachConfig, cell: CellConfig) -> dict[str, f
     slots in ms and the active transmit span per period in ms.
     """
     symbol_ms = 1.0 / (SYMBOLS_PER_SLOT * (1 << cell.numerology))
-    n_symbols = (
-        config.prach_subframes_per_frame
-        * config.slots_per_subframe_with_prach
-        * config.occasions_per_slot
-        * config.duration_symbols
-    )
     return {
         "bandwidth_hz": config.preamble_length
         * config.freq_occasions
         * cell.subcarrier_spacing,
         "duty_period_ms": config.sfn_modulus * FRAME_MS,
-        "active_span_per_period_ms": n_symbols * symbol_ms,
+        "active_span_per_period_ms": _symbols_per_period(config) * symbol_ms,
     }
 
 

@@ -82,7 +82,6 @@ class UeRaState:
     tx_occasion: OccasionKey | None = None
     tx_deadline_ms: float | None = None  # RAR window end
     pending_tid: int | None = None
-    ignored_events: int = 0
 
 
 def make_ue(
@@ -123,7 +122,7 @@ def ue_step(
     ``occasion_key`` identifies a PRACH occasion starting at ``now``; when
     present and the retry timer has elapsed, an idle UE transmits a
     preamble with a uniformly random signature. A connected UE never
-    transmits again.
+    transmits again. Events other than RARs and Msg4s are ignored.
     """
     action: PreambleTx | Msg3 | None = None
 
@@ -151,8 +150,6 @@ def ue_step(
                 else:
                     # Contention lost: repeat the whole procedure.
                     ue = _clear_attempt(ue)
-        else:
-            ue = replace(ue, ignored_events=ue.ignored_events + 1)
 
     if (
         ue.state is UeState.WAIT_RAR
@@ -198,8 +195,7 @@ def next_transmit_ms(ue: UeRaState) -> float:
 
 @dataclass
 class GnbRaContext:
-    pending_rar: dict[Signature, int] = dc_field(default_factory=dict)
-    msg3_received: dict[int, list[int]] = dc_field(default_factory=dict)
+    resolved_tids: set[int] = dc_field(default_factory=set)
     next_tid: int = 0
 
 
@@ -217,23 +213,20 @@ def gnb_step(
     """
     events: list[Any] = []
     if detections is not None:
-        ctx.pending_rar = {}
         key = _occasion_key(detections)
         for det in detections.detected:
             signature = (det.root, det.signature)
             tid = ctx.next_tid
             ctx.next_tid += 1
-            ctx.pending_rar[signature] = tid
             events.append(RarEvent(signature=signature, tid=tid, occasion_key=key))
     if msg3s:
         by_tid: dict[int, list[int]] = {}
         for msg in sorted(msg3s, key=lambda m: m.unique_id):
             by_tid.setdefault(msg.tid, []).append(msg.unique_id)
         for tid, ids in by_tid.items():
-            already_resolved = tid in ctx.msg3_received
-            ctx.msg3_received.setdefault(tid, []).extend(ids)
-            if not already_resolved:
+            if tid not in ctx.resolved_tids:
                 # First-received wins; ties within one call go to the lowest id.
+                ctx.resolved_tids.add(tid)
                 events.append(Msg4Event(tid=tid, winner_id=ids[0]))
     return ctx, events
 

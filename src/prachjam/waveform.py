@@ -18,7 +18,6 @@ from .zc import ZcSequence
 
 __all__ = [
     "IqFrame",
-    "PreambleWaveform",
     "REPETITIONS",
     "cp_length",
     "modulate_preamble",
@@ -48,16 +47,6 @@ class IqFrame:
             raise ValueError("sample_rate must be positive")
         if len(self.samples) == 0:
             raise ValueError("samples must be nonempty")
-
-
-@dataclass(frozen=True, eq=False)
-class PreambleWaveform:
-    """A modulated preamble occasion and the parameters that produced it."""
-
-    frame: IqFrame
-    sequence: ZcSequence
-    occasion: PrachOccasion
-    amplitude: float
 
 
 def cp_length(cell: CellConfig) -> int:
@@ -94,7 +83,7 @@ def modulate_preamble(
     occasion: PrachOccasion,
     cell: CellConfig,
     amplitude: float,
-) -> PreambleWaveform:
+) -> IqFrame:
     """Synthesize the time-domain waveform of one preamble occasion.
 
     The sequence's DFT is mapped onto the occasion's subcarriers, scaled so
@@ -113,10 +102,7 @@ def modulate_preamble(
         )
     bins = np.fft.fft(seq.samples) * (amplitude / np.sqrt(seq.length))
     samples = build_occasion_frame(bins, occasion.first_subcarrier, cell)
-    frame = IqFrame(samples=samples, sample_rate=cell.sample_rate, start_offset=0)
-    return PreambleWaveform(
-        frame=frame, sequence=seq, occasion=occasion, amplitude=amplitude
-    )
+    return IqFrame(samples=samples, sample_rate=cell.sample_rate, start_offset=0)
 
 
 def demap_prach(

@@ -19,7 +19,6 @@ __all__ = [
     "generate_zc",
     "cyclic_shift",
     "periodic_xcorr",
-    "dft",
 ]
 
 
@@ -147,14 +146,3 @@ def periodic_xcorr(
     norm = float(len(sa)) if normalize else 1.0
     return CorrelationProfile(values=values / norm, normalization=norm)
 
-
-def dft(samples: np.ndarray) -> np.ndarray:
-    """Unnormalized forward discrete Fourier transform.
-
-    For a ZC sequence of prime length N the output is again a CAZAC
-    sequence with constant bin magnitude ``sqrt(N)``.
-    """
-    x = np.asarray(samples, dtype=complex)
-    if x.size == 0:
-        raise ValueError("dft input must be nonempty")
-    return np.fft.fft(x)

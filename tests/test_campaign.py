@@ -34,7 +34,7 @@ def make_config(**overrides) -> CampaignConfig:
     base = dict(
         n_intervals=2,
         interval_duration=2.0,
-        spectrum=JammerConfig(kind="S1", snr_db=-6.0, seed=1),
+        spectrum=JammerConfig(kind="S1", snr_db=-6.0),
         channel=ChannelConfig(noise_sigma=SIGMA_0DB),
         detector=DetectorConfig(),
         prach=PRACH,
@@ -196,11 +196,11 @@ class TestIntervals:
         "overrides",
         [
             {},
-            {"spectrum": JammerConfig(kind="S2", snr_db=-6.0, seed=1)},
-            {"spectrum": JammerConfig(kind="S1", snr_db=-6.0, seed=1, enabled=False)},
+            {"spectrum": JammerConfig(kind="S2", snr_db=-6.0)},
+            {"spectrum": JammerConfig(kind="S1", snr_db=-6.0, enabled=False)},
             {"invalid_probability": 0.5},
             # The UE retries: the fast path jumps from one attempt to the next.
-            {"spectrum": JammerConfig(kind="S1", snr_db=-18.0, seed=1)},
+            {"spectrum": JammerConfig(kind="S1", snr_db=-18.0)},
         ],
         ids=["S1", "S2", "jammer_off", "invalid_half", "S1_retrying"],
     )
@@ -212,7 +212,7 @@ class TestIntervals:
 
     def test_fast_path_simulates_only_transmit_occasions(self, monkeypatch):
         cfg = make_config(
-            n_intervals=3, spectrum=JammerConfig(kind="S1", snr_db=-18.0, seed=1)
+            n_intervals=3, spectrum=JammerConfig(kind="S1", snr_db=-18.0)
         )
         occasions = []
         detect = prachjam.campaign.detect_preambles
@@ -233,7 +233,7 @@ class TestIntervals:
     def test_jammer_off_succeeds(self):
         cfg = make_config(
             n_intervals=5,
-            spectrum=JammerConfig(kind="S1", snr_db=-6.0, seed=1, enabled=False),
+            spectrum=JammerConfig(kind="S1", snr_db=-6.0, enabled=False),
         )
         records, metrics = run_campaign(cfg)
         assert metrics.e_s == 1
@@ -247,7 +247,7 @@ class TestIntervals:
             jammer_lead=10.0,
             jammer_lag=10.0,
             ue_startup_delay=0.5,
-            spectrum=JammerConfig(kind="S1", snr_db=-30.0, seed=1),
+            spectrum=JammerConfig(kind="S1", snr_db=-30.0),
         )
         records, _ = run_campaign(cfg)
         assert records[0].ra_succeeded is False
@@ -256,7 +256,7 @@ class TestIntervals:
         assert records[0].preambles_sent <= 600
 
     def test_success_implies_detection(self):
-        cfg = make_config(n_intervals=4, spectrum=JammerConfig("S2", 3.0, 1))
+        cfg = make_config(n_intervals=4, spectrum=JammerConfig("S2", 3.0))
         records, _ = run_campaign(cfg)
         for r in records:
             if r.ra_succeeded:
@@ -281,7 +281,7 @@ class TestIntervals:
         cfg = make_config(
             n_intervals=100,
             interval_duration=1.0,
-            spectrum=JammerConfig(kind="S1", snr_db=-6.0, seed=1, enabled=False),
+            spectrum=JammerConfig(kind="S1", snr_db=-6.0, enabled=False),
         )
         records, _ = run_campaign(cfg, threads=0)
         quick = sum(1 for r in records if r.ra_succeeded and r.preambles_sent <= 2)
@@ -293,7 +293,7 @@ class TestIntervals:
         cfg = make_config(
             n_intervals=20,
             interval_duration=2.0,
-            spectrum=JammerConfig(kind="S1", snr_db=-30.0, seed=1),
+            spectrum=JammerConfig(kind="S1", snr_db=-30.0),
         )
         _, metrics = run_campaign(cfg, threads=0)
         assert metrics.e_p_j is not None
@@ -310,7 +310,7 @@ class TestIntervals:
                 jammer_lag=0.15,
                 ue_startup_delay=0.05,
                 base_seed=777,
-                spectrum=JammerConfig(kind="S1", snr_db=snr, seed=1),
+                spectrum=JammerConfig(kind="S1", snr_db=snr),
             )
             _, metrics = run_campaign(cfg, threads=0)
             rates.append(metrics.e_s)
@@ -333,7 +333,12 @@ class TestConfigLoading:
         assert cfg.prach == PRACH
         assert cfg.cell == CELL
         assert cfg.detector.shift_step == CELL.shift_step
-        assert cfg.spectrum.seed == 5  # defaults to base_seed
+
+    def test_spectrum_seed_rejected(self):
+        doc = self.base_doc()
+        doc["spectrum"]["seed"] = 5
+        with pytest.raises(ConfigError, match="unknown field 'seed' in spectrum"):
+            load_campaign_config(doc)
 
     def test_zero_intervals_rejected(self):
         doc = self.base_doc()

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from prachjam.campaign import interval_seed
 from prachjam.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -185,12 +186,12 @@ class TestMetricsRoundTrip:
         for _ in range(13):  # invalid
             lines.append(dict(index=idx, valid=False, preambles_sent=1,
                               preambles_detected=0, ra_succeeded=False,
-                              time_to_success=None, seed=0))
+                              time_to_success=None, seed=interval_seed(42, idx)))
             idx += 1
         for _ in range(33):  # successful
             lines.append(dict(index=idx, valid=True, preambles_sent=2,
                               preambles_detected=1, ra_succeeded=True,
-                              time_to_success=1.0, seed=0))
+                              time_to_success=1.0, seed=interval_seed(42, idx)))
             idx += 1
         remaining = 343_522 - 33
         n_unsucc = 800 - 13 - 33
@@ -198,7 +199,7 @@ class TestMetricsRoundTrip:
             share = remaining // n_unsucc + (1 if i < remaining % n_unsucc else 0)
             lines.append(dict(index=idx, valid=True, preambles_sent=share,
                               preambles_detected=0, ra_succeeded=False,
-                              time_to_success=None, seed=0))
+                              time_to_success=None, seed=interval_seed(42, idx)))
             idx += 1
         with (out / "records.jsonl").open("w") as fh:
             for line in lines:
@@ -212,6 +213,38 @@ class TestMetricsRoundTrip:
         assert metrics["mean_preambles_per_interval"] == pytest.approx(436.54, abs=0.01)
         assert metrics["e_p_j_ppm"] == pytest.approx(96.05, abs=0.01)
         assert metrics["e_s"] == pytest.approx(0.04193, abs=1e-4)
+
+    def rewrite_records(self, tmp_path, edit) -> tuple[Path, Path]:
+        """Simulate the small config, then pass each record through ``edit``."""
+        cfg = small_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        path = out / "records.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        lines = [json.dumps(edit(i, r)) for i, r in enumerate(records)]
+        path.write_text("\n".join(lines) + "\n")
+        return cfg, out
+
+    def test_bad_record_field_names_file_and_line(self, tmp_path, capsys):
+        cfg, out = self.rewrite_records(
+            tmp_path, lambda i, r: {**r, "bogus": 1} if i == 1 else r
+        )
+        assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "records.jsonl:2: unknown field 'bogus'" in err
+
+    def test_repeated_interval_rejected(self, tmp_path, capsys):
+        # Interval 0 three times is not a 3-interval campaign.
+        cfg, out = self.rewrite_records(tmp_path, lambda i, r: {**r, "index": 0})
+        assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "records.jsonl:2: interval index 0, expected 1" in capsys.readouterr().err
+
+    def test_foreign_seed_rejected(self, tmp_path, capsys):
+        cfg, out = self.rewrite_records(
+            tmp_path, lambda i, r: {**r, "seed": r["seed"] + 1} if i == 2 else r
+        )
+        assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "records.jsonl:3: seed" in capsys.readouterr().err
 
 
 class TestCalibrate:

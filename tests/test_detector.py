@@ -20,7 +20,7 @@ CFG = DetectorConfig()
 
 def received_bins(shift=0, sigma=0.0, rng=None, delay=0, amplitude=1.0):
     seq = cyclic_shift(ROOT_SEQ, shift) if shift else ROOT_SEQ
-    frame = modulate_preamble(seq, OCCASION, CELL, amplitude).frame
+    frame = modulate_preamble(seq, OCCASION, CELL, amplitude)
     chan = ChannelConfig(noise_sigma=sigma, ue_delay_samples=delay)
     rng = rng or np.random.default_rng(0)
     rx = superpose(frame, None, chan, rng)

@@ -41,22 +41,22 @@ class TestAmplitudeLaw:
 class TestFrames:
     def test_kind_validated(self):
         with pytest.raises(ConfigError, match="kind"):
-            JammerConfig(kind="S3", snr_db=0.0, seed=1)
+            JammerConfig(kind="S3", snr_db=0.0)
 
     def test_zero_amplitude_gives_zero_frame(self):
-        cfg = JammerConfig(kind="S2", snr_db=0.0, seed=1)
+        cfg = JammerConfig(kind="S2", snr_db=0.0)
         frame = generate_jamming_frame(cfg, OCCASION, CELL, 0.0, np.random.default_rng(3))
         assert np.max(np.abs(frame.samples)) == 0.0
 
     def test_deterministic_frames(self):
         for kind in ("S1", "S2"):
-            cfg = JammerConfig(kind=kind, snr_db=-6.0, seed=9)
+            cfg = JammerConfig(kind=kind, snr_db=-6.0)
             a = generate_jamming_frame(cfg, OCCASION, CELL, 2.0, np.random.default_rng(9))
             b = generate_jamming_frame(cfg, OCCASION, CELL, 2.0, np.random.default_rng(9))
             np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_repetition_structure(self):
-        cfg = JammerConfig(kind="S1", snr_db=0.0, seed=1)
+        cfg = JammerConfig(kind="S1", snr_db=0.0)
         frame = generate_jamming_frame(cfg, OCCASION, CELL, 1.0, np.random.default_rng(5))
         cp = cp_length(CELL)
         n = CELL.dft_size
@@ -69,7 +69,7 @@ class TestFrames:
 
     @pytest.mark.parametrize("kind,literal", [("S1", False), ("S2", False), ("S1", True)])
     def test_band_confinement(self, kind, literal):
-        cfg = JammerConfig(kind=kind, snr_db=0.0, seed=1, s1_literal=literal)
+        cfg = JammerConfig(kind=kind, snr_db=0.0, s1_literal=literal)
         frame = generate_jamming_frame(cfg, OCCASION, CELL, 1.0, np.random.default_rng(11))
         cp = cp_length(CELL)
         n = CELL.dft_size
@@ -81,7 +81,7 @@ class TestFrames:
 
     def test_s2_second_moment(self):
         # Pooled over many draws the mean squared bin magnitude is a_f^2.
-        cfg = JammerConfig(kind="S2", snr_db=0.0, seed=1)
+        cfg = JammerConfig(kind="S2", snr_db=0.0)
         rng = np.random.default_rng(17)
         values = []
         for _ in range(800):
@@ -92,7 +92,7 @@ class TestFrames:
         assert np.mean(np.abs(values) ** 2) == pytest.approx(1.0, rel=0.02)
 
     def test_s2_component_variances(self):
-        cfg = JammerConfig(kind="S2", snr_db=0.0, seed=1)
+        cfg = JammerConfig(kind="S2", snr_db=0.0)
         rng = np.random.default_rng(23)
         a_f = 1.4
         values = []
@@ -113,7 +113,7 @@ class TestFrames:
         a_f = 2.0
         powers = {}
         for kind, rng in (("S1", rng1), ("S2", rng2)):
-            cfg = JammerConfig(kind=kind, snr_db=0.0, seed=1)
+            cfg = JammerConfig(kind=kind, snr_db=0.0)
             total = 0.0
             count = 0
             for _ in range(800):
@@ -125,7 +125,7 @@ class TestFrames:
         assert powers["S1"] == pytest.approx(powers["S2"], rel=0.02)
 
     def test_literal_spectrum_is_constant(self):
-        cfg = JammerConfig(kind="S1", snr_db=0.0, seed=1, s1_literal=True)
+        cfg = JammerConfig(kind="S1", snr_db=0.0, s1_literal=True)
         frame = generate_jamming_frame(cfg, OCCASION, CELL, 1.5, np.random.default_rng(2))
         bins = occupied_bins(frame, n_symbols=1)[0]
         np.testing.assert_allclose(bins, np.full(139, 1.5 + 0j), atol=1e-9)
@@ -133,7 +133,7 @@ class TestFrames:
     def test_frames_export_as_raw_iq(self, tmp_path):
         from prachjam.waveform import read_iq, write_iq
 
-        cfg = JammerConfig(kind="S2", snr_db=-6.0, seed=1)
+        cfg = JammerConfig(kind="S2", snr_db=-6.0)
         frame = generate_jamming_frame(cfg, OCCASION, CELL, 2.0, np.random.default_rng(8))
         write_iq(frame, tmp_path / "jam.iq")
         loaded = read_iq(tmp_path / "jam.iq")

@@ -138,11 +138,13 @@ class TestUeRetries:
         assert action is None
         assert ue.state is UeState.WAIT_RAR
 
-    def test_malformed_events_counted(self):
+    def test_malformed_events_leave_ue_unchanged(self):
         rng = np.random.default_rng(6)
         ue = make_ue(unique_id=1, signatures=SIGNATURES, first_attempt_ms=0.0)
-        ue, _ = ue_step(ue, 0.0, ["garbage", object()], rng)
-        assert ue.ignored_events == 2
+        ue, _ = ue_step(ue, 0.0, [], rng, occasion_key=(0, 19, 0))
+        after, action = ue_step(ue, 1.0, ["garbage", object()], rng)
+        assert after == ue
+        assert action is None
 
     def test_contention_loser_restarts(self):
         rng = np.random.default_rng(7)

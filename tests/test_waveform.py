@@ -25,23 +25,23 @@ class TestModulate:
     def test_frame_length_full_grid(self):
         _, full_cell = PRESETS["index98_40mhz_full"]
         occ = occasions_in_frame(PRACH, full_cell, 1)[0]
-        wave = modulate_preamble(SEQ, occ, full_cell, 1.0)
+        frame = modulate_preamble(SEQ, occ, full_cell, 1.0)
         assert cp_length(full_cell) == 144
-        assert len(wave.frame.samples) == 144 + 4 * 2048
+        assert len(frame.samples) == 144 + 4 * 2048
 
     def test_zero_amplitude_gives_zero_frame(self):
-        wave = modulate_preamble(SEQ, OCCASION, CELL, 0.0)
-        assert len(wave.frame.samples) == frame_length(CELL)
-        assert np.max(np.abs(wave.frame.samples)) == 0.0
+        frame = modulate_preamble(SEQ, OCCASION, CELL, 0.0)
+        assert len(frame.samples) == frame_length(CELL)
+        assert np.max(np.abs(frame.samples)) == 0.0
 
     def test_occupied_bins_have_requested_magnitude(self):
-        wave = modulate_preamble(SEQ, OCCASION, CELL, 0.7)
-        _, avg = demap_prach(wave.frame, OCCASION, CELL)
+        frame = modulate_preamble(SEQ, OCCASION, CELL, 0.7)
+        _, avg = demap_prach(frame, OCCASION, CELL)
         assert np.max(np.abs(np.abs(avg) - 0.7)) < 1e-9
 
     def test_demap_round_trip(self):
-        wave = modulate_preamble(SEQ, OCCASION, CELL, 1.0)
-        reps, avg = demap_prach(wave.frame, OCCASION, CELL)
+        frame = modulate_preamble(SEQ, OCCASION, CELL, 1.0)
+        reps, avg = demap_prach(frame, OCCASION, CELL)
         expected = np.fft.fft(SEQ.samples) / np.sqrt(139)
         np.testing.assert_allclose(avg, expected, atol=1e-9)
         for rep in reps:
@@ -60,9 +60,9 @@ class TestModulate:
             modulate_preamble(SEQ, OCCASION, tiny, 1.0)
 
     def test_energy_conservation(self):
-        wave = modulate_preamble(SEQ, OCCASION, CELL, 1.3)
+        frame = modulate_preamble(SEQ, OCCASION, CELL, 1.3)
         cp = cp_length(CELL)
-        time_energy = np.sum(np.abs(wave.frame.samples[cp:]) ** 2)
+        time_energy = np.sum(np.abs(frame.samples[cp:]) ** 2)
         bin_energy = 4 * 139 * 1.3**2  # four repetitions of the occupied bins
         assert time_energy == pytest.approx(bin_energy, rel=1e-6)
 
@@ -92,12 +92,12 @@ class TestDemap:
 
     @pytest.mark.parametrize("delay", [1, 5, 17])
     def test_delay_within_cp_is_phase_ramp(self, delay):
-        wave = modulate_preamble(SEQ, OCCASION, CELL, 1.0)
-        shifted = np.zeros_like(wave.frame.samples)
-        shifted[delay:] = wave.frame.samples[:-delay]
+        frame = modulate_preamble(SEQ, OCCASION, CELL, 1.0)
+        shifted = np.zeros_like(frame.samples)
+        shifted[delay:] = frame.samples[:-delay]
         delayed = IqFrame(samples=shifted, sample_rate=CELL.sample_rate)
         _, avg = demap_prach(delayed, OCCASION, CELL)
-        _, ref = demap_prach(wave.frame, OCCASION, CELL)
+        _, ref = demap_prach(frame, OCCASION, CELL)
         # Magnitudes unchanged, phases a pure ramp across the bins.
         np.testing.assert_allclose(np.abs(avg), np.abs(ref), atol=1e-6)
         n = CELL.dft_size

@@ -3,32 +3,33 @@
 A campaign is a series of independent intervals. In each interval the
 jammer runs for the whole span while the UE appears after a lead delay,
 retries a preamble every 100 ms until a random-access procedure succeeds,
-and disappears before the jammer stops. Intervals are simulated on a
-virtual clock that visits only PRACH occasions. Each occasion draws its
-jammer and noise from its own keyed random stream, so an occasion can be
-skipped without disturbing any other: without logs only the occasions in
-which the UE transmits are simulated, and the cost of an interval scales
-with the preambles sent rather than the simulated duration.
+and disappears before the jammer stops. Occasions are simulated as their
+averaged PRACH bins (``channel.bin_channel``). An unanswered UE sends on a
+fixed schedule, so its transmissions are judged in batches and only the
+first detected one goes through ``detect_preambles`` and the RA machines;
+a logged run steps every occasion through them.
 """
 from __future__ import annotations
 
+import copy
+import functools
 import hashlib
 import itertools
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, fields, replace
 from fractions import Fraction
 from typing import Any
 
 import numpy as np
 
-from .channel import ChannelConfig, superpose
-from .detector import DetectorConfig, detect_preambles
+from .channel import ChannelConfig, bin_channel, superpose
+from .detector import DetectorConfig, detect_preambles, signatures_detected
 from .errors import ConfigError, SimulationError
-from .jammer import JammerConfig, amplitude_from_snr, generate_jamming_frame
+from .jammer import JammerConfig, amplitude_from_snr, bin_moments, generate_jamming_frame
 from .prach import (
-    FRAME_MS,
+    SUBCARRIERS_PER_PRB,
     CellConfig,
     PrachConfig,
     PrachOccasion,
@@ -36,21 +37,27 @@ from .prach import (
     jammer_resource_budget,
     load_cell_config,
     load_prach_config,
+    occasion_time_ms,
+    occasions_between,
     occasions_in_frame,
     occupancy_factors,
 )
 from .rafsm import (
+    RAR_WINDOW_MS,
     GnbRaContext,
     Msg3,
     PreambleTx,
     UeState,
     gnb_step,
     make_ue,
-    next_transmit_ms,
+    transmit_schedule,
     ue_step,
 )
-from .waveform import IqFrame, cp_length, demap_prach, frame_length, modulate_preamble
+from .waveform import cp_length, demap_prach, preamble_bins
 from .zc import cyclic_shift, generate_zc
+
+# demap_prach, generate_jamming_frame, occasion_time_ms, occasions_in_frame and
+# superpose are unused here but kept importable: perfbench/run.py uses these names.
 
 __all__ = [
     "CampaignConfig",
@@ -70,13 +77,15 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 SEEDING_RULE = (
-    "v2: interval_seed(i) = uint64(little-endian) of "
-    "blake2b(digest_size=8, data=pack('<QQ', base_seed, i)); "
-    "interval stream = numpy.random.default_rng(interval_seed(i)), "
-    "drawing the validity flag, then each preamble's signature; "
-    "occasion stream = numpy.random.default_rng(numpy.random.SeedSequence("
-    "interval_seed(i), spawn_key=(sfn, slot, occasion_index))), "
-    "drawing that occasion's jammer, then its channel noise"
+    "v3: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
+    "data=pack('<QQ', base_seed, i)); interval stream = numpy.random.default_rng("
+    "interval_seed(i)), drawing the validity flag (random()), then the signatures "
+    "of all K scheduled preambles (integers(n_signatures, size=K)), then per "
+    "preamble in transmit order 2*L standard normals, the interleaved (re, im) "
+    "parts of the jammer and noise in its L averaged PRACH bins; a logged run "
+    "draws those of an occasion without a preamble from numpy.random.default_rng("
+    "numpy.random.SeedSequence(interval_seed(i), spawn_key=(sfn, slot, "
+    "occasion_index)))"
 )
 
 
@@ -210,19 +219,60 @@ def occasion_rng(seed: int, occ: PrachOccasion) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def occasion_time_ms(occ: PrachOccasion, cell: CellConfig) -> float:
-    """Start instant of an occasion on the campaign clock, in ms."""
-    slots = 1 << cell.numerology
-    return (
-        occ.sfn * 10.0
-        + occ.slot * (1.0 / slots)
-        + occ.start_symbol / (14.0 * slots)
-    )
+# Both caches are keyed on the inputs they depend on, never on a seed.
+@functools.lru_cache(maxsize=16)
+def _schedule(prach: PrachConfig, cell: CellConfig, first_ms: float, off_ms: float):
+    return transmit_schedule(occasions_between(prach, cell, first_ms, off_ms), first_ms)
 
 
-def _signature_space(det: DetectorConfig, preamble_length: int):
-    n_shifts = preamble_length // det.shift_step
-    return tuple((root, s) for root in det.roots for s in range(n_shifts))
+@functools.lru_cache(maxsize=16)
+def _bins(prach, cell, spectrum, channel, det, amplitude):
+    """The UE's signatures (as a tuple and an array) and the bin-domain
+    channel of its occasions."""
+    length = prach.preamble_length
+    signatures = tuple((r, s) for r in det.roots for s in range(length // det.shift_step))
+    preambles = np.array([
+        preamble_bins(cyclic_shift(generate_zc(root, length), s * det.shift_step), amplitude)
+        for root, s in signatures
+    ])
+    jam = bin_moments(spectrum, amplitude_from_snr(amplitude, spectrum.snr_db))
+    first = prach.freq_offset * SUBCARRIERS_PER_PRB
+    chan = bin_channel(preambles, *jam, channel, first, cell.dft_size)
+    sig_array = np.array(signatures)
+    for shared in (chan.ue_mean, sig_array):  # every later caller gets these arrays
+        shared.setflags(write=False)
+    return signatures, sig_array, chan
+
+
+# Rows per batch grow 1, 2, 4, ... to this cap: early hits stay cheap, memory small.
+_MAX_CHUNK = 64
+
+
+def _first_hit(chan, sig_array, det_cfg, rng, sig_idx) -> tuple[int, np.ndarray]:
+    """Index of the first transmission whose own signature is detected, and
+    its bins; ``len(sig_idx)`` and the last row when there is none."""
+    start, size = 0, 1
+    while True:
+        idx = sig_idx[start : start + size]
+        rows = chan.draw(rng, chan.ue_mean[idx], len(idx))
+        hits = np.flatnonzero(signatures_detected(rows, sig_array[idx], det_cfg))
+        if hits.size:
+            return start + int(hits[0]), rows[hits[0]]
+        start += len(idx)
+        if start >= len(sig_idx):
+            return start, rows[-1]
+        size = min(2 * size, _MAX_CHUNK)
+
+
+def _take_rars(ue, ctx, rars, t, rng, log_event):
+    """The UE reads an occasion's RARs; its own one runs Msg3 and Msg4."""
+    ue, action = ue_step(ue, t, rars, rng)
+    if isinstance(action, Msg3):
+        log_event(t, ue)
+        ctx, msg4s = gnb_step(ctx, None, [action])
+        ue, _ = ue_step(ue, t, msg4s, rng)
+        log_event(t, ue)
+    return ue, ctx
 
 
 def run_interval(
@@ -236,132 +286,82 @@ def run_interval(
     slot from t=0 until lead + duration + lag; the UE is active from
     t=lead until lead + duration and sends its first preamble after the
     configured startup delay. ``time_to_success`` is measured from the UE
-    start.
-
-    Only an occasion in which the UE transmits can change the record: a
-    RAR is accepted only for the UE's own transmit occasion. Without a
-    collector the interval therefore visits just those occasions, jumping
-    from one possible transmission to the next, and ends once the UE has
-    connected or left. With a collector every occasion is simulated and
-    logged. Both draw from the same keyed streams (see ``SEEDING_RULE``),
-    so they produce the same record.
+    start. A run with a collector simulates and logs every occasion; its
+    record equals the one without (see ``SEEDING_RULE``).
     """
-    prach_cfg, cell, det_cfg = cfg.prach, cfg.cell, cfg.detector
     seed = interval_seed(cfg.base_seed, index)
     rng = np.random.default_rng(seed)
-    lead_ms = cfg.jammer_lead * 1000.0
-    ue_on = lead_ms
-    ue_off = lead_ms + cfg.interval_duration * 1000.0
-    jam_end = ue_off + cfg.jammer_lag * 1000.0
-    end_ms = jam_end if cfg.spectrum.enabled and collector is not None else ue_off
-
     valid = bool(rng.random() >= cfg.invalid_probability)
-
-    signatures = _signature_space(det_cfg, prach_cfg.preamble_length)
-    ue = make_ue(
-        unique_id=index + 1,
-        signatures=signatures,
-        first_attempt_ms=ue_on + cfg.ue_startup_delay * 1000.0,
+    ue_on = cfg.jammer_lead * 1000.0
+    ue_off = ue_on + cfg.interval_duration * 1000.0
+    first_ms = ue_on + cfg.ue_startup_delay * 1000.0
+    sends = _schedule(cfg.prach, cfg.cell, first_ms, ue_off)
+    signatures, sig_array, chan = _bins(
+        cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector, cfg.preamble_amplitude
     )
-    ctx = GnbRaContext()
-    amp = cfg.preamble_amplitude
-    a_f = amplitude_from_snr(amp, cfg.spectrum.snr_db)
-    n_frame = frame_length(cell)
-    preamble_cache: dict[tuple[int, int], IqFrame] = {}
+    # A logged UE draws its signatures itself: the same draws, one at a time.
+    ue_rng = copy.deepcopy(rng) if collector is not None else None
+    sig_idx = rng.integers(len(signatures), size=len(sends))
 
-    def log_event(t: float) -> None:
+    def log_event(t: float, ue) -> None:
         if collector is not None:
             collector.event(index, t, f"ue{ue.unique_id}", ue.state.value)
 
-    preambles_detected = 0
-    ra_succeeded = False
-    time_to_success: float | None = None
-
-    sfn = 0
-    while True:
-        if collector is None:
-            # Next event: the frame of the UE's next possible transmission
-            # (never, once it has connected).
-            sfn = max(sfn, int(min(next_transmit_ms(ue), end_ms) // FRAME_MS))
-        if sfn * FRAME_MS >= end_ms:
-            break
-        for occ in occasions_in_frame(prach_cfg, cell, sfn):
-            t = occasion_time_ms(occ, cell)
-            if t >= end_ms:
-                break
-            if collector is None and t < next_transmit_ms(ue):
-                continue  # the UE is silent here: nothing can change the record
-            jam_active = cfg.spectrum.enabled and t < jam_end
+    ue = make_ue(index + 1, signatures, first_ms)
+    ctx = GnbRaContext()
+    detected = 0
+    success_ms: float | None = None
+    if collector is None and sends:
+        k, row = _first_hit(chan, sig_array, cfg.detector, rng, sig_idx)
+        hit, k = k < len(sends), min(k, len(sends) - 1)
+        t, occ = sends[k]
+        signature = signatures[sig_idx[k]]
+        result = detect_preambles(row, cfg.detector, occasion=occ)
+        detected = int(result.reports(signature))
+        if detected != hit:
+            raise SimulationError(f"interval {index}: kernel and detector disagree on preamble {k}")
+        # The UE as it waits for the RAR of preamble k.
+        key = (occ.sfn, occ.slot, occ.occasion_index)
+        ue = replace(ue, state=UeState.WAIT_RAR, preambles_sent=k + 1, chosen_signature=signature,
+                     tx_occasion=key, tx_deadline_ms=t + RAR_WINDOW_MS)
+        ctx, rars = gnb_step(ctx, result, [])
+        ue, ctx = _take_rars(ue, ctx, rars, t, rng, log_event)
+        if ue.state is UeState.CONNECTED:
+            success_ms = t
+    elif collector is not None:
+        end_ms = ue_off + cfg.jammer_lag * 1000.0 if cfg.spectrum.enabled else ue_off
+        for t, occ in occasions_between(cfg.prach, cfg.cell, 0.0, end_ms):
             ue_active = ue_on <= t < ue_off and ue.state is not UeState.CONNECTED
-            key = (occ.sfn, occ.slot, occ.occasion_index)
-            occ_rng = occasion_rng(seed, occ)
-
-            tx: PreambleTx | None = None
+            tx = None
             if ue_active:
                 prev_state = ue.state
-                ue, action = ue_step(ue, t, [], rng, occasion_key=key)
-                if isinstance(action, PreambleTx):
-                    tx = action
+                key = (occ.sfn, occ.slot, occ.occasion_index)
+                ue, action = ue_step(ue, t, [], ue_rng, occasion_key=key)
+                tx = action if isinstance(action, PreambleTx) else None
                 if ue.state is not prev_state:
-                    log_event(t)
-
-            ue_frame = None
+                    log_event(t, ue)
             if tx is not None:
-                # All occasions share one frequency placement, so waveforms
-                # can be cached per signature.
-                root, shift_idx = tx.signature
-                ue_frame = preamble_cache.get(tx.signature)
-                if ue_frame is None:
-                    seq = cyclic_shift(
-                        generate_zc(root, prach_cfg.preamble_length),
-                        shift_idx * det_cfg.shift_step,
-                    )
-                    ue_frame = modulate_preamble(seq, occ, cell, amp)
-                    preamble_cache[tx.signature] = ue_frame
-
-            jam_frame = (
-                generate_jamming_frame(cfg.spectrum, occ, cell, a_f, occ_rng)
-                if jam_active
-                else None
-            )
-            rx = superpose(
-                ue_frame,
-                jam_frame,
-                cfg.channel,
-                occ_rng,
-                num_samples=n_frame,
-                sample_rate=cell.sample_rate,
-            )
-            _, avg_bins = demap_prach(rx, occ, cell)
-            result = detect_preambles(avg_bins, det_cfg, occasion=occ)
-            if collector is not None:
-                collector.detection(index, occ, result)
-
+                mean = chan.ue_mean[[signatures.index(tx.signature)]]
+                row = chan.draw(rng, mean, 1)[0]
+            else:
+                row = chan.draw(occasion_rng(seed, occ), chan.idle_mean, 1)[0]
+            result = detect_preambles(row, cfg.detector, occasion=occ)
+            collector.detection(index, occ, result)
             ctx, rars = gnb_step(ctx, result, [])
             if tx is not None:
-                hits = {(d.root, d.signature) for d in result.detected}
-                if tx.signature in hits:
-                    preambles_detected += 1
-
+                detected += result.reports(tx.signature)
             if ue_active and rars:
-                ue, action = ue_step(ue, t, rars, rng)
-                if isinstance(action, Msg3):
-                    log_event(t)
-                    ctx, msg4s = gnb_step(ctx, None, [action])
-                    ue, _ = ue_step(ue, t, msg4s, rng)
-                    log_event(t)
-                    if ue.state is UeState.CONNECTED and not ra_succeeded:
-                        ra_succeeded = True
-                        time_to_success = (t - ue_on) / 1000.0
-        sfn += 1
+                ue, ctx = _take_rars(ue, ctx, rars, t, ue_rng, log_event)
+                if ue.state is UeState.CONNECTED:
+                    success_ms = t
 
     return IntervalRecord(
         index=index,
         valid=valid,
         preambles_sent=ue.preambles_sent,
-        preambles_detected=preambles_detected,
-        ra_succeeded=ra_succeeded,
-        time_to_success=time_to_success,
+        preambles_detected=detected,
+        ra_succeeded=success_ms is not None,
+        time_to_success=None if success_ms is None else (success_ms - ue_on) / 1000.0,
         seed=seed,
     )
 

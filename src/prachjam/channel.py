@@ -1,14 +1,20 @@
-"""Flat AWGN channel superposing UE, jammer and thermal noise."""
+"""Flat AWGN channel superposing UE, jammer and thermal noise.
+
+``superpose`` does so on time-domain frames; ``bin_channel`` gives the
+same channel as seen in the averaged PRACH bins of ``demap_prach``.
+"""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .waveform import IqFrame
+from .waveform import REPETITIONS, IqFrame
 
-__all__ = ["ChannelConfig", "superpose"]
+__all__ = ["ChannelConfig", "superpose", "BinChannel", "bin_channel"]
 
 
 @dataclass(frozen=True)
@@ -36,14 +42,10 @@ def superpose(
     jam: IqFrame | None,
     cfg: ChannelConfig,
     rng: np.random.Generator,
-    *,
-    num_samples: int | None = None,
-    sample_rate: float | None = None,
 ) -> IqFrame:
     """Received frame: delayed/scaled UE plus scaled jammer plus noise.
 
-    Absent inputs contribute zero; when both are absent the output length
-    and rate must be given explicitly.
+    An absent input contributes zero; at least one must be given.
     """
     if ue is not None and jam is not None:
         if ue.sample_rate != jam.sample_rate:
@@ -53,15 +55,9 @@ def superpose(
         if len(ue.samples) != len(jam.samples):
             raise ConfigError("UE and jammer frames must span the same occasion")
     ref = ue if ue is not None else jam
-    if ref is not None:
-        n = len(ref.samples)
-        rate = ref.sample_rate
-    else:
-        if num_samples is None or sample_rate is None:
-            raise ConfigError(
-                "num_samples and sample_rate are required when both inputs are absent"
-            )
-        n, rate = num_samples, sample_rate
+    if ref is None:
+        raise ConfigError("superpose needs a UE or a jammer frame")
+    n = len(ref.samples)
 
     out = np.zeros(n, dtype=complex)
     if ue is not None:
@@ -73,4 +69,52 @@ def superpose(
         out += cfg.noise_sigma * (
             rng.standard_normal(n) + 1j * rng.standard_normal(n)
         )
-    return IqFrame(samples=out, sample_rate=rate, start_offset=0)
+    return IqFrame(samples=out, sample_rate=ref.sample_rate, start_offset=0)
+
+
+class BinChannel(NamedTuple):
+    """Averaged PRACH bins drawn as ``mean + std * (z_re + i z_im)``.
+
+    ``ue_mean[n]`` is the mean while the UE sends preamble ``n``,
+    ``idle_mean`` the mean without it, and ``std`` the standard deviation
+    of each real and imaginary part of the jammer plus the noise.
+    """
+
+    ue_mean: np.ndarray  # (n_preambles, L)
+    idle_mean: complex
+    std: float
+
+    def draw(self, rng: np.random.Generator, mean, rows: int) -> np.ndarray:
+        """``rows`` bin rows around ``mean``; each row reads its 2 * L
+        standard normals as interleaved (re, im) pairs."""
+        shape = (rows, self.ue_mean.shape[-1], 2)
+        out = rng.standard_normal(shape).view(complex)[..., 0]
+        out *= self.std
+        out += mean
+        return out
+
+
+def bin_channel(
+    preambles: np.ndarray,
+    jam_mean: complex,
+    jam_variance: float,
+    cfg: ChannelConfig,
+    first_subcarrier: int,
+    dft_size: int,
+) -> BinChannel:
+    """The bins ``demap_prach`` averages from ``superpose``'s frames.
+
+    The channel is flat, the UE delay stays inside the cyclic prefix and
+    demapping is linear. So the bins are the UE's transmitted bins
+    ``preambles`` ``(n, L)`` times its gain and the delay's phase ramp,
+    plus the jammer's bins (mean ``jam_mean``, complex variance
+    ``jam_variance``) times its gain, plus noise whose complex variance
+    ``2 * noise_sigma**2`` the repetitions average down.
+    """
+    subcarriers = first_subcarrier + np.arange(preambles.shape[-1])
+    ramp = np.exp(-2j * np.pi * subcarriers * cfg.ue_delay_samples / dft_size)
+    idle_mean = cfg.jammer_gain * jam_mean
+    variance = cfg.jammer_gain**2 * jam_variance + 2 * cfg.noise_sigma**2 / REPETITIONS
+    return BinChannel(
+        cfg.ue_gain * ramp * preambles + idle_mean, idle_mean, math.sqrt(variance / 2)
+    )

@@ -219,6 +219,11 @@ def _cmd_metrics(args) -> int:
                     f"{where}: seed {record.seed} is not interval_seed({cfg.base_seed}, {i})"
                 )
             records.append(record)
+    if len(records) != cfg.n_intervals:
+        raise ConfigError(
+            f"{path}: {len(records)} records, but the config has n_intervals "
+            f"{cfg.n_intervals}"
+        )
     metrics = compute_metrics(records)
     _write_summary(out, build_summary_payload(cfg, metrics))
     print(f"{len(records)} records -> {out / 'summary.json'}")

@@ -26,6 +26,7 @@ __all__ = [
     "Detection",
     "DetectionResult",
     "detect_preambles",
+    "signatures_detected",
     "calibrate_threshold",
     "DEFAULT_THRESHOLD_FACTOR",
 ]
@@ -65,6 +66,10 @@ class DetectionResult:
     detected: list[Detection]
     noise_floor: float
     occasion: PrachOccasion | None = None
+
+    def reports(self, signature: tuple[int, int]) -> bool:
+        """Whether the (root, window) pair ``signature`` was detected."""
+        return any((d.root, d.signature) == signature for d in self.detected)
 
 
 _REFERENCE_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -141,6 +146,29 @@ def detect_preambles(
     return DetectionResult(
         detected=detected, noise_floor=min(floors), occasion=occasion
     )
+
+
+def signatures_detected(
+    bins: np.ndarray, signatures: np.ndarray, cfg: DetectorConfig
+) -> np.ndarray:
+    """Whether ``detect_preambles`` reports signature ``signatures[i]`` in row ``i``.
+
+    ``bins`` has shape ``(M, L)`` and ``signatures`` ``(M, 2)`` (root,
+    window). Each row is judged for its own signature only, with the
+    statistic and the threshold rule of ``detect_preambles``; the rows of
+    one root share one batched transform.
+    """
+    roots, windows = signatures[:, 0], signatures[:, 1]
+    hit = np.zeros(len(bins), dtype=bool)
+    for root in cfg.roots:
+        rows = roots == root
+        if not rows.any():
+            continue
+        taps, peak, floor = _window_statistics(bins[rows], root, cfg.shift_step)
+        floor_eff = np.maximum(floor, peak * _FLOOR_GUARD)
+        own = taps[np.arange(len(taps)), windows[rows]].max(axis=-1)
+        hit[rows] = (floor_eff > 0.0) & (own > cfg.threshold_factor * floor_eff)
+    return hit
 
 
 def calibrate_threshold(

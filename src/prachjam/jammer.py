@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .prach import CellConfig, PrachOccasion
 from .waveform import IqFrame, build_occasion_frame
 
-__all__ = ["JammerConfig", "amplitude_from_snr", "generate_jamming_frame"]
+__all__ = ["JammerConfig", "amplitude_from_snr", "generate_jamming_frame", "bin_moments"]
 
 KINDS = ("S1", "S2")
 
@@ -82,6 +82,20 @@ def generate_jamming_frame(
         bins = spectrum[first : first + count] * (a_f / np.sqrt(n))
     samples = build_occasion_frame(bins, first, cell)
     return IqFrame(samples=samples, sample_rate=cell.sample_rate, start_offset=0)
+
+
+def bin_moments(config: JammerConfig, a_f: float) -> tuple[complex, float]:
+    """Mean and complex variance of every occupied bin that
+    ``generate_jamming_frame`` puts on the grid (zero when disabled).
+
+    Both spectra draw i.i.d. CN(0, ``a_f**2``) bins; the literal S1 is the
+    constant ``a_f``.
+    """
+    if not config.enabled:
+        return 0j, 0.0
+    if config.kind == "S1" and config.s1_literal:
+        return complex(a_f), 0.0
+    return 0j, a_f**2
 
 
 def _standard_complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:

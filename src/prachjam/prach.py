@@ -9,6 +9,7 @@ exactly those resources.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -20,6 +21,8 @@ __all__ = [
     "PrachOccasion",
     "is_prach_frame",
     "occasions_in_frame",
+    "occasion_time_ms",
+    "occasions_between",
     "occupancy_ratio",
     "occupancy_factors",
     "jammer_resource_budget",
@@ -196,6 +199,27 @@ def occasions_in_frame(
                     )
                 )
     return occasions
+
+
+def occasion_time_ms(occ: PrachOccasion, cell: CellConfig) -> float:
+    """Start instant of an occasion, in ms from the start of frame 0."""
+    slots = 1 << cell.numerology
+    return (
+        occ.sfn * 10.0
+        + occ.slot * (1.0 / slots)
+        + occ.start_symbol / (14.0 * slots)
+    )
+
+
+def occasions_between(config: PrachConfig, cell: CellConfig, start_ms: float, end_ms: float):
+    """``(instant, occasion)`` of every PRACH occasion in ``[start_ms, end_ms)``."""
+    for sfn in itertools.count(int(start_ms // FRAME_MS)):
+        if sfn * FRAME_MS >= end_ms:
+            return
+        for occ in occasions_in_frame(config, cell, sfn):
+            t = occasion_time_ms(occ, cell)
+            if start_ms <= t < end_ms:
+                yield t, occ
 
 
 def _symbols_per_period(config: PrachConfig) -> int:

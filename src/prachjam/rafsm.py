@@ -8,6 +8,7 @@ delivered reliably; only the preamble (Msg1) crosses the jammed channel.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace, field as dc_field
 from typing import Any
 
@@ -24,7 +25,7 @@ __all__ = [
     "PreambleTx",
     "Msg3",
     "make_ue",
-    "next_transmit_ms",
+    "transmit_schedule",
     "ue_step",
     "gnb_step",
     "RETRY_PERIOD_MS",
@@ -179,18 +180,21 @@ def ue_step(
     return ue, action
 
 
-def next_transmit_ms(ue: UeRaState) -> float:
-    """Earliest instant at which ``ue_step`` without events sends a preamble.
+def transmit_schedule(occasions, first_attempt_ms: float) -> tuple:
+    """The ``(instant, occasion)`` pairs of ``occasions`` (in time order) at
+    which a UE that never receives a RAR sends a preamble.
 
-    An idle UE sends once its retry timer has elapsed; a UE waiting for a
-    RAR also waits for the end of its RAR window. Any other state sends
-    nothing until an event moves it (``inf``).
+    As in ``ue_step``, it sends at the first occasion at which its retry
+    timer has elapsed and the RAR window of its last preamble has closed.
     """
-    if ue.state is UeState.IDLE:
-        return ue.retry_timer_ms
-    if ue.state is UeState.WAIT_RAR:
-        return max(ue.retry_timer_ms, ue.tx_deadline_ms)
-    return float("inf")
+    sends = []
+    retry_ms, window_end_ms = first_attempt_ms, -math.inf
+    for t, occ in occasions:
+        if t >= retry_ms and t >= window_end_ms:
+            sends.append((t, occ))
+            retry_ms += RETRY_PERIOD_MS
+            window_end_ms = t + RAR_WINDOW_MS
+    return tuple(sends)
 
 
 @dataclass

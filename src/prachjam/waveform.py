@@ -20,6 +20,7 @@ __all__ = [
     "IqFrame",
     "REPETITIONS",
     "cp_length",
+    "preamble_bins",
     "modulate_preamble",
     "demap_prach",
     "write_iq",
@@ -78,6 +79,13 @@ def build_occasion_frame(bins: np.ndarray, first_subcarrier: int, cell: CellConf
     return np.concatenate([symbol[-cp:], np.tile(symbol, REPETITIONS)])
 
 
+def preamble_bins(seq: ZcSequence, amplitude: float) -> np.ndarray:
+    """The occupied bins of a preamble: the sequence's DFT, every bin of
+    magnitude ``amplitude`` (the DFT of a prime-length ZC sequence has
+    constant magnitude)."""
+    return np.fft.fft(seq.samples) * (amplitude / np.sqrt(seq.length))
+
+
 def modulate_preamble(
     seq: ZcSequence,
     occasion: PrachOccasion,
@@ -86,10 +94,8 @@ def modulate_preamble(
 ) -> IqFrame:
     """Synthesize the time-domain waveform of one preamble occasion.
 
-    The sequence's DFT is mapped onto the occasion's subcarriers, scaled so
-    every occupied bin has magnitude ``amplitude`` (the DFT of a prime-length
-    ZC sequence has constant magnitude), and transformed into a cyclic
-    prefix followed by four symbol repetitions.
+    The preamble's bins are mapped onto the occasion's subcarriers and
+    transformed into a cyclic prefix followed by four symbol repetitions.
     """
     if seq.length != occasion.num_subcarriers:
         raise ValueError(
@@ -100,8 +106,9 @@ def modulate_preamble(
         raise ValueError(
             f"preamble length {seq.length} exceeds dft_size {cell.dft_size}"
         )
-    bins = np.fft.fft(seq.samples) * (amplitude / np.sqrt(seq.length))
-    samples = build_occasion_frame(bins, occasion.first_subcarrier, cell)
+    samples = build_occasion_frame(
+        preamble_bins(seq, amplitude), occasion.first_subcarrier, cell
+    )
     return IqFrame(samples=samples, sample_rate=cell.sample_rate, start_offset=0)
 
 

@@ -1,4 +1,5 @@
 """Campaign protocol, metric formulas and determinism."""
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from prachjam.campaign import (
     CampaignConfig,
     IntervalRecord,
     LogCollector,
+    _schedule,
     compute_metrics,
     interval_seed,
     load_campaign_config,
@@ -25,6 +27,9 @@ from prachjam.detector import DetectorConfig
 from prachjam.errors import ConfigError, SimulationError
 from prachjam.jammer import JammerConfig
 from prachjam.prach import PRESETS, PrachOccasion, occasions_in_frame
+from prachjam.rafsm import PreambleTx, make_ue, ue_step
+
+from test_prach import random_config
 
 PRACH, CELL = PRESETS["index98_40mhz_desk"]
 SIGMA_0DB = 1 / np.sqrt(2)  # per-bin SNR of 0 dB at unit preamble amplitude
@@ -198,21 +203,49 @@ class TestIntervals:
             {},
             {"spectrum": JammerConfig(kind="S2", snr_db=-6.0)},
             {"spectrum": JammerConfig(kind="S1", snr_db=-6.0, enabled=False)},
+            {"spectrum": JammerConfig(kind="S1", snr_db=-6.0, s1_literal=True)},
             {"invalid_probability": 0.5},
-            # The UE retries: the fast path jumps from one attempt to the next.
+            # The UE retries, so the record path judges several chunks.
             {"spectrum": JammerConfig(kind="S1", snr_db=-18.0)},
+            {
+                "spectrum": JammerConfig(kind="S2", snr_db=-14.0),
+                "channel": ChannelConfig(
+                    noise_sigma=SIGMA_0DB, ue_gain=0.8, jammer_gain=1.3, ue_delay_samples=5
+                ),
+            },
+            {
+                "spectrum": JammerConfig(kind="S1", snr_db=-16.0),
+                "detector": DetectorConfig(roots=(1, 2, 5)),
+            },
         ],
-        ids=["S1", "S2", "jammer_off", "invalid_half", "S1_retrying"],
+        ids=["S1", "S2", "jammer_off", "s1_literal", "invalid_half", "S1_retrying",
+             "delay_and_gains", "roots_1_2_5"],
     )
     def test_fast_path_matches_log_path(self, overrides):
         cfg = make_config(n_intervals=4, interval_duration=1.0, **overrides)
-        fast, _ = run_campaign(cfg)
+        records, _ = run_campaign(cfg)
         logged, _ = run_campaign(cfg, collector=LogCollector())
-        assert fast == logged
+        assert records == logged
 
-    def test_fast_path_simulates_only_transmit_occasions(self, monkeypatch):
+    @pytest.mark.parametrize("cap", ["one", "all"])
+    def test_chunk_cap_does_not_change_records(self, cap, monkeypatch):
         cfg = make_config(
-            n_intervals=3, spectrum=JammerConfig(kind="S1", snr_db=-18.0)
+            n_intervals=8, spectrum=JammerConfig(kind="S1", snr_db=-14.0)
+        )
+        records, _ = run_campaign(cfg)
+        sends = _schedule(cfg.prach, cfg.cell, 400.0, 2300.0)
+        assert len(sends) == 19
+        monkeypatch.setattr(prachjam.campaign, "_MAX_CHUNK", 1 if cap == "one" else len(sends))
+        capped, _ = run_campaign(cfg)
+        assert capped == records
+        # Hits in the first chunks and in the last one, and intervals without.
+        hits = {r.preambles_sent for r in records if r.ra_succeeded}
+        assert {2, 3, 5, 17} <= hits
+        assert not all(r.ra_succeeded for r in records)
+
+    def test_fast_path_calls_the_detector_once_per_interval(self, monkeypatch):
+        cfg = make_config(
+            n_intervals=4, spectrum=JammerConfig(kind="S1", snr_db=-18.0)
         )
         occasions = []
         detect = prachjam.campaign.detect_preambles
@@ -223,12 +256,31 @@ class TestIntervals:
 
         monkeypatch.setattr(prachjam.campaign, "detect_preambles", counting)
         records = [run_interval(cfg, i) for i in range(cfg.n_intervals)]
-        assert len(occasions) == sum(r.preambles_sent for r in records)
         assert any(r.preambles_sent > 1 for r in records)
-        # No jammer lead or lag, nothing after the UE has connected or left.
-        ue_on_ms = 1000.0 * cfg.jammer_lead
-        ue_off_ms = ue_on_ms + 1000.0 * cfg.interval_duration
-        assert all(ue_on_ms <= occasion_time_ms(o, cfg.cell) < ue_off_ms for o in occasions)
+        ue_on = 1000.0 * cfg.jammer_lead
+        sends = _schedule(
+            cfg.prach, cfg.cell, ue_on + 1000.0 * cfg.ue_startup_delay,
+            ue_on + 1000.0 * cfg.interval_duration,
+        )
+        assert occasions == [sends[r.preambles_sent - 1][1] for r in records]
+        for r, occ in zip(records, occasions):
+            if r.ra_succeeded:
+                t = occasion_time_ms(occ, cfg.cell)
+                assert r.time_to_success == (t - ue_on) / 1000.0
+
+    def test_kernel_and_detector_must_agree(self, monkeypatch):
+        # The unjammed UE is found at once; a detector that then reports
+        # nothing contradicts the batched kernel.
+        cfg = make_config(spectrum=JammerConfig(kind="S1", snr_db=-6.0, enabled=False))
+        detect = prachjam.campaign.detect_preambles
+
+        def deaf(bins, det_cfg, occasion=None):
+            result = detect(bins, det_cfg, occasion=occasion)
+            return replace(result, detected=[])
+
+        monkeypatch.setattr(prachjam.campaign, "detect_preambles", deaf)
+        with pytest.raises(SimulationError, match="disagree on preamble 0"):
+            run_interval(cfg, 0)
 
     def test_jammer_off_succeeds(self):
         cfg = make_config(
@@ -315,6 +367,41 @@ class TestIntervals:
             _, metrics = run_campaign(cfg, threads=0)
             rates.append(metrics.e_s)
         assert all(a >= b for a, b in zip(rates, rates[1:])), rates
+
+
+class TestSchedule:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lead=st.floats(0.0, 0.3),
+        duration=st.floats(0.001, 1.5),
+        startup=st.floats(0.0, 0.5),
+        stretch=st.sampled_from([1, 4]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_schedule_is_where_an_unanswered_ue_sends(
+        self, seed, lead, duration, startup, stretch
+    ):
+        prach, cell = random_config(np.random.default_rng(seed))
+        # A PRACH period longer than the retry period lets the RAR window
+        # rather than the retry timer hold back the next preamble.
+        prach = replace(prach, sfn_modulus=stretch * prach.sfn_modulus)
+        ue_on = lead * 1000.0
+        ue_off = ue_on + duration * 1000.0
+        first_ms = ue_on + startup * 1000.0
+        ue = make_ue(1, ((1, 0), (1, 1)), first_ms)
+        rng = np.random.default_rng(seed)
+        sent = []
+        for sfn in range(int(ue_off // 10) + 1):
+            for occ in occasions_in_frame(prach, cell, sfn):
+                t = occasion_time_ms(occ, cell)
+                if ue_on <= t < ue_off:
+                    key = (occ.sfn, occ.slot, occ.occasion_index)
+                    ue, action = ue_step(ue, t, [], rng, occasion_key=key)
+                    if isinstance(action, PreambleTx):
+                        sent.append((t, action.occasion_key))
+        schedule = _schedule(prach, cell, first_ms, ue_off)
+        assert [(t, (o.sfn, o.slot, o.occasion_index)) for t, o in schedule] == sent
+        assert ue.preambles_sent == len(schedule)
 
 
 class TestConfigLoading:

@@ -20,24 +20,6 @@ def make_frames():
     return ue, jam
 
 
-def test_both_absent_zero_noise():
-    out = superpose(
-        None,
-        None,
-        ChannelConfig(noise_sigma=0.0),
-        np.random.default_rng(0),
-        num_samples=128,
-        sample_rate=1e6,
-    )
-    assert len(out.samples) == 128
-    assert np.max(np.abs(out.samples)) == 0.0
-
-
-def test_both_absent_requires_dimensions():
-    with pytest.raises(ConfigError, match="num_samples"):
-        superpose(None, None, ChannelConfig(noise_sigma=0.0), np.random.default_rng(0))
-
-
 def test_identity_channel():
     ue, _ = make_frames()
     out = superpose(ue, None, ChannelConfig(noise_sigma=0.0), np.random.default_rng(0))
@@ -72,14 +54,8 @@ def test_linearity():
 def test_noise_power():
     sigma = 0.7
     cfg = ChannelConfig(noise_sigma=sigma)
-    out = superpose(
-        None,
-        None,
-        cfg,
-        np.random.default_rng(123),
-        num_samples=1_000_000,
-        sample_rate=1e6,
-    )
+    silent = IqFrame(samples=np.zeros(1_000_000, dtype=complex), sample_rate=1e6)
+    out = superpose(None, silent, cfg, np.random.default_rng(123))
     measured = np.mean(np.abs(out.samples) ** 2)
     assert measured == pytest.approx(2 * sigma**2, rel=0.02)
 

@@ -178,7 +178,7 @@ class TestMetricsRoundTrip:
     def test_metrics_on_synthesized_records(self, tmp_path, capsys):
         # A records file carrying a known series of tallies reproduces the
         # series' summary numbers.
-        cfg = small_config(tmp_path)
+        cfg = small_config(tmp_path, n_intervals=800)
         out = tmp_path / "synth"
         out.mkdir()
         lines = []
@@ -238,6 +238,18 @@ class TestMetricsRoundTrip:
         cfg, out = self.rewrite_records(tmp_path, lambda i, r: {**r, "index": 0})
         assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 1
         assert "records.jsonl:2: interval index 0, expected 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keep", [2, 4])
+    def test_record_count_must_match_the_config(self, tmp_path, capsys, keep):
+        cfg, out = self.rewrite_records(tmp_path, lambda i, r: r)
+        path = out / "records.jsonl"
+        lines = path.read_text().splitlines()
+        extra = {**json.loads(lines[-1]), "index": 3, "seed": interval_seed(42, 3)}
+        lines = lines[:keep] if keep < 3 else lines + [json.dumps(extra)]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{keep} records, but the config has n_intervals 3" in err
 
     def test_foreign_seed_rejected(self, tmp_path, capsys):
         cfg, out = self.rewrite_records(

@@ -18,12 +18,16 @@ from prachjam.detector import DetectorConfig, calibrate_threshold
 QUICK = Path(__file__).resolve().parent.parent / "configs" / "quick.json"
 
 # (preambles_sent, preambles_detected, time_to_success) per interval of
-# quick.json (10 x 2 s, S1 at -16 dB) with the spectrum varied.
+# quick.json (10 x 2 s, S1 at -16 dB) with the spectrum varied, under
+# seeding rule v3. S1 and S2 give equally distributed bins and draw them
+# from the same stream, so their records are the same.
 _JAMMED = (19, 0, None)
+_JAMMED_RECORDS = (
+    [_JAMMED, (8, 1, 0.8195)] + [_JAMMED] * 6 + [(11, 1, 1.1195), (8, 1, 0.8195)]
+)
 PINNED_RECORDS = {
-    "S1": [_JAMMED] * 4 + [(10, 1, 1.0195), _JAMMED, (13, 1, 1.3195)] + [_JAMMED] * 3,
-    "S2": [_JAMMED] * 4 + [(9, 1, 0.9195), (9, 1, 0.9195), (18, 1, 1.8195)]
-    + [_JAMMED] * 3,
+    "S1": _JAMMED_RECORDS,
+    "S2": _JAMMED_RECORDS,
     "off": [(1, 1, 0.1195)] * 10,
 }
 

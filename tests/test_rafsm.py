@@ -15,7 +15,6 @@ from prachjam.rafsm import (
     UeState,
     gnb_step,
     make_ue,
-    next_transmit_ms,
     ue_step,
 )
 
@@ -156,45 +155,6 @@ class TestUeRetries:
         ue, _ = ue_step(ue, 0.2, [Msg4Event(tid=1, winner_id=999)], rng)
         assert ue.state is UeState.IDLE
         assert ue.chosen_signature is None
-
-
-class TestNextTransmit:
-    def sends_at(self, ue, now):
-        rng = np.random.default_rng(8)
-        _, action = ue_step(ue, now, [], rng, occasion_key=(0, 19, 0))
-        return isinstance(action, PreambleTx)
-
-    def test_idle_waits_for_its_retry_timer(self):
-        ue = make_ue(unique_id=1, signatures=SIGNATURES, first_attempt_ms=37.5)
-        assert next_transmit_ms(ue) == 37.5
-        assert not self.sends_at(ue, np.nextafter(37.5, 0.0))
-        assert self.sends_at(ue, 37.5)
-
-    def test_waiting_for_rar_also_waits_for_its_window(self):
-        rng = np.random.default_rng(9)
-        # A window that outlasts the retry period (the timer is already
-        # due) and one that ends before it.
-        for first, now in ((-90.0, 0.0), (0.0, 0.0)):
-            ue = make_ue(unique_id=1, signatures=SIGNATURES, first_attempt_ms=first)
-            ue, _ = ue_step(ue, now, [], rng, occasion_key=(0, 19, 0))
-            assert ue.state is UeState.WAIT_RAR
-            expected = max(ue.retry_timer_ms, ue.tx_deadline_ms)
-            assert next_transmit_ms(ue) == expected
-            assert not self.sends_at(ue, np.nextafter(expected, 0.0))
-            assert self.sends_at(ue, expected)
-
-    def test_connected_and_waiting_for_msg4_never_send(self):
-        rng = np.random.default_rng(10)
-        ue = make_ue(unique_id=1, signatures=SIGNATURES, first_attempt_ms=0.0)
-        key = (0, 19, 0)
-        ue, tx = ue_step(ue, 0.0, [], rng, occasion_key=key)
-        ue, _ = ue_step(ue, 0.1, [RarEvent(tx.signature, 1, key)], rng)
-        assert ue.state is UeState.WAIT_MSG4
-        assert next_transmit_ms(ue) == float("inf")
-        ue, _ = ue_step(ue, 0.2, [Msg4Event(tid=1, winner_id=1)], rng)
-        assert ue.state is UeState.CONNECTED
-        assert next_transmit_ms(ue) == float("inf")
-        assert not self.sends_at(ue, 1e9)
 
 
 class TestGnb:

@@ -5,8 +5,10 @@ jammer runs for the whole span while the UE appears after a lead delay,
 retries a preamble every 100 ms until a random-access procedure succeeds,
 and disappears before the jammer stops. Occasions are simulated as their
 averaged PRACH bins (``channel.bin_channel``). An unanswered UE sends on a
-fixed schedule, so its transmissions are judged in batches and only the
-first detected one goes through ``detect_preambles`` and the RA machines;
+fixed schedule, so its transmissions are drawn as delay profiles and
+judged in batches with no transform (white bins times the constant-modulus
+ZC reference stay white, with the same variance). Only the first detected
+one goes back to bins, through ``detect_preambles`` and the RA machines;
 a logged run steps every occasion through them.
 """
 from __future__ import annotations
@@ -25,7 +27,9 @@ from typing import Any
 import numpy as np
 
 from .channel import ChannelConfig, bin_channel, superpose
-from .detector import DetectorConfig, detect_preambles, signatures_detected
+from .detector import (
+    DetectorConfig, delay_profile, detect_preambles, profile_bins, signatures_detected,
+)
 from .errors import ConfigError, SimulationError
 from .jammer import JammerConfig, amplitude_from_snr, bin_moments, generate_jamming_frame
 from .prach import (
@@ -77,13 +81,16 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 SEEDING_RULE = (
-    "v3: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
+    "v4: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
     "data=pack('<QQ', base_seed, i)); interval stream = numpy.random.default_rng("
     "interval_seed(i)), drawing the validity flag (random()), then the signatures "
     "of all K scheduled preambles (integers(n_signatures, size=K)), then per "
     "preamble in transmit order 2*L standard normals, the interleaved (re, im) "
-    "parts of the jammer and noise in its L averaged PRACH bins; a logged run "
-    "draws those of an occasion without a preamble from numpy.random.default_rng("
+    "parts of the jammer and noise in its delay profile ifft(bins * conj(fft(zc("
+    "root)))) against its own root, whose L taps are white with the variance of "
+    "the bins; the transmission that decides goes back to bins as fft(profile) / "
+    "conj(fft(zc(root))); a logged run draws the bins of an occasion without a "
+    "preamble from numpy.random.default_rng("
     "numpy.random.SeedSequence(interval_seed(i), spawn_key=(sfn, slot, "
     "occasion_index)))"
 )
@@ -177,12 +184,14 @@ class LogCollector:
         self.detections: list[dict[str, Any]] = []
         self.events: list[dict[str, Any]] = []
 
-    def detection(self, interval: int, occ: PrachOccasion, result) -> None:
+    def detection(self, interval: int, occ: PrachOccasion, result, transmitted) -> None:
+        """Log ``result``; ``transmitted`` is the UE's (root, window) if it sent."""
         self.detections.append(
             {
                 "interval": interval,
                 "sfn": occ.sfn,
                 "occasion_index": occ.occasion_index,
+                "transmitted_signature": transmitted,
                 "detections": [
                     [d.root, d.signature, d.metric] for d in result.detected
                 ],
@@ -227,8 +236,9 @@ def _schedule(prach: PrachConfig, cell: CellConfig, first_ms: float, off_ms: flo
 
 @functools.lru_cache(maxsize=16)
 def _bins(prach, cell, spectrum, channel, det, amplitude):
-    """The UE's signatures (as a tuple and an array) and the bin-domain
-    channel of its occasions."""
+    """The UE's signatures (as a tuple and an array), the bin-domain
+    channel of its occasions and the mean delay profile of each preamble,
+    ``ifft(ue_mean[n] * ref(root_n))`` against its own root."""
     length = prach.preamble_length
     signatures = tuple((r, s) for r in det.roots for s in range(length // det.shift_step))
     preambles = np.array([
@@ -239,23 +249,24 @@ def _bins(prach, cell, spectrum, channel, det, amplitude):
     first = prach.freq_offset * SUBCARRIERS_PER_PRB
     chan = bin_channel(preambles, *jam, channel, first, cell.dft_size)
     sig_array = np.array(signatures)
-    for shared in (chan.ue_mean, sig_array):  # every later caller gets these arrays
+    profiles = np.array([delay_profile(m, r) for m, (r, _) in zip(chan.ue_mean, signatures)])
+    for shared in (chan.ue_mean, sig_array, profiles):  # every later caller gets these
         shared.setflags(write=False)
-    return signatures, sig_array, chan
+    return signatures, sig_array, chan, profiles
 
 
 # Rows per batch grow 1, 2, 4, ... to this cap: early hits stay cheap, memory small.
 _MAX_CHUNK = 64
 
 
-def _first_hit(chan, sig_array, det_cfg, rng, sig_idx) -> tuple[int, np.ndarray]:
+def _first_hit(chan, profiles, sig_array, det_cfg, rng, sig_idx) -> tuple[int, np.ndarray]:
     """Index of the first transmission whose own signature is detected, and
-    its bins; ``len(sig_idx)`` and the last row when there is none."""
+    its delay profile; ``len(sig_idx)`` and the last row when there is none."""
     start, size = 0, 1
     while True:
         idx = sig_idx[start : start + size]
-        rows = chan.draw(rng, chan.ue_mean[idx], len(idx))
-        hits = np.flatnonzero(signatures_detected(rows, sig_array[idx], det_cfg))
+        rows = chan.draw(rng, profiles[idx], len(idx))
+        hits = np.flatnonzero(signatures_detected(rows, sig_array[idx, 1], det_cfg))
         if hits.size:
             return start + int(hits[0]), rows[hits[0]]
         start += len(idx)
@@ -296,7 +307,7 @@ def run_interval(
     ue_off = ue_on + cfg.interval_duration * 1000.0
     first_ms = ue_on + cfg.ue_startup_delay * 1000.0
     sends = _schedule(cfg.prach, cfg.cell, first_ms, ue_off)
-    signatures, sig_array, chan = _bins(
+    signatures, sig_array, chan, profiles = _bins(
         cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector, cfg.preamble_amplitude
     )
     # A logged UE draws its signatures itself: the same draws, one at a time.
@@ -312,10 +323,11 @@ def run_interval(
     detected = 0
     success_ms: float | None = None
     if collector is None and sends:
-        k, row = _first_hit(chan, sig_array, cfg.detector, rng, sig_idx)
+        k, profile = _first_hit(chan, profiles, sig_array, cfg.detector, rng, sig_idx)
         hit, k = k < len(sends), min(k, len(sends) - 1)
         t, occ = sends[k]
         signature = signatures[sig_idx[k]]
+        row = profile_bins(profile, signature[0])
         result = detect_preambles(row, cfg.detector, occasion=occ)
         detected = int(result.reports(signature))
         if detected != hit:
@@ -341,12 +353,12 @@ def run_interval(
                 if ue.state is not prev_state:
                     log_event(t, ue)
             if tx is not None:
-                mean = chan.ue_mean[[signatures.index(tx.signature)]]
-                row = chan.draw(rng, mean, 1)[0]
+                mean = profiles[signatures.index(tx.signature)]
+                row = profile_bins(chan.draw(rng, mean, 1)[0], tx.signature[0])
             else:
                 row = chan.draw(occasion_rng(seed, occ), chan.idle_mean, 1)[0]
             result = detect_preambles(row, cfg.detector, occasion=occ)
-            collector.detection(index, occ, result)
+            collector.detection(index, occ, result, None if tx is None else tx.signature)
             ctx, rars = gnb_step(ctx, result, [])
             if tx is not None:
                 detected += result.reports(tx.signature)

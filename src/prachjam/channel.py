@@ -85,8 +85,9 @@ class BinChannel(NamedTuple):
     std: float
 
     def draw(self, rng: np.random.Generator, mean, rows: int) -> np.ndarray:
-        """``rows`` bin rows around ``mean``; each row reads its 2 * L
-        standard normals as interleaved (re, im) pairs."""
+        """``rows`` rows around ``mean`` (bins, or delay profiles, whose noise
+        is the same); each row reads its 2 * L standard normals as
+        interleaved (re, im) pairs."""
         shape = (rows, self.ue_mean.shape[-1], 2)
         out = rng.standard_normal(shape).view(complex)[..., 0]
         out *= self.std

@@ -27,6 +27,8 @@ __all__ = [
     "DetectionResult",
     "detect_preambles",
     "signatures_detected",
+    "delay_profile",
+    "profile_bins",
     "calibrate_threshold",
     "DEFAULT_THRESHOLD_FACTOR",
 ]
@@ -102,19 +104,31 @@ def _window_indices(length: int, step: int) -> np.ndarray:
     return idx
 
 
-def _window_statistics(
-    bins: np.ndarray, root: int, step: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Delay-profile statistic of bins ``(..., L)`` against one root.
+def delay_profile(bins: np.ndarray, root: int) -> np.ndarray:
+    """Complex delay profile ``ifft(bins * conj(fft(zc(root))))`` of bins ``(..., L)``.
 
-    Returns the profile taps of each signature window ``(..., W, step)``,
-    the profile peak and the floor (the profile's mean with the peak
-    excluded). The cyclic shift ``s`` of the root concentrates into tap
-    ``(-s) mod L``; a time delay of ``d`` samples moves the peak forward by
+    The cyclic shift ``s`` of the root concentrates into tap ``(-s) mod L``;
+    a time delay of ``d`` samples moves the peak forward by
     ``d * L / dft_size`` taps.
     """
-    length = bins.shape[-1]
-    pdp = np.abs(np.fft.ifft(bins * _reference_spectrum(root, length))) ** 2
+    return np.fft.ifft(bins * _reference_spectrum(root, bins.shape[-1]))
+
+
+def profile_bins(profile: np.ndarray, root: int) -> np.ndarray:
+    """The bins whose delay profile against ``root`` is ``profile``."""
+    return np.fft.fft(profile) / _reference_spectrum(root, profile.shape[-1])
+
+
+def _window_statistics(
+    profile: np.ndarray, step: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Detection statistic of delay profiles ``(..., L)``.
+
+    Returns the power taps of each signature window ``(..., W, step)``,
+    the peak power and the floor (the mean power with the peak excluded).
+    """
+    length = profile.shape[-1]
+    pdp = np.abs(profile) ** 2
     peak = pdp.max(axis=-1)
     floor = (pdp.sum(axis=-1) - peak) / (length - 1)
     return pdp[..., _window_indices(length, step)], peak, floor
@@ -135,7 +149,7 @@ def detect_preambles(
     detected: list[Detection] = []
     floors: list[float] = []
     for root in cfg.roots:
-        taps, peak, floor = _window_statistics(bins, root, cfg.shift_step)
+        taps, peak, floor = _window_statistics(delay_profile(bins, root), cfg.shift_step)
         floors.append(float(floor))
         floor_eff = max(floor, peak * _FLOOR_GUARD)
         if floor_eff == 0.0:
@@ -149,26 +163,19 @@ def detect_preambles(
 
 
 def signatures_detected(
-    bins: np.ndarray, signatures: np.ndarray, cfg: DetectorConfig
+    profiles: np.ndarray, windows: np.ndarray, cfg: DetectorConfig
 ) -> np.ndarray:
-    """Whether ``detect_preambles`` reports signature ``signatures[i]`` in row ``i``.
+    """Whether ``detect_preambles`` reports window ``windows[i]`` in row ``i``.
 
-    ``bins`` has shape ``(M, L)`` and ``signatures`` ``(M, 2)`` (root,
-    window). Each row is judged for its own signature only, with the
-    statistic and the threshold rule of ``detect_preambles``; the rows of
-    one root share one batched transform.
+    ``profiles`` has shape ``(M, L)``: the delay profile of each row
+    against the root of the signature it is judged for. Each row is judged
+    for that window only, with the statistic and the threshold rule of
+    ``detect_preambles``.
     """
-    roots, windows = signatures[:, 0], signatures[:, 1]
-    hit = np.zeros(len(bins), dtype=bool)
-    for root in cfg.roots:
-        rows = roots == root
-        if not rows.any():
-            continue
-        taps, peak, floor = _window_statistics(bins[rows], root, cfg.shift_step)
-        floor_eff = np.maximum(floor, peak * _FLOOR_GUARD)
-        own = taps[np.arange(len(taps)), windows[rows]].max(axis=-1)
-        hit[rows] = (floor_eff > 0.0) & (own > cfg.threshold_factor * floor_eff)
-    return hit
+    taps, peak, floor = _window_statistics(profiles, cfg.shift_step)
+    floor_eff = np.maximum(floor, peak * _FLOOR_GUARD)
+    own = taps[np.arange(len(taps)), windows].max(axis=-1)
+    return (floor_eff > 0.0) & (own > cfg.threshold_factor * floor_eff)
 
 
 def calibrate_threshold(
@@ -202,7 +209,7 @@ def calibrate_threshold(
         ) / np.sqrt(2.0)
         best = stats[start : start + m]  # a view: updated in place
         for root in cfg.roots:
-            taps, _, floor = _window_statistics(bins, root, cfg.shift_step)
+            taps, _, floor = _window_statistics(delay_profile(bins, root), cfg.shift_step)
             np.maximum(best, taps.max(axis=(-2, -1)) / floor, out=best)
 
     def far(factor: float) -> float:

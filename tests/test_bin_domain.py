@@ -1,11 +1,11 @@
 """The campaign's bin-domain occasions against the time-domain waveform.
 
-Campaigns draw an occasion's averaged PRACH bins directly and judge a
-batch of them at once. These tests hold that path to the waveform chain
-it replaces (``modulate_preamble``, ``generate_jamming_frame``,
-``superpose``, ``demap_prach``, ``detect_preambles``): exactly where the
-arithmetic allows, and by a two-proportion test on the miss rate where
-the two draw different numbers.
+Campaigns draw an occasion's averaged PRACH bins, or a transmission's
+delay profile, directly and judge a batch of them at once. These tests
+hold that path to the waveform chain it replaces (``modulate_preamble``,
+``generate_jamming_frame``, ``superpose``, ``demap_prach``,
+``detect_preambles``): exactly where the arithmetic allows, and by a
+two-proportion test on the miss rate where the two draw different numbers.
 """
 import math
 from dataclasses import replace
@@ -15,7 +15,13 @@ import pytest
 
 from prachjam.campaign import _bins, _first_hit
 from prachjam.channel import ChannelConfig, superpose
-from prachjam.detector import DetectorConfig, detect_preambles, signatures_detected
+from prachjam.detector import (
+    DetectorConfig,
+    delay_profile,
+    detect_preambles,
+    profile_bins,
+    signatures_detected,
+)
 from prachjam.jammer import JammerConfig, amplitude_from_snr, generate_jamming_frame
 from prachjam.prach import PRESETS, occasions_in_frame
 from prachjam.waveform import IqFrame, demap_prach, frame_length, modulate_preamble
@@ -40,7 +46,7 @@ def test_ue_and_constant_jammer_bins_equal_demapped_waveforms(freq_offset):
     occ = occasions_in_frame(prach, CELL, 1)[0]
     chan_cfg = ChannelConfig(noise_sigma=0.0, ue_gain=0.8, jammer_gain=1.3, ue_delay_samples=5)
     spectrum = JammerConfig(kind="S1", snr_db=-6.0, s1_literal=True)
-    signatures, _, chan = _bins(
+    signatures, _, chan, profiles = _bins(
         prach, CELL, spectrum, chan_cfg, DetectorConfig(roots=(1, 2)), 0.7
     )
     rng = np.random.default_rng(0)
@@ -48,6 +54,7 @@ def test_ue_and_constant_jammer_bins_equal_demapped_waveforms(freq_offset):
         wave = preamble_wave(signature, occ, 0.7)
         _, bins = demap_prach(superpose(wave, None, chan_cfg, rng), occ, CELL)
         np.testing.assert_allclose(chan.ue_mean[n] - chan.idle_mean, bins, atol=1e-12)
+        np.testing.assert_array_equal(profiles[n], delay_profile(chan.ue_mean[n], signature[0]))
     jam = generate_jamming_frame(spectrum, occ, CELL, amplitude_from_snr(0.7, -6.0), rng)
     _, bins = demap_prach(superpose(None, jam, chan_cfg, rng), occ, CELL)
     np.testing.assert_allclose(bins, chan.idle_mean, atol=1e-12)
@@ -58,7 +65,7 @@ def test_jammer_and_noise_power_equal_demapped_waveforms(kind):
     spectrum = JammerConfig(kind="S1" if kind == "off" else kind, snr_db=-6.0,
                             enabled=kind != "off")
     chan_cfg = ChannelConfig(noise_sigma=SIGMA_0DB, jammer_gain=1.3)
-    _, _, chan = _bins(PRACH, CELL, spectrum, chan_cfg, DetectorConfig(), 1.0)
+    _, _, chan, _ = _bins(PRACH, CELL, spectrum, chan_cfg, DetectorConfig(), 1.0)
     a_f = amplitude_from_snr(1.0, -6.0)
     rng = np.random.default_rng(1)
     silent = IqFrame(np.zeros(frame_length(CELL), dtype=complex), CELL.sample_rate)
@@ -89,12 +96,20 @@ def demapped_rows(roots, snr_db, count, seed):
     return np.array(rows), np.array(sigs)
 
 
-class ReplayedBins:
-    """A stand-in for the bin channel that hands out given rows in order."""
+def profiles_of(bins, roots):
+    """The delay profile of each bin row against its own root."""
+    out = np.empty_like(bins)
+    for root in np.unique(roots):
+        out[roots == root] = delay_profile(bins[roots == root], root)
+    return out
+
+
+class ReplayedRows:
+    """A stand-in for the bin channel that hands out given rows: with the
+    means ``np.arange(len(rows))``, "mean" n selects row n."""
 
     def __init__(self, rows):
         self.rows = rows
-        self.ue_mean = np.arange(len(rows))  # "mean" n selects row n
 
     def draw(self, rng, mean, rows):
         return self.rows[mean]
@@ -109,17 +124,18 @@ def test_batched_kernel_decides_like_detect_preambles(roots):
         for row, (r, s) in zip(bins, sigs)
     ])
     assert 40 < single.sum() < 360
-    assert signatures_detected(bins, sigs, det).tolist() == single.tolist()
+    profiles = profiles_of(bins, sigs[:, 0])
+    assert signatures_detected(profiles, sigs[:, 1], det).tolist() == single.tolist()
     # Cut into intervals of 25 transmissions: the kernel's first hit is the
     # first row in which detect_preambles finds the sender's signature.
     rng = np.random.default_rng(0)
     for start in range(0, len(bins), 25):
         idx = np.arange(start, start + 25)
-        k, row = _first_hit(ReplayedBins(bins), sigs, det, rng, idx)
+        k, row = _first_hit(ReplayedRows(profiles), np.arange(len(bins)), sigs, det, rng, idx)
         hits = np.flatnonzero(single[idx])
         expected = hits[0] if hits.size else 25
         assert k == expected
-        np.testing.assert_array_equal(row, bins[start + min(k, 24)])
+        np.testing.assert_array_equal(row, profiles[start + min(k, 24)])
 
 
 @pytest.mark.parametrize("snr_db", [-6.0, -12.0, -18.0])
@@ -129,19 +145,68 @@ def test_miss_rate_matches_the_waveform_oracle(kind, snr_db):
     seed = 7000 + 100 * (kind == "S2") - int(snr_db)
     oracle_n, kernel_n = 1500, 8000
     oracle = preamble_trial_missed(kind, snr_db, det, oracle_n, seed)
-    signatures, sig_array, chan = _bins(
-        PRACH, CELL, JammerConfig(kind=kind, snr_db=snr_db),
-        ChannelConfig(noise_sigma=SIGMA_0DB), det, 1.0,
+    # The kernel judges the delay profiles of drawn bin rows here: the
+    # campaign's own profile draw is held to this one below.
+    missed = missed_bin_rows(JammerConfig(kind=kind, snr_db=snr_db), det, kernel_n, seed)
+    z = two_proportion_z(oracle * oracle_n, oracle_n, missed, kernel_n)
+    assert abs(z) < 2.576, f"kernel {missed / kernel_n:.4f} vs oracle {oracle:.4f}, z = {z:.2f}"
+
+
+def missed_bin_rows(spectrum, det, n, seed):
+    """Misses among ``n`` transmissions drawn as bin rows and judged on
+    their delay profiles."""
+    chunk = 2000
+    signatures, sig_array, chan, _ = _bins(
+        PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det, 1.0
     )
     rng = np.random.default_rng(seed)
     missed = 0
-    for _ in range(kernel_n // 2000):
-        idx = rng.integers(len(signatures), size=2000)
+    for _ in range(n // chunk):
+        idx = rng.integers(len(signatures), size=chunk)
         rows = chan.draw(rng, chan.ue_mean[idx], len(idx))
-        missed += int(np.sum(~signatures_detected(rows, sig_array[idx], det)))
-    kernel = missed / kernel_n
-    # Two-sided two-proportion z-test at 99 %.
-    pooled = (oracle * oracle_n + missed) / (oracle_n + kernel_n)
-    se = math.sqrt(max(pooled * (1 - pooled) * (1 / oracle_n + 1 / kernel_n), 1e-12))
-    z = (kernel - oracle) / se
-    assert abs(z) < 2.576, f"kernel {kernel:.4f} vs oracle {oracle:.4f}, z = {z:.2f}"
+        profiles = profiles_of(rows, sig_array[idx, 0])
+        missed += int(np.sum(~signatures_detected(profiles, sig_array[idx, 1], det)))
+    return missed
+
+
+def two_proportion_z(count_a, n_a, count_b, n_b):
+    """z of the difference of two proportions under their pooled rate."""
+    pooled = (count_a + count_b) / (n_a + n_b)
+    se = math.sqrt(max(pooled * (1 - pooled) * (1 / n_a + 1 / n_b), 1e-12))
+    return (count_b / n_b - count_a / n_a) / se
+
+
+@pytest.mark.parametrize("root", [1, 2, 5])
+def test_profile_map_is_unitary(root):
+    # |FFT(zc)|^2 = L for a prime length L, and ifft carries 1/L, so
+    # z -> ifft(z * ref) is unitary: white bins give white profile taps of
+    # the same variance, which the campaign draws directly.
+    length = PRACH.preamble_length
+    assert length == 139
+    np.testing.assert_allclose(np.abs(np.fft.fft(generate_zc(root, length).samples)) ** 2,
+                               length, rtol=1e-12)
+    unit = delay_profile(np.eye(length, dtype=complex), root)
+    np.testing.assert_allclose(unit @ unit.conj().T, np.eye(length), atol=1e-12)
+    z = np.random.default_rng(root).standard_normal((4, length, 2)).view(complex)[..., 0]
+    np.testing.assert_allclose(profile_bins(delay_profile(z, root), root), z, atol=1e-12)
+
+
+def test_profile_draw_misses_like_the_bin_draw():
+    # S1 at -12 dB misses about three preambles in four: the two draws'
+    # miss rates agree by a two-sided two-proportion z-test at 99 %.
+    det = DetectorConfig(roots=(1, 2, 5))
+    spectrum = JammerConfig(kind="S1", snr_db=-12.0)
+    n, chunk = 50_000, 2000
+    signatures, sig_array, chan, profiles = _bins(
+        PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det, 1.0
+    )
+    rng = np.random.default_rng(41)
+    missed = 0
+    for _ in range(n // chunk):
+        idx = rng.integers(len(signatures), size=chunk)
+        rows = chan.draw(rng, profiles[idx], len(idx))
+        missed += int(np.sum(~signatures_detected(rows, sig_array[idx, 1], det)))
+    from_bins = missed_bin_rows(spectrum, det, n, seed=42)
+    z = two_proportion_z(from_bins, n, missed, n)
+    assert 0.6 < missed / n < 0.9
+    assert abs(z) < 2.576, f"profiles {missed / n:.4f} vs bins {from_bins / n:.4f}, z = {z:.2f}"

@@ -230,17 +230,22 @@ class TestIntervals:
     @pytest.mark.parametrize("cap", ["one", "all"])
     def test_chunk_cap_does_not_change_records(self, cap, monkeypatch):
         cfg = make_config(
-            n_intervals=8, spectrum=JammerConfig(kind="S1", snr_db=-14.0)
+            n_intervals=18, spectrum=JammerConfig(kind="S1", snr_db=-14.0)
         )
         records, _ = run_campaign(cfg)
         sends = _schedule(cfg.prach, cfg.cell, 400.0, 2300.0)
-        assert len(sends) == 19
+        # Under the default cap the 19 sends are judged in chunks of 1, 2, 4, 8, 4.
+        chunk_ends = np.cumsum([1, 2, 4, 8, 4])
+        assert len(sends) == chunk_ends[-1]
         monkeypatch.setattr(prachjam.campaign, "_MAX_CHUNK", 1 if cap == "one" else len(sends))
         capped, _ = run_campaign(cfg)
         assert capped == records
-        # Hits in the first chunks and in the last one, and intervals without.
-        hits = {r.preambles_sent for r in records if r.ra_succeeded}
-        assert {2, 3, 5, 17} <= hits
+        # A hit in every chunk, the first and the last included, and an
+        # interval without one.
+        hit_chunks = {
+            int(np.searchsorted(chunk_ends, r.preambles_sent)) for r in records if r.ra_succeeded
+        }
+        assert hit_chunks == set(range(len(chunk_ends)))
         assert not all(r.ra_succeeded for r in records)
 
     def test_fast_path_calls_the_detector_once_per_interval(self, monkeypatch):

@@ -136,8 +136,15 @@ class TestSimulate:
         assert detections
         entry = json.loads(detections[0])
         assert set(entry) == {
-            "interval", "sfn", "occasion_index", "detections", "noise_floor"
+            "interval", "sfn", "occasion_index", "transmitted_signature", "detections",
+            "noise_floor",
         }
+        # One entry names a signature for each preamble the UE sent.
+        sent = [e["transmitted_signature"] for e in map(json.loads, detections)]
+        sent = [s for s in sent if s is not None]
+        record = json.loads((out / "records.jsonl").read_text())
+        assert len(sent) == record["preambles_sent"] >= 1
+        assert all(len(s) == 2 for s in sent)
         events = (out / "events.jsonl").read_text().strip().splitlines()
         assert events
         assert set(json.loads(events[0])) == {

@@ -19,11 +19,11 @@ QUICK = Path(__file__).resolve().parent.parent / "configs" / "quick.json"
 
 # (preambles_sent, preambles_detected, time_to_success) per interval of
 # quick.json (10 x 2 s, S1 at -16 dB) with the spectrum varied, under
-# seeding rule v3. S1 and S2 give equally distributed bins and draw them
+# seeding rule v4. S1 and S2 give equally distributed bins and draw them
 # from the same stream, so their records are the same.
 _JAMMED = (19, 0, None)
 _JAMMED_RECORDS = (
-    [_JAMMED, (8, 1, 0.8195)] + [_JAMMED] * 6 + [(11, 1, 1.1195), (8, 1, 0.8195)]
+    [_JAMMED] * 3 + [(14, 1, 1.4195)] + [_JAMMED] * 3 + [(13, 1, 1.3195)] + [_JAMMED] * 2
 )
 PINNED_RECORDS = {
     "S1": _JAMMED_RECORDS,

@@ -20,7 +20,7 @@ import itertools
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, asdict, replace
 from fractions import Fraction
 from typing import Any
 
@@ -41,6 +41,7 @@ from .prach import (
     jammer_resource_budget,
     load_cell_config,
     load_prach_config,
+    load_record,
     occasion_time_ms,
     occasions_between,
     occasions_in_frame,
@@ -389,6 +390,8 @@ def run_campaign(
     run in parallel; results are always ordered by interval index. Log
     collection simulates every occasion and forces serial execution.
     """
+    if threads < 0:
+        raise ConfigError(f"threads must be >= 0, got {threads}")
     indices = range(cfg.n_intervals)
     if threads == 0:
         threads = os.cpu_count() or 1
@@ -444,24 +447,7 @@ def record_to_dict(record: IntervalRecord) -> dict[str, Any]:
 
 
 def record_from_dict(data: dict[str, Any]) -> IntervalRecord:
-    allowed = {f.name for f in fields(IntervalRecord)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown field '{sorted(unknown)[0]}' in interval record")
-    missing = allowed - set(data)
-    if missing:
-        raise ConfigError(f"missing field '{sorted(missing)[0]}' in interval record")
-    return IntervalRecord(
-        index=int(data["index"]),
-        valid=bool(data["valid"]),
-        preambles_sent=int(data["preambles_sent"]),
-        preambles_detected=int(data["preambles_detected"]),
-        ra_succeeded=bool(data["ra_succeeded"]),
-        time_to_success=(
-            None if data["time_to_success"] is None else float(data["time_to_success"])
-        ),
-        seed=int(data["seed"]),
-    )
+    return load_record(IntervalRecord, data, "record")
 
 
 def build_summary_payload(
@@ -519,116 +505,42 @@ def build_summary_payload(
 
 # --- Campaign JSON loading ----------------------------------------------------
 
-_TOP_LEVEL_REQUIRED = {"n_intervals", "interval_duration", "base_seed", "spectrum", "channel"}
-_TOP_LEVEL_OPTIONAL = {
-    "schema_version",
-    "jammer_lead",
-    "jammer_lag",
-    "preamble_amplitude",
-    "ue_startup_delay",
-    "invalid_probability",
-    "detection_log",
-    "event_trace",
-    "preset",
-    "prach",
-    "cell",
-    "detector",
-}
-
-
-def _check_fields(data: dict, required: set[str], optional: set[str], section: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{section} must be a JSON object")
-    unknown = set(data) - required - optional
-    if unknown:
-        raise ConfigError(f"unknown field '{sorted(unknown)[0]}' in {section}")
-    missing = required - set(data)
-    if missing:
-        raise ConfigError(f"missing field '{sorted(missing)[0]}' in {section}")
-
-
 def load_campaign_config(data: dict[str, Any]) -> CampaignConfig:
     """Build a CampaignConfig from a parsed JSON document.
 
-    Unknown fields are rejected everywhere. Cell and PRACH parameters come
-    either from a named ``preset`` or from explicit ``prach``/``cell``
-    sections, not both.
+    Every section is read by ``load_record``: unknown fields are rejected
+    and each value must have the JSON type of its field. Cell and PRACH
+    parameters come either from a named ``preset`` or from explicit
+    ``prach``/``cell`` sections, not both. The detector's ``shift_step``
+    and ``roots`` default to the cell's.
     """
-    _check_fields(data, _TOP_LEVEL_REQUIRED, _TOP_LEVEL_OPTIONAL, "campaign config")
-    if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported schema_version {data.get('schema_version')}"
-        )
+    if not isinstance(data, dict):
+        raise ConfigError(f"campaign must be a JSON object, got {data!r}")
+    top = dict(data)
+    version = top.pop("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {version!r}")
 
-    if "preset" in data:
-        if "prach" in data or "cell" in data:
+    if "preset" in top:
+        if "prach" in top or "cell" in top:
             raise ConfigError("preset and explicit prach/cell sections are exclusive")
-        preset = data["preset"]
-        if preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset '{preset}' (available: {sorted(PRESETS)})"
-            )
+        preset = top.pop("preset")
+        if type(preset) is not str or preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r} (available: {sorted(PRESETS)})")
         prach_cfg, cell = PRESETS[preset]
+    elif "prach" in top and "cell" in top:
+        prach_cfg = load_prach_config(top.pop("prach"))
+        cell = load_cell_config(top.pop("cell"))
     else:
-        if "prach" not in data or "cell" not in data:
-            raise ConfigError("either a preset or prach and cell sections are required")
-        prach_cfg = load_prach_config(data["prach"])
-        cell = load_cell_config(data["cell"])
+        raise ConfigError("either a preset or prach and cell sections are required")
 
-    spec_data = dict(data["spectrum"])
-    _check_fields(
-        spec_data, {"kind", "snr_db"}, {"enabled", "s1_literal"}, "spectrum"
+    spectrum = load_record(JammerConfig, top.pop("spectrum", {}), "spectrum")
+    channel = load_record(ChannelConfig, top.pop("channel", {}), "channel")
+    detector = load_record(
+        DetectorConfig, top.pop("detector", {}), "detector",
+        shift_step=cell.shift_step, roots=cell.prach_root_indices,
     )
-    spectrum = JammerConfig(
-        kind=spec_data["kind"],
-        snr_db=float(spec_data["snr_db"]),
-        enabled=bool(spec_data.get("enabled", True)),
-        s1_literal=bool(spec_data.get("s1_literal", False)),
-    )
-
-    chan_data = dict(data["channel"])
-    _check_fields(
-        chan_data,
-        {"noise_sigma"},
-        {"ue_gain", "jammer_gain", "ue_delay_samples"},
-        "channel",
-    )
-    channel = ChannelConfig(
-        noise_sigma=float(chan_data["noise_sigma"]),
-        ue_gain=float(chan_data.get("ue_gain", 1.0)),
-        jammer_gain=float(chan_data.get("jammer_gain", 1.0)),
-        ue_delay_samples=int(chan_data.get("ue_delay_samples", 0)),
-    )
-
-    det_data = dict(data.get("detector", {}))
-    _check_fields(
-        det_data, set(), {"threshold_factor", "shift_step", "roots"}, "detector"
-    )
-    det_kwargs: dict[str, Any] = {
-        "shift_step": int(det_data.get("shift_step", cell.shift_step)),
-        "roots": tuple(det_data.get("roots", cell.prach_root_indices)),
-    }
-    if "threshold_factor" in det_data:
-        det_kwargs["threshold_factor"] = float(det_data["threshold_factor"])
-    try:
-        detector = DetectorConfig(**det_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"bad detector config: {exc}") from exc
-
-    return CampaignConfig(
-        n_intervals=int(data["n_intervals"]),
-        interval_duration=float(data["interval_duration"]),
-        spectrum=spectrum,
-        channel=channel,
-        detector=detector,
-        prach=prach_cfg,
-        cell=cell,
-        base_seed=int(data["base_seed"]),
-        jammer_lead=float(data.get("jammer_lead", 10.0)),
-        jammer_lag=float(data.get("jammer_lag", 10.0)),
-        preamble_amplitude=float(data.get("preamble_amplitude", 1.0)),
-        ue_startup_delay=float(data.get("ue_startup_delay", 0.5)),
-        invalid_probability=float(data.get("invalid_probability", 0.0)),
-        detection_log=bool(data.get("detection_log", False)),
-        event_trace=bool(data.get("event_trace", False)),
+    return load_record(
+        CampaignConfig, top, "campaign", spectrum=spectrum, channel=channel,
+        detector=detector, prach=prach_cfg, cell=cell,
     )

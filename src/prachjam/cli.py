@@ -91,7 +91,7 @@ def _apply_overrides(doc: dict[str, Any], overrides: dict[str, Any]) -> None:
         node[parts[-1]] = value
 
 
-def _load_config_doc(args) -> dict[str, Any]:
+def _load_config_doc(args, overrides: dict[str, Any]) -> dict[str, Any]:
     if args.config is None:
         raise ConfigError("--config is required for this subcommand")
     try:
@@ -104,7 +104,9 @@ def _load_config_doc(args) -> dict[str, Any]:
         raise ConfigError(
             f"{args.config}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
         ) from exc
-    _apply_overrides(doc, _parse_overrides(args.overrides))
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{args.config}: the config must be a JSON object")
+    _apply_overrides(doc, overrides)
     return doc
 
 
@@ -143,7 +145,7 @@ def _cmd_zc(args) -> int:
 
 
 def _cmd_occupancy(args) -> int:
-    cfg = load_campaign_config(_load_config_doc(args))
+    cfg = load_campaign_config(_load_config_doc(args, _parse_overrides(args.overrides)))
     factors = occupancy_factors(cfg.prach, cfg.cell)
     print(f"period_factor       {factors['period']:.10g}")
     print(f"temporal_occupation {factors['temporal']:.10g}")
@@ -161,7 +163,7 @@ def _write_summary(out: Path, payload: dict[str, Any]) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_campaign_config(_load_config_doc(args))
+    cfg = load_campaign_config(_load_config_doc(args, _parse_overrides(args.overrides)))
     out = _outdir(args)
     collector = (
         LogCollector() if (cfg.detection_log or cfg.event_trace) else None
@@ -192,8 +194,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    doc = _load_config_doc(args)
+    doc = _load_config_doc(args, _parse_overrides(args.overrides))
     records_path = doc.pop("records", None)
+    if records_path is not None and type(records_path) is not str:
+        raise ConfigError(f"records must be a path string, got {records_path!r}")
     cfg = load_campaign_config(doc)
     out = _outdir(args)
     path = Path(records_path) if records_path else out / "records.jsonl"
@@ -209,7 +213,7 @@ def _cmd_metrics(args) -> int:
                 record = record_from_dict(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{where}: invalid JSON ({exc.msg})") from exc
-            except (ConfigError, TypeError, ValueError) as exc:
+            except ConfigError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
             i = len(records)
             if record.index != i:
@@ -233,8 +237,7 @@ def _cmd_metrics(args) -> int:
 def _cmd_calibrate(args) -> int:
     params = _parse_overrides(args.overrides)
     target_far = float(params.pop("target_far", 1e-3))
-    args.overrides = [f"{k}={json.dumps(v)}" for k, v in params.items()]
-    cfg = load_campaign_config(_load_config_doc(args))
+    cfg = load_campaign_config(_load_config_doc(args, params))
     trials = int(max(20_000, np.ceil(10 / target_far)))
     rng = np.random.default_rng(cfg.base_seed)
     factor = calibrate_threshold(

@@ -10,8 +10,10 @@ exactly those resources.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
-from typing import Any
+import sys
+import types
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, get_type_hints
 
 from .errors import ConfigError
 
@@ -26,6 +28,7 @@ __all__ = [
     "occupancy_ratio",
     "occupancy_factors",
     "jammer_resource_budget",
+    "load_record",
     "load_prach_config",
     "load_cell_config",
     "PRESETS",
@@ -240,8 +243,6 @@ def occupancy_factors(config: PrachConfig, cell: CellConfig) -> dict[str, float]
     ``bandwidth`` the occupied share of the cell bandwidth; the occupancy
     ratio is their product.
     """
-    if cell.cell_bandwidth <= 0:
-        raise ConfigError("cell_bandwidth must be positive")
     period_ms = config.sfn_modulus * FRAME_MS
     period = FRAME_MS / period_ms
     temporal = _symbols_per_period(config) / (
@@ -284,33 +285,67 @@ def jammer_resource_budget(config: PrachConfig, cell: CellConfig) -> dict[str, f
 
 # --- JSON loading ------------------------------------------------------------
 
-def _load_record(cls, data: dict[str, Any], section: str):
+_EXPECTED = {int: "an int", float: "a finite number", bool: "a bool", str: "a string",
+             tuple[int, ...]: "a list of ints"}
+
+
+def _json_value(value: Any, kind: Any, where: str) -> Any:
+    """``value`` if it has the JSON type of the annotation ``kind``.
+
+    An int is not a bool, a float is any finite number (stored as float),
+    ``tuple[int, ...]`` is a list of ints and ``X | None`` also takes null.
+    """
+    nullable = isinstance(kind, types.UnionType)
+    if nullable:
+        if value is None:
+            return None
+        (kind,) = set(kind.__args__) - {type(None)}
+    if kind is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif kind == tuple[int, ...]:
+        if type(value) is list and all(type(v) is int for v in value):
+            return tuple(value)
+    elif type(value) is kind:
+        return value
+    expected = _EXPECTED[kind] + (" or null" if nullable else "")
+    raise ConfigError(f"{where} must be {expected}, got {value!r}")
+
+
+def load_record(cls, data: dict[str, Any], section: str, **given):
+    """Build the dataclass ``cls`` from the JSON object ``data``.
+
+    The allowed keys are the field names, a field without a default is
+    required and each value must have the JSON type of its annotation.
+    ``given`` holds values the caller built itself; they replace the
+    defaults (a key in ``data`` still wins) and are not checked.
+    """
     if not isinstance(data, dict):
-        raise ConfigError(f"{section} must be a JSON object")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
+        raise ConfigError(f"{section} must be a JSON object, got {data!r}")
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown field '{sorted(unknown)[0]}' in {section}")
-    missing = allowed - set(data)
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    missing = required - set(given) - set(data)
     if missing:
         raise ConfigError(f"missing field '{sorted(missing)[0]}' in {section}")
-    kwargs = dict(data)
-    if "prach_root_indices" in kwargs:
-        kwargs["prach_root_indices"] = tuple(kwargs["prach_root_indices"])
+    hints = get_type_hints(cls)
+    for name, value in data.items():
+        given[name] = _json_value(value, hints[name], f"{section}.{name}")
     try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad {section}: {exc}") from exc
+        return cls(**given)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def load_prach_config(data: dict[str, Any]) -> PrachConfig:
-    """Build a PrachConfig from a JSON object; unknown fields are rejected."""
-    return _load_record(PrachConfig, data, "prach config")
+    """Build a PrachConfig from a JSON object (see ``load_record``)."""
+    return load_record(PrachConfig, data, "prach")
 
 
 def load_cell_config(data: dict[str, Any]) -> CellConfig:
-    """Build a CellConfig from a JSON object; unknown fields are rejected."""
-    return _load_record(CellConfig, data, "cell config")
+    """Build a CellConfig from a JSON object (see ``load_record``)."""
+    return load_record(CellConfig, data, "cell")
 
 
 # --- Named presets -----------------------------------------------------------

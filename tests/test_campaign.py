@@ -1,6 +1,10 @@
 """Campaign protocol, metric formulas and determinism."""
+import copy
+import json
+import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,10 +187,21 @@ class TestSeeding:
         record = IntervalRecord(3, True, 10, 2, True, 1.25, 99)
         assert record_from_dict(record_to_dict(record)) == record
 
-    def test_record_unknown_field(self):
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("extra", 1, "unknown field 'extra' in record"),
+            ("ra_succeeded", "no", "record.ra_succeeded must be a bool"),
+            ("index", 1.0, "record.index must be an int"),
+            ("preambles_sent", True, "record.preambles_sent must be an int"),
+            ("time_to_success", "1.5", "record.time_to_success must be a finite number or null"),
+        ],
+        ids=["extra", "ra_succeeded", "index", "preambles_sent", "time_to_success"],
+    )
+    def test_bad_record_rejected(self, field, value, message):
         data = record_to_dict(IntervalRecord(0, True, 1, 1, True, None, 0))
-        data["extra"] = 1
-        with pytest.raises(ConfigError, match="unknown field"):
+        data[field] = value
+        with pytest.raises(ConfigError, match=message):
             record_from_dict(data)
 
 
@@ -409,6 +424,34 @@ class TestSchedule:
         assert ue.preambles_sent == len(schedule)
 
 
+QUICK_DOC = json.loads(
+    (Path(__file__).resolve().parent.parent / "configs" / "quick.json").read_text()
+)
+
+_SCALARS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=8),
+    st.booleans(),
+    st.none(),
+)
+JSON_VALUES = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "snr_db", "roots", "x"]) | st.text(), _SCALARS,
+                    max_size=3),
+)
+
+
+def _paths(node, prefix=()):
+    """The key path of every leaf and section under ``node``."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
 class TestConfigLoading:
     def base_doc(self):
         return {
@@ -461,6 +504,49 @@ class TestConfigLoading:
         doc["preset"] = "nope"
         with pytest.raises(ConfigError, match="unknown preset"):
             load_campaign_config(doc)
+
+    @pytest.mark.parametrize(
+        "section, field, value, message",
+        [
+            (None, "n_intervals", "abc", "campaign.n_intervals must be an int, got 'abc'"),
+            (None, "n_intervals", 2.9, "campaign.n_intervals must be an int, got 2.9"),
+            (None, "n_intervals", True, "campaign.n_intervals must be an int, got True"),
+            ("spectrum", "enabled", "false", "spectrum.enabled must be a bool, got 'false'"),
+            ("detector", "roots", 5, "detector.roots must be a list of ints, got 5"),
+            (None, "interval_duration", math.nan,
+             "campaign.interval_duration must be a finite number, got nan"),
+        ],
+        ids=["n_intervals-str", "n_intervals-float", "n_intervals-bool", "enabled-str",
+             "roots-int", "interval_duration-nan"],
+    )
+    def test_wrong_type_names_the_field(self, section, field, value, message):
+        doc = self.base_doc()
+        (doc if section is None else doc.setdefault(section, {}))[field] = value
+        with pytest.raises(ConfigError, match=message):
+            load_campaign_config(doc)
+
+    def test_float_fields_are_stored_as_float(self):
+        doc = self.base_doc()
+        doc["interval_duration"] = 1
+        doc["spectrum"]["snr_db"] = -6
+        cfg = load_campaign_config(doc)
+        assert type(cfg.interval_duration) is float
+        assert type(cfg.spectrum.snr_db) is float
+
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(list(_paths(QUICK_DOC))), value=JSON_VALUES)
+    def test_any_one_wrong_value_is_a_config_error(self, path, value):
+        # quick.json with one leaf or section replaced: loading either
+        # succeeds or raises ConfigError, never any other exception.
+        doc = copy.deepcopy(QUICK_DOC)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        try:
+            load_campaign_config(doc)
+        except ConfigError:
+            pass
 
     def test_delay_must_fit_cp(self):
         doc = self.base_doc()

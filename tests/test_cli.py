@@ -72,6 +72,27 @@ class TestOccupancy:
         assert main(["occupancy"]) == 1
         assert "config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("spectrum=5", "spectrum must be a JSON object"),
+            ("n_intervals=abc", "campaign.n_intervals must be an int"),
+            ("n_intervals=2.9", "campaign.n_intervals must be an int"),
+            ("n_intervals=true", "campaign.n_intervals must be an int"),
+            ('spectrum.enabled="false"', "spectrum.enabled must be a bool"),
+            ("detector.roots=5", "detector.roots must be a list of ints"),
+            ("interval_duration=NaN", "campaign.interval_duration must be a finite number"),
+        ],
+        ids=["spectrum", "n_intervals-str", "n_intervals-float", "n_intervals-bool",
+             "enabled-str", "roots-int", "interval_duration-nan"],
+    )
+    def test_wrong_value_exits_one(self, capsys, override, message):
+        argv = ["occupancy", "--config", str(CONFIGS / "quick.json"), "--set", override]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert "Traceback" not in err
+
 
 class TestSimulate:
     def test_writes_outputs(self, tmp_path, capsys):
@@ -104,6 +125,12 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert "bad.json:2" in err
+
+    def test_negative_threads_exit_one(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x"), "--threads", "-3"]
+        assert main(argv) == 1
+        assert "threads must be >= 0" in capsys.readouterr().err
 
     def test_determinism(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
@@ -182,6 +209,14 @@ class TestMetricsRoundTrip:
         assert main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 1
         assert "records" in capsys.readouterr().err
 
+    def test_malformed_metrics_config_exit_one(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        assert main(["metrics", "--config", str(cfg), "--set", "records=5"]) == 1
+        assert "records must be a path string" in capsys.readouterr().err
+        cfg.write_text("[1]")
+        assert main(["metrics", "--config", str(cfg), "--set", "n_intervals=1"]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
+
     def test_metrics_on_synthesized_records(self, tmp_path, capsys):
         # A records file carrying a known series of tallies reproduces the
         # series' summary numbers.
@@ -232,13 +267,23 @@ class TestMetricsRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         return cfg, out
 
-    def test_bad_record_field_names_file_and_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("bogus", 1, "records.jsonl:2: unknown field 'bogus'"),
+            ("ra_succeeded", "no", "records.jsonl:2: record.ra_succeeded must be a bool"),
+        ],
+        ids=["bogus", "ra_succeeded"],
+    )
+    def test_bad_record_names_file_and_line(
+        self, tmp_path, capsys, field, value, message
+    ):
         cfg, out = self.rewrite_records(
-            tmp_path, lambda i, r: {**r, "bogus": 1} if i == 1 else r
+            tmp_path, lambda i, r: {**r, field: value} if i == 1 else r
         )
         assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "records.jsonl:2: unknown field 'bogus'" in err
+        assert message in err
 
     def test_repeated_interval_rejected(self, tmp_path, capsys):
         # Interval 0 three times is not a 3-interval campaign.

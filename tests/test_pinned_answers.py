@@ -12,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prachjam.campaign import interval_seed, load_campaign_config, run_campaign
+from prachjam.campaign import (
+    build_summary_payload, interval_seed, load_campaign_config, run_campaign,
+)
 from prachjam.detector import DetectorConfig, calibrate_threshold
 
 QUICK = Path(__file__).resolve().parent.parent / "configs" / "quick.json"
@@ -59,3 +61,50 @@ def test_calibrated_factor(roots, factor):
     cfg = DetectorConfig(roots=roots)
     rng = np.random.default_rng(20240601)
     assert calibrate_threshold(1e-3, 50_000, cfg, rng) == factor
+
+
+# summary.json of quick.json (minus ``generated_at``) as serialized: a
+# loader that changes a value's JSON type (1.0 read back as 1) moves it.
+PINNED_SUMMARY = (
+    '{"base_seed": 20240601, "campaign": {"interval_duration": 2.0, '
+    '"invalid_probability": 0.0, "jammer_lag": 0.5, "jammer_lead": 0.5, '
+    '"preamble_amplitude": 1.0, "ue_startup_delay": 0.1}, "cell": {"cell_bandwidth": '
+    '40000000.0, "cp_samples": 18, "dft_size": 256, "n_prb": 12, "numerology": 1, '
+    '"prach_root_indices": [1], "sample_rate": 7680000.0, "shift_step": 13}, '
+    '"channel": {"jammer_gain": 1.0, "noise_sigma": 0.7071067811865476, '
+    '"ue_delay_samples": 0, "ue_gain": 1.0}, "detector": {"roots": [1], "shift_step": '
+    '13, "threshold_factor": 12.35}, "jammer_budget": {"active_span_per_period_ms": '
+    '0.42857142857142855, "bandwidth_hz": 4170000.0, "duty_period_ms": 20.0}, '
+    '"metrics": {"e_p_j": 0.0111731843575419, "e_p_j_exact": "2/179", "e_p_j_ppm": '
+    '11173.184357541899, "e_s": 0.2, "e_s_exact": "1/5", '
+    '"mean_preambles_per_interval": 17.9, "mean_preambles_per_interval_exact": '
+    '"179/10", "mean_preambles_sent_per_interval": 17.9, '
+    '"mean_preambles_sent_per_interval_exact": "179/10", "n_e": 0, "n_p_j": 177, '
+    '"n_ra_s": 2, "n_ra_u": 8}, "n_intervals": 10, "occupancy": {"bandwidth": '
+    '0.10425, "period": 0.5, "ratio": 0.002233928571428571, "temporal": '
+    '0.04285714285714286}, "prach": {"duration_symbols": 4, "freq_occasions": 1, '
+    '"freq_offset": 0, "occasions_per_slot": 3, "prach_prbs": 12, '
+    '"prach_subframes_per_frame": 1, "preamble_format": "A2", "preamble_length": 139, '
+    '"sfn_modulus": 2, "sfn_remainder": 1, "slot_in_subframe": 1, '
+    '"slots_per_subframe_with_prach": 1, "start_symbol": 0, "subframe_number": 9}, '
+    '"schema_version": 1, "seeding": "v4: interval_seed(i) = uint64(little-endian) of '
+    "blake2b(digest_size=8, data=pack('<QQ', base_seed, i)); interval stream = "
+    'numpy.random.default_rng(interval_seed(i)), drawing the validity flag '
+    '(random()), then the signatures of all K scheduled preambles '
+    '(integers(n_signatures, size=K)), then per preamble in transmit order 2*L '
+    'standard normals, the interleaved (re, im) parts of the jammer and noise in its '
+    'delay profile ifft(bins * conj(fft(zc(root)))) against its own root, whose L '
+    'taps are white with the variance of the bins; the transmission that decides goes '
+    'back to bins as fft(profile) / conj(fft(zc(root))); a logged run draws the bins '
+    'of an occasion without a preamble from '
+    'numpy.random.default_rng(numpy.random.SeedSequence(interval_seed(i), '
+    'spawn_key=(sfn, slot, occasion_index)))", "spectrum": {"enabled": true, "kind": '
+    '"S1", "s1_literal": false, "snr_db": -16.0}}'
+)
+
+
+def test_quick_summary_payload():
+    cfg = load_campaign_config(json.loads(QUICK.read_text()))
+    _, metrics = run_campaign(cfg)
+    payload = json.dumps(build_summary_payload(cfg, metrics), sort_keys=True)
+    assert payload == PINNED_SUMMARY

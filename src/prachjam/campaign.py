@@ -5,15 +5,17 @@ jammer runs for the whole span while the UE appears after a lead delay,
 retries a preamble every 100 ms until a random-access procedure succeeds,
 and disappears before the jammer stops. Occasions are simulated as their
 averaged PRACH bins (``channel.bin_channel``). An unanswered UE sends on a
-fixed schedule, so its transmissions are drawn as delay profiles and
-judged in batches with no transform (white bins times the constant-modulus
-ZC reference stay white, with the same variance). Only the first detected
-one goes back to bins, through ``detect_preambles`` and the RA machines;
-a logged run steps every occasion through them.
+fixed schedule (``ue_step`` stepped with no RAR), so the campaign draws
+the signatures of all its transmissions at once, draws the transmissions
+as delay profiles and judges them in batches with no transform (white
+bins times the constant-modulus ZC reference stay white, with the same
+variance). Every occasion that is simulated runs one loop body: the UE
+steps, a sent row goes back to bins, ``detect_preambles`` must agree with
+the batch verdict, and the RA machines answer. A record run steps only the
+transmission that decides; a logged run steps every occasion.
 """
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import itertools
@@ -48,21 +50,21 @@ from .prach import (
     occupancy_factors,
 )
 from .rafsm import (
-    RAR_WINDOW_MS,
+    RETRY_PERIOD_MS,
     GnbRaContext,
     Msg3,
     PreambleTx,
     UeState,
     gnb_step,
     make_ue,
-    transmit_schedule,
     ue_step,
 )
 from .waveform import cp_length, demap_prach, preamble_bins
 from .zc import cyclic_shift, generate_zc
 
 # demap_prach, generate_jamming_frame, occasion_time_ms, occasions_in_frame and
-# superpose are unused here but kept importable: perfbench/run.py uses these names.
+# superpose are unused here but kept importable: perfbench/run.py uses these names
+# (tests/test_campaign.py::test_benchmark_names_stay_in_campaign).
 
 __all__ = [
     "CampaignConfig",
@@ -232,7 +234,15 @@ def occasion_rng(seed: int, occ: PrachOccasion) -> np.random.Generator:
 # Both caches are keyed on the inputs they depend on, never on a seed.
 @functools.lru_cache(maxsize=16)
 def _schedule(prach: PrachConfig, cell: CellConfig, first_ms: float, off_ms: float):
-    return transmit_schedule(occasions_between(prach, cell, first_ms, off_ms), first_ms)
+    """The ``(instant, occasion)`` pairs at which a UE that never receives a
+    RAR sends a preamble (what it offers to send does not matter here)."""
+    ue, sends = make_ue(0, first_ms), []
+    offer = PreambleTx(signature=(0, 0), occasion_key=(0, 0, 0))
+    for t, occ in occasions_between(prach, cell, first_ms, off_ms):
+        ue, tx = ue_step(ue, t, [], offer)
+        if tx is not None:
+            sends.append((t, occ))
+    return tuple(sends)
 
 
 @functools.lru_cache(maxsize=16)
@@ -260,31 +270,17 @@ def _bins(prach, cell, spectrum, channel, det, amplitude):
 _MAX_CHUNK = 64
 
 
-def _first_hit(chan, profiles, sig_array, det_cfg, rng, sig_idx) -> tuple[int, np.ndarray]:
-    """Index of the first transmission whose own signature is detected, and
-    its delay profile; ``len(sig_idx)`` and the last row when there is none."""
+def _judged(chan, profiles, sig_array, det_cfg, rng, sig_idx):
+    """The UE's transmissions in chunks ``(start, rows, hits)``: the first
+    transmission's index, the delay profiles of the chunk and whether each
+    one's own signature is detected."""
     start, size = 0, 1
-    while True:
+    while start < len(sig_idx):
         idx = sig_idx[start : start + size]
         rows = chan.draw(rng, profiles[idx], len(idx))
-        hits = np.flatnonzero(signatures_detected(rows, sig_array[idx, 1], det_cfg))
-        if hits.size:
-            return start + int(hits[0]), rows[hits[0]]
+        yield start, rows, signatures_detected(rows, sig_array[idx, 1], det_cfg)
         start += len(idx)
-        if start >= len(sig_idx):
-            return start, rows[-1]
         size = min(2 * size, _MAX_CHUNK)
-
-
-def _take_rars(ue, ctx, rars, t, rng, log_event):
-    """The UE reads an occasion's RARs; its own one runs Msg3 and Msg4."""
-    ue, action = ue_step(ue, t, rars, rng)
-    if isinstance(action, Msg3):
-        log_event(t, ue)
-        ctx, msg4s = gnb_step(ctx, None, [action])
-        ue, _ = ue_step(ue, t, msg4s, rng)
-        log_event(t, ue)
-    return ue, ctx
 
 
 def run_interval(
@@ -311,62 +307,65 @@ def run_interval(
     signatures, sig_array, chan, profiles = _bins(
         cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector, cfg.preamble_amplitude
     )
-    # A logged UE draws its signatures itself: the same draws, one at a time.
-    ue_rng = copy.deepcopy(rng) if collector is not None else None
     sig_idx = rng.integers(len(signatures), size=len(sends))
+    chunks = _judged(chan, profiles, sig_array, cfg.detector, rng, sig_idx)
 
     def log_event(t: float, ue) -> None:
         if collector is not None:
             collector.event(index, t, f"ue{ue.unique_id}", ue.state.value)
 
-    ue = make_ue(index + 1, signatures, first_ms)
+    ue = make_ue(index + 1, first_ms)
+    steps = ()
+    # A logged UE takes its (row, verdict) pairs from the chunks one at a time.
+    transmissions = (pair for _, rows, hits in chunks for pair in zip(rows, hits))
+    if collector is not None:
+        end_ms = ue_off + cfg.jammer_lag * 1000.0 if cfg.spectrum.enabled else ue_off
+        steps = occasions_between(cfg.prach, cfg.cell, 0.0, end_ms)
+    elif sends:
+        # Only the transmission that decides: the first one detected, or the last.
+        for start, rows, hits in chunks:
+            j = int(hits.argmax()) if hits.any() else len(hits) - 1
+            if hits[j]:
+                break
+        k = start + j
+        ue = replace(ue, preambles_sent=k, retry_timer_ms=first_ms + k * RETRY_PERIOD_MS)
+        steps, transmissions = sends[k : k + 1], iter([(rows[j], hits[j])])
+
     ctx = GnbRaContext()
     detected = 0
     success_ms: float | None = None
-    if collector is None and sends:
-        k, profile = _first_hit(chan, profiles, sig_array, cfg.detector, rng, sig_idx)
-        hit, k = k < len(sends), min(k, len(sends) - 1)
-        t, occ = sends[k]
-        signature = signatures[sig_idx[k]]
-        row = profile_bins(profile, signature[0])
+    for t, occ in steps:
+        active, tx = ue_on <= t < ue_off and ue.state is not UeState.CONNECTED, None
+        if active:
+            n, prev_state = ue.preambles_sent, ue.state
+            key = (occ.sfn, occ.slot, occ.occasion_index)
+            offer = PreambleTx(signatures[sig_idx[n]], key) if n < len(sends) else None
+            ue, tx = ue_step(ue, t, [], offer)
+            if ue.state is not prev_state:
+                log_event(t, ue)
+        if tx is not None:
+            profile, hit = next(transmissions)
+            row = profile_bins(profile, tx.signature[0])
+        else:
+            row = chan.draw(occasion_rng(seed, occ), chan.idle_mean, 1)[0]
         result = detect_preambles(row, cfg.detector, occasion=occ)
-        detected = int(result.reports(signature))
-        if detected != hit:
-            raise SimulationError(f"interval {index}: kernel and detector disagree on preamble {k}")
-        # The UE as it waits for the RAR of preamble k.
-        key = (occ.sfn, occ.slot, occ.occasion_index)
-        ue = replace(ue, state=UeState.WAIT_RAR, preambles_sent=k + 1, chosen_signature=signature,
-                     tx_occasion=key, tx_deadline_ms=t + RAR_WINDOW_MS)
-        ctx, rars = gnb_step(ctx, result, [])
-        ue, ctx = _take_rars(ue, ctx, rars, t, rng, log_event)
-        if ue.state is UeState.CONNECTED:
-            success_ms = t
-    elif collector is not None:
-        end_ms = ue_off + cfg.jammer_lag * 1000.0 if cfg.spectrum.enabled else ue_off
-        for t, occ in occasions_between(cfg.prach, cfg.cell, 0.0, end_ms):
-            ue_active = ue_on <= t < ue_off and ue.state is not UeState.CONNECTED
-            tx = None
-            if ue_active:
-                prev_state = ue.state
-                key = (occ.sfn, occ.slot, occ.occasion_index)
-                ue, action = ue_step(ue, t, [], ue_rng, occasion_key=key)
-                tx = action if isinstance(action, PreambleTx) else None
-                if ue.state is not prev_state:
-                    log_event(t, ue)
-            if tx is not None:
-                mean = profiles[signatures.index(tx.signature)]
-                row = profile_bins(chan.draw(rng, mean, 1)[0], tx.signature[0])
-            else:
-                row = chan.draw(occasion_rng(seed, occ), chan.idle_mean, 1)[0]
-            result = detect_preambles(row, cfg.detector, occasion=occ)
+        if tx is not None:
+            if result.reports(tx.signature) != hit:
+                raise SimulationError(
+                    f"interval {index}: kernel and detector disagree on preamble {n}"
+                )
+            detected += int(hit)
+        if collector is not None:
             collector.detection(index, occ, result, None if tx is None else tx.signature)
-            ctx, rars = gnb_step(ctx, result, [])
-            if tx is not None:
-                detected += result.reports(tx.signature)
-            if ue_active and rars:
-                ue, ctx = _take_rars(ue, ctx, rars, t, ue_rng, log_event)
-                if ue.state is UeState.CONNECTED:
-                    success_ms = t
+        ctx, rars = gnb_step(ctx, result, [])
+        ue, msg3 = ue_step(ue, t, rars) if active and rars else (ue, None)
+        if isinstance(msg3, Msg3):
+            log_event(t, ue)
+            ctx, msg4s = gnb_step(ctx, None, [msg3])
+            ue, _ = ue_step(ue, t, msg4s)
+            log_event(t, ue)
+            if ue.state is UeState.CONNECTED:
+                success_ms = t
 
     return IntervalRecord(
         index=index,
@@ -447,7 +446,23 @@ def record_to_dict(record: IntervalRecord) -> dict[str, Any]:
 
 
 def record_from_dict(data: dict[str, Any]) -> IntervalRecord:
-    return load_record(IntervalRecord, data, "record")
+    """Read a record, which must also be consistent with itself."""
+    r = load_record(IntervalRecord, data, "record")
+    if not 0 <= r.preambles_detected <= r.preambles_sent:
+        raise ConfigError(
+            f"record.preambles_detected {r.preambles_detected} is not in "
+            f"[0, preambles_sent {r.preambles_sent}]"
+        )
+    if r.ra_succeeded != (r.time_to_success is not None):
+        raise ConfigError(
+            f"record.ra_succeeded {r.ra_succeeded} does not match time_to_success "
+            f"{r.time_to_success}"
+        )
+    if r.ra_succeeded and r.preambles_detected == 0:
+        raise ConfigError("record.ra_succeeded is true but no preamble was detected")
+    if r.time_to_success is not None and r.time_to_success < 0:
+        raise ConfigError(f"record.time_to_success {r.time_to_success} is negative")
+    return r
 
 
 def build_summary_payload(

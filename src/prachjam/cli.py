@@ -236,8 +236,12 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     params = _parse_overrides(args.overrides)
-    target_far = float(params.pop("target_far", 1e-3))
+    target_far = params.pop("target_far", 1e-3)
+    if type(target_far) not in (int, float):
+        raise ConfigError(f"target_far must be a number, got {target_far!r}")
     cfg = load_campaign_config(_load_config_doc(args, params))
+    if not 0 < target_far < 1:
+        raise ValueError("target_far must be in (0, 1)")
     trials = int(max(20_000, np.ceil(10 / target_far)))
     rng = np.random.default_rng(cfg.base_seed)
     factor = calibrate_threshold(

@@ -119,19 +119,22 @@ def profile_bins(profile: np.ndarray, root: int) -> np.ndarray:
     return np.fft.fft(profile) / _reference_spectrum(root, profile.shape[-1])
 
 
-def _window_statistics(
-    profile: np.ndarray, step: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Detection statistic of delay profiles ``(..., L)``.
+def _decide(profile: np.ndarray, cfg: DetectorConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The detection rule on delay profiles ``(..., L)``.
 
-    Returns the power taps of each signature window ``(..., W, step)``,
-    the peak power and the floor (the mean power with the peak excluded).
+    Returns the peak power of each signature window ``(..., W)``, the floor
+    (the mean power with the profile peak excluded) and which windows pass
+    ``threshold_factor`` times the guarded floor ``(..., W)``.
     """
     length = profile.shape[-1]
     pdp = np.abs(profile) ** 2
     peak = pdp.max(axis=-1)
     floor = (pdp.sum(axis=-1) - peak) / (length - 1)
-    return pdp[..., _window_indices(length, step)], peak, floor
+    peaks = pdp[..., _window_indices(length, cfg.shift_step)].max(axis=-1)
+    limit = cfg.threshold_factor * np.maximum(floor, peak * _FLOOR_GUARD)
+    # Transposed, the windows broadcast against their row's limit, and a
+    # single profile compares against a scalar.
+    return peaks, floor, (peaks.T > limit).T
 
 
 def detect_preambles(
@@ -149,14 +152,9 @@ def detect_preambles(
     detected: list[Detection] = []
     floors: list[float] = []
     for root in cfg.roots:
-        taps, peak, floor = _window_statistics(delay_profile(bins, root), cfg.shift_step)
+        peaks, floor, hits = _decide(delay_profile(bins, root), cfg)
         floors.append(float(floor))
-        floor_eff = max(floor, peak * _FLOOR_GUARD)
-        if floor_eff == 0.0:
-            continue
-        peaks = taps.max(axis=-1)
-        for w in np.flatnonzero(peaks > cfg.threshold_factor * floor_eff):
-            detected.append(Detection(root=root, signature=int(w), metric=float(peaks[w])))
+        detected += [Detection(root, int(w), float(peaks[w])) for w in np.flatnonzero(hits)]
     return DetectionResult(
         detected=detected, noise_floor=min(floors), occasion=occasion
     )
@@ -168,14 +166,9 @@ def signatures_detected(
     """Whether ``detect_preambles`` reports window ``windows[i]`` in row ``i``.
 
     ``profiles`` has shape ``(M, L)``: the delay profile of each row
-    against the root of the signature it is judged for. Each row is judged
-    for that window only, with the statistic and the threshold rule of
-    ``detect_preambles``.
+    against the root of the signature it is judged for.
     """
-    taps, peak, floor = _window_statistics(profiles, cfg.shift_step)
-    floor_eff = np.maximum(floor, peak * _FLOOR_GUARD)
-    own = taps[np.arange(len(taps)), windows].max(axis=-1)
-    return (floor_eff > 0.0) & (own > cfg.threshold_factor * floor_eff)
+    return _decide(profiles, cfg)[2][np.arange(len(profiles)), windows]
 
 
 def calibrate_threshold(
@@ -209,8 +202,8 @@ def calibrate_threshold(
         ) / np.sqrt(2.0)
         best = stats[start : start + m]  # a view: updated in place
         for root in cfg.roots:
-            taps, _, floor = _window_statistics(delay_profile(bins, root), cfg.shift_step)
-            np.maximum(best, taps.max(axis=(-2, -1)) / floor, out=best)
+            peaks, floor, _ = _decide(delay_profile(bins, root), cfg)
+            np.maximum(best, peaks.max(axis=-1) / floor, out=best)
 
     def far(factor: float) -> float:
         return float(np.mean(stats > factor))

@@ -2,17 +2,16 @@
 
 One UE machine and one gNB context. The campaign drives them on a virtual
 clock: ``ue_step`` must be invoked at every PRACH occasion instant the UE
-is active, plus whenever downlink events are delivered. Msg2..Msg4 are
-delivered reliably; only the preamble (Msg1) crosses the jammed channel.
+is active, with the preamble it would send there, plus whenever downlink
+events are delivered. The caller draws the preamble's signature, so the
+machine itself holds no random state. Msg2..Msg4 are delivered reliably;
+only the preamble (Msg1) crosses the jammed channel.
 """
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace, field as dc_field
 from typing import Any
-
-import numpy as np
 
 from .detector import DetectionResult
 
@@ -25,7 +24,6 @@ __all__ = [
     "PreambleTx",
     "Msg3",
     "make_ue",
-    "transmit_schedule",
     "ue_step",
     "gnb_step",
     "RETRY_PERIOD_MS",
@@ -76,7 +74,6 @@ class Msg3:
 class UeRaState:
     state: UeState
     unique_id: int
-    signatures: tuple[Signature, ...]
     retry_timer_ms: float  # next scheduled transmit instant
     preambles_sent: int = 0
     chosen_signature: Signature | None = None
@@ -85,19 +82,8 @@ class UeRaState:
     pending_tid: int | None = None
 
 
-def make_ue(
-    unique_id: int,
-    signatures: tuple[Signature, ...],
-    first_attempt_ms: float,
-) -> UeRaState:
-    if not signatures:
-        raise ValueError("signature space must be nonempty")
-    return UeRaState(
-        state=UeState.IDLE,
-        unique_id=unique_id,
-        signatures=signatures,
-        retry_timer_ms=first_attempt_ms,
-    )
+def make_ue(unique_id: int, first_attempt_ms: float) -> UeRaState:
+    return UeRaState(state=UeState.IDLE, unique_id=unique_id, retry_timer_ms=first_attempt_ms)
 
 
 def _clear_attempt(ue: UeRaState) -> UeRaState:
@@ -115,15 +101,15 @@ def ue_step(
     ue: UeRaState,
     now: float,
     events: list[Any],
-    rng: np.random.Generator,
-    occasion_key: OccasionKey | None = None,
+    offer: PreambleTx | None = None,
 ) -> tuple[UeRaState, PreambleTx | Msg3 | None]:
     """Advance one UE by one instant; returns the new state and any uplink.
 
-    ``occasion_key`` identifies a PRACH occasion starting at ``now``; when
-    present and the retry timer has elapsed, an idle UE transmits a
-    preamble with a uniformly random signature. A connected UE never
-    transmits again. Events other than RARs and Msg4s are ignored.
+    ``offer`` is the preamble the UE would send in a PRACH occasion
+    starting at ``now``: the caller draws its signature (uniformly, for a
+    contention-based UE) and names the occasion. An idle UE whose retry
+    timer has elapsed sends it. A connected UE never transmits again.
+    Events other than RARs and Msg4s are ignored.
     """
     action: PreambleTx | Msg3 | None = None
 
@@ -161,40 +147,22 @@ def ue_step(
 
     if (
         ue.state is UeState.IDLE
-        and occasion_key is not None
+        and offer is not None
         and now >= ue.retry_timer_ms
         and action is None
     ):
-        signature = ue.signatures[int(rng.integers(len(ue.signatures)))]
         ue = replace(
             ue,
             state=UeState.WAIT_RAR,
-            chosen_signature=signature,
-            tx_occasion=occasion_key,
+            chosen_signature=offer.signature,
+            tx_occasion=offer.occasion_key,
             tx_deadline_ms=now + RAR_WINDOW_MS,
             preambles_sent=ue.preambles_sent + 1,
             retry_timer_ms=ue.retry_timer_ms + RETRY_PERIOD_MS,
         )
-        action = PreambleTx(signature=signature, occasion_key=occasion_key)
+        action = offer
 
     return ue, action
-
-
-def transmit_schedule(occasions, first_attempt_ms: float) -> tuple:
-    """The ``(instant, occasion)`` pairs of ``occasions`` (in time order) at
-    which a UE that never receives a RAR sends a preamble.
-
-    As in ``ue_step``, it sends at the first occasion at which its retry
-    timer has elapsed and the RAR window of its last preamble has closed.
-    """
-    sends = []
-    retry_ms, window_end_ms = first_attempt_ms, -math.inf
-    for t, occ in occasions:
-        if t >= retry_ms and t >= window_end_ms:
-            sends.append((t, occ))
-            retry_ms += RETRY_PERIOD_MS
-            window_end_ms = t + RAR_WINDOW_MS
-    return tuple(sends)
 
 
 @dataclass

@@ -227,12 +227,8 @@ def test_criterion_8_contention_exhaustive():
     violations = 0
     for sig_a in range(10):
         for sig_b in range(10):
-            rng = np.random.default_rng(sig_a * 10 + sig_b)
-            ues = {
-                "a": make_ue(1, ((1, sig_a),), 0.0),
-                "b": make_ue(2, ((1, sig_b),), 0.0),
-            }
-            run_exchange(ues, (0, 19, 0), 0.0, rng)
+            ues = {"a": make_ue(1, 0.0), "b": make_ue(2, 0.0)}
+            run_exchange(ues, (0, 19, 0), 0.0, {"a": (1, sig_a), "b": (1, sig_b)})
             connected = [n for n, u in ues.items() if u.state is UeState.CONNECTED]
             expected = 1 if sig_a == sig_b else 2
             if len(connected) != expected:

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prachjam.campaign import _bins, _first_hit
+from prachjam.campaign import _bins, _judged
 from prachjam.channel import ChannelConfig, superpose
 from prachjam.detector import (
     DetectorConfig,
@@ -126,16 +126,20 @@ def test_batched_kernel_decides_like_detect_preambles(roots):
     assert 40 < single.sum() < 360
     profiles = profiles_of(bins, sigs[:, 0])
     assert signatures_detected(profiles, sigs[:, 1], det).tolist() == single.tolist()
-    # Cut into intervals of 25 transmissions: the kernel's first hit is the
-    # first row in which detect_preambles finds the sender's signature.
+    # Cut into intervals of 25 transmissions: the chunks hand out the rows
+    # in order, with the verdicts of detect_preambles.
     rng = np.random.default_rng(0)
     for start in range(0, len(bins), 25):
         idx = np.arange(start, start + 25)
-        k, row = _first_hit(ReplayedRows(profiles), np.arange(len(bins)), sigs, det, rng, idx)
-        hits = np.flatnonzero(single[idx])
-        expected = hits[0] if hits.size else 25
-        assert k == expected
-        np.testing.assert_array_equal(row, profiles[start + min(k, 24)])
+        chunks = list(
+            _judged(ReplayedRows(profiles), np.arange(len(bins)), sigs, det, rng, idx)
+        )
+        starts, rows, hits = zip(*chunks)
+        assert [(k, len(r)) for k, r in zip(starts, rows)] == [
+            (0, 1), (1, 2), (3, 4), (7, 8), (15, 10)
+        ]
+        np.testing.assert_array_equal(np.concatenate(rows), profiles[idx])
+        assert np.concatenate(hits).tolist() == single[idx].tolist()
 
 
 @pytest.mark.parametrize("snr_db", [-6.0, -12.0, -18.0])

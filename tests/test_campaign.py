@@ -27,7 +27,7 @@ from prachjam.campaign import (
     run_interval,
 )
 from prachjam.channel import ChannelConfig
-from prachjam.detector import DetectorConfig
+from prachjam.detector import Detection, DetectorConfig
 from prachjam.errors import ConfigError, SimulationError
 from prachjam.jammer import JammerConfig
 from prachjam.prach import PRESETS, PrachOccasion, occasions_in_frame
@@ -195,11 +195,20 @@ class TestSeeding:
             ("index", 1.0, "record.index must be an int"),
             ("preambles_sent", True, "record.preambles_sent must be an int"),
             ("time_to_success", "1.5", "record.time_to_success must be a finite number or null"),
+            ("preambles_detected", 2,
+             r"record.preambles_detected 2 is not in \[0, preambles_sent 1\]"),
+            ("preambles_detected", -1, "record.preambles_detected -1 is not in"),
+            ("time_to_success", None, "record.ra_succeeded True does not match time_to_success"),
+            ("ra_succeeded", False, "record.ra_succeeded False does not match time_to_success"),
+            ("time_to_success", -0.5, "record.time_to_success -0.5 is negative"),
+            ("preambles_detected", 0, "record.ra_succeeded is true but no preamble was detected"),
         ],
-        ids=["extra", "ra_succeeded", "index", "preambles_sent", "time_to_success"],
+        ids=["extra", "ra_succeeded", "index", "preambles_sent", "time_to_success",
+             "detected_above_sent", "detected_negative", "success_without_time",
+             "time_without_success", "negative_time", "success_without_detection"],
     )
     def test_bad_record_rejected(self, field, value, message):
-        data = record_to_dict(IntervalRecord(0, True, 1, 1, True, None, 0))
+        data = record_to_dict(IntervalRecord(0, True, 1, 1, True, 0.25, 0))
         data[field] = value
         with pytest.raises(ConfigError, match=message):
             record_from_dict(data)
@@ -288,7 +297,8 @@ class TestIntervals:
                 t = occasion_time_ms(occ, cfg.cell)
                 assert r.time_to_success == (t - ue_on) / 1000.0
 
-    def test_kernel_and_detector_must_agree(self, monkeypatch):
+    @pytest.mark.parametrize("logged", [False, True], ids=["record", "logged"])
+    def test_kernel_and_detector_must_agree(self, monkeypatch, logged):
         # The unjammed UE is found at once; a detector that then reports
         # nothing contradicts the batched kernel.
         cfg = make_config(spectrum=JammerConfig(kind="S1", snr_db=-6.0, enabled=False))
@@ -300,7 +310,31 @@ class TestIntervals:
 
         monkeypatch.setattr(prachjam.campaign, "detect_preambles", deaf)
         with pytest.raises(SimulationError, match="disagree on preamble 0"):
-            run_interval(cfg, 0)
+            run_interval(cfg, 0, LogCollector() if logged else None)
+
+    def test_logged_run_checks_every_send(self, monkeypatch):
+        # At -30 dB the kernel misses every send. A detector that reports
+        # every signature at the third send's occasion contradicts it there,
+        # which only a run that steps every send can see.
+        cfg = make_config(spectrum=JammerConfig(kind="S1", snr_db=-30.0))
+        ue_on = 1000.0 * cfg.jammer_lead
+        sends = _schedule(
+            cfg.prach, cfg.cell, ue_on + 1000.0 * cfg.ue_startup_delay,
+            ue_on + 1000.0 * cfg.interval_duration,
+        )
+        detect = prachjam.campaign.detect_preambles
+
+        def eager(bins, det_cfg, occasion=None):
+            result = detect(bins, det_cfg, occasion=occasion)
+            if occasion != sends[2][1]:
+                return result
+            return replace(result, detected=[Detection(1, w, 99.0) for w in range(10)])
+
+        monkeypatch.setattr(prachjam.campaign, "detect_preambles", eager)
+        record = run_interval(cfg, 0)  # steps only the last send
+        assert (record.preambles_sent, record.preambles_detected) == (len(sends), 0)
+        with pytest.raises(SimulationError, match="disagree on preamble 2"):
+            run_interval(cfg, 0, LogCollector())
 
     def test_jammer_off_succeeds(self):
         cfg = make_config(
@@ -408,15 +442,14 @@ class TestSchedule:
         ue_on = lead * 1000.0
         ue_off = ue_on + duration * 1000.0
         first_ms = ue_on + startup * 1000.0
-        ue = make_ue(1, ((1, 0), (1, 1)), first_ms)
-        rng = np.random.default_rng(seed)
+        ue = make_ue(1, first_ms)
         sent = []
         for sfn in range(int(ue_off // 10) + 1):
             for occ in occasions_in_frame(prach, cell, sfn):
                 t = occasion_time_ms(occ, cell)
                 if ue_on <= t < ue_off:
                     key = (occ.sfn, occ.slot, occ.occasion_index)
-                    ue, action = ue_step(ue, t, [], rng, occasion_key=key)
+                    ue, action = ue_step(ue, t, [], PreambleTx((1, 0), key))
                     if isinstance(action, PreambleTx):
                         sent.append((t, action.occasion_key))
         schedule = _schedule(prach, cell, first_ms, ue_off)
@@ -553,3 +586,17 @@ class TestConfigLoading:
         doc["channel"]["ue_delay_samples"] = 50
         with pytest.raises(ConfigError, match="cyclic prefix"):
             load_campaign_config(doc)
+
+
+# perfbench/run.py imports these names from prachjam.campaign or patches
+# them there; the benchmark breaks if one goes away.
+BENCHMARK_NAMES = [
+    "occasions_in_frame", "generate_jamming_frame", "superpose", "demap_prach",
+    "detect_preambles", "ue_step", "gnb_step", "run_interval", "occasion_time_ms",
+    "interval_seed", "record_from_dict", "record_to_dict",
+]
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_benchmark_names_stay_in_campaign(name):
+    assert callable(getattr(prachjam.campaign, name, None))

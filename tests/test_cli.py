@@ -272,8 +272,10 @@ class TestMetricsRoundTrip:
         [
             ("bogus", 1, "records.jsonl:2: unknown field 'bogus'"),
             ("ra_succeeded", "no", "records.jsonl:2: record.ra_succeeded must be a bool"),
+            ("preambles_detected", 99, "records.jsonl:2: record.preambles_detected 99 is not in"),
+            ("ra_succeeded", True, "records.jsonl:2: record.ra_succeeded True does not match"),
         ],
-        ids=["bogus", "ra_succeeded"],
+        ids=["bogus", "ra_succeeded", "detected_above_sent", "success_without_time"],
     )
     def test_bad_record_names_file_and_line(
         self, tmp_path, capsys, field, value, message
@@ -321,6 +323,20 @@ class TestCalibrate:
         assert out.startswith("threshold_factor ")
         factor = float(out.split()[1])
         assert 1.0 < factor < 20.0
+
+    @pytest.mark.parametrize("far", ["0", "1", "2", "-1"])
+    def test_target_far_out_of_range_exits_two(self, tmp_path, capsys, far):
+        cfg = small_config(tmp_path)
+        assert main(["calibrate", "--config", str(cfg), "--set", f"target_far={far}"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: target_far must be in (0, 1)\n"
+
+    @pytest.mark.parametrize("far", ["null", "[0.01]", "true", '"0.01"'])
+    def test_target_far_not_a_number_exits_one(self, tmp_path, capsys, far):
+        cfg = small_config(tmp_path)
+        assert main(["calibrate", "--config", str(cfg), "--set", f"target_far={far}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: target_far must be a number, got ")
 
 
 class TestShippedConfigs:

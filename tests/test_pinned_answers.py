@@ -6,6 +6,7 @@ model and has to say so (and bump ``SEEDING_RULE`` if the draws moved).
 Criterion 9 only compares two runs of the same code, so it cannot catch
 such a drift.
 """
+import hashlib
 import json
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 from prachjam.campaign import (
     build_summary_payload, interval_seed, load_campaign_config, run_campaign,
 )
+from prachjam.cli import main
 from prachjam.detector import DetectorConfig, calibrate_threshold
 
 QUICK = Path(__file__).resolve().parent.parent / "configs" / "quick.json"
@@ -108,3 +110,35 @@ def test_quick_summary_payload():
     _, metrics = run_campaign(cfg)
     payload = json.dumps(build_summary_payload(cfg, metrics), sort_keys=True)
     assert payload == PINNED_SUMMARY
+
+
+# sha256 of detections.jsonl and events.jsonl of quick.json at 3 intervals
+# with both logs on: the logged run steps every occasion, so these pin each
+# occasion's detections and noise floor and each UE transition.
+PINNED_LOGS = {
+    "S1": (
+        "8e40bae78b5d41396d180d4eeea62caf9c7c239252aa7540fc0515626292ef83",
+        "422078caa76be74cd6de01394d7e369d70597eec2ef464e10e2b3da93c361905",
+    ),
+    "roots_1_2_5": (
+        "d67bacc2d99705447afa1d8749d36c4a9d3519cf6f4ef1f2120fc1f9f7cd25cc",
+        "30120a62354ec23106bae155252aa30dfb8b21f362c7e32523fa771eebc3248d",
+    ),
+}
+
+LOG_OVERRIDES = {
+    "S1": [],
+    "roots_1_2_5": ["detector.roots=[1,2,5]", "spectrum.snr_db=-12"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LOGS))
+def test_quick_logs(name, tmp_path):
+    sets = ["n_intervals=3", "detection_log=true", "event_trace=true", *LOG_OVERRIDES[name]]
+    argv = ["simulate", "--config", str(QUICK), "--out", str(tmp_path)]
+    assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+        for f in ("detections.jsonl", "events.jsonl")
+    )
+    assert digests == PINNED_LOGS[name]

@@ -18,7 +18,7 @@ from prachjam.rafsm import (
     ue_step,
 )
 
-SIGNATURES = tuple((1, s) for s in range(10))
+SIGNATURE = (1, 3)
 
 
 def detections_for(signatures, occasion=None):
@@ -29,12 +29,12 @@ def detections_for(signatures, occasion=None):
     )
 
 
-def run_exchange(ues, occasion_key, now, rng, detected_signatures=None):
-    """One occasion: transmissions, detection stub, RAR/Msg3/Msg4."""
+def run_exchange(ues, occasion_key, now, signatures, detected_signatures=None):
+    """One occasion: each UE offered its signature, detection stub, RAR/Msg3/Msg4."""
     ctx = GnbRaContext()
     txs = {}
     for name, ue in list(ues.items()):
-        ue, action = ue_step(ue, now, [], rng, occasion_key=occasion_key)
+        ue, action = ue_step(ue, now, [], PreambleTx(signatures[name], occasion_key))
         ues[name] = ue
         if isinstance(action, PreambleTx):
             txs[name] = action
@@ -45,60 +45,57 @@ def run_exchange(ues, occasion_key, now, rng, detected_signatures=None):
     rars = [RarEvent(r.signature, r.tid, occasion_key) for r in rars]
     msg3s = []
     for name, ue in list(ues.items()):
-        ue, action = ue_step(ue, now, rars, rng)
+        ue, action = ue_step(ue, now, rars)
         ues[name] = ue
         if isinstance(action, Msg3):
             msg3s.append(action)
     ctx, msg4s = gnb_step(ctx, None, msg3s)
     for name, ue in list(ues.items()):
-        ue, _ = ue_step(ue, now, msg4s, rng)
+        ue, _ = ue_step(ue, now, msg4s)
         ues[name] = ue
     return ctx
 
 
 class TestUeHappyPath:
     def test_connects_after_four_messages(self):
-        rng = np.random.default_rng(0)
-        ue = make_ue(unique_id=7, signatures=SIGNATURES, first_attempt_ms=0.0)
+        ue = make_ue(unique_id=7, first_attempt_ms=0.0)
         key = (1, 19, 0)
-        ue, action = ue_step(ue, 0.0, [], rng, occasion_key=key)
-        assert isinstance(action, PreambleTx)
+        ue, action = ue_step(ue, 0.0, [], PreambleTx(SIGNATURE, key))
+        assert action == PreambleTx(SIGNATURE, key)
         assert ue.state is UeState.WAIT_RAR
         assert ue.preambles_sent == 1
         rar = RarEvent(signature=action.signature, tid=42, occasion_key=key)
-        ue, action = ue_step(ue, 0.5, [rar], rng)
+        ue, action = ue_step(ue, 0.5, [rar])
         assert isinstance(action, Msg3)
         assert action.unique_id == 7
         assert ue.state is UeState.WAIT_MSG4
-        ue, action = ue_step(ue, 1.0, [Msg4Event(tid=42, winner_id=7)], rng)
+        ue, action = ue_step(ue, 1.0, [Msg4Event(tid=42, winner_id=7)])
         assert ue.state is UeState.CONNECTED
         assert action is None
 
     def test_connected_never_transmits_again(self):
-        rng = np.random.default_rng(1)
-        ue = make_ue(unique_id=1, signatures=SIGNATURES, first_attempt_ms=0.0)
+        ue = make_ue(unique_id=1, first_attempt_ms=0.0)
         key = (1, 19, 0)
-        ue, tx = ue_step(ue, 0.0, [], rng, occasion_key=key)
+        ue, tx = ue_step(ue, 0.0, [], PreambleTx(SIGNATURE, key))
         rar = RarEvent(tx.signature, 5, key)
-        ue, _ = ue_step(ue, 0.1, [rar], rng)
-        ue, _ = ue_step(ue, 0.2, [Msg4Event(5, 1)], rng)
+        ue, _ = ue_step(ue, 0.1, [rar])
+        ue, _ = ue_step(ue, 0.2, [Msg4Event(5, 1)])
         assert ue.state is UeState.CONNECTED
         sent = ue.preambles_sent
         for t in range(1, 2000, 100):
-            ue, action = ue_step(ue, float(t), [], rng, occasion_key=(t, 19, 0))
+            ue, action = ue_step(ue, float(t), [], PreambleTx(SIGNATURE, (t, 19, 0)))
             assert action is None
         assert ue.preambles_sent == sent
 
 
 class TestUeRetries:
     def test_retry_cadence_exact_100ms(self):
-        rng = np.random.default_rng(2)
-        ue = make_ue(unique_id=1, signatures=SIGNATURES, first_attempt_ms=0.0)
+        ue = make_ue(unique_id=1, first_attempt_ms=0.0)
         tx_times = []
         t = 0.0
         while t < 60_000.0:
             key = (int(t // 10), 19, 0)
-            ue, action = ue_step(ue, t, [], rng, occasion_key=key)
+            ue, action = ue_step(ue, t, [], PreambleTx(SIGNATURE, key))
             if isinstance(action, PreambleTx):
                 tx_times.append(t)
             t += 20.0  # one PRACH period, never any RAR
@@ -109,50 +106,45 @@ class TestUeRetries:
         assert ue.state is not UeState.CONNECTED
 
     def test_rar_timeout_returns_to_idle(self):
-        rng = np.random.default_rng(3)
-        ue = make_ue(unique_id=1, signatures=SIGNATURES, first_attempt_ms=0.0)
-        ue, _ = ue_step(ue, 0.0, [], rng, occasion_key=(0, 19, 0))
+        ue = make_ue(unique_id=1, first_attempt_ms=0.0)
+        ue, _ = ue_step(ue, 0.0, [], PreambleTx(SIGNATURE, (0, 19, 0)))
         assert ue.state is UeState.WAIT_RAR
-        ue, _ = ue_step(ue, RAR_WINDOW_MS - 1, [], rng)
+        ue, _ = ue_step(ue, RAR_WINDOW_MS - 1, [])
         assert ue.state is UeState.WAIT_RAR
-        ue, _ = ue_step(ue, RAR_WINDOW_MS, [], rng)
+        ue, _ = ue_step(ue, RAR_WINDOW_MS, [])
         assert ue.state is UeState.IDLE
         assert ue.chosen_signature is None
 
     def test_rar_for_other_signature_ignored(self):
-        rng = np.random.default_rng(4)
-        ue = make_ue(unique_id=1, signatures=SIGNATURES, first_attempt_ms=0.0)
+        ue = make_ue(unique_id=1, first_attempt_ms=0.0)
         key = (0, 19, 0)
-        ue, tx = ue_step(ue, 0.0, [], rng, occasion_key=key)
+        ue, tx = ue_step(ue, 0.0, [], PreambleTx(SIGNATURE, key))
         other = (tx.signature[0], (tx.signature[1] + 1) % 10)
-        ue, action = ue_step(ue, 1.0, [RarEvent(other, 9, key)], rng)
+        ue, action = ue_step(ue, 1.0, [RarEvent(other, 9, key)])
         assert action is None
         assert ue.state is UeState.WAIT_RAR
 
     def test_rar_for_other_occasion_ignored(self):
-        rng = np.random.default_rng(5)
-        ue = make_ue(unique_id=1, signatures=SIGNATURES, first_attempt_ms=0.0)
-        ue, tx = ue_step(ue, 0.0, [], rng, occasion_key=(0, 19, 0))
-        ue, action = ue_step(ue, 1.0, [RarEvent(tx.signature, 9, (0, 19, 1))], rng)
+        ue = make_ue(unique_id=1, first_attempt_ms=0.0)
+        ue, tx = ue_step(ue, 0.0, [], PreambleTx(SIGNATURE, (0, 19, 0)))
+        ue, action = ue_step(ue, 1.0, [RarEvent(tx.signature, 9, (0, 19, 1))])
         assert action is None
         assert ue.state is UeState.WAIT_RAR
 
     def test_malformed_events_leave_ue_unchanged(self):
-        rng = np.random.default_rng(6)
-        ue = make_ue(unique_id=1, signatures=SIGNATURES, first_attempt_ms=0.0)
-        ue, _ = ue_step(ue, 0.0, [], rng, occasion_key=(0, 19, 0))
-        after, action = ue_step(ue, 1.0, ["garbage", object()], rng)
+        ue = make_ue(unique_id=1, first_attempt_ms=0.0)
+        ue, _ = ue_step(ue, 0.0, [], PreambleTx(SIGNATURE, (0, 19, 0)))
+        after, action = ue_step(ue, 1.0, ["garbage", object()])
         assert after == ue
         assert action is None
 
     def test_contention_loser_restarts(self):
-        rng = np.random.default_rng(7)
-        ue = make_ue(unique_id=2, signatures=SIGNATURES, first_attempt_ms=0.0)
+        ue = make_ue(unique_id=2, first_attempt_ms=0.0)
         key = (0, 19, 0)
-        ue, tx = ue_step(ue, 0.0, [], rng, occasion_key=key)
-        ue, _ = ue_step(ue, 0.1, [RarEvent(tx.signature, 1, key)], rng)
+        ue, tx = ue_step(ue, 0.0, [], PreambleTx(SIGNATURE, key))
+        ue, _ = ue_step(ue, 0.1, [RarEvent(tx.signature, 1, key)])
         assert ue.state is UeState.WAIT_MSG4
-        ue, _ = ue_step(ue, 0.2, [Msg4Event(tid=1, winner_id=999)], rng)
+        ue, _ = ue_step(ue, 0.2, [Msg4Event(tid=1, winner_id=999)])
         assert ue.state is UeState.IDLE
         assert ue.chosen_signature is None
 
@@ -193,15 +185,8 @@ class TestGnb:
 class TestContentionExhaustive:
     def test_exactly_one_winner_per_tid(self):
         for sig_a, sig_b in itertools.product(range(10), repeat=2):
-            rng = np.random.default_rng(sig_a * 10 + sig_b)
-            ues = {
-                "a": make_ue(1, SIGNATURES, 0.0),
-                "b": make_ue(2, SIGNATURES, 0.0),
-            }
-            # Force the chosen signatures by shrinking the signature space.
-            ues["a"] = make_ue(1, ((1, sig_a),), 0.0)
-            ues["b"] = make_ue(2, ((1, sig_b),), 0.0)
-            run_exchange(ues, (0, 19, 0), 0.0, rng)
+            ues = {"a": make_ue(1, 0.0), "b": make_ue(2, 0.0)}
+            run_exchange(ues, (0, 19, 0), 0.0, {"a": (1, sig_a), "b": (1, sig_b)})
             connected = [n for n, u in ues.items() if u.state is UeState.CONNECTED]
             if sig_a == sig_b:
                 assert len(connected) == 1, f"signatures {sig_a},{sig_b}"

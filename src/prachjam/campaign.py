@@ -6,13 +6,18 @@ retries a preamble every 100 ms until a random-access procedure succeeds,
 and disappears before the jammer stops. Occasions are simulated as their
 averaged PRACH bins (``channel.bin_channel``). An unanswered UE sends on a
 fixed schedule (``ue_step`` stepped with no RAR), so the campaign draws
-the signatures of all its transmissions at once, draws the transmissions
-as delay profiles and judges them in batches with no transform (white
-bins times the constant-modulus ZC reference stay white, with the same
-variance). Every occasion that is simulated runs one loop body: the UE
-steps, a sent row goes back to bins, ``detect_preambles`` must agree with
-the batch verdict, and the RA machines answer. A record run steps only the
-transmission that decides; a logged run steps every occasion.
+the signatures of all its transmissions at once and judges them in
+batches with no transform, on the tap powers of their delay profiles:
+white bins times the constant-modulus ZC reference stay white, with the
+same variance, so each tap is its mean plus complex normal noise, drawn
+as an exponential power and a uniform phase. The phase matters only on
+the few taps where the mean is not zero. The first transmission, the one
+stepped when the UE is heard at once, is drawn as a complex row instead.
+Every occasion that is simulated
+runs one loop body: the UE steps, a sent transmission is rebuilt as a
+complex profile and goes back to bins, ``detect_preambles`` must agree
+with the batch verdict, and the RA machines answer. A record run steps
+only the transmission that decides; a logged run steps every occasion.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -84,18 +89,23 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 SEEDING_RULE = (
-    "v4: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
+    "v5: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
     "data=pack('<QQ', base_seed, i)); interval stream = numpy.random.default_rng("
     "interval_seed(i)), drawing the validity flag (random()), then the signatures "
     "of all K scheduled preambles (integers(n_signatures, size=K)), then per "
-    "preamble in transmit order 2*L standard normals, the interleaved (re, im) "
-    "parts of the jammer and noise in its delay profile ifft(bins * conj(fft(zc("
-    "root)))) against its own root, whose L taps are white with the variance of "
-    "the bins; the transmission that decides goes back to bins as fft(profile) / "
+    "preamble in transmit order the noise of its delay profile ifft(bins * conj(fft("
+    "zc(root)))) against its own root, whose L taps are mu[n] plus white noise with "
+    "the variance of the bins, mu the UE's mean profile with its taps below 1e-12 of "
+    "its peak set to 0: for the first preamble, and for every preamble if one of the "
+    "UE's mean profiles has nonzero taps on L/2 of its taps or more, 2*L standard "
+    "normals, the interleaved (re, im) parts of the noise; for each other one 2*L "
+    "uniforms u (random()), L for E = -log(1 - u) and L phase fractions F, tap n "
+    "being mu[n] + sqrt(2 * std**2 * E[n]) * exp(1j * (angle(mu[n]) + 2 * pi * F[n])), "
+    "std the deviation per part of the jammer and noise; the kernel judges the tap "
+    "powers, and the transmission that decides goes back to bins as fft(profile) / "
     "conj(fft(zc(root))); a logged run draws the bins of an occasion without a "
-    "preamble from numpy.random.default_rng("
-    "numpy.random.SeedSequence(interval_seed(i), spawn_key=(sfn, slot, "
-    "occasion_index)))"
+    "preamble from numpy.random.default_rng(numpy.random.SeedSequence("
+    "interval_seed(i), spawn_key=(sfn, slot, occasion_index)))"
 )
 
 
@@ -245,11 +255,29 @@ def _schedule(prach: PrachConfig, cell: CellConfig, first_ms: float, off_ms: flo
     return tuple(sends)
 
 
+# Mean-profile taps below this fraction of their row's peak are FFT round-off
+# (a preamble's own shift is a single tap) and become exactly zero.
+_ROUND_OFF = 1e-12
+
+
+class _Means(NamedTuple):
+    """The mean delay profile of each of the UE's preambles against its own
+    root, ``ifft(ue_mean[n] * ref(root_n))``, with its round-off taps
+    (``_ROUND_OFF``) set to zero, in the forms the kernel reads."""
+
+    profile: np.ndarray  # (n, L) complex
+    magnitude: np.ndarray  # (n, L) abs(profile)
+    phase: np.ndarray  # (n, L) angle(profile), 0 where the profile is
+    # (n, width) the nonzero taps of each row, padded by repeating its own;
+    # None when some row has nonzero taps on half its length or more
+    taps: np.ndarray | None
+
+
 @functools.lru_cache(maxsize=16)
 def _bins(prach, cell, spectrum, channel, det, amplitude):
     """The UE's signatures (as a tuple and an array), the bin-domain
-    channel of its occasions and the mean delay profile of each preamble,
-    ``ifft(ue_mean[n] * ref(root_n))`` against its own root."""
+    channel of its occasions and the mean delay profiles of its preambles
+    (``_Means``)."""
     length = prach.preamble_length
     signatures = tuple((r, s) for r in det.roots for s in range(length // det.shift_step))
     preambles = np.array([
@@ -261,26 +289,83 @@ def _bins(prach, cell, spectrum, channel, det, amplitude):
     chan = bin_channel(preambles, *jam, channel, first, cell.dft_size)
     sig_array = np.array(signatures)
     profiles = np.array([delay_profile(m, r) for m, (r, _) in zip(chan.ue_mean, signatures)])
-    for shared in (chan.ue_mean, sig_array, profiles):  # every later caller gets these
-        shared.setflags(write=False)
-    return signatures, sig_array, chan, profiles
+    magnitude = np.abs(profiles)
+    round_off = magnitude < _ROUND_OFF * magnitude.max(axis=-1, keepdims=True)
+    profiles[round_off] = magnitude[round_off] = 0.0
+    taps = [np.flatnonzero(p) for p in profiles]
+    width = max(map(len, taps))
+    # Polar draws pay only where the nonzero taps are few (see _judged).
+    if 2 * width < length:
+        taps = np.array([np.resize(t if len(t) else [0], width) for t in taps], dtype=np.intp)
+    else:
+        taps = None
+    means = _Means(profiles, magnitude, np.angle(profiles), taps)
+    for shared in (chan.ue_mean, sig_array, *means):  # every later caller gets these
+        if shared is not None:
+            shared.setflags(write=False)
+    return signatures, sig_array, chan, means
 
 
-# Rows per batch grow 1, 2, 4, ... to this cap: early hits stay cheap, memory small.
+# Rows per batch grow 1, 4, 16, ... to this cap: early hits stay cheap, memory
+# small, and a UE that is never heard pays for few batches.
 _MAX_CHUNK = 64
 
 
-def _judged(chan, profiles, sig_array, det_cfg, rng, sig_idx):
-    """The UE's transmissions in chunks ``(start, rows, hits)``: the first
-    transmission's index, the delay profiles of the chunk and whether each
-    one's own signature is detected."""
+def _judged(chan, means, sig_array, det_cfg, rng, sig_idx):
+    """The UE's transmissions in chunks ``(start, profile_of, hits)``: the
+    first transmission's index, ``profile_of(j)``, the complex delay profile
+    of the chunk's row ``j``, and whether each row's own signature is
+    detected.
+
+    Transmissions are drawn in polar form (``_polar_powers``) and judged
+    on their tap powers, with two exceptions drawn as complex rows
+    (``chan.draw``). The first transmission: it is the one stepped when the
+    UE is heard at once, and its row is then at hand. And every one when a
+    mean profile has nonzero taps on half its length or more
+    (``means.taps`` is None): each of those taps needs its phase, and a
+    cosine costs more than a normal pair there.
+    """
     start, size = 0, 1
     while start < len(sig_idx):
         idx = sig_idx[start : start + size]
-        rows = chan.draw(rng, profiles[idx], len(idx))
-        yield start, rows, signatures_detected(rows, sig_array[idx, 1], det_cfg)
+        if start == 0 or means.taps is None:
+            rows = chan.draw(rng, means.profile[idx], len(idx))
+            power, profile_of = np.abs(rows) ** 2, rows.__getitem__
+        else:
+            power, profile_of = _polar_powers(chan.std, means, rng, idx)
+        yield start, profile_of, signatures_detected(power, sig_array[idx, 1], det_cfg)
         start += len(idx)
-        size = min(2 * size, _MAX_CHUNK)
+        size = min(4 * size, _MAX_CHUNK)
+
+
+def _polar_powers(std, means, rng, idx):
+    """The tap powers ``(rows, L)`` of transmissions of the signatures
+    ``idx``, and the function giving row ``j``'s complex delay profile.
+
+    A tap's noise is complex normal with standard deviation ``std`` per
+    part, drawn in polar form: power ``P = 2 * std**2 * E`` with
+    ``E = -log(1 - u)`` standard exponential, and a uniform phase
+    ``2 * pi * F`` measured from the mean's. The tap's power is then
+    ``P + |mu| * (|mu| + 2 * sqrt(P) * cos(2 * pi * F))``, which is ``P``
+    where the mean ``mu`` is zero: only the taps ``means.taps`` need it.
+    """
+    draws = rng.random((len(idx), 2, means.profile.shape[-1]))
+    noise, turns = draws[:, 0], draws[:, 1]
+    np.subtract(1.0, noise, out=noise)
+    np.log(noise, out=noise)
+    noise *= -2 * std**2
+    power = noise.copy()
+    cols = means.taps[idx]
+    at, mean = (np.arange(len(idx))[:, None], cols), means.magnitude[idx[:, None], cols]
+    tap = noise[at]
+    power[at] = tap + mean * (mean + 2 * np.sqrt(tap) * np.cos(2 * np.pi * turns[at]))
+
+    def profile_of(j):
+        i = idx[j]
+        phase = means.phase[i] + 2 * np.pi * turns[j]
+        return means.profile[i] + np.sqrt(noise[j]) * np.exp(1j * phase)
+
+    return power, profile_of
 
 
 def run_interval(
@@ -304,11 +389,11 @@ def run_interval(
     ue_off = ue_on + cfg.interval_duration * 1000.0
     first_ms = ue_on + cfg.ue_startup_delay * 1000.0
     sends = _schedule(cfg.prach, cfg.cell, first_ms, ue_off)
-    signatures, sig_array, chan, profiles = _bins(
+    signatures, sig_array, chan, means = _bins(
         cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector, cfg.preamble_amplitude
     )
     sig_idx = rng.integers(len(signatures), size=len(sends))
-    chunks = _judged(chan, profiles, sig_array, cfg.detector, rng, sig_idx)
+    chunks = _judged(chan, means, sig_array, cfg.detector, rng, sig_idx)
 
     def log_event(t: float, ue) -> None:
         if collector is not None:
@@ -316,20 +401,22 @@ def run_interval(
 
     ue = make_ue(index + 1, first_ms)
     steps = ()
-    # A logged UE takes its (row, verdict) pairs from the chunks one at a time.
-    transmissions = (pair for _, rows, hits in chunks for pair in zip(rows, hits))
+    # A logged UE takes its (profile, verdict) pairs from the chunks one at a time.
+    transmissions = (
+        (profile_of(j), hit) for _, profile_of, hits in chunks for j, hit in enumerate(hits)
+    )
     if collector is not None:
         end_ms = ue_off + cfg.jammer_lag * 1000.0 if cfg.spectrum.enabled else ue_off
         steps = occasions_between(cfg.prach, cfg.cell, 0.0, end_ms)
     elif sends:
         # Only the transmission that decides: the first one detected, or the last.
-        for start, rows, hits in chunks:
+        for start, profile_of, hits in chunks:
             j = int(hits.argmax()) if hits.any() else len(hits) - 1
             if hits[j]:
                 break
         k = start + j
         ue = replace(ue, preambles_sent=k, retry_timer_ms=first_ms + k * RETRY_PERIOD_MS)
-        steps, transmissions = sends[k : k + 1], iter([(rows[j], hits[j])])
+        steps, transmissions = sends[k : k + 1], iter([(profile_of(j), hits[j])])
 
     ctx = GnbRaContext()
     detected = 0
@@ -393,7 +480,11 @@ def run_campaign(
         raise ConfigError(f"threads must be >= 0, got {threads}")
     indices = range(cfg.n_intervals)
     if threads == 0:
-        threads = os.cpu_count() or 1
+        # The CPUs this process may run on (taskset, cpusets), not the host's.
+        if hasattr(os, "sched_getaffinity"):
+            threads = len(os.sched_getaffinity(0))
+        else:
+            threads = os.cpu_count() or 1
     if threads > 1 and collector is None:
         # An interval can take under a millisecond: hand each worker a few
         # large chunks rather than one interval per round trip.

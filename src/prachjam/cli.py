@@ -12,6 +12,7 @@ import argparse
 import datetime
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -29,7 +30,7 @@ from .campaign import (
 )
 from .detector import calibrate_threshold
 from .errors import ConfigError, SimulationError
-from .prach import occupancy_factors
+from .prach import load_record, occupancy_factors
 from .zc import cyclic_shift, generate_zc, periodic_xcorr
 
 
@@ -61,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=1,
-            help="parallel interval workers (0 = all cores)",
+            help="parallel interval workers (0 = every CPU this process may run on)",
         )
     return parser
 
@@ -123,21 +124,25 @@ def _csv_rows(values) -> str:
     return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
+class ZcRequest:
+    """The ``--set`` parameters of ``prachjam zc``."""
+
+    root: int = 1
+    length: int = 139
+    shift: int = 0
+    xcorr_root: int | None = None
+    normalize: bool = True
+
+
 def _cmd_zc(args) -> int:
-    params = _parse_overrides(args.overrides)
-    root = int(params.pop("root", 1))
-    length = int(params.pop("length", 139))
-    shift = int(params.pop("shift", 0))
-    xcorr_root = params.pop("xcorr_root", None)
-    normalize = bool(params.pop("normalize", True))
-    if params:
-        raise ConfigError(f"unknown zc parameter '{sorted(params)[0]}'")
-    seq = generate_zc(root, length)
-    if shift:
-        seq = cyclic_shift(seq, shift)
-    if xcorr_root is not None:
-        other = generate_zc(int(xcorr_root), length)
-        profile = periodic_xcorr(seq, other, normalize=normalize)
+    req = load_record(ZcRequest, _parse_overrides(args.overrides), "zc")
+    seq = generate_zc(req.root, req.length)
+    if req.shift:
+        seq = cyclic_shift(seq, req.shift)
+    if req.xcorr_root is not None:
+        other = generate_zc(req.xcorr_root, req.length)
+        profile = periodic_xcorr(seq, other, normalize=req.normalize)
         sys.stdout.write(_csv_rows(profile.values))
     else:
         sys.stdout.write(_csv_rows(seq.samples))

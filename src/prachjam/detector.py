@@ -119,18 +119,17 @@ def profile_bins(profile: np.ndarray, root: int) -> np.ndarray:
     return np.fft.fft(profile) / _reference_spectrum(root, profile.shape[-1])
 
 
-def _decide(profile: np.ndarray, cfg: DetectorConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The detection rule on delay profiles ``(..., L)``.
+def _decide(power: np.ndarray, cfg: DetectorConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The detection rule on delay-profile powers ``|profile|**2`` ``(..., L)``.
 
     Returns the peak power of each signature window ``(..., W)``, the floor
     (the mean power with the profile peak excluded) and which windows pass
     ``threshold_factor`` times the guarded floor ``(..., W)``.
     """
-    length = profile.shape[-1]
-    pdp = np.abs(profile) ** 2
-    peak = pdp.max(axis=-1)
-    floor = (pdp.sum(axis=-1) - peak) / (length - 1)
-    peaks = pdp[..., _window_indices(length, cfg.shift_step)].max(axis=-1)
+    length = power.shape[-1]
+    peak = power.max(axis=-1)
+    floor = (power.sum(axis=-1) - peak) / (length - 1)
+    peaks = power[..., _window_indices(length, cfg.shift_step)].max(axis=-1)
     limit = cfg.threshold_factor * np.maximum(floor, peak * _FLOOR_GUARD)
     # Transposed, the windows broadcast against their row's limit, and a
     # single profile compares against a scalar.
@@ -152,7 +151,7 @@ def detect_preambles(
     detected: list[Detection] = []
     floors: list[float] = []
     for root in cfg.roots:
-        peaks, floor, hits = _decide(delay_profile(bins, root), cfg)
+        peaks, floor, hits = _decide(np.abs(delay_profile(bins, root)) ** 2, cfg)
         floors.append(float(floor))
         detected += [Detection(root, int(w), float(peaks[w])) for w in np.flatnonzero(hits)]
     return DetectionResult(
@@ -161,14 +160,14 @@ def detect_preambles(
 
 
 def signatures_detected(
-    profiles: np.ndarray, windows: np.ndarray, cfg: DetectorConfig
+    power: np.ndarray, windows: np.ndarray, cfg: DetectorConfig
 ) -> np.ndarray:
     """Whether ``detect_preambles`` reports window ``windows[i]`` in row ``i``.
 
-    ``profiles`` has shape ``(M, L)``: the delay profile of each row
-    against the root of the signature it is judged for.
+    ``power`` has shape ``(M, L)``: the tap powers ``|profile|**2`` of each
+    row's delay profile against the root of the signature it is judged for.
     """
-    return _decide(profiles, cfg)[2][np.arange(len(profiles)), windows]
+    return _decide(power, cfg)[2][np.arange(len(power)), windows]
 
 
 def calibrate_threshold(
@@ -202,7 +201,7 @@ def calibrate_threshold(
         ) / np.sqrt(2.0)
         best = stats[start : start + m]  # a view: updated in place
         for root in cfg.roots:
-            peaks, floor, _ = _decide(delay_profile(bins, root), cfg)
+            peaks, floor, _ = _decide(np.abs(delay_profile(bins, root)) ** 2, cfg)
             np.maximum(best, peaks.max(axis=-1) / floor, out=best)
 
     def far(factor: float) -> float:

@@ -1,11 +1,13 @@
 """The campaign's bin-domain occasions against the time-domain waveform.
 
 Campaigns draw an occasion's averaged PRACH bins, or a transmission's
-delay profile, directly and judge a batch of them at once. These tests
-hold that path to the waveform chain it replaces (``modulate_preamble``,
-``generate_jamming_frame``, ``superpose``, ``demap_prach``,
-``detect_preambles``): exactly where the arithmetic allows, and by a
-two-proportion test on the miss rate where the two draw different numbers.
+delay-profile tap powers, directly and judge a batch of them at once.
+These tests hold that path to the waveform chain it replaces
+(``modulate_preamble``, ``generate_jamming_frame``, ``superpose``,
+``demap_prach``, ``detect_preambles``) and to the complex draws it
+replaced: exactly where the arithmetic allows, and by two-proportion
+z-tests on the miss rate and two-sample KS tests on tap powers where
+they draw different numbers.
 """
 import math
 from dataclasses import replace
@@ -13,7 +15,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prachjam.campaign import _bins, _judged
+import prachjam.campaign
+from prachjam.campaign import _bins, _judged, _polar_powers
 from prachjam.channel import ChannelConfig, superpose
 from prachjam.detector import (
     DetectorConfig,
@@ -46,7 +49,7 @@ def test_ue_and_constant_jammer_bins_equal_demapped_waveforms(freq_offset):
     occ = occasions_in_frame(prach, CELL, 1)[0]
     chan_cfg = ChannelConfig(noise_sigma=0.0, ue_gain=0.8, jammer_gain=1.3, ue_delay_samples=5)
     spectrum = JammerConfig(kind="S1", snr_db=-6.0, s1_literal=True)
-    signatures, _, chan, profiles = _bins(
+    signatures, _, chan, means = _bins(
         prach, CELL, spectrum, chan_cfg, DetectorConfig(roots=(1, 2)), 0.7
     )
     rng = np.random.default_rng(0)
@@ -54,7 +57,7 @@ def test_ue_and_constant_jammer_bins_equal_demapped_waveforms(freq_offset):
         wave = preamble_wave(signature, occ, 0.7)
         _, bins = demap_prach(superpose(wave, None, chan_cfg, rng), occ, CELL)
         np.testing.assert_allclose(chan.ue_mean[n] - chan.idle_mean, bins, atol=1e-12)
-        np.testing.assert_array_equal(profiles[n], delay_profile(chan.ue_mean[n], signature[0]))
+        np.testing.assert_array_equal(means.profile[n], delay_profile(chan.ue_mean[n], signature[0]))
     jam = generate_jamming_frame(spectrum, occ, CELL, amplitude_from_snr(0.7, -6.0), rng)
     _, bins = demap_prach(superpose(None, jam, chan_cfg, rng), occ, CELL)
     np.testing.assert_allclose(bins, chan.idle_mean, atol=1e-12)
@@ -104,19 +107,25 @@ def profiles_of(bins, roots):
     return out
 
 
-class ReplayedRows:
-    """A stand-in for the bin channel that hands out given rows: with the
-    means ``np.arange(len(rows))``, "mean" n selects row n."""
+def judged_with_powers(monkeypatch, bins, det, rng, sig_idx):
+    """The chunks ``(start, profile_of, power, hits)`` of ``_judged`` on
+    the channel ``bins`` (a ``_bins`` result), with the tap powers it
+    judged."""
+    _, sig_array, chan, means = bins
+    powers = []
 
-    def __init__(self, rows):
-        self.rows = rows
+    def recording(power, windows, cfg):
+        powers.append(power.copy())
+        return signatures_detected(power, windows, cfg)
 
-    def draw(self, rng, mean, rows):
-        return self.rows[mean]
+    monkeypatch.setattr(prachjam.campaign, "signatures_detected", recording)
+    chunks = list(_judged(chan, means, sig_array, det, rng, sig_idx))
+    monkeypatch.undo()
+    return [(start, of, power, hits) for (start, of, hits), power in zip(chunks, powers)]
 
 
 @pytest.mark.parametrize("roots", [(1,), (1, 2, 5)])
-def test_batched_kernel_decides_like_detect_preambles(roots):
+def test_batched_kernel_decides_like_detect_preambles(roots, monkeypatch):
     det = DetectorConfig(roots=roots)
     bins, sigs = demapped_rows(roots, -13.0, 400, seed=sum(roots))
     single = np.array([
@@ -124,22 +133,27 @@ def test_batched_kernel_decides_like_detect_preambles(roots):
         for row, (r, s) in zip(bins, sigs)
     ])
     assert 40 < single.sum() < 360
-    profiles = profiles_of(bins, sigs[:, 0])
-    assert signatures_detected(profiles, sigs[:, 1], det).tolist() == single.tolist()
-    # Cut into intervals of 25 transmissions: the chunks hand out the rows
-    # in order, with the verdicts of detect_preambles.
-    rng = np.random.default_rng(0)
-    for start in range(0, len(bins), 25):
-        idx = np.arange(start, start + 25)
-        chunks = list(
-            _judged(ReplayedRows(profiles), np.arange(len(bins)), sigs, det, rng, idx)
-        )
-        starts, rows, hits = zip(*chunks)
-        assert [(k, len(r)) for k, r in zip(starts, rows)] == [
-            (0, 1), (1, 2), (3, 4), (7, 8), (15, 10)
-        ]
-        np.testing.assert_array_equal(np.concatenate(rows), profiles[idx])
-        assert np.concatenate(hits).tolist() == single[idx].tolist()
+    power = np.abs(profiles_of(bins, sigs[:, 0])) ** 2
+    assert signatures_detected(power, sigs[:, 1], det).tolist() == single.tolist()
+    # The kernel's own draws, cut into intervals of 25 transmissions: each
+    # row's complex profile, taken back to bins and through
+    # detect_preambles, gets the chunk's verdict.
+    channel = _bins(PRACH, CELL, JammerConfig(kind="S1", snr_db=-13.0),
+                    ChannelConfig(noise_sigma=SIGMA_0DB), det, 1.0)
+    signatures = channel[0]
+    rng = np.random.default_rng(sum(roots))
+    verdicts = []
+    for _ in range(16):
+        idx = rng.integers(len(signatures), size=25)
+        chunks = judged_with_powers(monkeypatch, channel, det, rng, idx)
+        assert [(k, len(hits)) for k, _, _, hits in chunks] == [(0, 1), (1, 4), (5, 16), (21, 4)]
+        for k, profile_of, _, hits in chunks:
+            for j, hit in enumerate(hits):
+                root, window = signatures[idx[k + j]]
+                row = profile_bins(profile_of(j), root)
+                assert detect_preambles(row, det).reports((root, window)) == hit
+                verdicts.append(hit)
+    assert 40 < sum(verdicts) < 360
 
 
 @pytest.mark.parametrize("snr_db", [-6.0, -12.0, -18.0])
@@ -168,8 +182,8 @@ def missed_bin_rows(spectrum, det, n, seed):
     for _ in range(n // chunk):
         idx = rng.integers(len(signatures), size=chunk)
         rows = chan.draw(rng, chan.ue_mean[idx], len(idx))
-        profiles = profiles_of(rows, sig_array[idx, 0])
-        missed += int(np.sum(~signatures_detected(profiles, sig_array[idx, 1], det)))
+        power = np.abs(profiles_of(rows, sig_array[idx, 0])) ** 2
+        missed += int(np.sum(~signatures_detected(power, sig_array[idx, 1], det)))
     return missed
 
 
@@ -195,22 +209,178 @@ def test_profile_map_is_unitary(root):
     np.testing.assert_allclose(profile_bins(delay_profile(z, root), root), z, atol=1e-12)
 
 
+def missed_complex_profiles(channel, det, n, seed):
+    """Misses among ``n`` transmissions drawn as complex delay profiles
+    (seeding rule v4) and judged on their tap powers."""
+    chunk = 2000
+    signatures, sig_array, chan, means = channel
+    rng = np.random.default_rng(seed)
+    missed = 0
+    for _ in range(n // chunk):
+        idx = rng.integers(len(signatures), size=chunk)
+        rows = chan.draw(rng, means.profile[idx], len(idx))
+        missed += int(np.sum(~signatures_detected(np.abs(rows) ** 2, sig_array[idx, 1], det)))
+    return missed
+
+
 def test_profile_draw_misses_like_the_bin_draw():
     # S1 at -12 dB misses about three preambles in four: the two draws'
     # miss rates agree by a two-sided two-proportion z-test at 99 %.
     det = DetectorConfig(roots=(1, 2, 5))
     spectrum = JammerConfig(kind="S1", snr_db=-12.0)
-    n, chunk = 50_000, 2000
-    signatures, sig_array, chan, profiles = _bins(
-        PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det, 1.0
-    )
-    rng = np.random.default_rng(41)
-    missed = 0
-    for _ in range(n // chunk):
-        idx = rng.integers(len(signatures), size=chunk)
-        rows = chan.draw(rng, profiles[idx], len(idx))
-        missed += int(np.sum(~signatures_detected(rows, sig_array[idx, 1], det)))
+    n = 50_000
+    channel = _bins(PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det, 1.0)
+    missed = missed_complex_profiles(channel, det, n, seed=41)
     from_bins = missed_bin_rows(spectrum, det, n, seed=42)
     z = two_proportion_z(from_bins, n, missed, n)
     assert 0.6 < missed / n < 0.9
     assert abs(z) < 2.576, f"profiles {missed / n:.4f} vs bins {from_bins / n:.4f}, z = {z:.2f}"
+
+
+# The kernel's means: the shipped one, with a single nonzero tap per
+# signature, and two with every tap nonzero (the literal S1's constant
+# spectrum; a delayed UE, whose shift spreads over the taps, with a phase
+# that turns from tap to tap). The kernel draws the last two as complex
+# rows, so the polar draw is held to the complex one on them with its
+# gather over every tap (``polar_means``). At -12 dB the delayed,
+# attenuated UE is missed 99.6 % of the time, so that one runs at -6 dB,
+# where the miss rate is about 0.7.
+MEANS = {
+    "S1": (JammerConfig(kind="S1", snr_db=-12.0), ChannelConfig(noise_sigma=SIGMA_0DB)),
+    "s1_literal": (
+        JammerConfig(kind="S1", snr_db=-12.0, s1_literal=True),
+        ChannelConfig(noise_sigma=SIGMA_0DB),
+    ),
+    "delay_and_gains": (
+        JammerConfig(kind="S1", snr_db=-6.0),
+        ChannelConfig(noise_sigma=SIGMA_0DB, ue_gain=0.8, jammer_gain=1.3, ue_delay_samples=5),
+    ),
+}
+MEANS_DET = DetectorConfig(roots=(1, 2, 5))
+
+
+def means_channel(name):
+    spectrum, chan_cfg = MEANS[name]
+    return _bins(PRACH, CELL, spectrum, chan_cfg, MEANS_DET, 1.0)
+
+
+def polar_means(means):
+    """``means`` as ``_polar_powers`` reads them: where the kernel would
+    draw complex rows, with every tap gathered."""
+    if means.taps is not None:
+        return means
+    length = means.profile.shape[-1]
+    return means._replace(taps=np.tile(np.arange(length), (len(means.profile), 1)))
+
+
+def polar_chunks(channel, rng, n, chunk=2000):
+    """``(idx, power, profile_of)`` of ``n`` transmissions drawn by
+    ``_polar_powers`` in chunks of ``chunk``, the signatures drawn first."""
+    signatures, _, chan, means = channel
+    means = polar_means(means)
+    out = []
+    for _ in range(n // chunk):
+        idx = rng.integers(len(signatures), size=chunk)
+        out.append((idx, *_polar_powers(chan.std, means, rng, idx)))
+    return out
+
+
+@pytest.mark.parametrize("name, seed", [("S1", 51), ("s1_literal", 53), ("delay_and_gains", 57)])
+def test_power_draw_misses_like_the_complex_draw(name, seed):
+    # The polar draw's tap powers against the complex profiles they
+    # replace, 50,000 transmissions each: a two-sided two-proportion z-test
+    # at 99 %.
+    n = 50_000
+    channel = means_channel(name)
+    sig_array = channel[1]
+    missed = sum(
+        int(np.sum(~signatures_detected(power, sig_array[idx, 1], MEANS_DET)))
+        for idx, power, _ in polar_chunks(channel, np.random.default_rng(seed), n)
+    )
+    reference = missed_complex_profiles(channel, MEANS_DET, n, seed=seed + 1000)
+    z = two_proportion_z(reference, n, missed, n)
+    assert 0.5 < missed / n < 0.9
+    assert abs(z) < 2.576, f"powers {missed / n:.4f} vs complex {reference / n:.4f}, z = {z:.2f}"
+
+
+def test_tap_powers_follow_the_complex_draw():
+    # The power of each transmission's mean tap (noncentral) and of a tap
+    # 69 further on (zero mean, exponential), from 20,000 transmissions of
+    # the polar draw and of the complex draw: two-sample KS tests at 99 %.
+    stats = pytest.importorskip("scipy.stats")
+    n = 20_000
+    channel = means_channel("S1")
+    signatures, _, chan, means = channel
+    chunks = polar_chunks(channel, np.random.default_rng(71), n)
+    idx = np.concatenate([idx for idx, _, _ in chunks])
+    power = np.concatenate([power for _, power, _ in chunks])
+    reference_rng = np.random.default_rng(72)
+    reference_idx = reference_rng.integers(len(signatures), size=n)
+    reference = np.abs(chan.draw(reference_rng, means.profile[reference_idx], n)) ** 2
+    for shift in (0, 69):
+        taps = (means.taps[idx, 0] + shift) % PRACH.preamble_length
+        reference_taps = (means.taps[reference_idx, 0] + shift) % PRACH.preamble_length
+        assert np.all((means.profile[idx, taps] != 0) == (shift == 0))
+        result = stats.ks_2samp(power[np.arange(n), taps],
+                                reference[np.arange(n), reference_taps])
+        assert result.pvalue > 0.01, f"tap +{shift}: {result}"
+
+
+@pytest.mark.parametrize("name", sorted(MEANS))
+def test_rebuilt_row_power_equals_kernel_power(name, monkeypatch):
+    # A transmission that is stepped goes back to a complex profile; its
+    # tap powers are the ones judged: in the kernel's chunks, and in the
+    # polar draw with every tap gathered.
+    channel = means_channel(name)
+    rng = np.random.default_rng(81)
+    idx = rng.integers(len(channel[0]), size=127)
+    chunks = [(power, of) for _, of, power, _ in
+              judged_with_powers(monkeypatch, channel, MEANS_DET, rng, idx)]
+    chunks += [(power, of) for _, power, of in polar_chunks(channel, rng, 254, chunk=127)]
+    for power, profile_of in chunks:
+        rebuilt = np.array([profile_of(j) for j in range(len(power))])
+        np.testing.assert_allclose(np.abs(rebuilt) ** 2, power, rtol=1e-12)
+
+
+@pytest.mark.parametrize("roots", [(1,), (1, 2, 5)])
+def test_round_off_rule_zeroes_all_but_the_own_tap(roots):
+    # Shipped preset: one nonzero tap per signature, the rest round-off
+    # (about 6e-14 against a peak of 11.79) set to 0.
+    det = DetectorConfig(roots=roots)
+    spectrum = JammerConfig(kind="S1", snr_db=-6.0)
+    _, _, _, means = _bins(
+        PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det, 1.0
+    )
+    assert (means.profile == 0).sum(axis=-1).tolist() == [138] * len(means.profile)
+    np.testing.assert_array_equal(means.magnitude, np.abs(means.profile))
+    assert means.taps.shape == (len(means.profile), 1)
+    for name in ("s1_literal", "delay_and_gains"):
+        means = means_channel(name)[3]
+        assert not np.any(means.profile == 0), name
+        assert means.taps is None
+
+
+def test_gathered_taps_only_save_work():
+    # The polar draw computes the mean's term on the gathered taps only;
+    # gathering every tap gives the same floats, where the mean is zero too.
+    _, _, chan, means = means_channel("S1")
+    length = means.profile.shape[-1]
+    every = means._replace(taps=np.tile(np.arange(length), (len(means.profile), 1)))
+    idx = np.random.default_rng(91).integers(len(means.profile), size=300)
+    few, _ = _polar_powers(chan.std, means, np.random.default_rng(92), idx)
+    all_taps, _ = _polar_powers(chan.std, every, np.random.default_rng(92), idx)
+    np.testing.assert_array_equal(few, all_taps)
+
+
+def test_first_transmission_is_a_complex_row(monkeypatch):
+    # The first transmission reads 2 * L standard normals, as chan.draw;
+    # the next ones read 2 * L uniforms each.
+    channel = means_channel("S1")
+    _, sig_array, chan, means = channel
+    idx = np.random.default_rng(93).integers(len(sig_array), size=5)
+    chunks = judged_with_powers(monkeypatch, channel, MEANS_DET, np.random.default_rng(94), idx)
+    rng = np.random.default_rng(94)
+    first = chan.draw(rng, means.profile[idx[:1]], 1)
+    np.testing.assert_array_equal(chunks[0][1](0), first[0])
+    power, _ = _polar_powers(chan.std, means, rng, idx[1:])
+    np.testing.assert_array_equal(chunks[1][2], power)

@@ -258,8 +258,8 @@ class TestIntervals:
         )
         records, _ = run_campaign(cfg)
         sends = _schedule(cfg.prach, cfg.cell, 400.0, 2300.0)
-        # Under the default cap the 19 sends are judged in chunks of 1, 2, 4, 8, 4.
-        chunk_ends = np.cumsum([1, 2, 4, 8, 4])
+        # Under the default cap the 19 sends are judged in chunks of 1, 4, 14.
+        chunk_ends = np.cumsum([1, 4, 14])
         assert len(sends) == chunk_ends[-1]
         monkeypatch.setattr(prachjam.campaign, "_MAX_CHUNK", 1 if cap == "one" else len(sends))
         capped, _ = run_campaign(cfg)
@@ -380,6 +380,18 @@ class TestIntervals:
         serial, _ = run_campaign(cfg, threads=1)
         parallel, _ = run_campaign(cfg, threads=2)
         assert serial == parallel
+
+    def test_zero_threads_counts_the_cpus_the_process_may_use(self, monkeypatch):
+        # Pinned to one CPU, "all cores" is one worker: no process pool.
+        monkeypatch.setattr(prachjam.campaign.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(prachjam.campaign, "ProcessPoolExecutor", no_pool)
+        cfg = make_config(n_intervals=2, interval_duration=1.0)
+        assert run_campaign(cfg, threads=0)[0] == run_campaign(cfg, threads=1)[0]
 
     def test_unjammed_success_within_two_retry_periods(self):
         # At per-bin SNR >= 0 dB the first or second attempt succeeds in

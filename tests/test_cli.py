@@ -57,6 +57,23 @@ class TestZc:
     def test_invalid_root_fails(self, capsys):
         assert main(["zc", "--set", "root=0"]) == 2
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("root=[1]", "zc.root must be an int, got [1]"),
+            ("root=1.7", "zc.root must be an int, got 1.7"),
+            ("length=true", "zc.length must be an int, got True"),
+            ("shift=2.0", "zc.shift must be an int, got 2.0"),
+            ("xcorr_root=two", "zc.xcorr_root must be an int or null, got 'two'"),
+            ('normalize="no"', "zc.normalize must be a bool, got 'no'"),
+            ("normalize=1", "zc.normalize must be a bool, got 1"),
+            ("rot=1", "unknown field 'rot' in zc"),
+        ],
+    )
+    def test_bad_parameter_exits_one(self, override, message, capsys):
+        assert main(["zc", "--set", override]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+
 
 class TestOccupancy:
     def test_prints_ratio(self, capsys, tmp_path):

@@ -24,10 +24,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import Any, NamedTuple
 
@@ -46,8 +47,6 @@ from .prach import (
     PrachOccasion,
     PRESETS,
     jammer_resource_budget,
-    load_cell_config,
-    load_prach_config,
     load_record,
     occasion_time_ms,
     occasions_between,
@@ -147,6 +146,18 @@ class CampaignConfig:
             )
         if self.prach.preamble_length > self.cell.dft_size:
             raise ConfigError("preamble does not fit the cell's grid")
+        length, roots = self.prach.preamble_length, self.detector.roots
+        if len(set(roots)) < len(roots) or any(
+            not 1 <= r < length or math.gcd(r, length) != 1 for r in roots
+        ):
+            raise ConfigError(
+                f"detector.roots must be distinct roots in [1, {length}) coprime "
+                f"with the preamble length {length}, got {list(roots)}"
+            )
+        if self.detector.shift_step > length:
+            raise ConfigError(
+                f"detector.shift_step must be at most the preamble length {length}"
+            )
 
 
 @dataclass(frozen=True)
@@ -249,8 +260,7 @@ def _schedule(prach: PrachConfig, cell: CellConfig, first_ms: float, off_ms: flo
     ue, sends = make_ue(0, first_ms), []
     offer = PreambleTx(signature=(0, 0), occasion_key=(0, 0, 0))
     for t, occ in occasions_between(prach, cell, first_ms, off_ms):
-        ue, tx = ue_step(ue, t, [], offer)
-        if tx is not None:
+        if ue_step(ue, t, [], offer) is not None:
             sends.append((t, occ))
     return tuple(sends)
 
@@ -415,7 +425,7 @@ def run_interval(
             if hits[j]:
                 break
         k = start + j
-        ue = replace(ue, preambles_sent=k, retry_timer_ms=first_ms + k * RETRY_PERIOD_MS)
+        ue.preambles_sent, ue.retry_timer_ms = k, first_ms + k * RETRY_PERIOD_MS
         steps, transmissions = sends[k : k + 1], iter([(profile_of(j), hits[j])])
 
     ctx = GnbRaContext()
@@ -427,7 +437,7 @@ def run_interval(
             n, prev_state = ue.preambles_sent, ue.state
             key = (occ.sfn, occ.slot, occ.occasion_index)
             offer = PreambleTx(signatures[sig_idx[n]], key) if n < len(sends) else None
-            ue, tx = ue_step(ue, t, [], offer)
+            tx = ue_step(ue, t, [], offer)
             if ue.state is not prev_state:
                 log_event(t, ue)
         if tx is not None:
@@ -444,12 +454,11 @@ def run_interval(
             detected += int(hit)
         if collector is not None:
             collector.detection(index, occ, result, None if tx is None else tx.signature)
-        ctx, rars = gnb_step(ctx, result, [])
-        ue, msg3 = ue_step(ue, t, rars) if active and rars else (ue, None)
+        rars = gnb_step(ctx, result, [])
+        msg3 = ue_step(ue, t, rars) if active and rars else None
         if isinstance(msg3, Msg3):
             log_event(t, ue)
-            ctx, msg4s = gnb_step(ctx, None, [msg3])
-            ue, _ = ue_step(ue, t, msg4s)
+            ue_step(ue, t, gnb_step(ctx, None, [msg3]))
             log_event(t, ue)
             if ue.state is UeState.CONNECTED:
                 success_ms = t
@@ -635,8 +644,8 @@ def load_campaign_config(data: dict[str, Any]) -> CampaignConfig:
             raise ConfigError(f"unknown preset {preset!r} (available: {sorted(PRESETS)})")
         prach_cfg, cell = PRESETS[preset]
     elif "prach" in top and "cell" in top:
-        prach_cfg = load_prach_config(top.pop("prach"))
-        cell = load_cell_config(top.pop("cell"))
+        prach_cfg = load_record(PrachConfig, top.pop("prach"), "prach")
+        cell = load_record(CellConfig, top.pop("cell"), "cell")
     else:
         raise ConfigError("either a preset or prach and cell sections are required")
 

@@ -13,6 +13,7 @@ jamming raises the decision threshold along with the interference.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -74,19 +75,15 @@ class DetectionResult:
         return any((d.root, d.signature) == signature for d in self.detected)
 
 
-_REFERENCE_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_WINDOW_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+# Both caches hand the same array to every caller, so it is read-only.
+@functools.cache
 def _reference_spectrum(root: int, length: int) -> np.ndarray:
-    key = (root, length)
-    ref = _REFERENCE_CACHE.get(key)
-    if ref is None:
-        ref = np.conj(np.fft.fft(generate_zc(root, length).samples))
-        _REFERENCE_CACHE[key] = ref
+    ref = np.conj(np.fft.fft(generate_zc(root, length).samples))
+    ref.setflags(write=False)
     return ref
 
 
+@functools.cache
 def _window_indices(length: int, step: int) -> np.ndarray:
     """Profile taps of each signature window, shape (n_windows, step).
 
@@ -94,13 +91,9 @@ def _window_indices(length: int, step: int) -> np.ndarray:
     window ``w`` starts there and runs forward, where time delay pushes the
     peak. Leftover taps (length mod step) sit above window 0 as a guard.
     """
-    key = (length, step)
-    idx = _WINDOW_CACHE.get(key)
-    if idx is None:
-        n_windows = length // step
-        anchors = (-step * np.arange(n_windows)) % length
-        idx = (anchors[:, None] + np.arange(step)[None, :]) % length
-        _WINDOW_CACHE[key] = idx
+    anchors = (-step * np.arange(length // step)) % length
+    idx = (anchors[:, None] + np.arange(step)[None, :]) % length
+    idx.setflags(write=False)
     return idx
 
 

@@ -29,8 +29,6 @@ __all__ = [
     "occupancy_factors",
     "jammer_resource_budget",
     "load_record",
-    "load_prach_config",
-    "load_cell_config",
     "PRESETS",
 ]
 
@@ -336,16 +334,6 @@ def load_record(cls, data: dict[str, Any], section: str, **given):
         return cls(**given)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
-
-
-def load_prach_config(data: dict[str, Any]) -> PrachConfig:
-    """Build a PrachConfig from a JSON object (see ``load_record``)."""
-    return load_record(PrachConfig, data, "prach")
-
-
-def load_cell_config(data: dict[str, Any]) -> CellConfig:
-    """Build a CellConfig from a JSON object (see ``load_record``)."""
-    return load_record(CellConfig, data, "cell")
 
 
 # --- Named presets -----------------------------------------------------------

@@ -1,16 +1,19 @@
 """4-step contention-based random-access state machines.
 
-One UE machine and one gNB context. The campaign drives them on a virtual
-clock: ``ue_step`` must be invoked at every PRACH occasion instant the UE
-is active, with the preamble it would send there, plus whenever downlink
-events are delivered. The caller draws the preamble's signature, so the
-machine itself holds no random state. Msg2..Msg4 are delivered reliably;
-only the preamble (Msg1) crosses the jammed channel.
+One UE machine and one gNB context, both stepped in place. The campaign
+drives them on a virtual clock: ``ue_step`` must be invoked at every PRACH
+occasion instant the UE is active, with the preamble it would send there,
+plus whenever downlink events are delivered; it updates the UE and returns
+only the uplink. The caller draws the preamble's signature, so the machine
+itself holds no random state. The UE keeps the preamble of its current
+attempt, and a RAR answers it when it names that same preamble. Msg2..Msg4
+are delivered reliably; only the preamble (Msg1) crosses the jammed
+channel.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace, field as dc_field
+from dataclasses import dataclass, field as dc_field
 from typing import Any
 
 from .detector import DetectionResult
@@ -46,10 +49,15 @@ OccasionKey = tuple[int, int, int]  # (sfn, slot, occasion index)
 
 
 @dataclass(frozen=True)
-class RarEvent:
+class PreambleTx:
     signature: Signature
-    tid: int
     occasion_key: OccasionKey
+
+
+@dataclass(frozen=True)
+class RarEvent:
+    preamble: PreambleTx  # the detected signature in its occasion
+    tid: int
 
 
 @dataclass(frozen=True)
@@ -59,25 +67,18 @@ class Msg4Event:
 
 
 @dataclass(frozen=True)
-class PreambleTx:
-    signature: Signature
-    occasion_key: OccasionKey
-
-
-@dataclass(frozen=True)
 class Msg3:
     tid: int
     unique_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UeRaState:
     state: UeState
     unique_id: int
     retry_timer_ms: float  # next scheduled transmit instant
     preambles_sent: int = 0
-    chosen_signature: Signature | None = None
-    tx_occasion: OccasionKey | None = None
+    attempt: PreambleTx | None = None  # the preamble awaiting its RAR or Msg4
     tx_deadline_ms: float | None = None  # RAR window end
     pending_tid: int | None = None
 
@@ -86,15 +87,9 @@ def make_ue(unique_id: int, first_attempt_ms: float) -> UeRaState:
     return UeRaState(state=UeState.IDLE, unique_id=unique_id, retry_timer_ms=first_attempt_ms)
 
 
-def _clear_attempt(ue: UeRaState) -> UeRaState:
-    return replace(
-        ue,
-        state=UeState.IDLE,
-        chosen_signature=None,
-        tx_occasion=None,
-        tx_deadline_ms=None,
-        pending_tid=None,
-    )
+def _end_attempt(ue: UeRaState, state: UeState) -> None:
+    ue.state = state
+    ue.attempt = ue.tx_deadline_ms = ue.pending_tid = None
 
 
 def ue_step(
@@ -102,8 +97,8 @@ def ue_step(
     now: float,
     events: list[Any],
     offer: PreambleTx | None = None,
-) -> tuple[UeRaState, PreambleTx | Msg3 | None]:
-    """Advance one UE by one instant; returns the new state and any uplink.
+) -> PreambleTx | Msg3 | None:
+    """Advance one UE by one instant, in place; returns any uplink.
 
     ``offer`` is the preamble the UE would send in a PRACH occasion
     starting at ``now``: the caller draws its signature (uniformly, for a
@@ -115,35 +110,18 @@ def ue_step(
 
     for ev in events:
         if isinstance(ev, RarEvent):
-            if (
-                ue.state is UeState.WAIT_RAR
-                and ev.signature == ue.chosen_signature
-                and ev.occasion_key == ue.tx_occasion
-            ):
-                ue = replace(ue, state=UeState.WAIT_MSG4, pending_tid=ev.tid)
-                action = Msg3(tid=ev.tid, unique_id=ue.unique_id)
             # RARs for other signatures/occasions are normal traffic.
+            if ue.state is UeState.WAIT_RAR and ev.preamble == ue.attempt:
+                ue.state, ue.pending_tid = UeState.WAIT_MSG4, ev.tid
+                action = Msg3(tid=ev.tid, unique_id=ue.unique_id)
         elif isinstance(ev, Msg4Event):
             if ue.state is UeState.WAIT_MSG4 and ev.tid == ue.pending_tid:
-                if ev.winner_id == ue.unique_id:
-                    ue = replace(
-                        ue,
-                        state=UeState.CONNECTED,
-                        chosen_signature=None,
-                        tx_occasion=None,
-                        tx_deadline_ms=None,
-                        pending_tid=None,
-                    )
-                else:
-                    # Contention lost: repeat the whole procedure.
-                    ue = _clear_attempt(ue)
+                # A lost contention repeats the whole procedure.
+                won = ev.winner_id == ue.unique_id
+                _end_attempt(ue, UeState.CONNECTED if won else UeState.IDLE)
 
-    if (
-        ue.state is UeState.WAIT_RAR
-        and ue.tx_deadline_ms is not None
-        and now >= ue.tx_deadline_ms
-    ):
-        ue = _clear_attempt(ue)
+    if ue.state is UeState.WAIT_RAR and now >= ue.tx_deadline_ms:
+        _end_attempt(ue, UeState.IDLE)
 
     if (
         ue.state is UeState.IDLE
@@ -151,18 +129,13 @@ def ue_step(
         and now >= ue.retry_timer_ms
         and action is None
     ):
-        ue = replace(
-            ue,
-            state=UeState.WAIT_RAR,
-            chosen_signature=offer.signature,
-            tx_occasion=offer.occasion_key,
-            tx_deadline_ms=now + RAR_WINDOW_MS,
-            preambles_sent=ue.preambles_sent + 1,
-            retry_timer_ms=ue.retry_timer_ms + RETRY_PERIOD_MS,
-        )
+        ue.state, ue.attempt = UeState.WAIT_RAR, offer
+        ue.tx_deadline_ms = now + RAR_WINDOW_MS
+        ue.preambles_sent += 1
+        ue.retry_timer_ms += RETRY_PERIOD_MS
         action = offer
 
-    return ue, action
+    return action
 
 
 @dataclass
@@ -175,8 +148,9 @@ def gnb_step(
     ctx: GnbRaContext,
     detections: DetectionResult | None,
     msg3s: list[Msg3],
-) -> tuple[GnbRaContext, list[Any]]:
-    """Advance the gNB: answer detections with RARs, resolve Msg3 contention.
+) -> list[Any]:
+    """Advance the gNB in place: answer detections with RARs, resolve Msg3
+    contention; returns the downlink events.
 
     One temporary identifier is allocated per detected signature per
     occasion. When several Msg3s arrive under one identifier the winner is
@@ -185,12 +159,11 @@ def gnb_step(
     """
     events: list[Any] = []
     if detections is not None:
-        key = _occasion_key(detections)
+        occ = detections.occasion
+        key = (-1, -1, -1) if occ is None else (occ.sfn, occ.slot, occ.occasion_index)
         for det in detections.detected:
-            signature = (det.root, det.signature)
-            tid = ctx.next_tid
+            events.append(RarEvent(PreambleTx((det.root, det.signature), key), ctx.next_tid))
             ctx.next_tid += 1
-            events.append(RarEvent(signature=signature, tid=tid, occasion_key=key))
     if msg3s:
         by_tid: dict[int, list[int]] = {}
         for msg in sorted(msg3s, key=lambda m: m.unique_id):
@@ -200,11 +173,4 @@ def gnb_step(
                 # First-received wins; ties within one call go to the lowest id.
                 ctx.resolved_tids.add(tid)
                 events.append(Msg4Event(tid=tid, winner_id=ids[0]))
-    return ctx, events
-
-
-def _occasion_key(detections: DetectionResult) -> OccasionKey:
-    occ = detections.occasion
-    if occ is None:
-        return (-1, -1, -1)
-    return (occ.sfn, occ.slot, occ.occasion_index)
+    return events

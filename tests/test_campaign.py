@@ -2,7 +2,7 @@
 import copy
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -461,7 +461,7 @@ class TestSchedule:
                 t = occasion_time_ms(occ, cell)
                 if ue_on <= t < ue_off:
                     key = (occ.sfn, occ.slot, occ.occasion_index)
-                    ue, action = ue_step(ue, t, [], PreambleTx((1, 0), key))
+                    action = ue_step(ue, t, [], PreambleTx((1, 0), key))
                     if isinstance(action, PreambleTx):
                         sent.append((t, action.occasion_key))
         schedule = _schedule(prach, cell, first_ms, ue_off)
@@ -548,6 +548,21 @@ class TestConfigLoading:
         doc = self.base_doc()
         doc["preset"] = "nope"
         with pytest.raises(ConfigError, match="unknown preset"):
+            load_campaign_config(doc)
+
+    def test_explicit_sections_load_like_the_preset(self):
+        doc = self.base_doc()
+        del doc["preset"]
+        # Through JSON, as a file holds them: asdict keeps tuples, JSON has lists.
+        doc.update(json.loads(json.dumps({"prach": asdict(PRACH), "cell": asdict(CELL)})))
+        explicit, preset = load_campaign_config(doc), load_campaign_config(self.base_doc())
+        assert explicit == preset
+        assert run_campaign(explicit)[0] == run_campaign(preset)[0]
+
+    def test_preset_or_sections_required(self):
+        doc = self.base_doc()
+        del doc["preset"]
+        with pytest.raises(ConfigError, match="either a preset or prach and cell sections"):
             load_campaign_config(doc)
 
     @pytest.mark.parametrize(

@@ -2,10 +2,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from prachjam.campaign import interval_seed
 from prachjam.cli import main
+from prachjam.zc import generate_zc
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -54,6 +56,13 @@ class TestZc:
         mags = [float(line.split(",")[3]) for line in lines[1:]]
         assert all(m == pytest.approx(1 / 139**0.5, abs=1e-9) for m in mags)
 
+    def test_shifted_sequence_csv(self, capsys):
+        assert main(["zc", "--set", "root=1", "--set", "shift=13"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        values = np.array([complex(float(real), float(imag)) for _, real, imag, _ in rows])
+        expected = np.roll(generate_zc(1, 139).samples, -13)
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-11)
+
     def test_invalid_root_fails(self, capsys):
         assert main(["zc", "--set", "root=0"]) == 2
 
@@ -99,9 +108,14 @@ class TestOccupancy:
             ('spectrum.enabled="false"', "spectrum.enabled must be a bool"),
             ("detector.roots=5", "detector.roots must be a list of ints"),
             ("interval_duration=NaN", "campaign.interval_duration must be a finite number"),
+            ("detector.roots=[0]", "detector.roots must be distinct roots in [1, 139)"),
+            ("detector.roots=[139]", "detector.roots must be distinct roots in [1, 139)"),
+            ("detector.roots=[1,1]", "detector.roots must be distinct roots in [1, 139)"),
+            ("detector.shift_step=200", "detector.shift_step must be at most"),
         ],
         ids=["spectrum", "n_intervals-str", "n_intervals-float", "n_intervals-bool",
-             "enabled-str", "roots-int", "interval_duration-nan"],
+             "enabled-str", "roots-int", "interval_duration-nan", "roots-zero",
+             "roots-length", "roots-twice", "shift_step-long"],
     )
     def test_wrong_value_exits_one(self, capsys, override, message):
         argv = ["occupancy", "--config", str(CONFIGS / "quick.json"), "--set", override]
@@ -220,6 +234,16 @@ class TestMetricsRoundTrip:
         assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 0
         recomputed = summary_without_timestamp(out / "summary.json")
         assert original == recomputed
+
+    def test_blank_lines_in_records_are_skipped(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        original = summary_without_timestamp(out / "summary.json")
+        lines = (out / "records.jsonl").read_text().splitlines(keepends=True)
+        (out / "records.jsonl").write_text("".join([lines[0], "\n", *lines[1:], "  \n"]))
+        assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 0
+        assert summary_without_timestamp(out / "summary.json") == original
 
     def test_missing_records_exit_one(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
@@ -356,17 +380,24 @@ class TestCalibrate:
         assert err.startswith("config error: target_far must be a number, got ")
 
 
+SHIPPED = [path.name for path in sorted(CONFIGS.glob("*.json"))]
+
+
 class TestShippedConfigs:
-    @pytest.mark.parametrize(
-        "name",
-        ["reference_60s.json", "s1_60s.json", "s2_60s.json", "s1_600s.json", "quick.json"],
-    )
+    @pytest.mark.parametrize("name", SHIPPED)
     def test_configs_parse(self, name):
         from prachjam.campaign import load_campaign_config
 
         doc = json.loads((CONFIGS / name).read_text())
         cfg = load_campaign_config(doc)
         assert cfg.n_intervals >= 1
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_configs_run(self, name, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["simulate", "--config", str(CONFIGS / name), "--out", str(out)]
+        assert main(argv + ["--set", "n_intervals=2"]) == 0
+        assert len((out / "records.jsonl").read_text().splitlines()) == 2
 
     def test_quick_config_runs(self, tmp_path, capsys):
         out = tmp_path / "quick"

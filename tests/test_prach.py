@@ -12,8 +12,7 @@ from prachjam.prach import (
     PRESETS,
     is_prach_frame,
     jammer_resource_budget,
-    load_cell_config,
-    load_prach_config,
+    load_record,
     occasions_in_frame,
     occupancy_factors,
     occupancy_ratio,
@@ -244,19 +243,19 @@ class TestConfigValidation:
 class TestJsonLoading:
     def test_round_trip(self):
         data = dataclasses.asdict(PRACH)
-        assert load_prach_config(data) == PRACH
+        assert load_record(PrachConfig, data, "prach") == PRACH
         cell_data = dataclasses.asdict(CELL)
         cell_data["prach_root_indices"] = list(cell_data["prach_root_indices"])
-        assert load_cell_config(cell_data) == CELL
+        assert load_record(CellConfig, cell_data, "cell") == CELL
 
     def test_unknown_field_rejected(self):
         data = dataclasses.asdict(PRACH)
         data["bogus"] = 1
         with pytest.raises(ConfigError, match="unknown field 'bogus'"):
-            load_prach_config(data)
+            load_record(PrachConfig, data, "prach")
 
     def test_missing_field_rejected(self):
         data = dataclasses.asdict(PRACH)
         del data["start_symbol"]
         with pytest.raises(ConfigError, match="missing field 'start_symbol'"):
-            load_prach_config(data)
+            load_record(PrachConfig, data, "prach")

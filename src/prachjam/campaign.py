@@ -9,13 +9,13 @@ fixed schedule (``ue_step`` stepped with no RAR), so the campaign draws
 the signatures of all its transmissions at once and judges them in
 batches with no transform, on the tap powers of their delay profiles:
 white bins times the constant-modulus ZC reference stay white, with the
-same variance, so each tap is its mean plus complex normal noise, drawn
-as an exponential power and a uniform phase. The phase matters only on
-the few taps where the mean is not zero. The first transmission, the one
+same variance, so each tap is its mean plus complex normal noise: an
+exponential power, and a uniform phase that is drawn with it only on the
+few taps where the mean is not zero. The first transmission, the one
 stepped when the UE is heard at once, is drawn as a complex row instead.
-Every occasion that is simulated
-runs one loop body: the UE steps, a sent transmission is rebuilt as a
-complex profile and goes back to bins, ``detect_preambles`` must agree
+Every occasion that is simulated runs one loop body: the UE steps, a sent
+transmission is rebuilt as a complex profile (its other phases from its
+occasion's stream) and goes back to bins, ``detect_preambles`` must agree
 with the batch verdict, and the RA machines answer. A record run steps
 only the transmission that decides; a logged run steps every occasion.
 """
@@ -88,7 +88,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 SEEDING_RULE = (
-    "v5: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
+    "v6: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
     "data=pack('<QQ', base_seed, i)); interval stream = numpy.random.default_rng("
     "interval_seed(i)), drawing the validity flag (random()), then the signatures "
     "of all K scheduled preambles (integers(n_signatures, size=K)), then per "
@@ -97,14 +97,16 @@ SEEDING_RULE = (
     "the variance of the bins, mu the UE's mean profile with its taps below 1e-12 of "
     "its peak set to 0: for the first preamble, and for every preamble if one of the "
     "UE's mean profiles has nonzero taps on L/2 of its taps or more, 2*L standard "
-    "normals, the interleaved (re, im) parts of the noise; for each other one 2*L "
-    "uniforms u (random()), L for E = -log(1 - u) and L phase fractions F, tap n "
-    "being mu[n] + sqrt(2 * std**2 * E[n]) * exp(1j * (angle(mu[n]) + 2 * pi * F[n])), "
-    "std the deviation per part of the jammer and noise; the kernel judges the tap "
-    "powers, and the transmission that decides goes back to bins as fft(profile) / "
-    "conj(fft(zc(root))); a logged run draws the bins of an occasion without a "
-    "preamble from numpy.random.default_rng(numpy.random.SeedSequence("
-    "interval_seed(i), spawn_key=(sfn, slot, occasion_index)))"
+    "normals, the interleaved (re, im) parts of the noise; for each other one L + w "
+    "uniforms u (random()), L for E = -log(1 - u), then w phase fractions F for its "
+    "nonzero taps of mu in tap order, padded with its first zero taps to w, the most "
+    "of any mean profile, tap n being mu[n] + sqrt(2 * std**2 * E[n]) * exp(1j * ("
+    "angle(mu[n]) + 2 * pi * F[n])), std the deviation per part of the jammer and "
+    "noise; the kernel judges the tap powers, and a stepped preamble goes back to "
+    "bins as fft(profile) / conj(fft(zc(root))), a polar one taking F at its other "
+    "taps from random(L) of its occasion's stream numpy.random.default_rng(numpy."
+    "random.SeedSequence(interval_seed(i), spawn_key=(sfn, slot, occasion_index))), "
+    "which a logged run also draws the bins of an occasion without a preamble from"
 )
 
 
@@ -214,6 +216,7 @@ class LogCollector:
             {
                 "interval": interval,
                 "sfn": occ.sfn,
+                "slot": occ.slot,
                 "occasion_index": occ.occasion_index,
                 "transmitted_signature": transmitted,
                 "detections": [
@@ -278,8 +281,8 @@ class _Means(NamedTuple):
     profile: np.ndarray  # (n, L) complex
     magnitude: np.ndarray  # (n, L) abs(profile)
     phase: np.ndarray  # (n, L) angle(profile), 0 where the profile is
-    # (n, width) the nonzero taps of each row, padded by repeating its own;
-    # None when some row has nonzero taps on half its length or more
+    # (n, width) the nonzero taps of each row, padded with its first zero
+    # taps; None when some row has nonzero taps on half its length or more
     taps: np.ndarray | None
 
 
@@ -302,11 +305,11 @@ def _bins(prach, cell, spectrum, channel, det, amplitude):
     magnitude = np.abs(profiles)
     round_off = magnitude < _ROUND_OFF * magnitude.max(axis=-1, keepdims=True)
     profiles[round_off] = magnitude[round_off] = 0.0
-    taps = [np.flatnonzero(p) for p in profiles]
-    width = max(map(len, taps))
-    # Polar draws pay only where the nonzero taps are few (see _judged).
+    width = int(np.count_nonzero(profiles, axis=-1).max())
+    # Polar draws pay only where the nonzero taps are few (see _judged). A
+    # stable sort puts each row's nonzero taps first, in order.
     if 2 * width < length:
-        taps = np.array([np.resize(t if len(t) else [0], width) for t in taps], dtype=np.intp)
+        taps = np.argsort(profiles == 0, axis=-1, kind="stable")[:, :width]
     else:
         taps = None
     means = _Means(profiles, magnitude, np.angle(profiles), taps)
@@ -323,9 +326,9 @@ _MAX_CHUNK = 64
 
 def _judged(chan, means, sig_array, det_cfg, rng, sig_idx):
     """The UE's transmissions in chunks ``(start, profile_of, hits)``: the
-    first transmission's index, ``profile_of(j)``, the complex delay profile
-    of the chunk's row ``j``, and whether each row's own signature is
-    detected.
+    first transmission's index, ``profile_of(j, phases)``, the complex delay
+    profile of the chunk's row ``j`` (see ``_polar_powers`` for ``phases``),
+    and whether each row's own signature is detected.
 
     Transmissions are drawn in polar form (``_polar_powers``) and judged
     on their tap powers, with two exceptions drawn as complex rows
@@ -340,7 +343,7 @@ def _judged(chan, means, sig_array, det_cfg, rng, sig_idx):
         idx = sig_idx[start : start + size]
         if start == 0 or means.taps is None:
             rows = chan.draw(rng, means.profile[idx], len(idx))
-            power, profile_of = np.abs(rows) ** 2, rows.__getitem__
+            power, profile_of = np.abs(rows) ** 2, lambda j, phases, rows=rows: rows[j]
         else:
             power, profile_of = _polar_powers(chan.std, means, rng, idx)
         yield start, profile_of, signatures_detected(power, sig_array[idx, 1], det_cfg)
@@ -350,30 +353,35 @@ def _judged(chan, means, sig_array, det_cfg, rng, sig_idx):
 
 def _polar_powers(std, means, rng, idx):
     """The tap powers ``(rows, L)`` of transmissions of the signatures
-    ``idx``, and the function giving row ``j``'s complex delay profile.
+    ``idx``, and the function ``profile_of(j, phases)`` giving row ``j``'s
+    complex delay profile.
 
     A tap's noise is complex normal with standard deviation ``std`` per
     part, drawn in polar form: power ``P = 2 * std**2 * E`` with
     ``E = -log(1 - u)`` standard exponential, and a uniform phase
     ``2 * pi * F`` measured from the mean's. The tap's power is then
     ``P + |mu| * (|mu| + 2 * sqrt(P) * cos(2 * pi * F))``, which is ``P``
-    where the mean ``mu`` is zero: only the taps ``means.taps`` need it.
+    where the mean ``mu`` is zero: a row reads L + w uniforms, ``E`` and
+    then ``F`` at its w taps ``means.taps[i]``. Only a rebuilt row draws its
+    other ``F``, as ``phases().random(L)``: ``phases`` builds a generator.
     """
-    draws = rng.random((len(idx), 2, means.profile.shape[-1]))
-    noise, turns = draws[:, 0], draws[:, 1]
-    np.subtract(1.0, noise, out=noise)
-    np.log(noise, out=noise)
-    noise *= -2 * std**2
-    power = noise.copy()
-    cols = means.taps[idx]
+    length, cols = means.profile.shape[-1], means.taps[idx]
+    draws = rng.random((len(idx), length + cols.shape[-1]))
+    turns = draws[:, length:].copy()
+    # Transformed whole, the contiguous draw is faster than its E columns.
+    np.subtract(1.0, draws, out=draws)
+    np.log(draws, out=draws)
+    draws *= -2 * std**2
+    power = draws[:, :length]
     at, mean = (np.arange(len(idx))[:, None], cols), means.magnitude[idx[:, None], cols]
-    tap = noise[at]
-    power[at] = tap + mean * (mean + 2 * np.sqrt(tap) * np.cos(2 * np.pi * turns[at]))
+    tap = power[at]
+    power[at] = tap + mean * (mean + 2 * np.sqrt(tap) * np.cos(2 * np.pi * turns))
 
-    def profile_of(j):
-        i = idx[j]
-        phase = means.phase[i] + 2 * np.pi * turns[j]
-        return means.profile[i] + np.sqrt(noise[j]) * np.exp(1j * phase)
+    def profile_of(j, phases):
+        i, noise, turn = idx[j], power[j].copy(), phases().random(length)
+        noise[cols[j]], turn[cols[j]] = tap[j], turns[j]
+        phase = means.phase[i] + 2 * np.pi * turn
+        return means.profile[i] + np.sqrt(noise) * np.exp(1j * phase)
 
     return power, profile_of
 
@@ -411,10 +419,8 @@ def run_interval(
 
     ue = make_ue(index + 1, first_ms)
     steps = ()
-    # A logged UE takes its (profile, verdict) pairs from the chunks one at a time.
-    transmissions = (
-        (profile_of(j), hit) for _, profile_of, hits in chunks for j, hit in enumerate(hits)
-    )
+    # A logged UE takes its (profile_of, row, verdict) from the chunks one at a time.
+    transmissions = ((of, j, hit) for _, of, hits in chunks for j, hit in enumerate(hits))
     if collector is not None:
         end_ms = ue_off + cfg.jammer_lag * 1000.0 if cfg.spectrum.enabled else ue_off
         steps = occasions_between(cfg.prach, cfg.cell, 0.0, end_ms)
@@ -426,7 +432,7 @@ def run_interval(
                 break
         k = start + j
         ue.preambles_sent, ue.retry_timer_ms = k, first_ms + k * RETRY_PERIOD_MS
-        steps, transmissions = sends[k : k + 1], iter([(profile_of(j), hits[j])])
+        steps, transmissions = sends[k : k + 1], iter([(profile_of, j, hits[j])])
 
     ctx = GnbRaContext()
     detected = 0
@@ -441,7 +447,8 @@ def run_interval(
             if ue.state is not prev_state:
                 log_event(t, ue)
         if tx is not None:
-            profile, hit = next(transmissions)
+            profile_of, j, hit = next(transmissions)
+            profile = profile_of(j, lambda: occasion_rng(seed, occ))  # built only if read
             row = profile_bins(profile, tx.signature[0])
         else:
             row = chan.draw(occasion_rng(seed, occ), chan.idle_mean, 1)[0]

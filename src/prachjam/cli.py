@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -133,6 +134,16 @@ class ZcRequest:
     shift: int = 0
     xcorr_root: int | None = None
     normalize: bool = True
+
+    def __post_init__(self) -> None:
+        n = self.length
+        if n % 2 == 0 or n < 3:
+            raise ConfigError(f"length must be odd and >= 3, got {n}")
+        for name, root in (("root", self.root), ("xcorr_root", self.xcorr_root)):
+            if root is not None and not (1 <= root < n and math.gcd(root, n) == 1):
+                raise ConfigError(f"{name} must be in [1, {n}) and coprime with {n}, got {root}")
+        if not 0 <= self.shift < n:
+            raise ConfigError(f"shift must be in [0, {n}), got {self.shift}")
 
 
 def _cmd_zc(args) -> int:

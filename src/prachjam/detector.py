@@ -112,18 +112,23 @@ def profile_bins(profile: np.ndarray, root: int) -> np.ndarray:
     return np.fft.fft(profile) / _reference_spectrum(root, profile.shape[-1])
 
 
+def _floor_and_limit(power: np.ndarray, cfg: DetectorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The floor of delay-profile powers ``|profile|**2`` ``(..., L)`` (the
+    mean power with the profile peak excluded) and the power a window's
+    peak must exceed: ``threshold_factor`` times the guarded floor."""
+    peak = power.max(axis=-1)
+    floor = (power.sum(axis=-1) - peak) / (power.shape[-1] - 1)
+    return floor, cfg.threshold_factor * np.maximum(floor, peak * _FLOOR_GUARD)
+
+
 def _decide(power: np.ndarray, cfg: DetectorConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The detection rule on delay-profile powers ``|profile|**2`` ``(..., L)``.
+    """The detection rule on delay-profile powers ``(..., L)``.
 
     Returns the peak power of each signature window ``(..., W)``, the floor
-    (the mean power with the profile peak excluded) and which windows pass
-    ``threshold_factor`` times the guarded floor ``(..., W)``.
+    and which windows pass the limit (``_floor_and_limit``) ``(..., W)``.
     """
-    length = power.shape[-1]
-    peak = power.max(axis=-1)
-    floor = (power.sum(axis=-1) - peak) / (length - 1)
-    peaks = power[..., _window_indices(length, cfg.shift_step)].max(axis=-1)
-    limit = cfg.threshold_factor * np.maximum(floor, peak * _FLOOR_GUARD)
+    floor, limit = _floor_and_limit(power, cfg)
+    peaks = power[..., _window_indices(power.shape[-1], cfg.shift_step)].max(axis=-1)
     # Transposed, the windows broadcast against their row's limit, and a
     # single profile compares against a scalar.
     return peaks, floor, (peaks.T > limit).T
@@ -159,8 +164,11 @@ def signatures_detected(
 
     ``power`` has shape ``(M, L)``: the tap powers ``|profile|**2`` of each
     row's delay profile against the root of the signature it is judged for.
+    Only each row's own window is gathered.
     """
-    return _decide(power, cfg)[2][np.arange(len(power)), windows]
+    taps = _window_indices(power.shape[-1], cfg.shift_step)[windows]
+    peaks = power[np.arange(len(power))[:, None], taps].max(axis=-1)
+    return peaks > _floor_and_limit(power, cfg)[1]
 
 
 def calibrate_threshold(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import sys
 import types
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Any, get_type_hints
 
 from .errors import ConfigError
@@ -338,56 +338,27 @@ def load_record(cls, data: dict[str, Any], section: str, **given):
 
 # --- Named presets -----------------------------------------------------------
 
-def _index98_prach() -> PrachConfig:
-    # TS 38.211 configuration index 98: short preamble, format A2, PRACH in
-    # every odd frame, subframe 9, second slot at 30 kHz SCS, three
-    # four-symbol occasions starting at symbol 0.
-    return PrachConfig(
-        preamble_length=139,
-        prach_prbs=12,
-        freq_occasions=1,
-        freq_offset=0,
-        preamble_format="A2",
-        sfn_modulus=2,
-        sfn_remainder=1,
-        subframe_number=9,
-        slot_in_subframe=1,
-        start_symbol=0,
-        slots_per_subframe_with_prach=1,
-        occasions_per_slot=3,
-        duration_symbols=4,
-        prach_subframes_per_frame=1,
-    )
+# TS 38.211 configuration index 98: short preamble, format A2, PRACH in
+# every odd frame, subframe 9, second slot at 30 kHz SCS, three
+# four-symbol occasions starting at symbol 0.
+_INDEX98 = PrachConfig(
+    preamble_length=139, prach_prbs=12, freq_occasions=1, freq_offset=0,
+    preamble_format="A2", sfn_modulus=2, sfn_remainder=1, subframe_number=9,
+    slot_in_subframe=1, start_symbol=0, slots_per_subframe_with_prach=1,
+    occasions_per_slot=3, duration_symbols=4, prach_subframes_per_frame=1,
+)
 
-
-def _cell_40mhz_full() -> CellConfig:
-    # 40 MHz cell at 30 kHz SCS, full 106-PRB grid (61.44 Msps).
-    return CellConfig(
-        numerology=1,
-        cell_bandwidth=40e6,
-        n_prb=106,
-        dft_size=2048,
-        sample_rate=2048 * 30e3,
-        prach_root_indices=(1,),
-        shift_step=13,
-    )
-
-
-def _cell_40mhz_desk() -> CellConfig:
-    # Reduced-rate grid that models only the 12-PRB PRACH subband of the
-    # same 40 MHz cell; keeps campaigns cheap without changing per-bin math.
-    return CellConfig(
-        numerology=1,
-        cell_bandwidth=40e6,
-        n_prb=12,
-        dft_size=256,
-        sample_rate=256 * 30e3,
-        prach_root_indices=(1,),
-        shift_step=13,
-    )
-
+# 40 MHz cell at 30 kHz SCS, full 106-PRB grid (61.44 Msps).
+_CELL_40MHZ = CellConfig(
+    numerology=1, cell_bandwidth=40e6, n_prb=106, dft_size=2048,
+    sample_rate=2048 * 30e3, prach_root_indices=(1,), shift_step=13,
+)
 
 PRESETS: dict[str, tuple[PrachConfig, CellConfig]] = {
-    "index98_40mhz_full": (_index98_prach(), _cell_40mhz_full()),
-    "index98_40mhz_desk": (_index98_prach(), _cell_40mhz_desk()),
+    "index98_40mhz_full": (_INDEX98, _CELL_40MHZ),
+    # A reduced-rate grid that models only the 12-PRB PRACH subband of the
+    # same cell: campaigns stay cheap and the per-bin math is the same.
+    "index98_40mhz_desk": (
+        _INDEX98, replace(_CELL_40MHZ, n_prb=12, dft_size=256, sample_rate=256 * 30e3)
+    ),
 }

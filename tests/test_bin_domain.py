@@ -20,6 +20,7 @@ from prachjam.campaign import _bins, _judged, _polar_powers
 from prachjam.channel import ChannelConfig, superpose
 from prachjam.detector import (
     DetectorConfig,
+    _decide,
     delay_profile,
     detect_preambles,
     profile_bins,
@@ -150,7 +151,7 @@ def test_batched_kernel_decides_like_detect_preambles(roots, monkeypatch):
         for k, profile_of, _, hits in chunks:
             for j, hit in enumerate(hits):
                 root, window = signatures[idx[k + j]]
-                row = profile_bins(profile_of(j), root)
+                row = profile_bins(profile_of(j, phases(len(verdicts))), root)
                 assert detect_preambles(row, det).reports((root, window)) == hit
                 verdicts.append(hit)
     assert 40 < sum(verdicts) < 360
@@ -185,6 +186,12 @@ def missed_bin_rows(spectrum, det, n, seed):
         power = np.abs(profiles_of(rows, sig_array[idx, 0])) ** 2
         missed += int(np.sum(~signatures_detected(power, sig_array[idx, 1], det)))
     return missed
+
+
+def phases(key):
+    """A ``phases`` argument of ``profile_of``: the generator a rebuilt
+    polar row draws its zero-mean taps' phases from, keyed by ``key``."""
+    return lambda: np.random.default_rng([9, key])
 
 
 def two_proportion_z(count_a, n_a, count_b, n_b):
@@ -338,7 +345,7 @@ def test_rebuilt_row_power_equals_kernel_power(name, monkeypatch):
               judged_with_powers(monkeypatch, channel, MEANS_DET, rng, idx)]
     chunks += [(power, of) for _, power, of in polar_chunks(channel, rng, 254, chunk=127)]
     for power, profile_of in chunks:
-        rebuilt = np.array([profile_of(j) for j in range(len(power))])
+        rebuilt = np.array([profile_of(j, phases(j)) for j in range(len(power))])
         np.testing.assert_allclose(np.abs(rebuilt) ** 2, power, rtol=1e-12)
 
 
@@ -360,27 +367,90 @@ def test_round_off_rule_zeroes_all_but_the_own_tap(roots):
         assert means.taps is None
 
 
+class Drawn:
+    """A generator stand-in whose ``random(shape)`` returns ``values``."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, shape):
+        assert np.broadcast_shapes(shape) == self.values.shape
+        return self.values.copy()
+
+
 def test_gathered_taps_only_save_work():
-    # The polar draw computes the mean's term on the gathered taps only;
-    # gathering every tap gives the same floats, where the mean is zero too.
+    # The polar draw computes the mean's term on the gathered taps only.
+    # Gathering every tap, from the same exponentials and the same phase
+    # fractions at the gathered taps, gives the same floats, where the mean
+    # is zero too; and a rebuilt row whose other fractions come from
+    # ``phases`` is the same row.
     _, _, chan, means = means_channel("S1")
-    length = means.profile.shape[-1]
+    n, length = 300, means.profile.shape[-1]
     every = means._replace(taps=np.tile(np.arange(length), (len(means.profile), 1)))
-    idx = np.random.default_rng(91).integers(len(means.profile), size=300)
-    few, _ = _polar_powers(chan.std, means, np.random.default_rng(92), idx)
-    all_taps, _ = _polar_powers(chan.std, every, np.random.default_rng(92), idx)
+    rng = np.random.default_rng(91)
+    idx = rng.integers(len(means.profile), size=n)
+    exps, fractions = rng.random((n, length)), rng.random((n, length))
+    gathered = fractions[np.arange(n)[:, None], means.taps[idx]]
+    few, few_of = _polar_powers(chan.std, means, Drawn(np.hstack([exps, gathered])), idx)
+    all_taps, every_of = _polar_powers(chan.std, every, Drawn(np.hstack([exps, fractions])), idx)
     np.testing.assert_array_equal(few, all_taps)
+    for j in range(0, n, 7):
+        np.testing.assert_array_equal(
+            few_of(j, lambda: Drawn(fractions[j])), every_of(j, lambda: Drawn(fractions[j]))
+        )
 
 
 def test_first_transmission_is_a_complex_row(monkeypatch):
     # The first transmission reads 2 * L standard normals, as chan.draw;
-    # the next ones read 2 * L uniforms each.
+    # each next one reads L + 1 uniforms on this preset: L for its
+    # exponentials, then the phase fraction of its one nonzero tap.
     channel = means_channel("S1")
     _, sig_array, chan, means = channel
+    length = means.profile.shape[-1]
+    assert means.taps.shape == (len(sig_array), 1)
     idx = np.random.default_rng(93).integers(len(sig_array), size=5)
     chunks = judged_with_powers(monkeypatch, channel, MEANS_DET, np.random.default_rng(94), idx)
     rng = np.random.default_rng(94)
     first = chan.draw(rng, means.profile[idx[:1]], 1)
-    np.testing.assert_array_equal(chunks[0][1](0), first[0])
-    power, _ = _polar_powers(chan.std, means, rng, idx[1:])
+    np.testing.assert_array_equal(chunks[0][1](0, None), first[0])
+    u = rng.random((4, length + 1))
+    power = -2 * chan.std**2 * np.log(1.0 - u[:, :length])
+    at = (np.arange(4), means.taps[idx[1:], 0])
+    mean, tap = means.magnitude[idx[1:]][at], power[at]
+    power[at] = tap + mean * (mean + 2 * np.sqrt(tap) * np.cos(2 * np.pi * u[:, length]))
     np.testing.assert_array_equal(chunks[1][2], power)
+
+
+def other_root_alarms(profiles, roots, det):
+    """Rows of ``profiles`` (each against its own root in ``roots``) with a
+    detection against any other root of ``det``."""
+    alarms = np.zeros(len(profiles), dtype=bool)
+    for root in det.roots:
+        own = roots == root
+        bins = profile_bins(profiles[own], root)
+        for other in set(det.roots) - {root}:
+            alarms[own] |= _decide(np.abs(delay_profile(bins, other)) ** 2, det)[2].any(axis=-1)
+    return int(alarms.sum())
+
+
+def test_other_roots_see_rebuilt_rows_like_complex_rows():
+    # A rebuilt polar row takes its zero-mean taps' phases from another
+    # stream than its powers. Against another root the UE's taps spread
+    # over the whole profile, so there those phases count: at a threshold
+    # lowered to 8, where other-root false alarms run at about 10 %, their
+    # rate on 20,000 rebuilt rows and on 20,000 complex rows agree by a
+    # two-sided two-proportion z-test at 99 %.
+    n = 20_000
+    det = replace(MEANS_DET, threshold_factor=8.0)
+    signatures, sig_array, chan, means = means_channel("S1")
+    rng = np.random.default_rng(61)
+    idx = rng.integers(len(signatures), size=n)
+    _, profile_of = _polar_powers(chan.std, means, rng, idx)
+    rebuilt = np.array([profile_of(j, phases(j)) for j in range(n)])
+    reference_idx = rng.integers(len(signatures), size=n)
+    reference = chan.draw(rng, means.profile[reference_idx], n)
+    alarms = other_root_alarms(rebuilt, sig_array[idx, 0], det)
+    expected = other_root_alarms(reference, sig_array[reference_idx, 0], det)
+    z = two_proportion_z(expected, n, alarms, n)
+    assert 0.05 < alarms / n < 0.2
+    assert abs(z) < 2.576, f"rebuilt {alarms / n:.4f} vs complex {expected / n:.4f}, z = {z:.2f}"

@@ -297,6 +297,26 @@ class TestIntervals:
                 t = occasion_time_ms(occ, cfg.cell)
                 assert r.time_to_success == (t - ue_on) / 1000.0
 
+    def test_first_preamble_heard_builds_no_occasion_stream(self, monkeypatch):
+        # Only a rebuilt polar row reads its occasion's stream (for its
+        # zero-mean taps' phases). At the -6 dB design point the UE is heard
+        # at its first preamble, a complex row, so a record run builds none;
+        # a retrying UE's deciding later send builds one.
+        calls = []
+
+        def counting(seed, occ):
+            calls.append(occ)
+            return occasion_rng(seed, occ)
+
+        monkeypatch.setattr(prachjam.campaign, "occasion_rng", counting)
+        cfg = make_config(n_intervals=4)
+        records = [run_interval(cfg, i) for i in range(cfg.n_intervals)]
+        assert all(r.preambles_sent == 1 and r.ra_succeeded for r in records)
+        assert calls == []
+        cfg = make_config(n_intervals=4, spectrum=JammerConfig(kind="S1", snr_db=-18.0))
+        records = [run_interval(cfg, i) for i in range(cfg.n_intervals)]
+        assert len(calls) == sum(r.preambles_sent > 1 for r in records) > 0
+
     @pytest.mark.parametrize("logged", [False, True], ids=["record", "logged"])
     def test_kernel_and_detector_must_agree(self, monkeypatch, logged):
         # The unjammed UE is found at once; a detector that then reports

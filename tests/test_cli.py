@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes and the simulate/metrics round trip."""
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from prachjam.campaign import interval_seed
 from prachjam.cli import main
+from prachjam.prach import PRESETS
 from prachjam.zc import generate_zc
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -64,7 +66,7 @@ class TestZc:
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-11)
 
     def test_invalid_root_fails(self, capsys):
-        assert main(["zc", "--set", "root=0"]) == 2
+        assert main(["zc", "--set", "root=0"]) == 1
 
     @pytest.mark.parametrize(
         "override, message",
@@ -77,6 +79,10 @@ class TestZc:
             ('normalize="no"', "zc.normalize must be a bool, got 'no'"),
             ("normalize=1", "zc.normalize must be a bool, got 1"),
             ("rot=1", "unknown field 'rot' in zc"),
+            ("shift=139", "zc: shift must be in [0, 139), got 139"),
+            ("shift=-1", "zc: shift must be in [0, 139), got -1"),
+            ("length=140", "zc: length must be odd and >= 3, got 140"),
+            ("root=0", "zc: root must be in [1, 139) and coprime with 139, got 0"),
         ],
     )
     def test_bad_parameter_exits_one(self, override, message, capsys):
@@ -194,8 +200,8 @@ class TestSimulate:
         assert detections
         entry = json.loads(detections[0])
         assert set(entry) == {
-            "interval", "sfn", "occasion_index", "transmitted_signature", "detections",
-            "noise_floor",
+            "interval", "sfn", "slot", "occasion_index", "transmitted_signature",
+            "detections", "noise_floor",
         }
         # One entry names a signature for each preamble the UE sent.
         sent = [e["transmitted_signature"] for e in map(json.loads, detections)]
@@ -223,6 +229,25 @@ class TestSimulate:
         assert len(set(keys)) == len(keys)
         events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
         assert {e["interval"] for e in events} == {0, 1}
+
+    def test_detection_log_keys_unique_with_two_prach_slots(self, tmp_path, capsys):
+        # Two PRACH slots per subframe share each (sfn, occasion_index):
+        # only the slot tells their entries apart.
+        prach, cell = PRESETS["index98_40mhz_desk"]
+        doc = json.loads((CONFIGS / "quick.json").read_text())
+        del doc["preset"]
+        doc.update(
+            n_intervals=1, detection_log=True,
+            prach={**asdict(prach), "slots_per_subframe_with_prach": 2}, cell=asdict(cell),
+        )
+        path, out = tmp_path / "two_slots.json", tmp_path / "two_slots"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        entries = [json.loads(line) for line in (out / "detections.jsonl").read_text().splitlines()]
+        keys = [(e["interval"], e["sfn"], e["slot"], e["occasion_index"]) for e in entries]
+        assert len({k[2] for k in keys}) == 2
+        assert len(set(keys)) == len(keys)
+        assert len({(i, sfn, k) for i, sfn, _, k in keys}) < len(keys)
 
 
 class TestMetricsRoundTrip:

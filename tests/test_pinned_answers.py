@@ -25,12 +25,11 @@ QUICK = ROOT / "configs" / "quick.json"
 
 # (preambles_sent, preambles_detected, time_to_success) per interval of
 # quick.json (10 x 2 s, S1 at -16 dB) with the spectrum varied, under
-# seeding rule v5. S1 and S2 give equally distributed bins and draw them
+# seeding rule v6. S1 and S2 give equally distributed bins and draw them
 # from the same stream, so their records are the same.
 _JAMMED = (19, 0, None)
 _JAMMED_RECORDS = (
-    [_JAMMED] * 2 + [(2, 1, 0.2195)] + [_JAMMED] * 2
-    + [(19, 1, 1.9195), (15, 1, 1.5195), (13, 1, 1.3195)] + [_JAMMED] * 2
+    [_JAMMED] * 6 + [(17, 1, 1.7195), _JAMMED, (13, 1, 1.3195), _JAMMED]
 )
 PINNED_RECORDS = {
     "S1": _JAMMED_RECORDS,
@@ -73,45 +72,48 @@ def test_calibrated_factor(roots, factor):
 PINNED_SUMMARY = (
     '{"base_seed": 20240601, "campaign": {"interval_duration": 2.0, '
     '"invalid_probability": 0.0, "jammer_lag": 0.5, "jammer_lead": 0.5, '
-    '"preamble_amplitude": 1.0, "ue_startup_delay": 0.1}, "cell": {"cell_bandwidth": '
-    '40000000.0, "cp_samples": 18, "dft_size": 256, "n_prb": 12, "numerology": 1, '
-    '"prach_root_indices": [1], "sample_rate": 7680000.0, "shift_step": 13}, '
-    '"channel": {"jammer_gain": 1.0, "noise_sigma": 0.7071067811865476, '
-    '"ue_delay_samples": 0, "ue_gain": 1.0}, "detector": {"roots": [1], '
-    '"shift_step": 13, "threshold_factor": 12.35}, "jammer_budget": '
+    '"preamble_amplitude": 1.0, "ue_startup_delay": 0.1}, "cell": '
+    '{"cell_bandwidth": 40000000.0, "cp_samples": 18, "dft_size": 256, "n_prb": '
+    '12, "numerology": 1, "prach_root_indices": [1], "sample_rate": 7680000.0, '
+    '"shift_step": 13}, "channel": {"jammer_gain": 1.0, "noise_sigma": '
+    '0.7071067811865476, "ue_delay_samples": 0, "ue_gain": 1.0}, "detector": '
+    '{"roots": [1], "shift_step": 13, "threshold_factor": 12.35}, "jammer_budget": '
     '{"active_span_per_period_ms": 0.42857142857142855, "bandwidth_hz": 4170000.0, '
-    '"duty_period_ms": 20.0}, "metrics": {"e_p_j": 0.024539877300613498, '
-    '"e_p_j_exact": "4/163", "e_p_j_ppm": 24539.877300613498, "e_s": 0.4, '
-    '"e_s_exact": "2/5", "mean_preambles_per_interval": 16.3, '
-    '"mean_preambles_per_interval_exact": "163/10", '
-    '"mean_preambles_sent_per_interval": 16.3, '
-    '"mean_preambles_sent_per_interval_exact": "163/10", "n_e": 0, "n_p_j": 159, '
-    '"n_ra_s": 4, "n_ra_u": 6}, "n_intervals": 10, "occupancy": {"bandwidth": '
+    '"duty_period_ms": 20.0}, "metrics": {"e_p_j": 0.01098901098901099, '
+    '"e_p_j_exact": "1/91", "e_p_j_ppm": 10989.010989010989, "e_s": 0.2, '
+    '"e_s_exact": "1/5", "mean_preambles_per_interval": 18.2, '
+    '"mean_preambles_per_interval_exact": "91/5", '
+    '"mean_preambles_sent_per_interval": 18.2, '
+    '"mean_preambles_sent_per_interval_exact": "91/5", "n_e": 0, "n_p_j": 180, '
+    '"n_ra_s": 2, "n_ra_u": 8}, "n_intervals": 10, "occupancy": {"bandwidth": '
     '0.10425, "period": 0.5, "ratio": 0.002233928571428571, "temporal": '
     '0.04285714285714286}, "prach": {"duration_symbols": 4, "freq_occasions": 1, '
     '"freq_offset": 0, "occasions_per_slot": 3, "prach_prbs": 12, '
     '"prach_subframes_per_frame": 1, "preamble_format": "A2", "preamble_length": '
     '139, "sfn_modulus": 2, "sfn_remainder": 1, "slot_in_subframe": 1, '
     '"slots_per_subframe_with_prach": 1, "start_symbol": 0, "subframe_number": 9}, '
-    '"schema_version": 1, "seeding": "v5: interval_seed(i) = uint64(little-endian) '
+    '"schema_version": 1, "seeding": "v6: interval_seed(i) = uint64(little-endian) '
     "of blake2b(digest_size=8, data=pack('<QQ', base_seed, i)); interval stream = "
     'numpy.random.default_rng(interval_seed(i)), drawing the validity flag '
     '(random()), then the signatures of all K scheduled preambles '
-    '(integers(n_signatures, size=K)), then per preamble in transmit order the noise '
-    'of its delay profile ifft(bins * conj(fft(zc(root)))) against its own root, '
-    'whose L taps are mu[n] plus white noise with the variance of the bins, mu the '
-    "UE's mean profile with its taps below 1e-12 of its peak set to 0: for the first "
-    "preamble, and for every preamble if one of the UE's mean profiles has nonzero "
-    'taps on L/2 of its taps or more, 2*L standard normals, the interleaved (re, im) '
-    'parts of the noise; for each other one 2*L uniforms u (random()), L for E = '
-    '-log(1 - u) and L phase fractions F, tap n being mu[n] + sqrt(2 * std**2 * '
-    'E[n]) * exp(1j * (angle(mu[n]) + 2 * pi * F[n])), std the deviation per part of '
-    'the jammer and noise; the kernel judges the tap powers, and the transmission '
-    'that decides goes back to bins as fft(profile) / conj(fft(zc(root))); a logged '
-    'run draws the bins of an occasion without a preamble from '
+    '(integers(n_signatures, size=K)), then per preamble in transmit order the '
+    'noise of its delay profile ifft(bins * conj(fft(zc(root)))) against its own '
+    'root, whose L taps are mu[n] plus white noise with the variance of the bins, '
+    "mu the UE's mean profile with its taps below 1e-12 of its peak set to 0: for "
+    "the first preamble, and for every preamble if one of the UE's mean profiles "
+    'has nonzero taps on L/2 of its taps or more, 2*L standard normals, the '
+    'interleaved (re, im) parts of the noise; for each other one L + w uniforms u '
+    '(random()), L for E = -log(1 - u), then w phase fractions F for its nonzero '
+    'taps of mu in tap order, padded with its first zero taps to w, the most of '
+    'any mean profile, tap n being mu[n] + sqrt(2 * std**2 * E[n]) * exp(1j * '
+    '(angle(mu[n]) + 2 * pi * F[n])), std the deviation per part of the jammer and '
+    'noise; the kernel judges the tap powers, and a stepped preamble goes back to '
+    'bins as fft(profile) / conj(fft(zc(root))), a polar one taking F at its other '
+    "taps from random(L) of its occasion's stream "
     'numpy.random.default_rng(numpy.random.SeedSequence(interval_seed(i), '
-    'spawn_key=(sfn, slot, occasion_index)))", "spectrum": {"enabled": true, "kind": '
-    '"S1", "s1_literal": false, "snr_db": -16.0}}'
+    'spawn_key=(sfn, slot, occasion_index))), which a logged run also draws the '
+    'bins of an occasion without a preamble from", "spectrum": {"enabled": true, '
+    '"kind": "S1", "s1_literal": false, "snr_db": -16.0}}'
 )
 
 
@@ -127,12 +129,12 @@ def test_quick_summary_payload():
 # occasion's detections and noise floor and each UE transition.
 PINNED_LOGS = {
     "S1": (
-        "c8b8bb1c61ac0a4b55a23465848f516e104099ba84a311832c4c6802cf43c209",
-        "c7837cfa451dcde261d7cd8b35ad097c9f5a8b4e95abba7e92571c1e0d909ce2",
+        "f37bb47cd3a4aec143598755dce6faab63b6aa0e1721a30c3222a3bdb2f5bbe8",
+        "422078caa76be74cd6de01394d7e369d70597eec2ef464e10e2b3da93c361905",
     ),
     "roots_1_2_5": (
-        "940767e26ddd026007352b5976d48963a190dc215caa68e3d7b477cdcab1c5b3",
-        "30120a62354ec23106bae155252aa30dfb8b21f362c7e32523fa771eebc3248d",
+        "8f9b0ce7a1619202e3dd67b5eb2d5963dc0e37293d8f619c0556da3a942514c6",
+        "a187ac6931afcddf65acef55f1655ee0e29d66082fdea979540dfeec2638982a",
     ),
 }
 

@@ -15,9 +15,10 @@ few taps where the mean is not zero. The first transmission, the one
 stepped when the UE is heard at once, is drawn as a complex row instead.
 Every occasion that is simulated runs one loop body: the UE steps, a sent
 transmission is rebuilt as a complex profile (its other phases from its
-occasion's stream) and goes back to bins, ``detect_preambles`` must agree
-with the batch verdict, and the RA machines answer. A record run steps
-only the transmission that decides; a logged run steps every occasion.
+occasion's stream) that ``detect_preambles`` judges as it is (a
+``DelayProfile``) and must agree with the batch verdict, and the RA
+machines answer. A record run steps only the transmission that decides;
+a logged run steps every occasion.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .channel import ChannelConfig, bin_channel, superpose
 from .detector import (
-    DetectorConfig, delay_profile, detect_preambles, profile_bins, signatures_detected,
+    DelayProfile, DetectorConfig, delay_profile, detect_preambles, signatures_detected,
 )
 from .errors import ConfigError, SimulationError
 from .jammer import JammerConfig, amplitude_from_snr, bin_moments, generate_jamming_frame
@@ -102,11 +103,12 @@ SEEDING_RULE = (
     "nonzero taps of mu in tap order, padded with its first zero taps to w, the most "
     "of any mean profile, tap n being mu[n] + sqrt(2 * std**2 * E[n]) * exp(1j * ("
     "angle(mu[n]) + 2 * pi * F[n])), std the deviation per part of the jammer and "
-    "noise; the kernel judges the tap powers, and a stepped preamble goes back to "
-    "bins as fft(profile) / conj(fft(zc(root))), a polar one taking F at its other "
-    "taps from random(L) of its occasion's stream numpy.random.default_rng(numpy."
-    "random.SeedSequence(interval_seed(i), spawn_key=(sfn, slot, occasion_index))), "
-    "which a logged run also draws the bins of an occasion without a preamble from"
+    "noise; the kernel judges the tap powers, and a stepped preamble is judged on "
+    "its complex profile (other roots on its bins fft(profile) / conj(fft(zc(root)))"
+    "), a polar one taking F at its other taps from random(L) of its occasion's "
+    "stream numpy.random.default_rng(numpy.random.SeedSequence(interval_seed(i), "
+    "spawn_key=(sfn, slot, occasion_index))), which a logged run also draws the bins "
+    "of an occasion without a preamble from"
 )
 
 
@@ -268,6 +270,12 @@ def _schedule(prach: PrachConfig, cell: CellConfig, first_ms: float, off_ms: flo
     return tuple(sends)
 
 
+def _ue_instants(cfg: CampaignConfig) -> tuple[float, float, float]:
+    """When the UE turns on, first tries to send and turns off, in ms of an interval."""
+    ue_on = cfg.jammer_lead * 1000.0
+    return ue_on, ue_on + cfg.ue_startup_delay * 1000.0, ue_on + cfg.interval_duration * 1000.0
+
+
 # Mean-profile taps below this fraction of their row's peak are FFT round-off
 # (a preamble's own shift is a single tap) and become exactly zero.
 _ROUND_OFF = 1e-12
@@ -403,9 +411,7 @@ def run_interval(
     seed = interval_seed(cfg.base_seed, index)
     rng = np.random.default_rng(seed)
     valid = bool(rng.random() >= cfg.invalid_probability)
-    ue_on = cfg.jammer_lead * 1000.0
-    ue_off = ue_on + cfg.interval_duration * 1000.0
-    first_ms = ue_on + cfg.ue_startup_delay * 1000.0
+    ue_on, first_ms, ue_off = _ue_instants(cfg)
     sends = _schedule(cfg.prach, cfg.cell, first_ms, ue_off)
     signatures, sig_array, chan, means = _bins(
         cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector, cfg.preamble_amplitude
@@ -449,7 +455,7 @@ def run_interval(
         if tx is not None:
             profile_of, j, hit = next(transmissions)
             profile = profile_of(j, lambda: occasion_rng(seed, occ))  # built only if read
-            row = profile_bins(profile, tx.signature[0])
+            row = DelayProfile(tx.signature[0], profile)
         else:
             row = chan.draw(occasion_rng(seed, occ), chan.idle_mean, 1)[0]
         result = detect_preambles(row, cfg.detector, occasion=occ)
@@ -494,6 +500,12 @@ def run_campaign(
     """
     if threads < 0:
         raise ConfigError(f"threads must be >= 0, got {threads}")
+    _, first_ms, ue_off = _ue_instants(cfg)
+    if not _schedule(cfg.prach, cfg.cell, first_ms, ue_off):
+        raise ConfigError(
+            f"the UE never sends a preamble: no PRACH occasion from its first attempt "
+            f"at {first_ms:g} ms to its switch-off at {ue_off:g} ms"
+        )
     indices = range(cfg.n_intervals)
     if threads == 0:
         # The CPUs this process may run on (taskset, cpusets), not the host's.

@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", type=Path, help="campaign JSON document")
-        p.add_argument("--out", type=Path, help="output directory")
+        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         p.add_argument(
             "--set",
             dest="overrides",
@@ -110,12 +110,6 @@ def _load_config_doc(args, overrides: dict[str, Any]) -> dict[str, Any]:
         raise ConfigError(f"{args.config}: the config must be a JSON object")
     _apply_overrides(doc, overrides)
     return doc
-
-
-def _outdir(args) -> Path:
-    out = args.out if args.out is not None else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _csv_rows(values) -> str:
@@ -180,7 +174,8 @@ def _write_summary(out: Path, payload: dict[str, Any]) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = load_campaign_config(_load_config_doc(args, _parse_overrides(args.overrides)))
-    out = _outdir(args)
+    out = args.out
+    out.mkdir(parents=True, exist_ok=True)
     collector = (
         LogCollector() if (cfg.detection_log or cfg.event_trace) else None
     )
@@ -215,7 +210,7 @@ def _cmd_metrics(args) -> int:
     if records_path is not None and type(records_path) is not str:
         raise ConfigError(f"records must be a path string, got {records_path!r}")
     cfg = load_campaign_config(doc)
-    out = _outdir(args)
+    out = args.out
     path = Path(records_path) if records_path else out / "records.jsonl"
     if not path.exists():
         raise ConfigError(f"records file not found: {path}")
@@ -245,6 +240,7 @@ def _cmd_metrics(args) -> int:
             f"{cfg.n_intervals}"
         )
     metrics = compute_metrics(records)
+    out.mkdir(parents=True, exist_ok=True)
     _write_summary(out, build_summary_payload(cfg, metrics))
     print(f"{len(records)} records -> {out / 'summary.json'}")
     return 0

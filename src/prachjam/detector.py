@@ -26,6 +26,7 @@ __all__ = [
     "DetectorConfig",
     "Detection",
     "DetectionResult",
+    "DelayProfile",
     "detect_preambles",
     "signatures_detected",
     "delay_profile",
@@ -134,22 +135,42 @@ def _decide(power: np.ndarray, cfg: DetectorConfig) -> tuple[np.ndarray, np.ndar
     return peaks, floor, (peaks.T > limit).T
 
 
+class DelayProfile(NamedTuple):
+    """The delay profile ``taps`` ``(L,)`` of some bins against ``root``,
+    as ``delay_profile(bins, root)`` gives it."""
+
+    root: int
+    taps: np.ndarray
+
+
 def detect_preambles(
-    bins: np.ndarray,
+    bins: np.ndarray | DelayProfile,
     cfg: DetectorConfig,
     occasion: PrachOccasion | None = None,
 ) -> DetectionResult:
-    """Decide which (root, signature window) pairs are present in the bins."""
-    bins = np.asarray(bins, dtype=complex)
-    if bins.ndim != 1 or bins.size < cfg.shift_step:
+    """Decide which (root, signature window) pairs are present in the bins.
+
+    ``bins`` are averaged PRACH bins ``(L,)``, or a ``DelayProfile`` of
+    them: its own root is then judged on its taps as they are, and every
+    other configured root on the bins ``profile_bins`` rebuilds from them
+    (once, and only if such a root exists).
+    """
+    own, values = bins if isinstance(bins, DelayProfile) else (None, bins)
+    values = np.asarray(values, dtype=complex)
+    if values.ndim != 1 or values.size < cfg.shift_step:
         raise ValueError(
             f"expected at least {cfg.shift_step} averaged PRACH bins, got shape "
-            f"{bins.shape}"
+            f"{values.shape}"
         )
+    if own is None:
+        bins = values
+    elif any(root != own for root in cfg.roots):
+        bins = profile_bins(values, own)
     detected: list[Detection] = []
     floors: list[float] = []
     for root in cfg.roots:
-        peaks, floor, hits = _decide(np.abs(delay_profile(bins, root)) ** 2, cfg)
+        profile = values if root == own else delay_profile(bins, root)
+        peaks, floor, hits = _decide(np.abs(profile) ** 2, cfg)
         floors.append(float(floor))
         detected += [Detection(root, int(w), float(peaks[w])) for w in np.flatnonzero(hits)]
     return DetectionResult(

@@ -356,6 +356,38 @@ class TestIntervals:
         with pytest.raises(SimulationError, match="disagree on preamble 2"):
             run_interval(cfg, 0, LogCollector())
 
+    def test_ue_without_an_occasion_is_a_config_error(self, monkeypatch):
+        # A UE that never sends would be tallied as a jammed interval.
+        ran = []
+        monkeypatch.setattr(prachjam.campaign, "run_interval", lambda *a: ran.append(a))
+        for delay in (2.0, 5.0):  # first attempt as the UE turns off, and after
+            with pytest.raises(ConfigError, match="never sends a preamble"):
+                run_campaign(make_config(ue_startup_delay=delay))
+        assert ran == []
+
+    @pytest.mark.parametrize(
+        "roots, per_interval", [((1,), (0, 0)), ((1, 2, 5), (1, 2))], ids=["one", "three"]
+    )
+    def test_stepped_send_transforms(self, monkeypatch, roots, per_interval):
+        # The detector judges the stepped send's own root on the profile the
+        # kernel holds: no transform for one root, and for others one FFT
+        # back to bins and an IFFT per other root.
+        cfg = make_config(n_intervals=6, detector=DetectorConfig(roots=roots))
+        run_interval(cfg, 0)  # fills the caches; building them transforms
+        calls = {"fft": 0, "ifft": 0}
+        for name in calls:
+            transform = getattr(np.fft, name)
+
+            def counting(*args, name=name, transform=transform, **kwargs):
+                calls[name] += 1
+                return transform(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        records = [run_interval(cfg, i) for i in range(1, cfg.n_intervals)]
+        assert all(r.preambles_sent == 1 and r.ra_succeeded for r in records)
+        n = len(records)
+        assert (calls["fft"], calls["ifft"]) == (per_interval[0] * n, per_interval[1] * n)
+
     def test_jammer_off_succeeds(self):
         cfg = make_config(
             n_intervals=5,

@@ -151,6 +151,15 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
         assert "n_intervals must be ≥ 1" in capsys.readouterr().err
 
+    def test_ue_without_an_occasion_exits_one(self, tmp_path, capsys):
+        # The UE would first try 5 s after it turns on, 3 s after it turns off.
+        cfg = small_config(tmp_path, ue_startup_delay=5.0)
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "5300 ms" in err and "1300 ms" in err
+        assert not (out / "records.jsonl").exists()
+
     def test_unknown_field_exit_one(self, tmp_path, capsys):
         cfg = small_config(tmp_path, typo_field=3)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
@@ -274,6 +283,12 @@ class TestMetricsRoundTrip:
         cfg = small_config(tmp_path)
         assert main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 1
         assert "records" in capsys.readouterr().err
+
+    def test_missing_records_leave_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "none"
+        assert main(["metrics", "--config", str(CONFIGS / "quick.json"), "--out", str(out)]) == 1
+        assert "records file not found" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_metrics_config_exit_one(self, tmp_path, capsys):
         cfg = small_config(tmp_path)

@@ -4,11 +4,14 @@ import pytest
 
 from prachjam.channel import ChannelConfig, superpose
 from prachjam.detector import (
+    DelayProfile,
     DetectorConfig,
     _decide,
     _window_indices,
     calibrate_threshold,
+    delay_profile,
     detect_preambles,
+    profile_bins,
     signatures_detected,
 )
 from prachjam.prach import PRESETS, occasions_in_frame
@@ -21,8 +24,9 @@ ROOT_SEQ = generate_zc(1, 139)
 CFG = DetectorConfig()
 
 
-def received_bins(shift=0, sigma=0.0, rng=None, delay=0, amplitude=1.0):
-    seq = cyclic_shift(ROOT_SEQ, shift) if shift else ROOT_SEQ
+def received_bins(shift=0, sigma=0.0, rng=None, delay=0, amplitude=1.0, root=1):
+    seq = generate_zc(root, 139) if root != 1 else ROOT_SEQ
+    seq = cyclic_shift(seq, shift) if shift else seq
     frame = modulate_preamble(seq, OCCASION, CELL, amplitude)
     chan = ChannelConfig(noise_sigma=sigma, ue_delay_samples=delay)
     rng = rng or np.random.default_rng(0)
@@ -144,6 +148,56 @@ class TestOwnWindow:
         assert _decide(power, cfg)[1].tolist() == [137.0, 137.0]
         assert self.own_window_of_decide(power, np.array([7, 7]), cfg) == [False, True]
         assert self.own_window_of_decide(power, np.array([3, 3]), cfg) == [True, True]
+
+
+class TestDelayProfileInput:
+    """A ``DelayProfile`` is judged like the bins it is the profile of: its
+    own root on its taps, the other roots on the bins rebuilt from them."""
+
+    @staticmethod
+    def judged_like_its_bins(profile, root, cfg):
+        got = detect_preambles(DelayProfile(root, profile), cfg)
+        want = detect_preambles(profile_bins(profile, root), cfg)
+        assert [d[:2] for d in got.detected] == [d[:2] for d in want.detected]
+        np.testing.assert_allclose(
+            [d.metric for d in got.detected], [d.metric for d in want.detected], rtol=1e-12
+        )
+        np.testing.assert_allclose(got.noise_floor, want.noise_floor, rtol=1e-12)
+        return [d[:2] for d in got.detected]
+
+    # The profile's own root alone, and in the middle of two others.
+    ROOTS = pytest.mark.parametrize("roots, own", [((1,), 1), ((1, 2, 5), 2)], ids=["one", "three"])
+
+    @ROOTS
+    def test_random_profiles(self, roots, own):
+        # At factor 4 a noise profile passes several windows of each root.
+        cfg = DetectorConfig(threshold_factor=4.0, roots=roots)
+        rng = np.random.default_rng(21)
+        hits = []
+        for _ in range(40):
+            profile = rng.standard_normal(139) + 1j * rng.standard_normal(139)
+            profile[rng.integers(139)] *= 6
+            hits += self.judged_like_its_bins(profile, own, cfg)
+        assert {root for root, _ in hits} == set(roots)
+        assert len(hits) > 40 * len(roots)
+
+    @ROOTS
+    def test_all_zero_profile(self, roots, own):
+        cfg = DetectorConfig(roots=roots)
+        assert self.judged_like_its_bins(np.zeros(139, dtype=complex), own, cfg) == []
+        assert detect_preambles(DelayProfile(own, np.zeros(139)), cfg).noise_floor == 0.0
+
+    @ROOTS
+    def test_noiseless_loopback(self, roots, own):
+        # One tap and FFT dust: the floor guard leaves only the sent window.
+        cfg = DetectorConfig(roots=roots)
+        profile = delay_profile(received_bins(shift=13, root=own), own)
+        assert self.judged_like_its_bins(profile, own, cfg) == [(own, 1)]
+
+    def test_short_profile_rejected_like_short_bins(self):
+        for short in (np.zeros(5, dtype=complex), DelayProfile(1, np.zeros(5, dtype=complex))):
+            with pytest.raises(ValueError, match=r"at least 13 averaged PRACH bins, got shape \(5,\)"):
+                detect_preambles(short, CFG)
 
 
 class TestCalibration:

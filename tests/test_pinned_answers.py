@@ -14,11 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import prachjam.campaign
 from prachjam.campaign import (
     SEEDING_RULE, build_summary_payload, interval_seed, load_campaign_config, run_campaign,
 )
 from prachjam.cli import main
-from prachjam.detector import DetectorConfig, calibrate_threshold
+from prachjam.detector import DelayProfile, DetectorConfig, calibrate_threshold, profile_bins
 
 ROOT = Path(__file__).resolve().parent.parent
 QUICK = ROOT / "configs" / "quick.json"
@@ -107,9 +108,10 @@ PINNED_SUMMARY = (
     'taps of mu in tap order, padded with its first zero taps to w, the most of '
     'any mean profile, tap n being mu[n] + sqrt(2 * std**2 * E[n]) * exp(1j * '
     '(angle(mu[n]) + 2 * pi * F[n])), std the deviation per part of the jammer and '
-    'noise; the kernel judges the tap powers, and a stepped preamble goes back to '
-    'bins as fft(profile) / conj(fft(zc(root))), a polar one taking F at its other '
-    "taps from random(L) of its occasion's stream "
+    'noise; the kernel judges the tap powers, and a stepped preamble is judged on '
+    'its complex profile (other roots on its bins fft(profile) / conj(fft(zc(root)))'
+    '), a polar one taking F at its other taps from random(L) of its '
+    "occasion's stream "
     'numpy.random.default_rng(numpy.random.SeedSequence(interval_seed(i), '
     'spawn_key=(sfn, slot, occasion_index))), which a logged run also draws the '
     'bins of an occasion without a preamble from", "spectrum": {"enabled": true, '
@@ -129,11 +131,11 @@ def test_quick_summary_payload():
 # occasion's detections and noise floor and each UE transition.
 PINNED_LOGS = {
     "S1": (
-        "f37bb47cd3a4aec143598755dce6faab63b6aa0e1721a30c3222a3bdb2f5bbe8",
+        "9eb4ad470f0c2684f30e07d9e36924fd3d76be5b65a79f36954cd366e4beca7d",
         "422078caa76be74cd6de01394d7e369d70597eec2ef464e10e2b3da93c361905",
     ),
     "roots_1_2_5": (
-        "8f9b0ce7a1619202e3dd67b5eb2d5963dc0e37293d8f619c0556da3a942514c6",
+        "30a99a438dcb0044fe06ccdf28a05eaabd9702875680ce17e2aefdd6026449f6",
         "a187ac6931afcddf65acef55f1655ee0e29d66082fdea979540dfeec2638982a",
     ),
 }
@@ -144,16 +146,57 @@ LOG_OVERRIDES = {
 }
 
 
+def logged_quick_run(name, out):
+    sets = ["n_intervals=3", "detection_log=true", "event_trace=true", *LOG_OVERRIDES[name]]
+    argv = ["simulate", "--config", str(QUICK), "--out", str(out)]
+    assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 0
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_LOGS))
 def test_quick_logs(name, tmp_path):
-    sets = ["n_intervals=3", "detection_log=true", "event_trace=true", *LOG_OVERRIDES[name]]
-    argv = ["simulate", "--config", str(QUICK), "--out", str(tmp_path)]
-    assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 0
+    logged_quick_run(name, tmp_path)
     digests = tuple(
         hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
         for f in ("detections.jsonl", "events.jsonl")
     )
     assert digests == PINNED_LOGS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LOGS))
+def test_quick_logs_judge_like_the_round_trip(name, tmp_path, monkeypatch):
+    # A stepped send is judged on the delay profile the kernel holds. Taken
+    # back to bins first, and transformed again in the detector, it must
+    # give the same records, events and verdicts, its floats within round-off.
+    profile = logged_quick_run(name, tmp_path / "profile")
+    detect, sends = prachjam.campaign.detect_preambles, []
+
+    def round_trip(bins, det_cfg, occasion=None):
+        if isinstance(bins, DelayProfile):
+            sends.append(occasion)
+            bins = profile_bins(bins.taps, bins.root)
+        return detect(bins, det_cfg, occasion=occasion)
+
+    monkeypatch.setattr(prachjam.campaign, "detect_preambles", round_trip)
+    bins = logged_quick_run(name, tmp_path / "bins")
+    records = [json.loads(line) for line in (bins / "records.jsonl").read_text().splitlines()]
+    assert len(sends) == sum(r["preambles_sent"] for r in records) > 0
+    for f in ("records.jsonl", "preambles.csv", "events.jsonl"):
+        assert (profile / f).read_text() == (bins / f).read_text()
+    lines = [(d / "detections.jsonl").read_text().splitlines() for d in (profile, bins)]
+    assert len(lines[0]) == len(lines[1]) == 3 * 450
+    for got, want in zip(*lines):
+        got, want = json.loads(got), json.loads(want)
+        assert got.keys() == want.keys()
+        assert got["transmitted_signature"] == want["transmitted_signature"]
+        assert [d[:2] for d in got["detections"]] == [d[:2] for d in want["detections"]]
+        np.testing.assert_allclose(
+            [d[2] for d in got["detections"]] + [got["noise_floor"]],
+            [d[2] for d in want["detections"]] + [want["noise_floor"]],
+            rtol=1e-12,
+        )
+        rest = {k: v for k, v in got.items() if k not in ("detections", "noise_floor")}
+        assert rest == {k: want[k] for k in rest}
 
 
 def test_readme_names_the_current_seeding_rule():

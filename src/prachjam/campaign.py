@@ -567,6 +567,9 @@ def record_to_dict(record: IntervalRecord) -> dict[str, Any]:
 def record_from_dict(data: dict[str, Any]) -> IntervalRecord:
     """Read a record, which must also be consistent with itself."""
     r = load_record(IntervalRecord, data, "record")
+    if r.preambles_sent < 1:
+        # A campaign whose UE has no PRACH occasion is refused before it runs.
+        raise ConfigError(f"record.preambles_sent {r.preambles_sent} is below 1")
     if not 0 <= r.preambles_detected <= r.preambles_sent:
         raise ConfigError(
             f"record.preambles_detected {r.preambles_detected} is not in "

@@ -174,12 +174,12 @@ def _write_summary(out: Path, payload: dict[str, Any]) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = load_campaign_config(_load_config_doc(args, _parse_overrides(args.overrides)))
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     collector = (
         LogCollector() if (cfg.detection_log or cfg.event_trace) else None
     )
     records, metrics = run_campaign(cfg, threads=args.threads, collector=collector)
+    out = args.out
+    out.mkdir(parents=True, exist_ok=True)
     with (out / "records.jsonl").open("w") as fh:
         for record in records:
             fh.write(json.dumps(record_to_dict(record), sort_keys=True) + "\n")

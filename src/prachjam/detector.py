@@ -192,6 +192,38 @@ def signatures_detected(
     return peaks > _floor_and_limit(power, cfg)[1]
 
 
+def _noise_statistics(
+    trials: int, cfg: DetectorConfig, rng: np.random.Generator, l_ra: int
+) -> np.ndarray:
+    """Noise-only decision statistic per trial: best window peak over floor.
+
+    One root's delay profile of white bins is white, so its tap powers are
+    i.i.d. standard exponential and are drawn as such, ``-log(1 - u)``.
+    Several roots' profiles come from the same bins and are dependent, so
+    those trials draw unit-variance complex bins and transform them.
+    """
+    stats = np.full(trials, -np.inf)
+    chunk = 4096
+    for start in range(0, trials, chunk):
+        m = min(chunk, trials - start)
+        best = stats[start : start + m]  # a view: updated in place
+        if len(cfg.roots) == 1:
+            power = rng.random((m, l_ra))
+            np.subtract(1.0, power, out=power)
+            np.log(power, out=power)
+            power *= -1.0
+            powers = [power]
+        else:
+            bins = (
+                rng.standard_normal((m, l_ra)) + 1j * rng.standard_normal((m, l_ra))
+            ) / np.sqrt(2.0)
+            powers = (np.abs(delay_profile(bins, root)) ** 2 for root in cfg.roots)
+        for power in powers:
+            peaks, floor, _ = _decide(power, cfg)
+            np.maximum(best, peaks.max(axis=-1) / floor, out=best)
+    return stats
+
+
 def calibrate_threshold(
     target_far: float,
     trials: int,
@@ -203,7 +235,8 @@ def calibrate_threshold(
     occasion does not exceed ``target_far``.
 
     The decision statistic is scale free, so calibration runs on
-    unit-variance noise bins and the result applies at any noise level.
+    unit-variance noise (``_noise_statistics``) and the result applies at
+    any noise level.
     Bisection stops at a 1 % relative tolerance on the factor.
     """
     if not 0 < target_far < 1:
@@ -213,18 +246,7 @@ def calibrate_threshold(
             f"insufficient trials: need at least {int(np.ceil(10 / target_far))} "
             f"for target_far {target_far}"
         )
-    # Noise-only decision statistic per trial: best window peak over floor.
-    stats = np.full(trials, -np.inf)
-    chunk = 4096
-    for start in range(0, trials, chunk):
-        m = min(chunk, trials - start)
-        bins = (
-            rng.standard_normal((m, l_ra)) + 1j * rng.standard_normal((m, l_ra))
-        ) / np.sqrt(2.0)
-        best = stats[start : start + m]  # a view: updated in place
-        for root in cfg.roots:
-            peaks, floor, _ = _decide(np.abs(delay_profile(bins, root)) ** 2, cfg)
-            np.maximum(best, peaks.max(axis=-1) / floor, out=best)
+    stats = _noise_statistics(trials, cfg, rng, l_ra)
 
     def far(factor: float) -> float:
         return float(np.mean(stats > factor))

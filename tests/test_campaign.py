@@ -202,10 +202,12 @@ class TestSeeding:
             ("ra_succeeded", False, "record.ra_succeeded False does not match time_to_success"),
             ("time_to_success", -0.5, "record.time_to_success -0.5 is negative"),
             ("preambles_detected", 0, "record.ra_succeeded is true but no preamble was detected"),
+            ("preambles_sent", 0, "record.preambles_sent 0 is below 1"),
         ],
         ids=["extra", "ra_succeeded", "index", "preambles_sent", "time_to_success",
              "detected_above_sent", "detected_negative", "success_without_time",
-             "time_without_success", "negative_time", "success_without_detection"],
+             "time_without_success", "negative_time", "success_without_detection",
+             "nothing_sent"],
     )
     def test_bad_record_rejected(self, field, value, message):
         data = record_to_dict(IntervalRecord(0, True, 1, 1, True, 0.25, 0))

@@ -159,6 +159,7 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "5300 ms" in err and "1300 ms" in err
         assert not (out / "records.jsonl").exists()
+        assert not out.exists()
 
     def test_unknown_field_exit_one(self, tmp_path, capsys):
         cfg = small_config(tmp_path, typo_field=3)
@@ -367,6 +368,23 @@ class TestMetricsRoundTrip:
         assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert message in err
+
+    def test_records_without_a_preamble_exit_one(self, tmp_path, capsys):
+        # simulate writes no such record: it refuses a campaign whose UE
+        # has no PRACH occasion.
+        out = tmp_path / "run"
+        out.mkdir()
+        records = [
+            dict(index=i, valid=True, preambles_sent=0, preambles_detected=0,
+                 ra_succeeded=False, time_to_success=None, seed=interval_seed(7, i))
+            for i in range(2)
+        ]
+        (out / "records.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        argv = ["metrics", "--config", str(CONFIGS / "quick.json"), "--out", str(out),
+                "--set", "n_intervals=2", "--set", "base_seed=7"]
+        assert main(argv) == 1
+        assert "records.jsonl:1: record.preambles_sent 0 is below 1" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_repeated_interval_rejected(self, tmp_path, capsys):
         # Interval 0 three times is not a 3-interval campaign.

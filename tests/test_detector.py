@@ -1,4 +1,7 @@
 """Correlation detector: decisions, calibration and robustness."""
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from prachjam.detector import (
     DelayProfile,
     DetectorConfig,
     _decide,
+    _noise_statistics,
     _window_indices,
     calibrate_threshold,
     delay_profile,
@@ -237,3 +241,73 @@ class TestCalibration:
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError, match="target_far"):
             calibrate_threshold(0.0, 1000, CFG, np.random.default_rng(0))
+
+
+def reference_statistics(trials, rng):
+    """The one-root noise-only statistic on transformed bins: unit-variance
+    complex normal bins, their delay profile against root 1, ``_decide``."""
+    stats = []
+    for start in range(0, trials, 10_000):
+        m = min(10_000, trials - start)
+        bins = (rng.standard_normal((m, 139)) + 1j * rng.standard_normal((m, 139))) / np.sqrt(2)
+        peaks, floor, _ = _decide(np.abs(delay_profile(bins, 1)) ** 2, CFG)
+        stats.append(peaks.max(axis=-1) / floor)
+    return np.concatenate(stats)
+
+
+def fisher_far(gamma, length=139, covered=130):
+    """Closed-form noise-only false-alarm rate of one root at factor ``gamma``.
+
+    With i.i.d. exponential tap powers the statistic exceeds ``gamma`` when
+    the largest tap holds more than ``x = gamma / (gamma + length - 1)`` of
+    the total: Fisher's g (Proc. R. Soc. A 125, 1929),
+    ``P(g > x) = sum_k (-1)**(k-1) C(length, k) (1 - k x)**(length - 1)``
+    over ``1 <= k <= 1/x``. The windows cover ``covered`` of the taps; the
+    guard taps' own small, positive term is left out. A ``Fraction``
+    ``gamma`` gives the exact value.
+    """
+    x = gamma / (gamma + length - 1)
+    total = sum(
+        (-1) ** (k - 1) * math.comb(length, k) * (1 - k * x) ** (length - 1)
+        for k in range(1, math.floor(1 / x) + 1)
+    )
+    return total * covered / length
+
+
+def two_proportion_z(count_a, n_a, count_b, n_b):
+    """z of the difference of two proportions under their pooled rate."""
+    pooled = (count_a + count_b) / (n_a + n_b)
+    se = math.sqrt(max(pooled * (1 - pooled) * (1 / n_a + 1 / n_b), 1e-12))
+    return (count_b / n_b - count_a / n_a) / se
+
+
+class TestOneRootDraw:
+    """A one-root calibration draws its tap powers as exponentials."""
+
+    def test_exceeds_like_transformed_bins(self):
+        # Two-sided two-proportion z test at 99 % per factor.
+        n = 100_000
+        drawn = _noise_statistics(n, CFG, np.random.default_rng(31), 139)
+        reference = reference_statistics(n, np.random.default_rng(32))
+        for gamma in (6.0, 8.0, 10.0):
+            z = two_proportion_z(int(np.sum(reference > gamma)), n, int(np.sum(drawn > gamma)), n)
+            assert abs(z) <= 2.576, (gamma, z)
+
+    def test_exceeds_like_fisher_g(self):
+        # Two-sided 99.9 % interval around the closed form. Below factor 8
+        # the guard taps' term, which the closed form leaves out, shows.
+        n = 400_000
+        stats = _noise_statistics(n, CFG, np.random.default_rng(33), 139)
+        for gamma in (8.0, 10.0, 12.35):
+            p = fisher_far(gamma)
+            z = (np.mean(stats > gamma) - p) / math.sqrt(p * (1 - p) / n)
+            assert abs(z) <= 3.291, (gamma, z)
+
+    def test_closed_form_float_sum_is_exact_enough(self):
+        for gamma in (3.0, 8.0, 12.35):
+            exact = fisher_far(Fraction(gamma))
+            assert fisher_far(gamma) == pytest.approx(float(exact), rel=1e-12, abs=0)
+
+    def test_calibrated_factor_meets_the_closed_form(self):
+        factor = calibrate_threshold(1e-3, 50_000, CFG, np.random.default_rng(20240601))
+        assert fisher_far(factor) <= 1e-3

@@ -60,7 +60,7 @@ def test_quick_campaign_records(name):
 
 @pytest.mark.parametrize(
     "roots, factor",
-    [((1,), 12.350357759221463), ((1, 2, 5), 13.577423462921082)],
+    [((1,), 12.302488491048589), ((1, 2, 5), 13.577423462921082)],
 )
 def test_calibrated_factor(roots, factor):
     cfg = DetectorConfig(roots=roots)

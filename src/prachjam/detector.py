@@ -192,6 +192,17 @@ def signatures_detected(
     return peaks > _floor_and_limit(power, cfg)[1]
 
 
+# Rows of noise-only trials drawn and judged at once. A one-root trial is one
+# row of L uniforms taken in stream order, so any block size gives the same
+# statistics, and 512 rows (about 0.55 MB per array at L = 139) keep a block
+# in a core's L2 cache through the draw and `_decide`'s window gather.
+# Several roots draw a block's real parts and then its imaginary parts, so
+# their statistics depend on the block size: those blocks keep 4,096 rows,
+# where the prime-length FFTs, not the cache, set the time.
+_ONE_ROOT_BLOCK = 512
+_ROOTS_BLOCK = 4096
+
+
 def _noise_statistics(
     trials: int, cfg: DetectorConfig, rng: np.random.Generator, l_ra: int
 ) -> np.ndarray:
@@ -203,7 +214,7 @@ def _noise_statistics(
     those trials draw unit-variance complex bins and transform them.
     """
     stats = np.full(trials, -np.inf)
-    chunk = 4096
+    chunk = _ONE_ROOT_BLOCK if len(cfg.roots) == 1 else _ROOTS_BLOCK
     for start in range(0, trials, chunk):
         m = min(chunk, trials - start)
         best = stats[start : start + m]  # a view: updated in place

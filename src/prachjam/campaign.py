@@ -13,12 +13,12 @@ same variance, so each tap is its mean plus complex normal noise: an
 exponential power, and a uniform phase that is drawn with it only on the
 few taps where the mean is not zero. The first transmission, the one
 stepped when the UE is heard at once, is drawn as a complex row instead.
-Every occasion that is simulated runs one loop body: the UE steps, a sent
-transmission is rebuilt as a complex profile (its other phases from its
-occasion's stream) that ``detect_preambles`` judges as it is (a
-``DelayProfile``) and must agree with the batch verdict, and the RA
-machines answer. A record run steps only the transmission that decides;
-a logged run steps every occasion.
+An interval reads one random stream. Its transmissions are judged first,
+up to the first hit; then every occasion simulated runs one loop body: the
+UE steps, a sent transmission is rebuilt as a complex profile (its other
+phases read on from the stream) that ``detect_preambles`` judges as it is
+and must agree with the batch verdict, and the RA machines answer. A record
+run steps only the deciding transmission; a logged run, every occasion.
 """
 from __future__ import annotations
 
@@ -89,7 +89,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 SEEDING_RULE = (
-    "v6: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
+    "v7: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
     "data=pack('<QQ', base_seed, i)); interval stream = numpy.random.default_rng("
     "interval_seed(i)), drawing the validity flag (random()), then the signatures "
     "of all K scheduled preambles (integers(n_signatures, size=K)), then per "
@@ -105,10 +105,10 @@ SEEDING_RULE = (
     "angle(mu[n]) + 2 * pi * F[n])), std the deviation per part of the jammer and "
     "noise; the kernel judges the tap powers, and a stepped preamble is judged on "
     "its complex profile (other roots on its bins fft(profile) / conj(fft(zc(root)))"
-    "), a polar one taking F at its other taps from random(L) of its occasion's "
-    "stream numpy.random.default_rng(numpy.random.SeedSequence(interval_seed(i), "
-    "spawn_key=(sfn, slot, occasion_index))), which a logged run also draws the bins "
-    "of an occasion without a preamble from"
+    "); the preambles are drawn in chunks of 1, 4, 16, then 64, through the one "
+    "holding the first preamble detected, then the stream goes on in occasion "
+    "order: random(L) for F at the other taps of a stepped polar preamble, and in "
+    "a logged run 2*L standard normals for each occasion without a preamble"
 )
 
 
@@ -161,6 +161,17 @@ class CampaignConfig:
         if self.detector.shift_step > length:
             raise ConfigError(
                 f"detector.shift_step must be at most the preamble length {length}"
+            )
+        try:
+            a_f = amplitude_from_snr(self.preamble_amplitude, self.spectrum.snr_db)
+            mean, variance = bin_moments(self.spectrum, a_f)
+            finite = math.isfinite(abs(mean) * abs(mean) + variance)
+        except OverflowError:  # a Python float's ** raises rather than give inf
+            finite = False
+        if not finite:
+            raise ConfigError(
+                f"spectrum.snr_db {self.spectrum.snr_db:g} at preamble_amplitude "
+                f"{self.preamble_amplitude:g} overflows the jammer's power per bin"
             )
 
 
@@ -246,17 +257,6 @@ def interval_seed(base_seed: int, index: int) -> int:
     return struct.unpack("<Q", digest)[0]
 
 
-def occasion_rng(seed: int, occ: PrachOccasion) -> np.random.Generator:
-    """The keyed stream of one occasion of the interval seeded ``seed``.
-
-    The key goes into ``spawn_key`` rather than the entropy: SeedSequence
-    pads short entropy with zeros, so ``default_rng([seed, 0, 0])`` would
-    repeat the interval stream ``default_rng(seed)``.
-    """
-    key = (occ.sfn, occ.slot, occ.occasion_index)
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
 # Both caches are keyed on the inputs they depend on, never on a seed.
 @functools.lru_cache(maxsize=16)
 def _schedule(prach: PrachConfig, cell: CellConfig, first_ms: float, off_ms: float):
@@ -328,14 +328,14 @@ def _bins(prach, cell, spectrum, channel, det, amplitude):
 
 
 # Rows per batch grow 1, 4, 16, ... to this cap: early hits stay cheap, memory
-# small, and a UE that is never heard pays for few batches.
+# small, and a UE never heard pays for few batches. Logs (not records) depend on it.
 _MAX_CHUNK = 64
 
 
 def _judged(chan, means, sig_array, det_cfg, rng, sig_idx):
     """The UE's transmissions in chunks ``(start, profile_of, hits)``: the
-    first transmission's index, ``profile_of(j, phases)``, the complex delay
-    profile of the chunk's row ``j`` (see ``_polar_powers`` for ``phases``),
+    first transmission's index, ``profile_of(j, rng)``, the complex delay
+    profile of the chunk's row ``j`` (see ``_polar_powers`` for ``rng``),
     and whether each row's own signature is detected.
 
     Transmissions are drawn in polar form (``_polar_powers``) and judged
@@ -351,7 +351,7 @@ def _judged(chan, means, sig_array, det_cfg, rng, sig_idx):
         idx = sig_idx[start : start + size]
         if start == 0 or means.taps is None:
             rows = chan.draw(rng, means.profile[idx], len(idx))
-            power, profile_of = np.abs(rows) ** 2, lambda j, phases, rows=rows: rows[j]
+            power, profile_of = np.abs(rows) ** 2, lambda j, rng, rows=rows: rows[j]
         else:
             power, profile_of = _polar_powers(chan.std, means, rng, idx)
         yield start, profile_of, signatures_detected(power, sig_array[idx, 1], det_cfg)
@@ -361,7 +361,7 @@ def _judged(chan, means, sig_array, det_cfg, rng, sig_idx):
 
 def _polar_powers(std, means, rng, idx):
     """The tap powers ``(rows, L)`` of transmissions of the signatures
-    ``idx``, and the function ``profile_of(j, phases)`` giving row ``j``'s
+    ``idx``, and the function ``profile_of(j, rng)`` giving row ``j``'s
     complex delay profile.
 
     A tap's noise is complex normal with standard deviation ``std`` per
@@ -371,7 +371,7 @@ def _polar_powers(std, means, rng, idx):
     ``P + |mu| * (|mu| + 2 * sqrt(P) * cos(2 * pi * F))``, which is ``P``
     where the mean ``mu`` is zero: a row reads L + w uniforms, ``E`` and
     then ``F`` at its w taps ``means.taps[i]``. Only a rebuilt row draws its
-    other ``F``, as ``phases().random(L)``: ``phases`` builds a generator.
+    other ``F``, as ``rng.random(L)``.
     """
     length, cols = means.profile.shape[-1], means.taps[idx]
     draws = rng.random((len(idx), length + cols.shape[-1]))
@@ -385,8 +385,8 @@ def _polar_powers(std, means, rng, idx):
     tap = power[at]
     power[at] = tap + mean * (mean + 2 * np.sqrt(tap) * np.cos(2 * np.pi * turns))
 
-    def profile_of(j, phases):
-        i, noise, turn = idx[j], power[j].copy(), phases().random(length)
+    def profile_of(j, rng):
+        i, noise, turn = idx[j], power[j].copy(), rng.random(length)
         noise[cols[j]], turn[cols[j]] = tap[j], turns[j]
         phase = means.phase[i] + 2 * np.pi * turn
         return means.profile[i] + np.sqrt(noise) * np.exp(1j * phase)
@@ -417,7 +417,12 @@ def run_interval(
         cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector, cfg.preamble_amplitude
     )
     sig_idx = rng.integers(len(signatures), size=len(sends))
-    chunks = _judged(chan, means, sig_array, cfg.detector, rng, sig_idx)
+    # Judge first, through the chunk holding the first hit; a record run keeps only it.
+    judged = []
+    for chunk in _judged(chan, means, sig_array, cfg.detector, rng, sig_idx):
+        judged = [*judged, chunk] if collector is not None else [chunk]
+        if chunk[2].any():
+            break
 
     def log_event(t: float, ue) -> None:
         if collector is not None:
@@ -425,20 +430,14 @@ def run_interval(
 
     ue = make_ue(index + 1, first_ms)
     steps = ()
-    # A logged UE takes its (profile_of, row, verdict) from the chunks one at a time.
-    transmissions = ((of, j, hit) for _, of, hits in chunks for j, hit in enumerate(hits))
     if collector is not None:
         end_ms = ue_off + cfg.jammer_lag * 1000.0 if cfg.spectrum.enabled else ue_off
         steps = occasions_between(cfg.prach, cfg.cell, 0.0, end_ms)
-    elif sends:
-        # Only the transmission that decides: the first one detected, or the last.
-        for start, profile_of, hits in chunks:
-            j = int(hits.argmax()) if hits.any() else len(hits) - 1
-            if hits[j]:
-                break
-        k = start + j
+    elif judged:  # only the send that decides: the first one detected, or the last
+        start, _, hits = judged[-1]
+        k = start + (int(hits.argmax()) if hits.any() else len(hits) - 1)
         ue.preambles_sent, ue.retry_timer_ms = k, first_ms + k * RETRY_PERIOD_MS
-        steps, transmissions = sends[k : k + 1], iter([(profile_of, j, hits[j])])
+        steps = sends[k : k + 1]
 
     ctx = GnbRaContext()
     detected = 0
@@ -453,11 +452,11 @@ def run_interval(
             if ue.state is not prev_state:
                 log_event(t, ue)
         if tx is not None:
-            profile_of, j, hit = next(transmissions)
-            profile = profile_of(j, lambda: occasion_rng(seed, occ))  # built only if read
-            row = DelayProfile(tx.signature[0], profile)
+            start, profile_of, hits = next(c for c in reversed(judged) if c[0] <= n)
+            hit = hits[n - start]
+            row = DelayProfile(tx.signature[0], profile_of(n - start, rng))
         else:
-            row = chan.draw(occasion_rng(seed, occ), chan.idle_mean, 1)[0]
+            row = chan.draw(rng, chan.idle_mean, 1)[0]
         result = detect_preambles(row, cfg.detector, occasion=occ)
         if tx is not None:
             if result.reports(tx.signature) != hit:

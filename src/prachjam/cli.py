@@ -253,7 +253,7 @@ def _cmd_calibrate(args) -> int:
         raise ConfigError(f"target_far must be a number, got {target_far!r}")
     cfg = load_campaign_config(_load_config_doc(args, params))
     if not 0 < target_far < 1:
-        raise ValueError("target_far must be in (0, 1)")
+        raise ConfigError(f"target_far must be in (0, 1), got {target_far!r}")
     trials = int(max(20_000, np.ceil(10 / target_far)))
     rng = np.random.default_rng(cfg.base_seed)
     factor = calibrate_threshold(

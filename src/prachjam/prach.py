@@ -64,9 +64,9 @@ class PrachConfig:
     prach_subframes_per_frame: int
 
     def __post_init__(self) -> None:
-        if self.preamble_length not in (139, 839):
+        if self.preamble_length != 139:
             raise ConfigError(
-                f"preamble_length must be 139 or 839, got {self.preamble_length}"
+                f"preamble_length must be 139 (short format A2), got {self.preamble_length}"
             )
         if self.preamble_format != "A2":
             raise ConfigError(

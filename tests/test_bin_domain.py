@@ -189,9 +189,9 @@ def missed_bin_rows(spectrum, det, n, seed):
 
 
 def phases(key):
-    """A ``phases`` argument of ``profile_of``: the generator a rebuilt
-    polar row draws its zero-mean taps' phases from, keyed by ``key``."""
-    return lambda: np.random.default_rng([9, key])
+    """A generator, keyed by ``key``, for ``profile_of`` to draw a rebuilt
+    polar row's zero-mean taps' phases from."""
+    return np.random.default_rng([9, key])
 
 
 def two_proportion_z(count_a, n_a, count_b, n_b):
@@ -383,7 +383,7 @@ def test_gathered_taps_only_save_work():
     # Gathering every tap, from the same exponentials and the same phase
     # fractions at the gathered taps, gives the same floats, where the mean
     # is zero too; and a rebuilt row whose other fractions come from
-    # ``phases`` is the same row.
+    # the same generator is the same row.
     _, _, chan, means = means_channel("S1")
     n, length = 300, means.profile.shape[-1]
     every = means._replace(taps=np.tile(np.arange(length), (len(means.profile), 1)))
@@ -396,7 +396,7 @@ def test_gathered_taps_only_save_work():
     np.testing.assert_array_equal(few, all_taps)
     for j in range(0, n, 7):
         np.testing.assert_array_equal(
-            few_of(j, lambda: Drawn(fractions[j])), every_of(j, lambda: Drawn(fractions[j]))
+            few_of(j, Drawn(fractions[j])), every_of(j, Drawn(fractions[j]))
         )
 
 
@@ -434,8 +434,8 @@ def other_root_alarms(profiles, roots, det):
 
 
 def test_other_roots_see_rebuilt_rows_like_complex_rows():
-    # A rebuilt polar row takes its zero-mean taps' phases from another
-    # stream than its powers. Against another root the UE's taps spread
+    # A rebuilt polar row reads its zero-mean taps' phases after every
+    # chunk's powers, as the campaign does. Against another root the UE's taps spread
     # over the whole profile, so there those phases count: at a threshold
     # lowered to 8, where other-root false alarms run at about 10 %, their
     # rate on 20,000 rebuilt rows and on 20,000 complex rows agree by a
@@ -446,7 +446,7 @@ def test_other_roots_see_rebuilt_rows_like_complex_rows():
     rng = np.random.default_rng(61)
     idx = rng.integers(len(signatures), size=n)
     _, profile_of = _polar_powers(chan.std, means, rng, idx)
-    rebuilt = np.array([profile_of(j, phases(j)) for j in range(n)])
+    rebuilt = np.array([profile_of(j, rng) for j in range(n)])
     reference_idx = rng.integers(len(signatures), size=n)
     reference = chan.draw(rng, means.profile[reference_idx], n)
     alarms = other_root_alarms(rebuilt, sig_array[idx, 0], det)

@@ -19,7 +19,6 @@ from prachjam.campaign import (
     compute_metrics,
     interval_seed,
     load_campaign_config,
-    occasion_rng,
     occasion_time_ms,
     record_from_dict,
     record_to_dict,
@@ -30,7 +29,7 @@ from prachjam.channel import ChannelConfig
 from prachjam.detector import Detection, DetectorConfig
 from prachjam.errors import ConfigError, SimulationError
 from prachjam.jammer import JammerConfig
-from prachjam.prach import PRESETS, PrachOccasion, occasions_in_frame
+from prachjam.prach import PRESETS, occasions_in_frame
 from prachjam.rafsm import PreambleTx, make_ue, ue_step
 
 from test_prach import random_config
@@ -166,23 +165,6 @@ class TestSeeding:
         assert interval_seed(1234, 5) == 615431646176257150
         assert interval_seed(1234, 0) != interval_seed(1234, 1)
 
-    def test_occasion_streams_differ_from_each_other_and_the_interval(self):
-        # SeedSequence pads short entropy with zeros, so a key appended to
-        # the entropy would give occasion (0, 0, 0) the interval's stream.
-        cfg = make_config()
-        seed = interval_seed(cfg.base_seed, 0)
-        end_ms = 1000.0 * (cfg.jammer_lead + cfg.interval_duration + cfg.jammer_lag)
-        occasions = [
-            occ
-            for sfn in range(int(end_ms // 10))
-            for occ in occasions_in_frame(cfg.prach, cfg.cell, sfn)
-        ]
-        occasions.append(PrachOccasion(0, 0, 0, 0, 0, 0, 139))
-        firsts = [occasion_rng(seed, occ).random() for occ in occasions]
-        firsts.append(np.random.default_rng(seed).random())
-        assert len(occasions) > 100
-        assert len(set(firsts)) == len(firsts)
-
     def test_record_round_trip(self):
         record = IntervalRecord(3, True, 10, 2, True, 1.25, 99)
         assert record_from_dict(record_to_dict(record)) == record
@@ -299,25 +281,28 @@ class TestIntervals:
                 t = occasion_time_ms(occ, cfg.cell)
                 assert r.time_to_success == (t - ue_on) / 1000.0
 
-    def test_first_preamble_heard_builds_no_occasion_stream(self, monkeypatch):
-        # Only a rebuilt polar row reads its occasion's stream (for its
-        # zero-mean taps' phases). At the -6 dB design point the UE is heard
-        # at its first preamble, a complex row, so a record run builds none;
-        # a retrying UE's deciding later send builds one.
-        calls = []
+    @pytest.mark.parametrize("logged", [False, True], ids=["record", "logged"])
+    @pytest.mark.parametrize("snr_db", [-6.0, -18.0])
+    def test_each_interval_builds_one_generator(self, monkeypatch, snr_db, logged):
+        # The interval stream is the only one: the kernel's chunks, a
+        # rebuilt row's phases and a logged run's idle occasions all read it.
+        # At -6 dB the UE is heard at once; at -18 dB it retries, so a later
+        # (polar) send is stepped.
+        seeds = []
+        default_rng = np.random.default_rng
 
-        def counting(seed, occ):
-            calls.append(occ)
-            return occasion_rng(seed, occ)
+        def counting(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
 
-        monkeypatch.setattr(prachjam.campaign, "occasion_rng", counting)
-        cfg = make_config(n_intervals=4)
-        records = [run_interval(cfg, i) for i in range(cfg.n_intervals)]
-        assert all(r.preambles_sent == 1 and r.ra_succeeded for r in records)
-        assert calls == []
-        cfg = make_config(n_intervals=4, spectrum=JammerConfig(kind="S1", snr_db=-18.0))
-        records = [run_interval(cfg, i) for i in range(cfg.n_intervals)]
-        assert len(calls) == sum(r.preambles_sent > 1 for r in records) > 0
+        cfg = make_config(n_intervals=4, spectrum=JammerConfig(kind="S1", snr_db=snr_db))
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        records = [
+            run_interval(cfg, i, LogCollector() if logged else None)
+            for i in range(cfg.n_intervals)
+        ]
+        assert seeds == [interval_seed(cfg.base_seed, i) for i in range(cfg.n_intervals)]
+        assert any(r.preambles_sent > 1 for r in records) == (snr_db == -18.0)
 
     @pytest.mark.parametrize("logged", [False, True], ids=["record", "logged"])
     def test_kernel_and_detector_must_agree(self, monkeypatch, logged):

@@ -16,17 +16,21 @@ import pytest
 
 import prachjam.campaign
 from prachjam.campaign import (
-    SEEDING_RULE, build_summary_payload, interval_seed, load_campaign_config, run_campaign,
+    SEEDING_RULE, LogCollector, _bins, _judged, _schedule, _ue_instants, build_summary_payload,
+    interval_seed, load_campaign_config, run_campaign,
 )
 from prachjam.cli import main
-from prachjam.detector import DelayProfile, DetectorConfig, calibrate_threshold, profile_bins
+from prachjam.detector import (
+    DelayProfile, DetectorConfig, calibrate_threshold, detect_preambles, profile_bins,
+)
+from prachjam.prach import occasions_between
 
 ROOT = Path(__file__).resolve().parent.parent
 QUICK = ROOT / "configs" / "quick.json"
 
 # (preambles_sent, preambles_detected, time_to_success) per interval of
 # quick.json (10 x 2 s, S1 at -16 dB) with the spectrum varied, under
-# seeding rule v6. S1 and S2 give equally distributed bins and draw them
+# seeding rule v7 (as under v6: v7 moved only the logs' draws). S1 and S2 give equally distributed bins and draw them
 # from the same stream, so their records are the same.
 _JAMMED = (19, 0, None)
 _JAMMED_RECORDS = (
@@ -93,7 +97,7 @@ PINNED_SUMMARY = (
     '"prach_subframes_per_frame": 1, "preamble_format": "A2", "preamble_length": '
     '139, "sfn_modulus": 2, "sfn_remainder": 1, "slot_in_subframe": 1, '
     '"slots_per_subframe_with_prach": 1, "start_symbol": 0, "subframe_number": 9}, '
-    '"schema_version": 1, "seeding": "v6: interval_seed(i) = uint64(little-endian) '
+    '"schema_version": 1, "seeding": "v7: interval_seed(i) = uint64(little-endian) '
     "of blake2b(digest_size=8, data=pack('<QQ', base_seed, i)); interval stream = "
     'numpy.random.default_rng(interval_seed(i)), drawing the validity flag '
     '(random()), then the signatures of all K scheduled preambles '
@@ -110,11 +114,11 @@ PINNED_SUMMARY = (
     '(angle(mu[n]) + 2 * pi * F[n])), std the deviation per part of the jammer and '
     'noise; the kernel judges the tap powers, and a stepped preamble is judged on '
     'its complex profile (other roots on its bins fft(profile) / conj(fft(zc(root)))'
-    '), a polar one taking F at its other taps from random(L) of its '
-    "occasion's stream "
-    'numpy.random.default_rng(numpy.random.SeedSequence(interval_seed(i), '
-    'spawn_key=(sfn, slot, occasion_index))), which a logged run also draws the '
-    'bins of an occasion without a preamble from", "spectrum": {"enabled": true, '
+    '); the preambles are drawn in chunks of 1, 4, 16, then 64, through the one '
+    'holding the first preamble detected, then the stream goes on in occasion '
+    'order: random(L) for F at the other taps of a stepped polar preamble, and in '
+    'a logged run 2*L standard normals for each occasion without a preamble", '
+    '"spectrum": {"enabled": true, '
     '"kind": "S1", "s1_literal": false, "snr_db": -16.0}}'
 )
 
@@ -131,11 +135,11 @@ def test_quick_summary_payload():
 # occasion's detections and noise floor and each UE transition.
 PINNED_LOGS = {
     "S1": (
-        "9eb4ad470f0c2684f30e07d9e36924fd3d76be5b65a79f36954cd366e4beca7d",
+        "186da7fe436cf408be05ad6da1f03b0a9fd3201e1e3899c9bdc90656f6fe1a69",
         "422078caa76be74cd6de01394d7e369d70597eec2ef464e10e2b3da93c361905",
     ),
     "roots_1_2_5": (
-        "30a99a438dcb0044fe06ccdf28a05eaabd9702875680ce17e2aefdd6026449f6",
+        "7cf13ba06218991417dc4ab020ba9a5cfd23c32b6f37e6141ea4bfc80e18ee97",
         "a187ac6931afcddf65acef55f1655ee0e29d66082fdea979540dfeec2638982a",
     ),
 }
@@ -161,6 +165,36 @@ def test_quick_logs(name, tmp_path):
         for f in ("detections.jsonl", "events.jsonl")
     )
     assert digests == PINNED_LOGS[name]
+
+
+def test_quick_log_replays_from_the_interval_stream(tmp_path):
+    # Interval 0 of the logged quick.json, rebuilt by hand from its one
+    # stream: the validity flag, the signatures, the kernel's chunks up to
+    # the one holding the first hit, then the idle occasions before the
+    # UE's first send, drawn in one call, give its first log lines.
+    logged_quick_run("S1", tmp_path)
+    lines = (tmp_path / "detections.jsonl").read_text().splitlines()
+    cfg = load_campaign_config(json.loads(QUICK.read_text()))
+    _, first_ms, ue_off = _ue_instants(cfg)
+    sends = _schedule(cfg.prach, cfg.cell, first_ms, ue_off)
+    signatures, sig_array, chan, means = _bins(
+        cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector, cfg.preamble_amplitude
+    )
+    rng = np.random.default_rng(interval_seed(cfg.base_seed, 0))
+    rng.random()
+    sig_idx = rng.integers(len(signatures), size=len(sends))
+    for _, _, hits in _judged(chan, means, sig_array, cfg.detector, rng, sig_idx):
+        if hits.any():
+            break
+    idle = [occ for _, occ in occasions_between(cfg.prach, cfg.cell, 0.0, sends[0][0])]
+    rows = rng.standard_normal((len(idle), cfg.prach.preamble_length, 2))
+    rows = rows.view(complex)[..., 0] * chan.std + chan.idle_mean
+    collector = LogCollector()
+    for occ, row in zip(idle, rows):
+        collector.detection(0, occ, detect_preambles(row, cfg.detector, occasion=occ), None)
+    assert len(idle) == 90
+    assert [json.dumps(d, sort_keys=True) for d in collector.detections] == lines[: len(idle)]
+    assert json.loads(lines[len(idle)])["transmitted_signature"] is not None
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_LOGS))

@@ -219,6 +219,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="preamble_length"):
             dataclasses.replace(PRACH, preamble_length=127)
 
+    def test_long_preamble_rejected(self):
+        # L = 839 is a long format's; A2 is short, L = 139.
+        with pytest.raises(ConfigError, match="preamble_length must be 139"):
+            dataclasses.replace(PRACH, preamble_length=839)
+
     def test_bad_format(self):
         with pytest.raises(ConfigError, match="preamble_format"):
             dataclasses.replace(PRACH, preamble_format="B4")

@@ -47,6 +47,7 @@ from .prach import (
     PrachConfig,
     PrachOccasion,
     PRESETS,
+    check_slot,
     jammer_resource_budget,
     load_record,
     occasion_time_ms,
@@ -148,8 +149,14 @@ class CampaignConfig:
                 "ue_delay_samples must be smaller than the cyclic prefix "
                 f"({cp_length(self.cell)} samples)"
             )
-        if self.prach.preamble_length > self.cell.dft_size:
-            raise ConfigError("preamble does not fit the cell's grid")
+        check_slot(self.prach, self.cell)
+        top = self.prach.freq_offset + self.prach.freq_occasions * self.prach.prach_prbs
+        if top > self.cell.n_prb:
+            raise ConfigError(f"prach.freq_offset + prach.freq_occasions * 12 = {top} PRBs "
+                              f"lie outside the carrier's cell.n_prb {self.cell.n_prb}")
+        if self.spectrum.s1_literal and self.spectrum.kind != "S1":
+            raise ConfigError("spectrum.s1_literal is an S1 spectrum, but spectrum.kind is "
+                              f"'{self.spectrum.kind}'")
         length, roots = self.prach.preamble_length, self.detector.roots
         if len(set(roots)) < len(roots) or any(
             not 1 <= r < length or math.gcd(r, length) != 1 for r in roots
@@ -623,8 +630,10 @@ def build_summary_payload(
         },
         "occupancy": occupancy_factors(cfg.prach, cfg.cell),
         "jammer_budget": jammer_resource_budget(cfg.prach, cfg.cell),
-        "prach": asdict(cfg.prach),
-        "cell": {**asdict(cfg.cell), "cp_samples": cp_length(cfg.cell)},
+        # Its fields and its format-A2 constants.
+        "prach": {name: getattr(cfg.prach, name) for name in PrachConfig.__annotations__},
+        "cell": {**asdict(cfg.cell), "sample_rate": cfg.cell.sample_rate,
+                 "cp_samples": cp_length(cfg.cell)},
         "spectrum": asdict(cfg.spectrum),
         "channel": asdict(cfg.channel),
         "detector": asdict(cfg.detector),

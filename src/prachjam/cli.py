@@ -35,36 +35,34 @@ from .prach import load_record, occupancy_factors
 from .zc import cyclic_shift, generate_zc, periodic_xcorr
 
 
+_OPTIONS = {
+    "config": dict(type=Path, help="campaign JSON document"),
+    "out": dict(type=Path, default=Path("."), help="output directory"),
+    "set": dict(dest="overrides", action="append", default=[], metavar="KEY=VALUE",
+                help="override a config value (dotted keys); repeatable"),
+    "threads": dict(type=int, default=1,
+                    help="parallel interval workers (0 = every CPU this process may run on)"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prachjam",
         description="Link-level simulator of smart jamming against the 5G NR PRACH",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, helptext in [
-        ("zc", "print a Zadoff-Chu sequence or correlation profile as CSV"),
-        ("occupancy", "print the PRACH resource-occupancy decomposition"),
-        ("simulate", "run a campaign and write records.jsonl + summary.json"),
-        ("metrics", "recompute summary.json from an existing records.jsonl"),
-        ("calibrate", "calibrate the detector threshold factor"),
+    for name, options, helptext in [
+        ("zc", "set", "print a Zadoff-Chu sequence or correlation profile as CSV"),
+        ("occupancy", "config set", "print the PRACH resource-occupancy decomposition"),
+        ("simulate", "config out set threads",
+         "run a campaign and write records.jsonl + summary.json"),
+        ("metrics", "config out set", "recompute summary.json from an existing records.jsonl"),
+        # calibrate writes nothing, but perfbench/run.py's replay passes --out.
+        ("calibrate", "config out set", "calibrate the detector threshold factor"),
     ]:
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", type=Path, help="campaign JSON document")
-        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override a config value (dotted keys); repeatable",
-        )
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="parallel interval workers (0 = every CPU this process may run on)",
-        )
+        for option in options.split():
+            p.add_argument(f"--{option}", **_OPTIONS[option])
     return parser
 
 

@@ -13,7 +13,7 @@ import itertools
 import sys
 import types
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import Any, get_type_hints
+from typing import Any, ClassVar, get_type_hints
 
 from .errors import ConfigError
 
@@ -21,6 +21,7 @@ __all__ = [
     "PrachConfig",
     "CellConfig",
     "PrachOccasion",
+    "check_slot",
     "is_prach_frame",
     "occasions_in_frame",
     "occasion_time_ms",
@@ -48,11 +49,14 @@ class PrachConfig:
     occasions inside a PRACH frame.
     """
 
-    preamble_length: int
-    prach_prbs: int
+    # Format A2 fixes these, and TS 38.211 Table 6.3.3.2-1 the PRBs (N_RB^RA).
+    preamble_length: ClassVar[int] = 139
+    prach_prbs: ClassVar[int] = 12
+    preamble_format: ClassVar[str] = "A2"
+    duration_symbols: ClassVar[int] = 4
+
     freq_occasions: int
     freq_offset: int
-    preamble_format: str
     sfn_modulus: int
     sfn_remainder: int
     subframe_number: int
@@ -60,20 +64,9 @@ class PrachConfig:
     start_symbol: int
     slots_per_subframe_with_prach: int
     occasions_per_slot: int
-    duration_symbols: int
     prach_subframes_per_frame: int
 
     def __post_init__(self) -> None:
-        if self.preamble_length != 139:
-            raise ConfigError(
-                f"preamble_length must be 139 (short format A2), got {self.preamble_length}"
-            )
-        if self.preamble_format != "A2":
-            raise ConfigError(
-                f"preamble_format '{self.preamble_format}' not supported (only A2)"
-            )
-        if self.duration_symbols != 4:
-            raise ConfigError("format A2 requires duration_symbols = 4")
         if self.sfn_modulus < 1:
             raise ConfigError("sfn_modulus must be >= 1")
         if not 0 <= self.sfn_remainder < self.sfn_modulus:
@@ -82,8 +75,8 @@ class PrachConfig:
             raise ConfigError("subframe_number must be in [0, 10)")
         if not 0 <= self.start_symbol < SYMBOLS_PER_SLOT:
             raise ConfigError("start_symbol must be in [0, 14)")
-        if self.occasions_per_slot < 1 or self.duration_symbols < 1:
-            raise ConfigError("occasion counts must be >= 1")
+        if self.occasions_per_slot < 1:
+            raise ConfigError("occasions_per_slot must be >= 1")
         if (
             self.start_symbol + self.occasions_per_slot * self.duration_symbols
             > SYMBOLS_PER_SLOT
@@ -91,8 +84,8 @@ class PrachConfig:
             raise ConfigError("occasions do not fit in the slot")
         if self.freq_occasions < 1:
             raise ConfigError("freq_occasions must be >= 1")
-        if self.freq_offset < 0 or self.prach_prbs < 1:
-            raise ConfigError("freq_offset/prach_prbs out of range")
+        if self.freq_offset < 0:
+            raise ConfigError("freq_offset must be >= 0")
         if self.slot_in_subframe < 0:
             raise ConfigError("slot_in_subframe must be >= 0")
         if not 1 <= self.prach_subframes_per_frame <= self.subframe_number + 1:
@@ -113,7 +106,6 @@ class CellConfig:
     cell_bandwidth: float
     n_prb: int
     dft_size: int
-    sample_rate: float
     prach_root_indices: tuple[int, ...]
     shift_step: int
 
@@ -126,8 +118,6 @@ class CellConfig:
             raise ConfigError("dft_size must cover n_prb * 12 subcarriers")
         if self.dft_size & (self.dft_size - 1) != 0 or self.dft_size <= 0:
             raise ConfigError("dft_size must be a power of two")
-        if abs(self.sample_rate - self.dft_size * self.subcarrier_spacing) > 1e-6:
-            raise ConfigError("sample_rate must equal dft_size * subcarrier spacing")
         if not self.prach_root_indices:
             raise ConfigError("prach_root_indices must be nonempty")
         if self.shift_step < 1:
@@ -140,6 +130,10 @@ class CellConfig:
     @property
     def slots_per_subframe(self) -> int:
         return 1 << self.numerology
+
+    @property
+    def sample_rate(self) -> float:
+        return self.dft_size * self.subcarrier_spacing
 
 
 @dataclass(frozen=True)
@@ -162,6 +156,13 @@ def is_prach_frame(config: PrachConfig, sfn: int) -> bool:
     return sfn % config.sfn_modulus == config.sfn_remainder
 
 
+def check_slot(config: PrachConfig, cell: CellConfig) -> None:
+    """Refuse a PRACH slot that the cell's numerology does not have."""
+    if config.slot_in_subframe >= cell.slots_per_subframe:
+        raise ConfigError(f"prach.slot_in_subframe {config.slot_in_subframe} does not exist "
+                          f"at cell.numerology {cell.numerology}")
+
+
 def occasions_in_frame(
     config: PrachConfig, cell: CellConfig, sfn: int
 ) -> list[PrachOccasion]:
@@ -172,11 +173,7 @@ def occasions_in_frame(
     such subframe) ending at ``slot_in_subframe``; the standard single-row
     configurations collapse both to a single subframe/slot.
     """
-    if config.slot_in_subframe >= cell.slots_per_subframe:
-        raise ConfigError(
-            f"slot_in_subframe {config.slot_in_subframe} invalid at numerology "
-            f"{cell.numerology}"
-        )
+    check_slot(config, cell)
     if not is_prach_frame(config, sfn):
         return []
     occasions = []
@@ -342,23 +339,18 @@ def load_record(cls, data: dict[str, Any], section: str, **given):
 # every odd frame, subframe 9, second slot at 30 kHz SCS, three
 # four-symbol occasions starting at symbol 0.
 _INDEX98 = PrachConfig(
-    preamble_length=139, prach_prbs=12, freq_occasions=1, freq_offset=0,
-    preamble_format="A2", sfn_modulus=2, sfn_remainder=1, subframe_number=9,
+    freq_occasions=1, freq_offset=0, sfn_modulus=2, sfn_remainder=1, subframe_number=9,
     slot_in_subframe=1, start_symbol=0, slots_per_subframe_with_prach=1,
-    occasions_per_slot=3, duration_symbols=4, prach_subframes_per_frame=1,
+    occasions_per_slot=3, prach_subframes_per_frame=1,
 )
 
 # 40 MHz cell at 30 kHz SCS, full 106-PRB grid (61.44 Msps).
-_CELL_40MHZ = CellConfig(
-    numerology=1, cell_bandwidth=40e6, n_prb=106, dft_size=2048,
-    sample_rate=2048 * 30e3, prach_root_indices=(1,), shift_step=13,
-)
+_CELL_40MHZ = CellConfig(numerology=1, cell_bandwidth=40e6, n_prb=106, dft_size=2048,
+                         prach_root_indices=(1,), shift_step=13)
 
 PRESETS: dict[str, tuple[PrachConfig, CellConfig]] = {
     "index98_40mhz_full": (_INDEX98, _CELL_40MHZ),
     # A reduced-rate grid that models only the 12-PRB PRACH subband of the
     # same cell: campaigns stay cheap and the per-bin math is the same.
-    "index98_40mhz_desk": (
-        _INDEX98, replace(_CELL_40MHZ, n_prb=12, dft_size=256, sample_rate=256 * 30e3)
-    ),
+    "index98_40mhz_desk": (_INDEX98, replace(_CELL_40MHZ, n_prb=12, dft_size=256)),
 }

@@ -26,6 +26,7 @@ from prachjam.campaign import (
     run_interval,
 )
 from prachjam.channel import ChannelConfig
+from prachjam.cli import _build_parser
 from prachjam.detector import Detection, DetectorConfig
 from prachjam.errors import ConfigError, SimulationError
 from prachjam.jammer import JammerConfig
@@ -508,9 +509,12 @@ class TestSchedule:
         assert ue.preambles_sent == len(schedule)
 
 
-QUICK_DOC = json.loads(
-    (Path(__file__).resolve().parent.parent / "configs" / "quick.json").read_text()
-)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+QUICK_DOC = json.loads((CONFIGS / "quick.json").read_text())
+# quick.json with its preset written out as prach and cell sections, as JSON
+# holds them (asdict keeps tuples, JSON has lists).
+QUICK_EXPLICIT = json.loads(json.dumps({**QUICK_DOC, "prach": asdict(PRACH), "cell": asdict(CELL)}))
+del QUICK_EXPLICIT["preset"]
 
 _SCALARS = st.one_of(
     st.integers(),
@@ -633,11 +637,18 @@ class TestConfigLoading:
         assert type(cfg.spectrum.snr_db) is float
 
     @settings(max_examples=300, deadline=None)
-    @given(path=st.sampled_from(list(_paths(QUICK_DOC))), value=JSON_VALUES)
-    def test_any_one_wrong_value_is_a_config_error(self, path, value):
-        # quick.json with one leaf or section replaced: loading either
-        # succeeds or raises ConfigError, never any other exception.
-        doc = copy.deepcopy(QUICK_DOC)
+    @given(
+        target=st.sampled_from(
+            [(QUICK_DOC, path) for path in _paths(QUICK_DOC)]
+            + [(QUICK_EXPLICIT, path) for path in _paths(QUICK_EXPLICIT)]
+        ),
+        value=JSON_VALUES,
+    )
+    def test_any_one_wrong_value_is_a_config_error(self, target, value):
+        # quick.json, as shipped or with explicit sections, with one leaf or
+        # section replaced: loading either succeeds or raises ConfigError,
+        # never any other exception.
+        doc, path = copy.deepcopy(target[0]), target[1]
         node = doc
         for key in path[:-1]:
             node = node[key]
@@ -646,6 +657,25 @@ class TestConfigLoading:
             load_campaign_config(doc)
         except ConfigError:
             pass
+
+    def test_explicit_sections_load_quick_json(self):
+        # The fuzz above reaches the explicit sections' rules only if they load.
+        assert load_campaign_config(QUICK_EXPLICIT) == load_campaign_config(QUICK_DOC)
+
+    @pytest.mark.parametrize("name, value, top", [
+        ("freq_offset", 1, 13), ("freq_offset", 30, 42), ("freq_occasions", 2, 24),
+        ("freq_occasions", 50, 600),
+    ])
+    def test_prach_must_lie_inside_the_carrier(self, name, value, top):
+        doc = copy.deepcopy(QUICK_EXPLICIT)
+        doc["prach"][name] = value
+        message = (rf"prach.freq_offset \+ prach.freq_occasions \* 12 = {top} PRBs lie "
+                   r"outside the carrier's cell.n_prb 12")
+        with pytest.raises(ConfigError, match=message):
+            load_campaign_config(doc)
+        # A carrier of exactly that many PRBs holds it.
+        doc["cell"].update(n_prb=top, dft_size=1 << (12 * top - 1).bit_length())
+        assert load_campaign_config(doc).cell.n_prb == top
 
     def test_delay_must_fit_cp(self):
         doc = self.base_doc()
@@ -666,3 +696,26 @@ BENCHMARK_NAMES = [
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
 def test_benchmark_names_stay_in_campaign(name):
     assert callable(getattr(prachjam.campaign, name, None))
+
+
+# perfbench/run.py's traced replay runs these command lines through
+# prachjam.cli.main (calibrate too passes --out), and its calibration reads
+# cfg.prach.preamble_length; the benchmark breaks if either stops working.
+@pytest.mark.parametrize("command, sets", [
+    ("simulate", ["spectrum.snr_db=-24.0", "base_seed=7", "n_intervals=1",
+                  "interval_duration=1.5"]),
+    ("calibrate", ["base_seed=7", "target_far=0.0001"]),
+])
+def test_benchmark_command_lines_parse(command, sets):
+    argv = [command, "--config", str(CONFIGS / "s2_60s.json"), "--out", "run"]
+    for pair in sets:
+        argv += ["--set", pair]
+    args = _build_parser().parse_args(argv)
+    assert (args.subcommand, args.config, args.out) == (command, CONFIGS / "s2_60s.json",
+                                                        Path("run"))
+    assert args.overrides == sets
+
+
+def test_benchmark_reads_the_preamble_length():
+    cfg = load_campaign_config(json.loads((CONFIGS / "s1_60s.json").read_text()))
+    assert cfg.prach.preamble_length == 139

@@ -416,6 +416,62 @@ class TestMetricsRoundTrip:
         assert "records.jsonl:3: seed" in capsys.readouterr().err
 
 
+def explicit_quick(tmp_path) -> Path:
+    """quick.json with its preset written out as prach and cell sections."""
+    doc = json.loads((CONFIGS / "quick.json").read_text())
+    prach, cell = PRESETS[doc.pop("preset")]
+    doc.update(prach=asdict(prach), cell=asdict(cell))
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+CARRIER = ("prach.freq_offset + prach.freq_occasions * 12 = {} PRBs lie outside the "
+           "carrier's cell.n_prb 12")
+
+
+class TestCheckedAtLoad:
+    """Rules between sections that every subcommand reading a config applies."""
+
+    @pytest.mark.parametrize("command", ["simulate", "occupancy"])
+    @pytest.mark.parametrize("overrides, message", [
+        (["prach.freq_offset=30"], CARRIER.format(42)),
+        (["prach.freq_occasions=50"], CARRIER.format(600)),
+        (["prach.slot_in_subframe=3"], "prach.slot_in_subframe 3 does not exist at "
+                                       "cell.numerology 1"),
+        (["prach.preamble_length=139"], "unknown field 'preamble_length' in prach"),
+        (["cell.sample_rate=7680000.0"], "unknown field 'sample_rate' in cell"),
+        (['spectrum.kind="S2"', "spectrum.s1_literal=true"],
+         "spectrum.s1_literal is an S1 spectrum, but spectrum.kind is 'S2'"),
+    ])
+    def test_exits_one(self, tmp_path, capsys, command, overrides, message):
+        argv = [command, "--config", str(explicit_quick(tmp_path))]
+        for override in overrides:
+            argv += ["--set", override]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "run")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not (tmp_path / "run").exists()
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ["zc", "--config", "c.json"],
+        ["zc", "--out", "o"],
+        ["occupancy", "--threads", "2"],
+        ["occupancy", "--out", "o"],
+        ["metrics", "--threads", "2"],
+        ["calibrate", "--threads", "2"],
+    ])
+    def test_an_option_the_subcommand_does_not_read_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestCalibrate:
     def test_prints_factor(self, tmp_path, capsys):
         cfg = small_config(tmp_path)

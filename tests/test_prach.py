@@ -1,5 +1,6 @@
 """Occasion scheduling, occupancy ratio and configuration loading."""
 import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -54,11 +55,8 @@ def random_config(rng) -> tuple[PrachConfig, CellConfig]:
     n_sl = int(rng.integers(1, slot + 2))
     modulus = int(rng.integers(1, 9))
     config = PrachConfig(
-        preamble_length=139,
-        prach_prbs=12,
         freq_occasions=int(rng.integers(1, 4)),
         freq_offset=int(rng.integers(0, 4)),
-        preamble_format="A2",
         sfn_modulus=modulus,
         sfn_remainder=int(rng.integers(0, modulus)),
         subframe_number=subframe,
@@ -66,17 +64,13 @@ def random_config(rng) -> tuple[PrachConfig, CellConfig]:
         start_symbol=start_symbol,
         slots_per_subframe_with_prach=n_sl,
         occasions_per_slot=occasions,
-        duration_symbols=4,
         prach_subframes_per_frame=n_sf,
     )
-    dft_size = 2048
-    scs = (1 << numerology) * 15000.0
     cell = CellConfig(
         numerology=numerology,
         cell_bandwidth=float(rng.integers(10, 101)) * 1e6,
         n_prb=106,
-        dft_size=dft_size,
-        sample_rate=dft_size * scs,
+        dft_size=2048,
         prach_root_indices=(1,),
         shift_step=13,
     )
@@ -131,9 +125,7 @@ class TestOccasions:
 
     def test_invalid_slot_for_numerology_rejected(self):
         cfg = dataclasses.replace(PRACH, slot_in_subframe=1)
-        cell = dataclasses.replace(
-            CELL, numerology=0, sample_rate=CELL.dft_size * 15000.0
-        )
+        cell = dataclasses.replace(CELL, numerology=0)
         with pytest.raises(ConfigError, match="slot_in_subframe"):
             occasions_in_frame(cfg, cell, 1)
 
@@ -205,28 +197,42 @@ class TestBudget:
 
     def test_numerology_zero_scaling(self):
         cfg = dataclasses.replace(PRACH, slot_in_subframe=0)
-        cell = dataclasses.replace(
-            CELL, numerology=0, sample_rate=CELL.dft_size * 15000.0
-        )
+        cell = dataclasses.replace(CELL, numerology=0)
         budget = jammer_resource_budget(cfg, cell)
         # Half the subcarrier spacing: half the bandwidth, twice the span.
         assert budget["bandwidth_hz"] == pytest.approx(4.17e6 / 2)
         assert budget["active_span_per_period_ms"] == pytest.approx(2 * 12 / 28)
 
 
+def load_with(record, section, **values):
+    """Load ``record`` as a JSON section holds it, with ``values`` spelled in."""
+    data = json.loads(json.dumps({**dataclasses.asdict(record), **values}))
+    return load_record(type(record), data, section)
+
+
 class TestConfigValidation:
+    # Format A2 fixes the preamble: its length, format, duration and PRBs are
+    # constants of PrachConfig that a section cannot spell.
     def test_bad_preamble_length(self):
-        with pytest.raises(ConfigError, match="preamble_length"):
-            dataclasses.replace(PRACH, preamble_length=127)
+        assert PRACH.preamble_length == PrachConfig.preamble_length == 139
+        with pytest.raises(ConfigError, match="unknown field 'preamble_length' in prach"):
+            load_with(PRACH, "prach", preamble_length=127)
 
     def test_long_preamble_rejected(self):
         # L = 839 is a long format's; A2 is short, L = 139.
-        with pytest.raises(ConfigError, match="preamble_length must be 139"):
-            dataclasses.replace(PRACH, preamble_length=839)
+        with pytest.raises(ConfigError, match="unknown field 'preamble_length' in prach"):
+            load_with(PRACH, "prach", preamble_length=839)
 
     def test_bad_format(self):
-        with pytest.raises(ConfigError, match="preamble_format"):
-            dataclasses.replace(PRACH, preamble_format="B4")
+        with pytest.raises(ConfigError, match="unknown field 'preamble_format' in prach"):
+            load_with(PRACH, "prach", preamble_format="B4")
+
+    @pytest.mark.parametrize("name, value", [("duration_symbols", 4), ("prach_prbs", 12)])
+    def test_fixed_value_is_not_a_field(self, name, value):
+        # Even the one legal value: a section does not spell a constant.
+        assert getattr(PRACH, name) == value
+        with pytest.raises(ConfigError, match=f"unknown field '{name}' in prach"):
+            load_with(PRACH, "prach", **{name: value})
 
     def test_occasions_must_fit_slot(self):
         with pytest.raises(ConfigError, match="fit"):
@@ -238,11 +244,14 @@ class TestConfigValidation:
 
     def test_cell_dft_power_of_two(self):
         with pytest.raises(ConfigError, match="power of two"):
-            dataclasses.replace(CELL, dft_size=300, sample_rate=300 * 30e3)
+            dataclasses.replace(CELL, dft_size=300)
 
     def test_cell_sample_rate_consistency(self):
-        with pytest.raises(ConfigError, match="sample_rate"):
-            dataclasses.replace(CELL, sample_rate=1e6)
+        # The sample rate is derived, dft_size times the subcarrier spacing.
+        assert CELL.sample_rate == 256 * 30e3
+        assert dataclasses.replace(CELL, numerology=0).sample_rate == 256 * 15e3
+        with pytest.raises(ConfigError, match="unknown field 'sample_rate' in cell"):
+            load_with(CELL, "cell", sample_rate=256 * 30e3)
 
 
 class TestJsonLoading:

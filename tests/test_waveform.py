@@ -53,9 +53,7 @@ class TestModulate:
             modulate_preamble(short, OCCASION, CELL, 1.0)
 
     def test_preamble_exceeding_grid(self):
-        tiny = dataclasses.replace(
-            CELL, n_prb=2, dft_size=128, sample_rate=128 * 30e3
-        )
+        tiny = dataclasses.replace(CELL, n_prb=2, dft_size=128)
         with pytest.raises(ValueError, match="exceeds"):
             modulate_preamble(SEQ, OCCASION, tiny, 1.0)
 

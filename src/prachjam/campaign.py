@@ -18,7 +18,8 @@ up to the first hit; then every occasion simulated runs one loop body: the
 UE steps, a sent transmission is rebuilt as a complex profile (its other
 phases read on from the stream) that ``detect_preambles`` judges as it is
 and must agree with the batch verdict, and the RA machines answer. A record
-run steps only the deciding transmission; a logged run, every occasion.
+run steps only the deciding transmission; a logged run (``detection_log`` or
+``event_trace``), every occasion.
 """
 from __future__ import annotations
 
@@ -76,7 +77,7 @@ __all__ = [
     "CampaignConfig",
     "IntervalRecord",
     "MetricsSummary",
-    "LogCollector",
+    "Logs",
     "interval_seed",
     "run_interval",
     "run_campaign",
@@ -144,6 +145,8 @@ class CampaignConfig:
             raise ConfigError("ue_startup_delay must be >= 0")
         if not 0 <= self.invalid_probability <= 1:
             raise ConfigError("invalid_probability must be in [0, 1]")
+        if not 0 <= self.base_seed < 2**64:
+            raise ConfigError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
         if self.channel.ue_delay_samples >= cp_length(self.cell):
             raise ConfigError(
                 "ue_delay_samples must be smaller than the cyclic prefix "
@@ -220,46 +223,31 @@ class MetricsSummary:
     e_s: Fraction
 
 
-class LogCollector:
-    """Accumulates optional detection-log and event-trace JSON lines.
+class Logs(NamedTuple):
+    """The ``detections.jsonl`` and ``events.jsonl`` lines of a run, in
+    occasion order; a list stays empty unless its config flag is set."""
 
-    Every entry names the interval it belongs to.
-    """
+    detections: list[dict[str, Any]]
+    events: list[dict[str, Any]]
 
-    def __init__(self) -> None:
-        self.detections: list[dict[str, Any]] = []
-        self.events: list[dict[str, Any]] = []
 
-    def detection(self, interval: int, occ: PrachOccasion, result, transmitted) -> None:
-        """Log ``result``; ``transmitted`` is the UE's (root, window) if it sent."""
-        self.detections.append(
-            {
-                "interval": interval,
-                "sfn": occ.sfn,
-                "slot": occ.slot,
-                "occasion_index": occ.occasion_index,
-                "transmitted_signature": transmitted,
-                "detections": [
-                    [d.root, d.signature, d.metric] for d in result.detected
-                ],
-                "noise_floor": result.noise_floor,
-            }
-        )
-
-    def event(self, interval: int, time_ms: float, entity: str, transition: str) -> None:
-        self.events.append(
-            {
-                "interval": interval,
-                "time_ms": time_ms,
-                "entity": entity,
-                "transition": transition,
-            }
-        )
+def detection_entry(interval: int, occ: PrachOccasion, result, transmitted) -> dict[str, Any]:
+    """The ``detections.jsonl`` line of ``result``; ``transmitted`` is the
+    UE's (root, window) if it sent."""
+    return {
+        "interval": interval,
+        "sfn": occ.sfn,
+        "slot": occ.slot,
+        "occasion_index": occ.occasion_index,
+        "transmitted_signature": transmitted,
+        "detections": [[d.root, d.signature, d.metric] for d in result.detected],
+        "noise_floor": result.noise_floor,
+    }
 
 
 def interval_seed(base_seed: int, index: int) -> int:
     """Documented per-interval seed derivation (see ``SEEDING_RULE``)."""
-    data = struct.pack("<QQ", base_seed & 0xFFFFFFFFFFFFFFFF, index)
+    data = struct.pack("<QQ", base_seed, index)
     digest = hashlib.blake2b(data, digest_size=8).digest()
     return struct.unpack("<Q", digest)[0]
 
@@ -401,19 +389,15 @@ def _polar_powers(std, means, rng, idx):
     return power, profile_of
 
 
-def run_interval(
-    cfg: CampaignConfig,
-    index: int,
-    collector: LogCollector | None = None,
-) -> IntervalRecord:
-    """Simulate interval ``index`` and tally its outcome.
+def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]:
+    """Simulate interval ``index``: its record and its log lines.
 
     The jammer (when enabled) transmits in every occasion of every PRACH
     slot from t=0 until lead + duration + lag; the UE is active from
     t=lead until lead + duration and sends its first preamble after the
     configured startup delay. ``time_to_success`` is measured from the UE
-    start. A run with a collector simulates and logs every occasion; its
-    record equals the one without (see ``SEEDING_RULE``).
+    start. A logged run simulates every occasion; its record equals the
+    one without logs (see ``SEEDING_RULE``).
     """
     seed = interval_seed(cfg.base_seed, index)
     rng = np.random.default_rng(seed)
@@ -424,20 +408,22 @@ def run_interval(
         cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector, cfg.preamble_amplitude
     )
     sig_idx = rng.integers(len(signatures), size=len(sends))
+    logged, logs = cfg.detection_log or cfg.event_trace, Logs([], [])
     # Judge first, through the chunk holding the first hit; a record run keeps only it.
     judged = []
     for chunk in _judged(chan, means, sig_array, cfg.detector, rng, sig_idx):
-        judged = [*judged, chunk] if collector is not None else [chunk]
+        judged = [*judged, chunk] if logged else [chunk]
         if chunk[2].any():
             break
 
     def log_event(t: float, ue) -> None:
-        if collector is not None:
-            collector.event(index, t, f"ue{ue.unique_id}", ue.state.value)
+        if cfg.event_trace:
+            logs.events.append({"interval": index, "time_ms": t,
+                                "entity": f"ue{ue.unique_id}", "transition": ue.state.value})
 
     ue = make_ue(index + 1, first_ms)
     steps = ()
-    if collector is not None:
+    if logged:
         end_ms = ue_off + cfg.jammer_lag * 1000.0 if cfg.spectrum.enabled else ue_off
         steps = occasions_between(cfg.prach, cfg.cell, 0.0, end_ms)
     elif judged:  # only the send that decides: the first one detected, or the last
@@ -471,8 +457,9 @@ def run_interval(
                     f"interval {index}: kernel and detector disagree on preamble {n}"
                 )
             detected += int(hit)
-        if collector is not None:
-            collector.detection(index, occ, result, None if tx is None else tx.signature)
+        if cfg.detection_log:
+            transmitted = None if tx is None else tx.signature
+            logs.detections.append(detection_entry(index, occ, result, transmitted))
         rars = gnb_step(ctx, result, [])
         msg3 = ue_step(ue, t, rars) if active and rars else None
         if isinstance(msg3, Msg3):
@@ -490,19 +477,15 @@ def run_interval(
         ra_succeeded=success_ms is not None,
         time_to_success=None if success_ms is None else (success_ms - ue_on) / 1000.0,
         seed=seed,
-    )
+    ), logs
 
 
-def run_campaign(
-    cfg: CampaignConfig,
-    threads: int = 1,
-    collector: LogCollector | None = None,
-) -> tuple[list[IntervalRecord], MetricsSummary]:
-    """Run all intervals and aggregate the summary metrics.
+def run_campaign(cfg: CampaignConfig, threads: int = 1) -> tuple[list[IntervalRecord], Logs]:
+    """Run all intervals: their records and their log lines, in interval order.
 
-    Intervals are independent, each with its own derived seed, so they may
-    run in parallel; results are always ordered by interval index. Log
-    collection simulates every occasion and forces serial execution.
+    Intervals are independent, each reading only its own stream, so they
+    may run in parallel, logged or not. ``compute_metrics`` aggregates the
+    records.
     """
     if threads < 0:
         raise ConfigError(f"threads must be >= 0, got {threads}")
@@ -519,12 +502,12 @@ def run_campaign(
             threads = len(os.sched_getaffinity(0))
         else:
             threads = os.cpu_count() or 1
-    if threads > 1 and collector is None:
+    if threads > 1:
         # An interval can take under a millisecond: hand each worker a few
         # large chunks rather than one interval per round trip.
         chunksize = max(1, len(indices) // (4 * threads))
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(
+            results = list(
                 pool.map(
                     run_interval,
                     itertools.repeat(cfg, len(indices)),
@@ -533,8 +516,12 @@ def run_campaign(
                 )
             )
     else:
-        records = [run_interval(cfg, i, collector) for i in indices]
-    return records, compute_metrics(records)
+        results = [run_interval(cfg, i) for i in indices]
+    logs = Logs([], [])
+    for _, (detections, events) in results:
+        logs.detections.extend(detections)
+        logs.events.extend(events)
+    return [record for record, _ in results], logs
 
 
 def compute_metrics(records: list[IntervalRecord]) -> MetricsSummary:
@@ -656,8 +643,7 @@ def load_campaign_config(data: dict[str, Any]) -> CampaignConfig:
     Every section is read by ``load_record``: unknown fields are rejected
     and each value must have the JSON type of its field. Cell and PRACH
     parameters come either from a named ``preset`` or from explicit
-    ``prach``/``cell`` sections, not both. The detector's ``shift_step``
-    and ``roots`` default to the cell's.
+    ``prach``/``cell`` sections, not both.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"campaign must be a JSON object, got {data!r}")
@@ -681,10 +667,7 @@ def load_campaign_config(data: dict[str, Any]) -> CampaignConfig:
 
     spectrum = load_record(JammerConfig, top.pop("spectrum", {}), "spectrum")
     channel = load_record(ChannelConfig, top.pop("channel", {}), "channel")
-    detector = load_record(
-        DetectorConfig, top.pop("detector", {}), "detector",
-        shift_step=cell.shift_step, roots=cell.prach_root_indices,
-    )
+    detector = load_record(DetectorConfig, top.pop("detector", {}), "detector")
     return load_record(
         CampaignConfig, top, "campaign", spectrum=spectrum, channel=channel,
         detector=detector, prach=prach_cfg, cell=cell,

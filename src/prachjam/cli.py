@@ -20,7 +20,6 @@ from typing import Any
 import numpy as np
 
 from .campaign import (
-    LogCollector,
     build_summary_payload,
     compute_metrics,
     interval_seed,
@@ -170,17 +169,19 @@ def _write_summary(out: Path, payload: dict[str, Any]) -> None:
     )
 
 
+def _write_jsonl(path: Path, entries) -> None:
+    with path.open("w") as fh:
+        for entry in entries:
+            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+
+
 def _cmd_simulate(args) -> int:
     cfg = load_campaign_config(_load_config_doc(args, _parse_overrides(args.overrides)))
-    collector = (
-        LogCollector() if (cfg.detection_log or cfg.event_trace) else None
-    )
-    records, metrics = run_campaign(cfg, threads=args.threads, collector=collector)
+    records, logs = run_campaign(cfg, threads=args.threads)
+    metrics = compute_metrics(records)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    with (out / "records.jsonl").open("w") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_dict(record), sort_keys=True) + "\n")
+    _write_jsonl(out / "records.jsonl", map(record_to_dict, records))
     _write_summary(out, build_summary_payload(cfg, metrics))
     with (out / "preambles.csv").open("w") as fh:
         fh.write("interval,preambles_sent,preambles_detected,ra_succeeded\n")
@@ -189,15 +190,10 @@ def _cmd_simulate(args) -> int:
                 f"{r.index},{r.preambles_sent},{r.preambles_detected},"
                 f"{int(r.ra_succeeded)}\n"
             )
-    if collector is not None:
-        if cfg.detection_log:
-            with (out / "detections.jsonl").open("w") as fh:
-                for entry in collector.detections:
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        if cfg.event_trace:
-            with (out / "events.jsonl").open("w") as fh:
-                for entry in collector.events:
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    if cfg.detection_log:
+        _write_jsonl(out / "detections.jsonl", logs.detections)
+    if cfg.event_trace:
+        _write_jsonl(out / "events.jsonl", logs.events)
     print(f"{len(records)} intervals -> {out / 'records.jsonl'}")
     return 0
 

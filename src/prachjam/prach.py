@@ -106,8 +106,6 @@ class CellConfig:
     cell_bandwidth: float
     n_prb: int
     dft_size: int
-    prach_root_indices: tuple[int, ...]
-    shift_step: int
 
     def __post_init__(self) -> None:
         if not 0 <= self.numerology <= 2:
@@ -118,10 +116,6 @@ class CellConfig:
             raise ConfigError("dft_size must cover n_prb * 12 subcarriers")
         if self.dft_size & (self.dft_size - 1) != 0 or self.dft_size <= 0:
             raise ConfigError("dft_size must be a power of two")
-        if not self.prach_root_indices:
-            raise ConfigError("prach_root_indices must be nonempty")
-        if self.shift_step < 1:
-            raise ConfigError("shift_step must be >= 1")
 
     @property
     def subcarrier_spacing(self) -> float:
@@ -345,8 +339,7 @@ _INDEX98 = PrachConfig(
 )
 
 # 40 MHz cell at 30 kHz SCS, full 106-PRB grid (61.44 Msps).
-_CELL_40MHZ = CellConfig(numerology=1, cell_bandwidth=40e6, n_prb=106, dft_size=2048,
-                         prach_root_indices=(1,), shift_step=13)
+_CELL_40MHZ = CellConfig(numerology=1, cell_bandwidth=40e6, n_prb=106, dft_size=2048)
 
 PRESETS: dict[str, tuple[PrachConfig, CellConfig]] = {
     "index98_40mhz_full": (_INDEX98, _CELL_40MHZ),

@@ -205,7 +205,8 @@ def test_criterion_7_baseline_sanity():
         cell=CELL,
         base_seed=7007,
     )
-    records, metrics = run_campaign(cfg, threads=0)
+    records, _ = run_campaign(cfg, threads=0)
+    metrics = compute_metrics(records)
     mean_sent = metrics.mean_preambles_sent_per_interval
     elapsed = time.time() - start
     ok = metrics.e_s == 1 and mean_sent <= 2

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import prachjam.campaign
+import prachjam.cli
 from prachjam.campaign import (
     CampaignConfig,
     IntervalRecord,
-    LogCollector,
     _schedule,
     compute_metrics,
     interval_seed,
@@ -30,7 +30,9 @@ from prachjam.cli import _build_parser
 from prachjam.detector import Detection, DetectorConfig
 from prachjam.errors import ConfigError, SimulationError
 from prachjam.jammer import JammerConfig
-from prachjam.prach import PRESETS, occasions_in_frame
+from prachjam.prach import (
+    PRESETS, jammer_resource_budget, occasions_in_frame, occupancy_factors,
+)
 from prachjam.rafsm import PreambleTx, make_ue, ue_step
 
 from test_prach import random_config
@@ -233,8 +235,22 @@ class TestIntervals:
     def test_fast_path_matches_log_path(self, overrides):
         cfg = make_config(n_intervals=4, interval_duration=1.0, **overrides)
         records, _ = run_campaign(cfg)
-        logged, _ = run_campaign(cfg, collector=LogCollector())
+        logged, _ = run_campaign(replace(cfg, detection_log=True, event_trace=True))
         assert records == logged
+
+    def test_config_flags_alone_switch_the_logs(self):
+        # Each flag collects its own lines, the same as with both flags on,
+        # in interval order; a run without flags collects none.
+        cfg = make_config(n_intervals=3, interval_duration=1.0)
+        both = run_campaign(replace(cfg, detection_log=True, event_trace=True))[1]
+        for lines in both:
+            assert [e["interval"] for e in lines] == sorted(e["interval"] for e in lines)
+            assert {e["interval"] for e in lines} == {0, 1, 2}
+        for detection_log, event_trace in [(False, False), (True, False), (False, True)]:
+            flags = dict(detection_log=detection_log, event_trace=event_trace)
+            logs = run_campaign(replace(cfg, **flags))[1]
+            assert logs.detections == (both.detections if detection_log else [])
+            assert logs.events == (both.events if event_trace else [])
 
     @pytest.mark.parametrize("cap", ["one", "all"])
     def test_chunk_cap_does_not_change_records(self, cap, monkeypatch):
@@ -269,7 +285,7 @@ class TestIntervals:
             return detect(bins, det_cfg, occasion=occasion)
 
         monkeypatch.setattr(prachjam.campaign, "detect_preambles", counting)
-        records = [run_interval(cfg, i) for i in range(cfg.n_intervals)]
+        records = [run_interval(cfg, i)[0] for i in range(cfg.n_intervals)]
         assert any(r.preambles_sent > 1 for r in records)
         ue_on = 1000.0 * cfg.jammer_lead
         sends = _schedule(
@@ -296,12 +312,10 @@ class TestIntervals:
             seeds.append(seed)
             return default_rng(seed)
 
-        cfg = make_config(n_intervals=4, spectrum=JammerConfig(kind="S1", snr_db=snr_db))
+        cfg = make_config(n_intervals=4, spectrum=JammerConfig(kind="S1", snr_db=snr_db),
+                          detection_log=logged)
         monkeypatch.setattr(np.random, "default_rng", counting)
-        records = [
-            run_interval(cfg, i, LogCollector() if logged else None)
-            for i in range(cfg.n_intervals)
-        ]
+        records = [run_interval(cfg, i)[0] for i in range(cfg.n_intervals)]
         assert seeds == [interval_seed(cfg.base_seed, i) for i in range(cfg.n_intervals)]
         assert any(r.preambles_sent > 1 for r in records) == (snr_db == -18.0)
 
@@ -309,7 +323,8 @@ class TestIntervals:
     def test_kernel_and_detector_must_agree(self, monkeypatch, logged):
         # The unjammed UE is found at once; a detector that then reports
         # nothing contradicts the batched kernel.
-        cfg = make_config(spectrum=JammerConfig(kind="S1", snr_db=-6.0, enabled=False))
+        cfg = make_config(spectrum=JammerConfig(kind="S1", snr_db=-6.0, enabled=False),
+                          detection_log=logged)
         detect = prachjam.campaign.detect_preambles
 
         def deaf(bins, det_cfg, occasion=None):
@@ -318,7 +333,7 @@ class TestIntervals:
 
         monkeypatch.setattr(prachjam.campaign, "detect_preambles", deaf)
         with pytest.raises(SimulationError, match="disagree on preamble 0"):
-            run_interval(cfg, 0, LogCollector() if logged else None)
+            run_interval(cfg, 0)
 
     def test_logged_run_checks_every_send(self, monkeypatch):
         # At -30 dB the kernel misses every send. A detector that reports
@@ -339,10 +354,10 @@ class TestIntervals:
             return replace(result, detected=[Detection(1, w, 99.0) for w in range(10)])
 
         monkeypatch.setattr(prachjam.campaign, "detect_preambles", eager)
-        record = run_interval(cfg, 0)  # steps only the last send
+        record, _ = run_interval(cfg, 0)  # steps only the last send
         assert (record.preambles_sent, record.preambles_detected) == (len(sends), 0)
         with pytest.raises(SimulationError, match="disagree on preamble 2"):
-            run_interval(cfg, 0, LogCollector())
+            run_interval(replace(cfg, detection_log=True), 0)
 
     def test_ue_without_an_occasion_is_a_config_error(self, monkeypatch):
         # A UE that never sends would be tallied as a jammed interval.
@@ -371,7 +386,7 @@ class TestIntervals:
                 return transform(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counting)
-        records = [run_interval(cfg, i) for i in range(1, cfg.n_intervals)]
+        records = [run_interval(cfg, i)[0] for i in range(1, cfg.n_intervals)]
         assert all(r.preambles_sent == 1 and r.ra_succeeded for r in records)
         n = len(records)
         assert (calls["fft"], calls["ifft"]) == (per_interval[0] * n, per_interval[1] * n)
@@ -381,8 +396,8 @@ class TestIntervals:
             n_intervals=5,
             spectrum=JammerConfig(kind="S1", snr_db=-6.0, enabled=False),
         )
-        records, metrics = run_campaign(cfg)
-        assert metrics.e_s == 1
+        records, _ = run_campaign(cfg)
+        assert compute_metrics(records).e_s == 1
         assert all(r.ra_succeeded for r in records)
         assert all(r.preambles_detected >= 1 for r in records)
 
@@ -411,7 +426,8 @@ class TestIntervals:
 
     def test_invalid_probability_marks_intervals(self):
         cfg = make_config(n_intervals=30, invalid_probability=0.5, interval_duration=0.5)
-        records, metrics = run_campaign(cfg)
+        records, _ = run_campaign(cfg)
+        metrics = compute_metrics(records)
         assert metrics.n_e == sum(1 for r in records if not r.valid)
         assert 0 < metrics.n_e < 30
 
@@ -453,7 +469,7 @@ class TestIntervals:
             interval_duration=2.0,
             spectrum=JammerConfig(kind="S1", snr_db=-30.0),
         )
-        _, metrics = run_campaign(cfg, threads=0)
+        metrics = compute_metrics(run_campaign(cfg, threads=0)[0])
         assert metrics.e_p_j is not None
         assert metrics.e_p_j < Fraction(1, 100)
 
@@ -470,8 +486,7 @@ class TestIntervals:
                 base_seed=777,
                 spectrum=JammerConfig(kind="S1", snr_db=snr),
             )
-            _, metrics = run_campaign(cfg, threads=0)
-            rates.append(metrics.e_s)
+            rates.append(compute_metrics(run_campaign(cfg, threads=0)[0]).e_s)
         assert all(a >= b for a, b in zip(rates, rates[1:])), rates
 
 
@@ -555,7 +570,7 @@ class TestConfigLoading:
         cfg = load_campaign_config(self.base_doc())
         assert cfg.prach == PRACH
         assert cfg.cell == CELL
-        assert cfg.detector.shift_step == CELL.shift_step
+        assert cfg.detector == DetectorConfig()
 
     def test_spectrum_seed_rejected(self):
         doc = self.base_doc()
@@ -677,11 +692,38 @@ class TestConfigLoading:
         doc["cell"].update(n_prb=top, dft_size=1 << (12 * top - 1).bit_length())
         assert load_campaign_config(doc).cell.n_prb == top
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_base_seed_must_be_a_uint64(self, seed):
+        # interval_seed packs it as an unsigned 64-bit integer: a seed outside
+        # that range would alias one inside it.
+        doc = self.base_doc()
+        doc["base_seed"] = seed
+        with pytest.raises(ConfigError, match=rf"campaign: base_seed must be in \[0, 2\*\*64\), "
+                                              rf"got {seed}$"):
+            load_campaign_config(doc)
+        doc["base_seed"] = 2**64 - 1
+        assert load_campaign_config(doc).base_seed == 2**64 - 1
+
     def test_delay_must_fit_cp(self):
         doc = self.base_doc()
         doc["channel"]["ue_delay_samples"] = 50
         with pytest.raises(ConfigError, match="cyclic prefix"):
             load_campaign_config(doc)
+
+
+def test_freq_occasions_scale_only_the_occupancy():
+    # The single UE sends in one frequency occasion, which the jammer covers:
+    # a second one doubles the occupancy and the jammer's bandwidth budget,
+    # not the records.
+    doc = copy.deepcopy(QUICK_EXPLICIT)
+    doc["cell"].update(n_prb=24, dft_size=512)
+    one = load_campaign_config(doc)
+    doc["prach"]["freq_occasions"] = 2
+    two = load_campaign_config(doc)
+    assert run_campaign(one)[0] == run_campaign(two)[0]
+    ratio = [occupancy_factors(cfg.prach, cfg.cell)["ratio"] for cfg in (one, two)]
+    bandwidth = [jammer_resource_budget(cfg.prach, cfg.cell)["bandwidth_hz"] for cfg in (one, two)]
+    assert (ratio[1], bandwidth[1]) == (2 * ratio[0], 2 * bandwidth[0])
 
 
 # perfbench/run.py imports these names from prachjam.campaign or patches
@@ -696,6 +738,32 @@ BENCHMARK_NAMES = [
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
 def test_benchmark_names_stay_in_campaign(name):
     assert callable(getattr(prachjam.campaign, name, None))
+
+
+def test_benchmark_reads_the_records_first():
+    # perfbench/run.py reads run_campaign(...)[0] as the record list, and
+    # perfbench/tests unpacks the result into two.
+    cfg = make_config(n_intervals=2, interval_duration=1.0)
+    records, _ = out = run_campaign(cfg, threads=1)
+    assert out[0] is records
+    assert records == [run_interval(cfg, i)[0] for i in range(cfg.n_intervals)]
+    assert all(type(r) is IntervalRecord for r in records)
+
+
+def test_simulate_reaches_run_campaign_through_the_cli_module(monkeypatch, tmp_path):
+    # The traced replay spans `simulate` by patching prachjam.cli.run_campaign.
+    calls, run = [], prachjam.cli.run_campaign
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(prachjam.cli, "run_campaign", spy)
+    argv = ["simulate", "--config", str(CONFIGS / "quick.json"), "--out", str(tmp_path),
+            "--set", "n_intervals=1"]
+    assert prachjam.cli.main(argv) == 0
+    assert len(calls) == 1
+    assert (tmp_path / "records.jsonl").read_text().count("\n") == 1
 
 
 # perfbench/run.py's traced replay runs these command lines through

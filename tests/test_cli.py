@@ -229,6 +229,30 @@ class TestSimulate:
             "interval", "time_ms", "entity", "transition"
         }
 
+    def test_logged_run_with_threads_matches_serial(self, tmp_path, capsys):
+        # Each interval logs from its own stream, so workers give the same files.
+        files = ("records.jsonl", "preambles.csv", "detections.jsonl", "events.jsonl")
+        runs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            argv = ["simulate", "--config", str(CONFIGS / "quick.json"), "--out", str(out),
+                    "--threads", threads, "--set", "n_intervals=6",
+                    "--set", "detection_log=true", "--set", "event_trace=true"]
+            assert main(argv) == 0
+            runs[threads] = [(out / f).read_bytes() for f in files]
+        assert runs["1"] == runs["2"]
+        assert len(runs["1"][2].splitlines()) == 6 * 450
+
+    def test_event_trace_alone_writes_no_detections(self, tmp_path, capsys):
+        outs = {}
+        for sets in (["event_trace=true"], ["event_trace=true", "detection_log=true"]):
+            out = outs[len(sets)] = tmp_path / str(len(sets))
+            argv = ["simulate", "--config", str(CONFIGS / "quick.json"), "--out", str(out),
+                    "--set", "n_intervals=2"]
+            assert main(argv + [a for s in sets for a in ("--set", s)]) == 0
+        assert not (outs[1] / "detections.jsonl").exists()
+        assert (outs[1] / "events.jsonl").read_bytes() == (outs[2] / "events.jsonl").read_bytes()
+
     def test_detection_log_keys_unique_across_intervals(self, tmp_path, capsys):
         out = tmp_path / "quick"
         argv = ["simulate", "--config", str(CONFIGS / "quick.json"), "--out", str(out),
@@ -433,7 +457,7 @@ CARRIER = ("prach.freq_offset + prach.freq_occasions * 12 = {} PRBs lie outside 
 class TestCheckedAtLoad:
     """Rules between sections that every subcommand reading a config applies."""
 
-    @pytest.mark.parametrize("command", ["simulate", "occupancy"])
+    @pytest.mark.parametrize("command", ["simulate", "occupancy", "calibrate"])
     @pytest.mark.parametrize("overrides, message", [
         (["prach.freq_offset=30"], CARRIER.format(42)),
         (["prach.freq_occasions=50"], CARRIER.format(600)),
@@ -443,6 +467,8 @@ class TestCheckedAtLoad:
         (["cell.sample_rate=7680000.0"], "unknown field 'sample_rate' in cell"),
         (['spectrum.kind="S2"', "spectrum.s1_literal=true"],
          "spectrum.s1_literal is an S1 spectrum, but spectrum.kind is 'S2'"),
+        (["base_seed=-1"], "campaign: base_seed must be in [0, 2**64), got -1"),
+        ([f"base_seed={2**64}"], f"campaign: base_seed must be in [0, 2**64), got {2**64}"),
     ])
     def test_exits_one(self, tmp_path, capsys, command, overrides, message):
         argv = [command, "--config", str(explicit_quick(tmp_path))]

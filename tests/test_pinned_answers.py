@@ -16,8 +16,8 @@ import pytest
 
 import prachjam.campaign
 from prachjam.campaign import (
-    SEEDING_RULE, LogCollector, _bins, _judged, _schedule, _ue_instants, build_summary_payload,
-    interval_seed, load_campaign_config, run_campaign,
+    SEEDING_RULE, _bins, _judged, _schedule, _ue_instants, build_summary_payload,
+    compute_metrics, detection_entry, interval_seed, load_campaign_config, run_campaign,
 )
 from prachjam.cli import main
 from prachjam.detector import (
@@ -79,10 +79,10 @@ PINNED_SUMMARY = (
     '"invalid_probability": 0.0, "jammer_lag": 0.5, "jammer_lead": 0.5, '
     '"preamble_amplitude": 1.0, "ue_startup_delay": 0.1}, "cell": '
     '{"cell_bandwidth": 40000000.0, "cp_samples": 18, "dft_size": 256, "n_prb": '
-    '12, "numerology": 1, "prach_root_indices": [1], "sample_rate": 7680000.0, '
-    '"shift_step": 13}, "channel": {"jammer_gain": 1.0, "noise_sigma": '
-    '0.7071067811865476, "ue_delay_samples": 0, "ue_gain": 1.0}, "detector": '
-    '{"roots": [1], "shift_step": 13, "threshold_factor": 12.35}, "jammer_budget": '
+    '12, "numerology": 1, "sample_rate": 7680000.0}, "channel": {"jammer_gain": 1.0, '
+    '"noise_sigma": 0.7071067811865476, "ue_delay_samples": 0, "ue_gain": 1.0}, '
+    '"detector": {"roots": [1], "shift_step": 13, "threshold_factor": 12.35}, '
+    '"jammer_budget": '
     '{"active_span_per_period_ms": 0.42857142857142855, "bandwidth_hz": 4170000.0, '
     '"duty_period_ms": 20.0}, "metrics": {"e_p_j": 0.01098901098901099, '
     '"e_p_j_exact": "1/91", "e_p_j_ppm": 10989.010989010989, "e_s": 0.2, '
@@ -125,7 +125,7 @@ PINNED_SUMMARY = (
 
 def test_quick_summary_payload():
     cfg = load_campaign_config(json.loads(QUICK.read_text()))
-    _, metrics = run_campaign(cfg)
+    metrics = compute_metrics(run_campaign(cfg)[0])
     payload = json.dumps(build_summary_payload(cfg, metrics), sort_keys=True)
     assert payload == PINNED_SUMMARY
 
@@ -189,11 +189,12 @@ def test_quick_log_replays_from_the_interval_stream(tmp_path):
     idle = [occ for _, occ in occasions_between(cfg.prach, cfg.cell, 0.0, sends[0][0])]
     rows = rng.standard_normal((len(idle), cfg.prach.preamble_length, 2))
     rows = rows.view(complex)[..., 0] * chan.std + chan.idle_mean
-    collector = LogCollector()
-    for occ, row in zip(idle, rows):
-        collector.detection(0, occ, detect_preambles(row, cfg.detector, occasion=occ), None)
+    entries = [
+        detection_entry(0, occ, detect_preambles(row, cfg.detector, occasion=occ), None)
+        for occ, row in zip(idle, rows)
+    ]
     assert len(idle) == 90
-    assert [json.dumps(d, sort_keys=True) for d in collector.detections] == lines[: len(idle)]
+    assert [json.dumps(d, sort_keys=True) for d in entries] == lines[: len(idle)]
     assert json.loads(lines[len(idle)])["transmitted_signature"] is not None
 
 

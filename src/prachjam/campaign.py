@@ -14,12 +14,14 @@ exponential power, and a uniform phase that is drawn with it only on the
 few taps where the mean is not zero. The first transmission, the one
 stepped when the UE is heard at once, is drawn as a complex row instead.
 An interval reads one random stream. Its transmissions are judged first,
-up to the first hit; then every occasion simulated runs one loop body: the
-UE steps, a sent transmission is rebuilt as a complex profile (its other
-phases read on from the stream) that ``detect_preambles`` judges as it is
-and must agree with the batch verdict, and the RA machines answer. A record
-run steps only the deciding transmission; a logged run (``detection_log`` or
-``event_trace``), every occasion.
+each on its own run of the stream: a record run's through the batch that
+holds the first hit, a logged run's all of them. Then every occasion
+simulated runs one loop body: the UE steps, a sent transmission is rebuilt
+as a complex profile (its other phases read on from the stream) that
+``detect_preambles`` judges as it is and must agree with the batch
+verdict, and the RA machines answer. A record run steps only the deciding
+transmission; a logged run (``detection_log`` or ``event_trace``), every
+occasion.
 """
 from __future__ import annotations
 
@@ -91,7 +93,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 SEEDING_RULE = (
-    "v7: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
+    "v8: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
     "data=pack('<QQ', base_seed, i)); interval stream = numpy.random.default_rng("
     "interval_seed(i)), drawing the validity flag (random()), then the signatures "
     "of all K scheduled preambles (integers(n_signatures, size=K)), then per "
@@ -107,10 +109,10 @@ SEEDING_RULE = (
     "angle(mu[n]) + 2 * pi * F[n])), std the deviation per part of the jammer and "
     "noise; the kernel judges the tap powers, and a stepped preamble is judged on "
     "its complex profile (other roots on its bins fft(profile) / conj(fft(zc(root)))"
-    "); the preambles are drawn in chunks of 1, 4, 16, then 64, through the one "
-    "holding the first preamble detected, then the stream goes on in occasion "
-    "order: random(L) for F at the other taps of a stepped polar preamble, and in "
-    "a logged run 2*L standard normals for each occasion without a preamble"
+    "); a logged run draws all K preambles, then reads on in occasion order: "
+    "random(L) for F at the other taps of each stepped polar preamble, and 2*L "
+    "standard normals for each occasion without a preamble; a record depends on "
+    "no draw after the first preamble detected"
 )
 
 
@@ -323,7 +325,8 @@ def _bins(prach, cell, spectrum, channel, det, amplitude):
 
 
 # Rows per batch grow 1, 4, 16, ... to this cap: early hits stay cheap, memory
-# small, and a UE never heard pays for few batches. Logs (not records) depend on it.
+# small, and a UE never heard pays for few batches. Each row reads its own run
+# of the stream, so no output depends on the batch sizes.
 _MAX_CHUNK = 64
 
 
@@ -396,8 +399,9 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
     slot from t=0 until lead + duration + lag; the UE is active from
     t=lead until lead + duration and sends its first preamble after the
     configured startup delay. ``time_to_success`` is measured from the UE
-    start. A logged run simulates every occasion; its record equals the
-    one without logs (see ``SEEDING_RULE``).
+    start. A logged run simulates every occasion of that span, whether the
+    jammer is enabled or not; its record equals the one without logs (see
+    ``SEEDING_RULE``).
     """
     seed = interval_seed(cfg.base_seed, index)
     rng = np.random.default_rng(seed)
@@ -409,11 +413,12 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
     )
     sig_idx = rng.integers(len(signatures), size=len(sends))
     logged, logs = cfg.detection_log or cfg.event_trace, Logs([], [])
-    # Judge first, through the chunk holding the first hit; a record run keeps only it.
+    # Judge first: every send in a logged run; a record run only through the
+    # chunk holding the first hit, and it keeps only that chunk.
     judged = []
     for chunk in _judged(chan, means, sig_array, cfg.detector, rng, sig_idx):
         judged = [*judged, chunk] if logged else [chunk]
-        if chunk[2].any():
+        if chunk[2].any() and not logged:
             break
 
     def log_event(t: float, ue) -> None:
@@ -424,8 +429,7 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
     ue = make_ue(index + 1, first_ms)
     steps = ()
     if logged:
-        end_ms = ue_off + cfg.jammer_lag * 1000.0 if cfg.spectrum.enabled else ue_off
-        steps = occasions_between(cfg.prach, cfg.cell, 0.0, end_ms)
+        steps = occasions_between(cfg.prach, cfg.cell, 0.0, ue_off + cfg.jammer_lag * 1000.0)
     elif judged:  # only the send that decides: the first one detected, or the last
         start, _, hits = judged[-1]
         k = start + (int(hits.argmax()) if hits.any() else len(hits) - 1)

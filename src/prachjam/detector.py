@@ -192,15 +192,11 @@ def signatures_detected(
     return peaks > _floor_and_limit(power, cfg)[1]
 
 
-# Rows of noise-only trials drawn and judged at once. A one-root trial is one
-# row of L uniforms taken in stream order, so any block size gives the same
+# Rows of noise-only trials drawn and judged at once. A trial is one row of
+# the stream (L uniforms, or 2 * L normals), so any block size gives the same
 # statistics, and 512 rows (about 0.55 MB per array at L = 139) keep a block
 # in a core's L2 cache through the draw and `_decide`'s window gather.
-# Several roots draw a block's real parts and then its imaginary parts, so
-# their statistics depend on the block size: those blocks keep 4,096 rows,
-# where the prime-length FFTs, not the cache, set the time.
-_ONE_ROOT_BLOCK = 512
-_ROOTS_BLOCK = 4096
+_BLOCK = 512
 
 
 def _noise_statistics(
@@ -211,12 +207,12 @@ def _noise_statistics(
     One root's delay profile of white bins is white, so its tap powers are
     i.i.d. standard exponential and are drawn as such, ``-log(1 - u)``.
     Several roots' profiles come from the same bins and are dependent, so
-    those trials draw unit-variance complex bins and transform them.
+    those trials draw unit-variance complex bins, as interleaved (re, im)
+    normals like ``BinChannel.draw``, and transform them.
     """
     stats = np.full(trials, -np.inf)
-    chunk = _ONE_ROOT_BLOCK if len(cfg.roots) == 1 else _ROOTS_BLOCK
-    for start in range(0, trials, chunk):
-        m = min(chunk, trials - start)
+    for start in range(0, trials, _BLOCK):
+        m = min(_BLOCK, trials - start)
         best = stats[start : start + m]  # a view: updated in place
         if len(cfg.roots) == 1:
             power = rng.random((m, l_ra))
@@ -225,9 +221,7 @@ def _noise_statistics(
             power *= -1.0
             powers = [power]
         else:
-            bins = (
-                rng.standard_normal((m, l_ra)) + 1j * rng.standard_normal((m, l_ra))
-            ) / np.sqrt(2.0)
+            bins = rng.standard_normal((m, l_ra, 2)).view(complex)[..., 0] / np.sqrt(2.0)
             powers = (np.abs(delay_profile(bins, root)) ** 2 for root in cfg.roots)
         for power in powers:
             peaks, floor, _ = _decide(power, cfg)

@@ -31,7 +31,7 @@ from prachjam.detector import Detection, DetectorConfig
 from prachjam.errors import ConfigError, SimulationError
 from prachjam.jammer import JammerConfig
 from prachjam.prach import (
-    PRESETS, jammer_resource_budget, occasions_in_frame, occupancy_factors,
+    PRESETS, jammer_resource_budget, occasions_between, occasions_in_frame, occupancy_factors,
 )
 from prachjam.rafsm import PreambleTx, make_ue, ue_step
 
@@ -252,19 +252,29 @@ class TestIntervals:
             assert logs.detections == (both.detections if detection_log else [])
             assert logs.events == (both.events if event_trace else [])
 
-    @pytest.mark.parametrize("cap", ["one", "all"])
+    @pytest.mark.parametrize("cap", ["one", "three", "all"])
     def test_chunk_cap_does_not_change_records(self, cap, monkeypatch):
+        # Nor the logs: a logged run judges every send, each row on its own
+        # run of the stream, before it steps.
         cfg = make_config(
             n_intervals=18, spectrum=JammerConfig(kind="S1", snr_db=-14.0)
         )
-        records, _ = run_campaign(cfg)
+        logged = replace(cfg, detection_log=True, event_trace=True)
+
+        def run(c):
+            records, logs = run_campaign(c)
+            return records, [[json.dumps(e, sort_keys=True) for e in log] for log in logs]
+
+        records, lines = run(logged)
         sends = _schedule(cfg.prach, cfg.cell, 400.0, 2300.0)
         # Under the default cap the 19 sends are judged in chunks of 1, 4, 14.
         chunk_ends = np.cumsum([1, 4, 14])
         assert len(sends) == chunk_ends[-1]
-        monkeypatch.setattr(prachjam.campaign, "_MAX_CHUNK", 1 if cap == "one" else len(sends))
-        capped, _ = run_campaign(cfg)
-        assert capped == records
+        caps = {"one": 1, "three": 3, "all": len(sends)}
+        monkeypatch.setattr(prachjam.campaign, "_MAX_CHUNK", caps[cap])
+        assert run(cfg)[0] == records
+        assert run(logged) == (records, lines)
+        assert all(lines)
         # A hit in every chunk, the first and the last included, and an
         # interval without one.
         hit_chunks = {
@@ -272,6 +282,21 @@ class TestIntervals:
         }
         assert hit_chunks == set(range(len(chunk_ends)))
         assert not all(r.ra_succeeded for r in records)
+
+    def test_logged_run_spans_the_lag_with_the_jammer_off(self):
+        # quick.json: 0.5 s lead, 2 s of UE activity, 0.5 s lag, 3 occasions
+        # every 20 ms.
+        doc = copy.deepcopy(QUICK_DOC)
+        doc["spectrum"]["enabled"], doc["detection_log"] = False, True
+        cfg = load_campaign_config(doc)
+        detections = run_interval(cfg, 0)[1].detections
+        assert len(detections) == 450
+        instants = {
+            (occ.sfn, occ.slot, occ.occasion_index): t
+            for t, occ in occasions_between(cfg.prach, cfg.cell, 0.0, 3000.0)
+        }
+        last = detections[-1]
+        assert 2500.0 <= instants[last["sfn"], last["slot"], last["occasion_index"]] < 3000.0
 
     def test_fast_path_calls_the_detector_once_per_interval(self, monkeypatch):
         cfg = make_config(
@@ -571,6 +596,10 @@ class TestConfigLoading:
         assert cfg.prach == PRACH
         assert cfg.cell == CELL
         assert cfg.detector == DetectorConfig()
+
+    def test_a_document_that_is_not_an_object_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"campaign must be a JSON object, got \[1\]"):
+            load_campaign_config([1])
 
     def test_spectrum_seed_rejected(self):
         doc = self.base_doc()

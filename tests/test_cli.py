@@ -482,6 +482,65 @@ class TestCheckedAtLoad:
         assert not (tmp_path / "run").exists()
 
 
+class TestFieldChecks:
+    """Each remaining check of a config value or an override exits 1 with a
+    message that names what is wrong."""
+
+    @pytest.mark.parametrize("command, sets, message", [
+        ("occupancy", ["prach.sfn_modulus=0"], "prach: sfn_modulus must be >= 1"),
+        ("occupancy", ["prach.start_symbol=14"], "prach: start_symbol must be in [0, 14)"),
+        ("occupancy", ["prach.start_symbol=-1"], "prach: start_symbol must be in [0, 14)"),
+        ("occupancy", ["prach.occasions_per_slot=0"], "prach: occasions_per_slot must be >= 1"),
+        ("occupancy", ["prach.freq_occasions=0"], "prach: freq_occasions must be >= 1"),
+        ("occupancy", ["prach.freq_offset=-1"], "prach: freq_offset must be >= 0"),
+        ("occupancy", ["prach.prach_subframes_per_frame=11"],
+         "prach: prach_subframes_per_frame must fit before subframe_number"),
+        ("occupancy", ["cell.numerology=3"], "cell: numerology must be 0..2, got 3"),
+        ("occupancy", ["cell.numerology=-1"], "cell: numerology must be 0..2, got -1"),
+        ("occupancy", ["channel.ue_delay_samples=-1"],
+         "channel: ue_delay_samples must be >= 0"),
+        ("occupancy", ["detector.threshold_factor=1"], "detector: threshold_factor must be > 1"),
+        ("occupancy", ["detector.shift_step=0"], "detector: shift_step must be >= 1"),
+        ("occupancy", ["invalid_probability=1.5"],
+         "campaign: invalid_probability must be in [0, 1]"),
+        ("occupancy", ["invalid_probability=-0.1"],
+         "campaign: invalid_probability must be in [0, 1]"),
+        ("occupancy", ["n_intervals"], "override 'n_intervals' is not of the form key=value"),
+        ("occupancy", ["spectrum.kind.snr_db=1"],
+         "override 'spectrum.kind.snr_db' traverses a non-object"),
+        ("calibrate", ["absent"], "cannot read config: "),
+        ("metrics", [], "records.jsonl:1: invalid JSON"),
+    ], ids=["sfn_modulus", "start_symbol-high", "start_symbol-negative", "occasions_per_slot",
+            "freq_occasions", "freq_offset", "prach_subframes_per_frame", "numerology-high",
+            "numerology-negative", "ue_delay_samples", "threshold_factor", "shift_step",
+            "invalid_probability-high", "invalid_probability-negative", "set-without-equals",
+            "set-through-a-string", "unreadable-config", "records-line-not-json"])
+    def test_exits_one(self, tmp_path, capsys, command, sets, message):
+        config = explicit_quick(tmp_path)
+        if sets == ["absent"]:  # --config names a file that does not exist
+            config, sets = tmp_path / "absent.json", []
+        argv = [command, "--config", str(config)]
+        if command == "metrics":
+            out = tmp_path / "run"
+            out.mkdir()
+            (out / "records.jsonl").write_text("not json\n")
+            argv += ["--out", str(out)]
+        for override in sets:
+            argv += ["--set", override]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_a_campaign_without_a_valid_interval_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["simulate", "--config", str(CONFIGS / "quick.json"), "--out", str(out),
+                "--set", "invalid_probability=1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: all intervals invalid; metrics are undefined\n"
+        assert not out.exists()
+
+
 class TestOptions:
     @pytest.mark.parametrize("argv", [
         ["zc", "--config", "c.json"],

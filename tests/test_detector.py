@@ -1,10 +1,12 @@
 """Correlation detector: decisions, calibration and robustness."""
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import prachjam.detector
 from prachjam.channel import ChannelConfig, superpose
 from prachjam.detector import (
     DelayProfile,
@@ -21,6 +23,8 @@ from prachjam.detector import (
 from prachjam.prach import PRESETS, occasions_in_frame
 from prachjam.waveform import demap_prach, modulate_preamble
 from prachjam.zc import cyclic_shift, generate_zc
+
+from test_pinned_answers import CALIBRATED_FACTORS
 
 PRACH, CELL = PRESETS["index98_40mhz_desk"]
 OCCASION = occasions_in_frame(PRACH, CELL, 1)[0]
@@ -314,7 +318,8 @@ def two_proportion_z(count_a, n_a, count_b, n_b):
 
 
 class TestOneRootDraw:
-    """A one-root calibration draws its tap powers as exponentials."""
+    """A one-root calibration draws its tap powers as exponentials; its
+    closed form also bounds the several-roots factor."""
 
     def test_exceeds_like_transformed_bins(self):
         # Two-sided two-proportion z test at 99 % per factor.
@@ -344,14 +349,30 @@ class TestOneRootDraw:
         factor = calibrate_threshold(1e-3, 50_000, CFG, np.random.default_rng(20240601))
         assert fisher_far(factor) <= 1e-3
 
-    def test_block_does_not_change_the_statistics(self):
-        # 1,100 trials cross two block boundaries; the reference draws them
-        # as one block.
-        for seed in (0, 1, 2):
-            got = _noise_statistics(1_100, CFG, np.random.default_rng(seed), 139)
-            power = -np.log(1 - np.random.default_rng(seed).random((1_100, 139)))
-            peaks, floor, _ = _decide(power, CFG)
-            assert np.array_equal(got, peaks.max(axis=-1) / floor)
+    def test_pinned_several_roots_factor_lies_within_the_union_bound(self):
+        # Each root's profile of white bins is white, so each root alone
+        # false-alarms at the one-root rate, and any of three at no more
+        # than three times it: within 3.29 sigma of the empirical rate, the
+        # pinned factor's rate lies between the two.
+        factor = CALIBRATED_FACTORS[(1, 2, 5)]
+        sigma = math.sqrt(1e-3 * (1 - 1e-3) / 50_000)
+        assert fisher_far(factor) <= 1e-3 + 3.29 * sigma
+        assert 3 * fisher_far(factor) >= 1e-3 - 3.29 * sigma
+
+    def test_block_does_not_change_the_statistics(self, monkeypatch):
+        # 1,100 trials cross two blocks of 512 and eleven of 97; blocks of
+        # 2,048 hold them all. One root also matches a reference that draws
+        # its tap powers as one block.
+        for roots, seed in itertools.product([(1,), (1, 2, 5)], (0, 1, 2)):
+            cfg, stats = DetectorConfig(roots=roots), []
+            for block in (97, 512, 2_048):
+                monkeypatch.setattr(prachjam.detector, "_BLOCK", block)
+                stats.append(_noise_statistics(1_100, cfg, np.random.default_rng(seed), 139))
+            assert all(np.array_equal(got, stats[0]) for got in stats[1:]), (roots, seed)
+            if roots == (1,):
+                power = -np.log(1 - np.random.default_rng(seed).random((1_100, 139)))
+                peaks, floor, _ = _decide(power, cfg)
+                assert np.array_equal(stats[0], peaks.max(axis=-1) / floor)
 
     def test_calibrated_factor_brackets_the_closed_form_root(self):
         # The bisection returns a factor within 1 % above the last one that

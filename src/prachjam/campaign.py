@@ -14,8 +14,9 @@ exponential power, and a uniform phase that is drawn with it only on the
 few taps where the mean is not zero. The first transmission, the one
 stepped when the UE is heard at once, is drawn as a complex row instead.
 An interval reads one random stream. Its transmissions are judged first,
-each on its own run of the stream: a record run's through the batch that
-holds the first hit, a logged run's all of them. Then every occasion
+each on its own run of the stream, in two blocks: the first alone, then the
+other K - 1 at once, which a record run judges only when the first is
+missed and a logged run always. Then every occasion
 simulated runs one loop body: the UE steps, a sent transmission is rebuilt
 as a complex profile (its other phases read on from the stream) that
 ``detect_preambles`` judges as it is and must agree with the batch
@@ -273,6 +274,19 @@ def _ue_instants(cfg: CampaignConfig) -> tuple[float, float, float]:
     return ue_on, ue_on + cfg.ue_startup_delay * 1000.0, ue_on + cfg.interval_duration * 1000.0
 
 
+def _ue_sends(cfg: CampaignConfig):
+    """``_ue_instants`` and the UE's ``_schedule``. A UE that never sends
+    would be tallied as a jammed interval, so that is a config error."""
+    ue_on, first_ms, ue_off = _ue_instants(cfg)
+    sends = _schedule(cfg.prach, cfg.cell, first_ms, ue_off)
+    if not sends:
+        raise ConfigError(
+            f"the UE never sends a preamble: no PRACH occasion from its first attempt "
+            f"at {first_ms:g} ms to its switch-off at {ue_off:g} ms"
+        )
+    return ue_on, first_ms, ue_off, sends
+
+
 # Mean-profile taps below this fraction of their row's peak are FFT round-off
 # (a preamble's own shift is a single tap) and become exactly zero.
 _ROUND_OFF = 1e-12
@@ -324,37 +338,24 @@ def _bins(prach, cell, spectrum, channel, det, amplitude):
     return signatures, sig_array, chan, means
 
 
-# Rows per batch grow 1, 4, 16, ... to this cap: early hits stay cheap, memory
-# small, and a UE never heard pays for few batches. Each row reads its own run
-# of the stream, so no output depends on the batch sizes.
-_MAX_CHUNK = 64
+def _judged(chan, means, sig_array, det_cfg, rng, idx, polar=True):
+    """One block of transmissions of the signatures ``idx``: ``(profile_of,
+    hits)``, ``profile_of(j, rng)`` the complex delay profile of row ``j``
+    (see ``_polar_powers`` for ``rng``) and ``hits`` whether each row's own
+    signature is detected.
 
-
-def _judged(chan, means, sig_array, det_cfg, rng, sig_idx):
-    """The UE's transmissions in chunks ``(start, profile_of, hits)``: the
-    first transmission's index, ``profile_of(j, rng)``, the complex delay
-    profile of the chunk's row ``j`` (see ``_polar_powers`` for ``rng``),
-    and whether each row's own signature is detected.
-
-    Transmissions are drawn in polar form (``_polar_powers``) and judged
-    on their tap powers, with two exceptions drawn as complex rows
-    (``chan.draw``). The first transmission: it is the one stepped when the
-    UE is heard at once, and its row is then at hand. And every one when a
-    mean profile has nonzero taps on half its length or more
-    (``means.taps`` is None): each of those taps needs its phase, and a
-    cosine costs more than a normal pair there.
+    Rows are drawn in polar form (``_polar_powers``) and judged on their
+    tap powers, but drawn as complex rows (``chan.draw``) where ``polar`` is
+    false, and where a mean profile has nonzero taps on half its length or
+    more (``means.taps`` is None): each of those taps needs its phase, and
+    a cosine costs more than a normal pair there.
     """
-    start, size = 0, 1
-    while start < len(sig_idx):
-        idx = sig_idx[start : start + size]
-        if start == 0 or means.taps is None:
-            rows = chan.draw(rng, means.profile[idx], len(idx))
-            power, profile_of = np.abs(rows) ** 2, lambda j, rng, rows=rows: rows[j]
-        else:
-            power, profile_of = _polar_powers(chan.std, means, rng, idx)
-        yield start, profile_of, signatures_detected(power, sig_array[idx, 1], det_cfg)
-        start += len(idx)
-        size = min(4 * size, _MAX_CHUNK)
+    if polar and means.taps is not None:
+        power, profile_of = _polar_powers(chan.std, means, rng, idx)
+    else:
+        rows = chan.draw(rng, means.profile[idx], len(idx))
+        power, profile_of = np.abs(rows) ** 2, lambda j, rng: rows[j]
+    return profile_of, signatures_detected(power, sig_array[idx, 1], det_cfg)
 
 
 def _polar_powers(std, means, rng, idx):
@@ -403,23 +404,23 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
     jammer is enabled or not; its record equals the one without logs (see
     ``SEEDING_RULE``).
     """
+    ue_on, first_ms, ue_off, sends = _ue_sends(cfg)
     seed = interval_seed(cfg.base_seed, index)
     rng = np.random.default_rng(seed)
     valid = bool(rng.random() >= cfg.invalid_probability)
-    ue_on, first_ms, ue_off = _ue_instants(cfg)
-    sends = _schedule(cfg.prach, cfg.cell, first_ms, ue_off)
     signatures, sig_array, chan, means = _bins(
         cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector, cfg.preamble_amplitude
     )
     sig_idx = rng.integers(len(signatures), size=len(sends))
     logged, logs = cfg.detection_log or cfg.event_trace, Logs([], [])
-    # Judge first: every send in a logged run; a record run only through the
-    # chunk holding the first hit, and it keeps only that chunk.
-    judged = []
-    for chunk in _judged(chan, means, sig_array, cfg.detector, rng, sig_idx):
-        judged = [*judged, chunk] if logged else [chunk]
-        if chunk[2].any() and not logged:
-            break
+    # Judge first, in two blocks: the first send alone, as the complex row
+    # that is stepped when the UE is heard at once, then the other K - 1,
+    # which a record run needs only when the first is missed.
+    first_of, hits = _judged(chan, means, sig_array, cfg.detector, rng, sig_idx[:1], polar=False)
+    profiles_of = [first_of]
+    if logged or not hits[0]:
+        rest_of, rest = _judged(chan, means, sig_array, cfg.detector, rng, sig_idx[1:])
+        profiles_of, hits = [first_of, rest_of], np.concatenate([hits, rest])
 
     def log_event(t: float, ue) -> None:
         if cfg.event_trace:
@@ -430,9 +431,8 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
     steps = ()
     if logged:
         steps = occasions_between(cfg.prach, cfg.cell, 0.0, ue_off + cfg.jammer_lag * 1000.0)
-    elif judged:  # only the send that decides: the first one detected, or the last
-        start, _, hits = judged[-1]
-        k = start + (int(hits.argmax()) if hits.any() else len(hits) - 1)
+    else:  # only the send that decides: the first one detected, or the last
+        k = int(hits.argmax()) if hits.any() else len(hits) - 1
         ue.preambles_sent, ue.retry_timer_ms = k, first_ms + k * RETRY_PERIOD_MS
         steps = sends[k : k + 1]
 
@@ -449,9 +449,8 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
             if ue.state is not prev_state:
                 log_event(t, ue)
         if tx is not None:
-            start, profile_of, hits = next(c for c in reversed(judged) if c[0] <= n)
-            hit = hits[n - start]
-            row = DelayProfile(tx.signature[0], profile_of(n - start, rng))
+            hit = hits[n]
+            row = DelayProfile(tx.signature[0], profiles_of[n > 0](max(n - 1, 0), rng))
         else:
             row = chan.draw(rng, chan.idle_mean, 1)[0]
         result = detect_preambles(row, cfg.detector, occasion=occ)
@@ -493,12 +492,7 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1) -> tuple[list[IntervalRe
     """
     if threads < 0:
         raise ConfigError(f"threads must be >= 0, got {threads}")
-    _, first_ms, ue_off = _ue_instants(cfg)
-    if not _schedule(cfg.prach, cfg.cell, first_ms, ue_off):
-        raise ConfigError(
-            f"the UE never sends a preamble: no PRACH occasion from its first attempt "
-            f"at {first_ms:g} ms to its switch-off at {ue_off:g} ms"
-        )
+    _ue_sends(cfg)
     indices = range(cfg.n_intervals)
     if threads == 0:
         # The CPUs this process may run on (taskset, cpusets), not the host's.

@@ -9,7 +9,6 @@ replaced: exactly where the arithmetic allows, and by two-proportion
 z-tests on the miss rate and two-sample KS tests on tap powers where
 they draw different numbers.
 """
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +30,7 @@ from prachjam.prach import PRESETS, occasions_in_frame
 from prachjam.waveform import IqFrame, demap_prach, frame_length, modulate_preamble
 from prachjam.zc import cyclic_shift, generate_zc
 
+from helpers import two_proportion_z
 from test_acceptance import preamble_trial_missed
 
 PRACH, CELL = PRESETS["index98_40mhz_desk"]
@@ -109,9 +109,10 @@ def profiles_of(bins, roots):
 
 
 def judged_with_powers(monkeypatch, bins, det, rng, sig_idx):
-    """The chunks ``(start, profile_of, power, hits)`` of ``_judged`` on
-    the channel ``bins`` (a ``_bins`` result), with the tap powers it
-    judged."""
+    """The campaign's two blocks ``(profile_of, power, hits)`` of
+    ``_judged`` on the channel ``bins`` (a ``_bins`` result), with the tap
+    powers each judged: the first transmission as a complex row, then the
+    others."""
     _, sig_array, chan, means = bins
     powers = []
 
@@ -120,9 +121,10 @@ def judged_with_powers(monkeypatch, bins, det, rng, sig_idx):
         return signatures_detected(power, windows, cfg)
 
     monkeypatch.setattr(prachjam.campaign, "signatures_detected", recording)
-    chunks = list(_judged(chan, means, sig_array, det, rng, sig_idx))
+    blocks = [_judged(chan, means, sig_array, det, rng, sig_idx[:1], polar=False),
+              _judged(chan, means, sig_array, det, rng, sig_idx[1:])]
     monkeypatch.undo()
-    return [(start, of, power, hits) for (start, of, hits), power in zip(chunks, powers)]
+    return [(of, power, hits) for (of, hits), power in zip(blocks, powers)]
 
 
 @pytest.mark.parametrize("roots", [(1,), (1, 2, 5)])
@@ -138,7 +140,7 @@ def test_batched_kernel_decides_like_detect_preambles(roots, monkeypatch):
     assert signatures_detected(power, sigs[:, 1], det).tolist() == single.tolist()
     # The kernel's own draws, cut into intervals of 25 transmissions: each
     # row's complex profile, taken back to bins and through
-    # detect_preambles, gets the chunk's verdict.
+    # detect_preambles, gets the block's verdict.
     channel = _bins(PRACH, CELL, JammerConfig(kind="S1", snr_db=-13.0),
                     ChannelConfig(noise_sigma=SIGMA_0DB), det, 1.0)
     signatures = channel[0]
@@ -146,9 +148,9 @@ def test_batched_kernel_decides_like_detect_preambles(roots, monkeypatch):
     verdicts = []
     for _ in range(16):
         idx = rng.integers(len(signatures), size=25)
-        chunks = judged_with_powers(monkeypatch, channel, det, rng, idx)
-        assert [(k, len(hits)) for k, _, _, hits in chunks] == [(0, 1), (1, 4), (5, 16), (21, 4)]
-        for k, profile_of, _, hits in chunks:
+        blocks = judged_with_powers(monkeypatch, channel, det, rng, idx)
+        assert [len(hits) for _, _, hits in blocks] == [1, 24]
+        for k, (profile_of, _, hits) in zip((0, 1), blocks):
             for j, hit in enumerate(hits):
                 root, window = signatures[idx[k + j]]
                 row = profile_bins(profile_of(j, phases(len(verdicts))), root)
@@ -192,13 +194,6 @@ def phases(key):
     """A generator, keyed by ``key``, for ``profile_of`` to draw a rebuilt
     polar row's zero-mean taps' phases from."""
     return np.random.default_rng([9, key])
-
-
-def two_proportion_z(count_a, n_a, count_b, n_b):
-    """z of the difference of two proportions under their pooled rate."""
-    pooled = (count_a + count_b) / (n_a + n_b)
-    se = math.sqrt(max(pooled * (1 - pooled) * (1 / n_a + 1 / n_b), 1e-12))
-    return (count_b / n_b - count_a / n_a) / se
 
 
 @pytest.mark.parametrize("root", [1, 2, 5])
@@ -336,12 +331,12 @@ def test_tap_powers_follow_the_complex_draw():
 @pytest.mark.parametrize("name", sorted(MEANS))
 def test_rebuilt_row_power_equals_kernel_power(name, monkeypatch):
     # A transmission that is stepped goes back to a complex profile; its
-    # tap powers are the ones judged: in the kernel's chunks, and in the
+    # tap powers are the ones judged: in the kernel's blocks, and in the
     # polar draw with every tap gathered.
     channel = means_channel(name)
     rng = np.random.default_rng(81)
     idx = rng.integers(len(channel[0]), size=127)
-    chunks = [(power, of) for _, of, power, _ in
+    chunks = [(power, of) for of, power, _ in
               judged_with_powers(monkeypatch, channel, MEANS_DET, rng, idx)]
     chunks += [(power, of) for _, power, of in polar_chunks(channel, rng, 254, chunk=127)]
     for power, profile_of in chunks:
@@ -409,16 +404,16 @@ def test_first_transmission_is_a_complex_row(monkeypatch):
     length = means.profile.shape[-1]
     assert means.taps.shape == (len(sig_array), 1)
     idx = np.random.default_rng(93).integers(len(sig_array), size=5)
-    chunks = judged_with_powers(monkeypatch, channel, MEANS_DET, np.random.default_rng(94), idx)
+    blocks = judged_with_powers(monkeypatch, channel, MEANS_DET, np.random.default_rng(94), idx)
     rng = np.random.default_rng(94)
     first = chan.draw(rng, means.profile[idx[:1]], 1)
-    np.testing.assert_array_equal(chunks[0][1](0, None), first[0])
+    np.testing.assert_array_equal(blocks[0][0](0, None), first[0])
     u = rng.random((4, length + 1))
     power = -2 * chan.std**2 * np.log(1.0 - u[:, :length])
     at = (np.arange(4), means.taps[idx[1:], 0])
     mean, tap = means.magnitude[idx[1:]][at], power[at]
     power[at] = tap + mean * (mean + 2 * np.sqrt(tap) * np.cos(2 * np.pi * u[:, length]))
-    np.testing.assert_array_equal(chunks[1][2], power)
+    np.testing.assert_array_equal(blocks[1][1], power)
 
 
 def other_root_alarms(profiles, roots, det):
@@ -435,7 +430,7 @@ def other_root_alarms(profiles, roots, det):
 
 def test_other_roots_see_rebuilt_rows_like_complex_rows():
     # A rebuilt polar row reads its zero-mean taps' phases after every
-    # chunk's powers, as the campaign does. Against another root the UE's taps spread
+    # block's powers, as the campaign does. Against another root the UE's taps spread
     # over the whole profile, so there those phases count: at a threshold
     # lowered to 8, where other-root false alarms run at about 10 %, their
     # rate on 20,000 rebuilt rows and on 20,000 complex rows agree by a

@@ -216,7 +216,7 @@ class TestIntervals:
             {"spectrum": JammerConfig(kind="S1", snr_db=-6.0, enabled=False)},
             {"spectrum": JammerConfig(kind="S1", snr_db=-6.0, s1_literal=True)},
             {"invalid_probability": 0.5},
-            # The UE retries, so the record path judges several chunks.
+            # The UE retries, so the record path judges both blocks.
             {"spectrum": JammerConfig(kind="S1", snr_db=-18.0)},
             {
                 "spectrum": JammerConfig(kind="S2", snr_db=-14.0),
@@ -252,36 +252,46 @@ class TestIntervals:
             assert logs.detections == (both.detections if detection_log else [])
             assert logs.events == (both.events if event_trace else [])
 
-    @pytest.mark.parametrize("cap", ["one", "three", "all"])
-    def test_chunk_cap_does_not_change_records(self, cap, monkeypatch):
-        # Nor the logs: a logged run judges every send, each row on its own
-        # run of the stream, before it steps.
+    def test_record_and_logged_runs_agree_in_either_block(self):
+        # The record run judges the later sends only when the first is
+        # missed; the logged run judges all of them and steps every occasion.
         cfg = make_config(
             n_intervals=18, spectrum=JammerConfig(kind="S1", snr_db=-14.0)
         )
-        logged = replace(cfg, detection_log=True, event_trace=True)
+        records, _ = run_campaign(cfg)
+        logged, logs = run_campaign(replace(cfg, detection_log=True, event_trace=True))
+        assert logged == records
+        assert all(logs)
+        # Intervals decided in block 0 (the first send), in block 1 (a later
+        # one) and not at all.
+        decided = {min(r.preambles_sent - 1, 1) if r.ra_succeeded else None for r in records}
+        assert decided == {0, 1, None}
 
-        def run(c):
-            records, logs = run_campaign(c)
-            return records, [[json.dumps(e, sort_keys=True) for e in log] for log in logs]
+    @pytest.mark.parametrize("logged, duration", [(False, 2.0), (True, 2.0), (True, 0.15)],
+                             ids=["record", "logged", "logged_one_send"])
+    def test_judges_the_first_send_then_the_rest_at_once(self, monkeypatch, logged, duration):
+        # One judge call for the first send and one for the other K - 1,
+        # empty where K = 1: a record run whose first send is heard makes
+        # only the first.
+        cfg = make_config(n_intervals=18, interval_duration=duration,
+                          spectrum=JammerConfig(kind="S1", snr_db=-14.0), detection_log=logged)
+        sends = _schedule(cfg.prach, cfg.cell, 400.0, 300.0 + 1000.0 * duration)
+        assert len(sends) == (19 if duration == 2.0 else 1)
+        judge, rows = prachjam.campaign.signatures_detected, []
 
-        records, lines = run(logged)
-        sends = _schedule(cfg.prach, cfg.cell, 400.0, 2300.0)
-        # Under the default cap the 19 sends are judged in chunks of 1, 4, 14.
-        chunk_ends = np.cumsum([1, 4, 14])
-        assert len(sends) == chunk_ends[-1]
-        caps = {"one": 1, "three": 3, "all": len(sends)}
-        monkeypatch.setattr(prachjam.campaign, "_MAX_CHUNK", caps[cap])
-        assert run(cfg)[0] == records
-        assert run(logged) == (records, lines)
-        assert all(lines)
-        # A hit in every chunk, the first and the last included, and an
-        # interval without one.
-        hit_chunks = {
-            int(np.searchsorted(chunk_ends, r.preambles_sent)) for r in records if r.ra_succeeded
-        }
-        assert hit_chunks == set(range(len(chunk_ends)))
-        assert not all(r.ra_succeeded for r in records)
+        def counting(power, windows, det_cfg):
+            rows[-1].append(len(power))
+            return judge(power, windows, det_cfg)
+
+        monkeypatch.setattr(prachjam.campaign, "signatures_detected", counting)
+        heard_at_once = []
+        for i in range(cfg.n_intervals):
+            rows.append([])
+            record = run_interval(cfg, i)[0]
+            heard_at_once.append(record.ra_succeeded and record.preambles_sent == 1)
+        assert 0 < sum(heard_at_once) < cfg.n_intervals
+        for heard, judged in zip(heard_at_once, rows):
+            assert judged == ([1] if heard and not logged else [1, len(sends) - 1])
 
     def test_logged_run_spans_the_lag_with_the_jammer_off(self):
         # quick.json: 0.5 s lead, 2 s of UE activity, 0.5 s lag, 3 occasions
@@ -326,7 +336,7 @@ class TestIntervals:
     @pytest.mark.parametrize("logged", [False, True], ids=["record", "logged"])
     @pytest.mark.parametrize("snr_db", [-6.0, -18.0])
     def test_each_interval_builds_one_generator(self, monkeypatch, snr_db, logged):
-        # The interval stream is the only one: the kernel's chunks, a
+        # The interval stream is the only one: the kernel's blocks, a
         # rebuilt row's phases and a logged run's idle occasions all read it.
         # At -6 dB the UE is heard at once; at -18 dB it retries, so a later
         # (polar) send is stepped.
@@ -392,6 +402,12 @@ class TestIntervals:
             with pytest.raises(ConfigError, match="never sends a preamble"):
                 run_campaign(make_config(ue_startup_delay=delay))
         assert ran == []
+
+    def test_interval_of_a_ue_without_an_occasion_is_a_config_error(self):
+        # quick.json with the UE's first attempt after its switch-off.
+        doc = {**QUICK_DOC, "interval_duration": 0.05, "ue_startup_delay": 0.1}
+        with pytest.raises(ConfigError, match="never sends a preamble"):
+            run_interval(load_campaign_config(doc), 0)
 
     @pytest.mark.parametrize(
         "roots, per_interval", [((1,), (0, 0)), ((1, 2, 5), (1, 2))], ids=["one", "three"]
@@ -466,6 +482,20 @@ class TestIntervals:
         # Pinned to one CPU, "all cores" is one worker: no process pool.
         monkeypatch.setattr(prachjam.campaign.os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(prachjam.campaign, "ProcessPoolExecutor", no_pool)
+        cfg = make_config(n_intervals=2, interval_duration=1.0)
+        assert run_campaign(cfg, threads=0)[0] == run_campaign(cfg, threads=1)[0]
+
+    @pytest.mark.parametrize("cpus", [1, None])
+    def test_zero_threads_without_affinity_counts_the_cpus(self, monkeypatch, cpus):
+        # Where the platform has no sched_getaffinity, os.cpu_count() decides,
+        # and a count it cannot tell is one worker.
+        monkeypatch.delattr(prachjam.campaign.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(prachjam.campaign.os, "cpu_count", lambda: cpus)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was created")

@@ -90,3 +90,8 @@ def test_negative_parameters_rejected():
         ChannelConfig(noise_sigma=-1.0)
     with pytest.raises(ConfigError):
         ChannelConfig(noise_sigma=0.0, ue_gain=-0.1)
+
+
+def test_no_frame_rejected():
+    with pytest.raises(ConfigError, match="needs a UE or a jammer frame"):
+        superpose(None, None, ChannelConfig(noise_sigma=0.0), np.random.default_rng(0))

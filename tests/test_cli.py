@@ -495,6 +495,9 @@ class TestFieldChecks:
         ("occupancy", ["prach.freq_offset=-1"], "prach: freq_offset must be >= 0"),
         ("occupancy", ["prach.prach_subframes_per_frame=11"],
          "prach: prach_subframes_per_frame must fit before subframe_number"),
+        ("occupancy", ["prach.subframe_number=10"], "prach: subframe_number must be in [0, 10)"),
+        ("occupancy", ["prach.slot_in_subframe=-1"], "prach: slot_in_subframe must be >= 0"),
+        ("occupancy", ["cell.n_prb=24"], "cell: dft_size must cover n_prb * 12 subcarriers"),
         ("occupancy", ["cell.numerology=3"], "cell: numerology must be 0..2, got 3"),
         ("occupancy", ["cell.numerology=-1"], "cell: numerology must be 0..2, got -1"),
         ("occupancy", ["channel.ue_delay_samples=-1"],
@@ -511,7 +514,8 @@ class TestFieldChecks:
         ("calibrate", ["absent"], "cannot read config: "),
         ("metrics", [], "records.jsonl:1: invalid JSON"),
     ], ids=["sfn_modulus", "start_symbol-high", "start_symbol-negative", "occasions_per_slot",
-            "freq_occasions", "freq_offset", "prach_subframes_per_frame", "numerology-high",
+            "freq_occasions", "freq_offset", "prach_subframes_per_frame", "subframe_number",
+            "slot_in_subframe", "n_prb", "numerology-high",
             "numerology-negative", "ue_delay_samples", "threshold_factor", "shift_step",
             "invalid_probability-high", "invalid_probability-negative", "set-without-equals",
             "set-through-a-string", "unreadable-config", "records-line-not-json"])

@@ -24,6 +24,7 @@ from prachjam.prach import PRESETS, occasions_in_frame
 from prachjam.waveform import demap_prach, modulate_preamble
 from prachjam.zc import cyclic_shift, generate_zc
 
+from helpers import two_proportion_z
 from test_pinned_answers import CALIBRATED_FACTORS
 
 PRACH, CELL = PRESETS["index98_40mhz_desk"]
@@ -308,13 +309,6 @@ def fisher_far(gamma, length=139, covered=130):
         for k in range(1, math.floor(1 / x) + 1)
     )
     return total * covered / length
-
-
-def two_proportion_z(count_a, n_a, count_b, n_b):
-    """z of the difference of two proportions under their pooled rate."""
-    pooled = (count_a + count_b) / (n_a + n_b)
-    se = math.sqrt(max(pooled * (1 - pooled) * (1 / n_a + 1 / n_b), 1e-12))
-    return (count_b / n_b - count_a / n_a) / se
 
 
 class TestOneRootDraw:

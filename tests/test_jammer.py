@@ -43,6 +43,11 @@ class TestFrames:
         with pytest.raises(ConfigError, match="kind"):
             JammerConfig(kind="S3", snr_db=0.0)
 
+    def test_negative_amplitude_rejected(self):
+        cfg = JammerConfig(kind="S2", snr_db=0.0)
+        with pytest.raises(ValueError, match="a_f must be >= 0"):
+            generate_jamming_frame(cfg, OCCASION, CELL, -1.0, np.random.default_rng(3))
+
     def test_zero_amplitude_gives_zero_frame(self):
         cfg = JammerConfig(kind="S2", snr_db=0.0)
         frame = generate_jamming_frame(cfg, OCCASION, CELL, 0.0, np.random.default_rng(3))

@@ -7,6 +7,7 @@ import pytest
 from prachjam.prach import PRESETS, occasions_in_frame
 from prachjam.waveform import (
     IqFrame,
+    build_occasion_frame,
     cp_length,
     demap_prach,
     frame_length,
@@ -56,6 +57,20 @@ class TestModulate:
         tiny = dataclasses.replace(CELL, n_prb=2, dft_size=128)
         with pytest.raises(ValueError, match="exceeds"):
             modulate_preamble(SEQ, OCCASION, tiny, 1.0)
+
+    def test_bins_past_the_grid_rejected(self):
+        bins = np.ones(139, dtype=complex)
+        message = "139 subcarriers at offset 200 exceed the 256-point grid"
+        with pytest.raises(ValueError, match=message):
+            build_occasion_frame(bins, 200, CELL)
+
+    @pytest.mark.parametrize("samples, rate, message", [
+        (np.ones(4, dtype=complex), 0.0, "sample_rate must be positive"),
+        (np.zeros(0, dtype=complex), 1.0, "samples must be nonempty"),
+    ], ids=["zero-rate", "no-samples"])
+    def test_frame_checks(self, samples, rate, message):
+        with pytest.raises(ValueError, match=message):
+            IqFrame(samples, rate)
 
     def test_energy_conservation(self):
         frame = modulate_preamble(SEQ, OCCASION, CELL, 1.3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prachjam.zc import cyclic_shift, generate_zc, periodic_xcorr
+from prachjam.zc import ZcSequence, cyclic_shift, generate_zc, periodic_xcorr
 
 
 def naive_dft(x):
@@ -56,6 +56,15 @@ class TestGenerate:
     def test_rejects_non_coprime_root(self):
         with pytest.raises(ValueError, match="coprime"):
             generate_zc(3, 9)
+
+    @pytest.mark.parametrize("root, shift, count, message", [
+        (3, 0, 9, "root 3 and length 9 must be coprime"),
+        (1, 9, 9, r"shift 9 out of range \[0, 9\)"),
+        (1, 0, 8, "sample count does not match declared length"),
+    ], ids=["non-coprime-root", "shift-out-of-range", "sample-count"])
+    def test_sequence_checks(self, root, shift, count, message):
+        with pytest.raises(ValueError, match=message):
+            ZcSequence(root, 9, shift, np.ones(count, dtype=complex))
 
     @given(
         length=st.sampled_from([3, 5, 7, 139, 839]),

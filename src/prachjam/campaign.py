@@ -12,17 +12,20 @@ white bins times the constant-modulus ZC reference stay white, with the
 same variance, so each tap is its mean plus complex normal noise: an
 exponential power, and a uniform phase that is drawn with it only on the
 few taps where the mean is not zero. The first transmission, the one
-stepped when the UE is heard at once, is drawn as a complex row instead.
-An interval reads one random stream. Its transmissions are judged first,
-each on its own run of the stream, in two blocks: the first alone, then the
-other K - 1 at once, which a record run judges only when the first is
-missed and a logged run always. Then every occasion
-simulated runs one loop body: the UE steps, a sent transmission is rebuilt
-as a complex profile (its other phases read on from the stream) that
-``detect_preambles`` judges as it is and must agree with the batch
-verdict, and the RA machines answer. A record run steps only the deciding
-transmission; a logged run (``detection_log`` or ``event_trace``), every
-occasion.
+that decides when the UE is heard at once, is drawn as a complex row
+instead. An interval reads one random stream. Its transmissions are judged
+first, each on its own run of the stream, in two blocks: the first alone,
+then the other K - 1 at once, which a record run judges only when the
+first is missed and a logged run always.
+
+A record run then computes its record in closed form. Msg2 to Msg4 are
+delivered reliably and the single UE wins its contention, so it connects
+at the first transmission detected, or sends all K unheard. Only that
+deciding transmission is rebuilt as a complex profile (its other phases
+read on from the stream) that ``detect_preambles`` judges as it is and
+must agree with the batch verdict. A logged run (``detection_log`` or
+``event_trace``) steps every occasion through the RA machines instead,
+rebuilding and checking each sent transmission the same way.
 """
 from __future__ import annotations
 
@@ -60,7 +63,6 @@ from .prach import (
     occupancy_factors,
 )
 from .rafsm import (
-    RETRY_PERIOD_MS,
     GnbRaContext,
     Msg3,
     PreambleTx,
@@ -211,8 +213,10 @@ class MetricsSummary:
     success ratio over valid intervals, ``e_p_j`` the per-preamble
     survival ratio, and the mean counters average preambles per valid
     interval (``mean_preambles_per_interval`` from the jammed+received
-    sum, ``mean_preambles_sent_per_interval`` from the raw sent counts;
-    they differ only when detected-but-unsuccessful preambles exist).
+    sum, ``mean_preambles_sent_per_interval`` from the raw sent counts).
+    The two are equal: a UE connects at its first preamble detected, so a
+    record's detected count is ``int(ra_succeeded)`` (``record_from_dict``
+    refuses any other).
     """
 
     n_intervals: int
@@ -414,7 +418,7 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
     sig_idx = rng.integers(len(signatures), size=len(sends))
     logged, logs = cfg.detection_log or cfg.event_trace, Logs([], [])
     # Judge first, in two blocks: the first send alone, as the complex row
-    # that is stepped when the UE is heard at once, then the other K - 1,
+    # that is checked when the UE is heard at once, then the other K - 1,
     # which a record run needs only when the first is missed.
     first_of, hits = _judged(chan, means, sig_array, cfg.detector, rng, sig_idx[:1], polar=False)
     profiles_of = [first_of]
@@ -422,24 +426,39 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
         rest_of, rest = _judged(chan, means, sig_array, cfg.detector, rng, sig_idx[1:])
         profiles_of, hits = [first_of, rest_of], np.concatenate([hits, rest])
 
+    def checked(n: int, occ: PrachOccasion):
+        """The detector's result on send ``n``'s complex profile, rebuilt (its
+        other phases read on from the stream), which must agree with the
+        kernel's verdict ``hits[n]``."""
+        signature = signatures[sig_idx[n]]
+        row = DelayProfile(signature[0], profiles_of[n > 0](max(n - 1, 0), rng))
+        result = detect_preambles(row, cfg.detector, occasion=occ)
+        if result.reports(signature) != hits[n]:
+            raise SimulationError(
+                f"interval {index}: kernel and detector disagree on preamble {n}"
+            )
+        return result
+
+    if not logged:
+        # The record in closed form: the UE connects at the first send
+        # detected (Msg2 to Msg4 are reliable, and it wins its contention),
+        # or sends all K unheard. Only that send is checked.
+        k = int(hits.argmax()) if hits.any() else len(hits) - 1
+        t, occ = sends[k]
+        checked(k, occ)
+        hit = bool(hits[k])
+        return IntervalRecord(index, valid, k + 1, int(hit), hit,
+                              (t - ue_on) / 1000.0 if hit else None, seed), logs
+
     def log_event(t: float, ue) -> None:
         if cfg.event_trace:
             logs.events.append({"interval": index, "time_ms": t,
                                 "entity": f"ue{ue.unique_id}", "transition": ue.state.value})
 
-    ue = make_ue(index + 1, first_ms)
-    steps = ()
-    if logged:
-        steps = occasions_between(cfg.prach, cfg.cell, 0.0, ue_off + cfg.jammer_lag * 1000.0)
-    else:  # only the send that decides: the first one detected, or the last
-        k = int(hits.argmax()) if hits.any() else len(hits) - 1
-        ue.preambles_sent, ue.retry_timer_ms = k, first_ms + k * RETRY_PERIOD_MS
-        steps = sends[k : k + 1]
-
-    ctx = GnbRaContext()
+    ue, ctx = make_ue(index + 1, first_ms), GnbRaContext()
     detected = 0
     success_ms: float | None = None
-    for t, occ in steps:
+    for t, occ in occasions_between(cfg.prach, cfg.cell, 0.0, ue_off + cfg.jammer_lag * 1000.0):
         active, tx = ue_on <= t < ue_off and ue.state is not UeState.CONNECTED, None
         if active:
             n, prev_state = ue.preambles_sent, ue.state
@@ -449,17 +468,11 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
             if ue.state is not prev_state:
                 log_event(t, ue)
         if tx is not None:
-            hit = hits[n]
-            row = DelayProfile(tx.signature[0], profiles_of[n > 0](max(n - 1, 0), rng))
+            result = checked(n, occ)
+            detected += int(hits[n])
         else:
-            row = chan.draw(rng, chan.idle_mean, 1)[0]
-        result = detect_preambles(row, cfg.detector, occasion=occ)
-        if tx is not None:
-            if result.reports(tx.signature) != hit:
-                raise SimulationError(
-                    f"interval {index}: kernel and detector disagree on preamble {n}"
-                )
-            detected += int(hit)
+            result = detect_preambles(chan.draw(rng, chan.idle_mean, 1)[0], cfg.detector,
+                                      occasion=occ)
         if cfg.detection_log:
             transmitted = None if tx is None else tx.signature
             logs.detections.append(detection_entry(index, occ, result, transmitted))
@@ -575,6 +588,12 @@ def record_from_dict(data: dict[str, Any]) -> IntervalRecord:
         raise ConfigError("record.ra_succeeded is true but no preamble was detected")
     if r.time_to_success is not None and r.time_to_success < 0:
         raise ConfigError(f"record.time_to_success {r.time_to_success} is negative")
+    if r.preambles_detected != int(r.ra_succeeded):
+        # The UE connects at its first preamble detected and sends no more.
+        raise ConfigError(
+            f"record.preambles_detected {r.preambles_detected} is not "
+            f"{int(r.ra_succeeded)}, with ra_succeeded {r.ra_succeeded}"
+        )
     return r
 
 

@@ -8,6 +8,7 @@ bin magnitudes and time-domain energy share the same scale.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,8 +45,8 @@ class IqFrame:
     start_offset: int = 0
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0 < self.sample_rate < math.inf:  # false for NaN too
+            raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
         if len(self.samples) == 0:
             raise ValueError("samples must be nonempty")
 

@@ -29,7 +29,7 @@ class ZcSequence:
     Attributes
     ----------
     root : int
-        Root index, coprime with ``length``.
+        Root index, ``1 <= root < length`` and coprime with ``length``.
     length : int
         Number of samples. Odd; prime in all 5G NR uses.
     shift : int
@@ -44,6 +44,8 @@ class ZcSequence:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
+        if not 1 <= self.root < self.length:
+            raise ValueError(f"root must satisfy 1 <= root < length, got {self.root}")
         if gcd(self.root, self.length) != 1:
             raise ValueError(
                 f"root {self.root} and length {self.length} must be coprime"
@@ -88,10 +90,6 @@ def generate_zc(root: int, length: int) -> ZcSequence:
         raise ValueError(f"length must be odd, got {length}")
     if length < 3:
         raise ValueError(f"length must be >= 3, got {length}")
-    if not 1 <= root < length:
-        raise ValueError(f"root must satisfy 1 <= root < length, got {root}")
-    if gcd(root, length) != 1:
-        raise ValueError(f"root {root} and length {length} must be coprime")
     k = np.arange(length)
     samples = np.exp(1j * np.pi * root * k * (k + 1) / length)
     return ZcSequence(root=root, length=length, shift=0, samples=samples)

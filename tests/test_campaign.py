@@ -169,34 +169,42 @@ class TestSeeding:
         assert interval_seed(1234, 0) != interval_seed(1234, 1)
 
     def test_record_round_trip(self):
-        record = IntervalRecord(3, True, 10, 2, True, 1.25, 99)
+        record = IntervalRecord(3, True, 10, 1, True, 1.25, 99)
         assert record_from_dict(record_to_dict(record)) == record
 
     @pytest.mark.parametrize(
-        "field, value, message",
+        "changes, message",
         [
-            ("extra", 1, "unknown field 'extra' in record"),
-            ("ra_succeeded", "no", "record.ra_succeeded must be a bool"),
-            ("index", 1.0, "record.index must be an int"),
-            ("preambles_sent", True, "record.preambles_sent must be an int"),
-            ("time_to_success", "1.5", "record.time_to_success must be a finite number or null"),
-            ("preambles_detected", 2,
+            ({"extra": 1}, "unknown field 'extra' in record"),
+            ({"ra_succeeded": "no"}, "record.ra_succeeded must be a bool"),
+            ({"index": 1.0}, "record.index must be an int"),
+            ({"preambles_sent": True}, "record.preambles_sent must be an int"),
+            ({"time_to_success": "1.5"},
+             "record.time_to_success must be a finite number or null"),
+            ({"preambles_detected": 2},
              r"record.preambles_detected 2 is not in \[0, preambles_sent 1\]"),
-            ("preambles_detected", -1, "record.preambles_detected -1 is not in"),
-            ("time_to_success", None, "record.ra_succeeded True does not match time_to_success"),
-            ("ra_succeeded", False, "record.ra_succeeded False does not match time_to_success"),
-            ("time_to_success", -0.5, "record.time_to_success -0.5 is negative"),
-            ("preambles_detected", 0, "record.ra_succeeded is true but no preamble was detected"),
-            ("preambles_sent", 0, "record.preambles_sent 0 is below 1"),
+            ({"preambles_detected": -1}, "record.preambles_detected -1 is not in"),
+            ({"time_to_success": None},
+             "record.ra_succeeded True does not match time_to_success"),
+            ({"ra_succeeded": False},
+             "record.ra_succeeded False does not match time_to_success"),
+            ({"time_to_success": -0.5}, "record.time_to_success -0.5 is negative"),
+            ({"preambles_detected": 0},
+             "record.ra_succeeded is true but no preamble was detected"),
+            ({"preambles_sent": 0}, "record.preambles_sent 0 is below 1"),
+            ({"preambles_sent": 3, "ra_succeeded": False, "time_to_success": None},
+             "record.preambles_detected 1 is not 0, with ra_succeeded False"),
+            ({"preambles_sent": 3, "preambles_detected": 2},
+             "record.preambles_detected 2 is not 1, with ra_succeeded True"),
         ],
         ids=["extra", "ra_succeeded", "index", "preambles_sent", "time_to_success",
              "detected_above_sent", "detected_negative", "success_without_time",
              "time_without_success", "negative_time", "success_without_detection",
-             "nothing_sent"],
+             "nothing_sent", "detection_without_success", "two_detected"],
     )
-    def test_bad_record_rejected(self, field, value, message):
+    def test_bad_record_rejected(self, changes, message):
         data = record_to_dict(IntervalRecord(0, True, 1, 1, True, 0.25, 0))
-        data[field] = value
+        data.update(changes)
         with pytest.raises(ConfigError, match=message):
             record_from_dict(data)
 
@@ -237,6 +245,56 @@ class TestIntervals:
         records, _ = run_campaign(cfg)
         logged, _ = run_campaign(replace(cfg, detection_log=True, event_trace=True))
         assert records == logged
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["S1", "S2"]),
+        snr_db=st.floats(-24.0, -4.0),
+        roots=st.sampled_from([(1,), (1, 2, 5)]),
+        delay=st.integers(0, 12),
+        one_send=st.booleans(),
+        index=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_record_equals_the_logged_run(
+        self, seed, kind, snr_db, roots, delay, one_send, index
+    ):
+        # The record run computes its record from the kernel's verdicts; the
+        # logged run steps every occasion through the RA machines.
+        prach, cell = random_config(np.random.default_rng(seed))
+        cfg = make_config(
+            prach=prach, cell=cell, base_seed=seed, spectrum=JammerConfig(kind, snr_db),
+            detector=DetectorConfig(roots=roots),
+            channel=ChannelConfig(noise_sigma=SIGMA_0DB, ue_delay_samples=delay),
+            interval_duration=0.12 if one_send else 0.3, jammer_lead=0.05, jammer_lag=0.05,
+            ue_startup_delay=0.02,
+        )
+        # No PRACH gap exceeds 80 ms and the UE retries every 100 ms, so its
+        # 100 ms of activity hold one send and its 280 ms two or more.
+        sends = prachjam.campaign._ue_sends(cfg)[3]
+        assert (len(sends) == 1) == one_send
+        logged = replace(cfg, detection_log=True, event_trace=True)
+        assert run_interval(cfg, index)[0] == run_interval(logged, index)[0]
+
+    @pytest.mark.parametrize("snr_db", [-6.0, -18.0])
+    def test_record_run_steps_no_ra_machine(self, monkeypatch, snr_db):
+        # At -6 dB the UE is heard at once; at -18 dB it retries.
+        cfg = make_config(n_intervals=4, spectrum=JammerConfig(kind="S1", snr_db=snr_db))
+        run_interval(cfg, 0)  # fills the _schedule cache, whose build steps a UE
+        calls = []
+        for name in ("ue_step", "gnb_step", "make_ue"):
+            step = getattr(prachjam.campaign, name)
+
+            def counting(*args, name=name, step=step, **kwargs):
+                calls.append(name)
+                return step(*args, **kwargs)
+
+            monkeypatch.setattr(prachjam.campaign, name, counting)
+        records = [run_interval(cfg, i)[0] for i in range(cfg.n_intervals)]
+        assert calls == []
+        assert any(r.preambles_sent > 1 for r in records) == (snr_db == -18.0)
+        assert run_interval(replace(cfg, event_trace=True), 0)[0] == records[0]
+        assert {"ue_step", "gnb_step", "make_ue"} <= set(calls)
 
     def test_config_flags_alone_switch_the_logs(self):
         # Each flag collects its own lines, the same as with both flags on,
@@ -389,7 +447,7 @@ class TestIntervals:
             return replace(result, detected=[Detection(1, w, 99.0) for w in range(10)])
 
         monkeypatch.setattr(prachjam.campaign, "detect_preambles", eager)
-        record, _ = run_interval(cfg, 0)  # steps only the last send
+        record, _ = run_interval(cfg, 0)  # checks only the last send
         assert (record.preambles_sent, record.preambles_detected) == (len(sends), 0)
         with pytest.raises(SimulationError, match="disagree on preamble 2"):
             run_interval(replace(cfg, detection_log=True), 0)

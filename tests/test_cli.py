@@ -397,6 +397,18 @@ class TestMetricsRoundTrip:
         err = capsys.readouterr().err
         assert message in err
 
+    def test_detected_count_must_match_the_success(self, tmp_path, capsys):
+        # simulate writes no such record: a UE connects at its first
+        # preamble detected and sends no more.
+        two_detected = {"preambles_sent": 3, "preambles_detected": 2, "ra_succeeded": True,
+                        "time_to_success": 0.25}
+        cfg, out = self.rewrite_records(
+            tmp_path, lambda i, r: {**r, **two_detected} if i == 1 else r
+        )
+        assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 1
+        message = "records.jsonl:2: record.preambles_detected 2 is not 1, with ra_succeeded True"
+        assert message in capsys.readouterr().err
+
     def test_records_without_a_preamble_exit_one(self, tmp_path, capsys):
         # simulate writes no such record: it refuses a campaign whose UE
         # has no PRACH occasion.

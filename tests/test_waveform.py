@@ -67,7 +67,9 @@ class TestModulate:
     @pytest.mark.parametrize("samples, rate, message", [
         (np.ones(4, dtype=complex), 0.0, "sample_rate must be positive"),
         (np.zeros(0, dtype=complex), 1.0, "samples must be nonempty"),
-    ], ids=["zero-rate", "no-samples"])
+        (np.ones(4, dtype=complex), float("nan"), "sample_rate must be positive and finite"),
+        (np.ones(4, dtype=complex), float("inf"), "sample_rate must be positive and finite"),
+    ], ids=["zero-rate", "no-samples", "nan-rate", "infinite-rate"])
     def test_frame_checks(self, samples, rate, message):
         with pytest.raises(ValueError, match=message):
             IqFrame(samples, rate)

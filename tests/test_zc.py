@@ -61,7 +61,10 @@ class TestGenerate:
         (3, 0, 9, "root 3 and length 9 must be coprime"),
         (1, 9, 9, r"shift 9 out of range \[0, 9\)"),
         (1, 0, 8, "sample count does not match declared length"),
-    ], ids=["non-coprime-root", "shift-out-of-range", "sample-count"])
+        (-1, 0, 9, "1 <= root < length, got -1"),
+        (10, 0, 9, "1 <= root < length, got 10"),
+    ], ids=["non-coprime-root", "shift-out-of-range", "sample-count", "negative-root",
+            "root-past-length"])
     def test_sequence_checks(self, root, shift, count, message):
         with pytest.raises(ValueError, match=message):
             ZcSequence(root, 9, shift, np.ones(count, dtype=complex))

@@ -2,7 +2,7 @@
 
 The package models the uplink random-access path of one cell: Zadoff-Chu
 preamble generation, PRACH occasion scheduling, format A2 waveform
-synthesis, two narrowband jamming spectra, an AWGN channel, a correlation
+synthesis, the narrowband jamming spectra, an AWGN channel, a correlation
 detector, the 4-step contention-based random-access procedure, and an
 interval-based measurement campaign with its summary metrics.
 """

@@ -140,14 +140,13 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.n_intervals < 1:
             raise ConfigError("n_intervals must be ≥ 1")
-        if self.interval_duration <= 0:
-            raise ConfigError("interval_duration must be positive")
-        if self.jammer_lead < 0 or self.jammer_lag < 0:
-            raise ConfigError("jammer_lead/jammer_lag must be >= 0")
-        if self.preamble_amplitude < 0:
-            raise ConfigError("preamble_amplitude must be >= 0")
-        if self.ue_startup_delay < 0:
-            raise ConfigError("ue_startup_delay must be >= 0")
+        if not 0 < self.interval_duration < math.inf:  # false for NaN too
+            raise ConfigError(
+                f"interval_duration must be > 0 and finite, got {self.interval_duration}"
+            )
+        for name in ("jammer_lead", "jammer_lag", "preamble_amplitude", "ue_startup_delay"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
         if not 0 <= self.invalid_probability <= 1:
             raise ConfigError("invalid_probability must be in [0, 1]")
         if not 0 <= self.base_seed < 2**64:
@@ -162,9 +161,6 @@ class CampaignConfig:
         if top > self.cell.n_prb:
             raise ConfigError(f"prach.freq_offset + prach.freq_occasions * 12 = {top} PRBs "
                               f"lie outside the carrier's cell.n_prb {self.cell.n_prb}")
-        if self.spectrum.s1_literal and self.spectrum.kind != "S1":
-            raise ConfigError("spectrum.s1_literal is an S1 spectrum, but spectrum.kind is "
-                              f"'{self.spectrum.kind}'")
         length, roots = self.prach.preamble_length, self.detector.roots
         if len(set(roots)) < len(roots) or any(
             not 1 <= r < length or math.gcd(r, length) != 1 for r in roots
@@ -177,16 +173,24 @@ class CampaignConfig:
             raise ConfigError(
                 f"detector.shift_step must be at most the preamble length {length}"
             )
+        amplitude, snr_db = self.preamble_amplitude, self.spectrum.snr_db
         try:
-            a_f = amplitude_from_snr(self.preamble_amplitude, self.spectrum.snr_db)
-            mean, variance = bin_moments(self.spectrum, a_f)
-            finite = math.isfinite(abs(mean) * abs(mean) + variance)
+            mean, variance = bin_moments(self.spectrum, amplitude_from_snr(amplitude, snr_db))
+            jammer = abs(mean) + math.sqrt(variance)
         except OverflowError:  # a Python float's ** raises rather than give inf
-            finite = False
-        if not finite:
+            jammer = math.inf
+        # The bins hold the UE, the jammer and the noise at these amplitudes. A
+        # delay-profile tap is at most sqrt(L) times its bins' amplitude, twice
+        # that with the noise's tail, and the detector sums L tap powers.
+        levels = {
+            f"preamble_amplitude {amplitude:g}": amplitude,
+            f"spectrum.snr_db {snr_db:g} at preamble_amplitude {amplitude:g}": jammer,
+            f"channel.noise_sigma {self.channel.noise_sigma:g}": self.channel.noise_sigma,
+        }
+        bound = 2 * length * sum(levels.values())
+        if not math.isfinite(bound * bound):
             raise ConfigError(
-                f"spectrum.snr_db {self.spectrum.snr_db:g} at preamble_amplitude "
-                f"{self.preamble_amplitude:g} overflows the jammer's power per bin"
+                f"{max(levels, key=levels.get)} overflows the sum of {length} tap powers"
             )
 
 
@@ -213,10 +217,9 @@ class MetricsSummary:
     success ratio over valid intervals, ``e_p_j`` the per-preamble
     survival ratio, and the mean counters average preambles per valid
     interval (``mean_preambles_per_interval`` from the jammed+received
-    sum, ``mean_preambles_sent_per_interval`` from the raw sent counts).
-    The two are equal: a UE connects at its first preamble detected, so a
-    record's detected count is ``int(ra_succeeded)`` (``record_from_dict``
-    refuses any other).
+    sum). That sum is also the number of preambles sent: a UE connects at
+    its first preamble detected, so a record's detected count is
+    ``int(ra_succeeded)`` (``record_from_dict`` refuses any other).
     """
 
     n_intervals: int
@@ -225,7 +228,6 @@ class MetricsSummary:
     n_e: int
     n_p_j: int
     mean_preambles_per_interval: Fraction
-    mean_preambles_sent_per_interval: Fraction
     e_p_j: Fraction | None
     e_s: Fraction
 
@@ -547,7 +549,6 @@ def compute_metrics(records: list[IntervalRecord]) -> MetricsSummary:
     n_ra_s = sum(1 for r in valid if r.ra_succeeded)
     n_ra_u = len(valid) - n_ra_s
     n_p_j = sum(r.preambles_sent - r.preambles_detected for r in valid)
-    sent_total = sum(r.preambles_sent for r in valid)
     denom = n_p_j + n_ra_s
     return MetricsSummary(
         n_intervals=n_intervals,
@@ -556,7 +557,6 @@ def compute_metrics(records: list[IntervalRecord]) -> MetricsSummary:
         n_e=n_e,
         n_p_j=n_p_j,
         mean_preambles_per_interval=Fraction(denom, len(valid)),
-        mean_preambles_sent_per_interval=Fraction(sent_total, len(valid)),
         e_p_j=Fraction(n_ra_s, denom) if denom > 0 else None,
         e_s=Fraction(n_ra_s, len(valid)),
     )
@@ -617,12 +617,6 @@ def build_summary_payload(
             "mean_preambles_per_interval": float(metrics.mean_preambles_per_interval),
             "mean_preambles_per_interval_exact": frac(
                 metrics.mean_preambles_per_interval
-            ),
-            "mean_preambles_sent_per_interval": float(
-                metrics.mean_preambles_sent_per_interval
-            ),
-            "mean_preambles_sent_per_interval_exact": frac(
-                metrics.mean_preambles_sent_per_interval
             ),
             "e_p_j": None if metrics.e_p_j is None else float(metrics.e_p_j),
             "e_p_j_ppm": (

@@ -19,20 +19,19 @@ __all__ = ["ChannelConfig", "superpose", "BinChannel", "bin_channel"]
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Linear gains, UE timing offset and thermal noise level.
+    """UE timing offset and thermal noise level. The UE and the jammer arrive
+    at the levels they send at, ``preamble_amplitude`` and the design SNR.
 
     ``noise_sigma`` is the standard deviation per real/imag component, so
     the complex per-sample noise power is ``2 * noise_sigma**2``.
     """
 
     noise_sigma: float
-    ue_gain: float = 1.0
-    jammer_gain: float = 1.0
     ue_delay_samples: int = 0
 
     def __post_init__(self) -> None:
-        if self.noise_sigma < 0 or self.ue_gain < 0 or self.jammer_gain < 0:
-            raise ConfigError("gains and noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:  # false for NaN too
+            raise ConfigError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
         if self.ue_delay_samples < 0:
             raise ConfigError("ue_delay_samples must be >= 0")
 
@@ -43,7 +42,7 @@ def superpose(
     cfg: ChannelConfig,
     rng: np.random.Generator,
 ) -> IqFrame:
-    """Received frame: delayed/scaled UE plus scaled jammer plus noise.
+    """Received frame: delayed UE plus jammer plus noise.
 
     An absent input contributes zero; at least one must be given.
     """
@@ -62,9 +61,9 @@ def superpose(
     out = np.zeros(n, dtype=complex)
     if ue is not None:
         d = cfg.ue_delay_samples
-        out[d:] += cfg.ue_gain * ue.samples[: n - d]
+        out[d:] += ue.samples[: n - d]
     if jam is not None:
-        out += cfg.jammer_gain * jam.samples
+        out += jam.samples
     if cfg.noise_sigma > 0:
         out += cfg.noise_sigma * (
             rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -107,15 +106,12 @@ def bin_channel(
 
     The channel is flat, the UE delay stays inside the cyclic prefix and
     demapping is linear. So the bins are the UE's transmitted bins
-    ``preambles`` ``(n, L)`` times its gain and the delay's phase ramp,
-    plus the jammer's bins (mean ``jam_mean``, complex variance
-    ``jam_variance``) times its gain, plus noise whose complex variance
-    ``2 * noise_sigma**2`` the repetitions average down.
+    ``preambles`` ``(n, L)`` times the delay's phase ramp, plus the
+    jammer's bins (mean ``jam_mean``, complex variance ``jam_variance``),
+    plus noise whose complex variance ``2 * noise_sigma**2`` the
+    repetitions average down.
     """
     subcarriers = first_subcarrier + np.arange(preambles.shape[-1])
     ramp = np.exp(-2j * np.pi * subcarriers * cfg.ue_delay_samples / dft_size)
-    idle_mean = cfg.jammer_gain * jam_mean
-    variance = cfg.jammer_gain**2 * jam_variance + 2 * cfg.noise_sigma**2 / REPETITIONS
-    return BinChannel(
-        cfg.ue_gain * ramp * preambles + idle_mean, idle_mean, math.sqrt(variance / 2)
-    )
+    variance = jam_variance + 2 * cfg.noise_sigma**2 / REPETITIONS
+    return BinChannel(ramp * preambles + jam_mean, jam_mean, math.sqrt(variance / 2))

@@ -14,11 +14,13 @@ jamming raises the decision threshold along with the interference.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ConfigError
 from .prach import PrachOccasion
 from .zc import generate_zc
 
@@ -51,12 +53,14 @@ class DetectorConfig:
     roots: tuple[int, ...] = (1,)
 
     def __post_init__(self) -> None:
-        if self.threshold_factor <= 1:
-            raise ValueError("threshold_factor must be > 1")
+        if not 1 < self.threshold_factor < math.inf:  # false for NaN too
+            raise ConfigError(
+                f"threshold_factor must be > 1 and finite, got {self.threshold_factor}"
+            )
         if self.shift_step < 1:
-            raise ValueError("shift_step must be >= 1")
+            raise ConfigError("shift_step must be >= 1")
         if not self.roots:
-            raise ValueError("root list must be nonempty")
+            raise ConfigError("root list must be nonempty")
 
 
 class Detection(NamedTuple):

@@ -1,14 +1,15 @@
-"""Jamming waveform synthesis for the two investigated spectra.
+"""Jamming waveform synthesis for the investigated spectra.
 
-Both spectra confine their energy to the subcarriers occupied by the
-preamble and are emitted in every occasion of every PRACH slot. Per
+Every spectrum confines its energy to the subcarriers occupied by the
+preamble and is emitted in every occasion of every PRACH slot. Per
 occasion one jamming symbol is drawn and transmitted with the same cyclic
 prefix + four-repetition structure as a legitimate preamble, which is how
 a preamble-path transmitter emits an injected spectrum. At equal amplitude
-both spectra deliver the same expected in-band power.
+every spectrum delivers the same expected in-band power.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,27 +20,29 @@ from .waveform import IqFrame, build_occasion_frame
 
 __all__ = ["JammerConfig", "amplitude_from_snr", "generate_jamming_frame", "bin_moments"]
 
-KINDS = ("S1", "S2")
+KINDS = ("S1", "S1_literal", "S2")
 
 
 @dataclass(frozen=True)
 class JammerConfig:
     """Which spectrum to transmit and at which design SNR.
 
-    ``snr_db`` is the design dial relating the jamming amplitude to the
-    legitimate preamble's per-bin amplitude: negative values make the
-    jammer stronger. ``s1_literal`` selects the constant real spectrum
-    (a single impulse-like symbol) instead of band-limited noise for S1.
+    ``kind`` is ``"S1"`` (band-limited noise), ``"S1_literal"`` (S1 as the
+    constant real spectrum, a single impulse-like symbol) or ``"S2"``
+    (i.i.d. complex normal bins). ``snr_db`` is the design dial relating
+    the jamming amplitude to the legitimate preamble's per-bin amplitude:
+    negative values make the jammer stronger.
     """
 
     kind: str
     snr_db: float
     enabled: bool = True
-    s1_literal: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"jammer kind must be one of {KINDS}, got '{self.kind}'")
+        if not math.isfinite(self.snr_db):
+            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
 
 
 def amplitude_from_snr(a_n: float, snr_db: float) -> float:
@@ -64,8 +67,9 @@ def generate_jamming_frame(
 
     S1 draws band-limited white Gaussian noise in the time domain (its
     occupied bins are scaled to an expected per-bin power of ``a_f**2``);
-    S2 draws each occupied bin from the standard complex normal
-    distribution scaled by ``a_f``. All other bins are exactly zero.
+    S1_literal puts ``a_f`` on every occupied bin; S2 draws each occupied
+    bin from the standard complex normal distribution scaled by ``a_f``.
+    All other bins are exactly zero.
     """
     if a_f < 0:
         raise ValueError("a_f must be >= 0")
@@ -74,7 +78,7 @@ def generate_jamming_frame(
     first = occasion.first_subcarrier
     if config.kind == "S2":
         bins = a_f * _standard_complex_normal(rng, count)
-    elif config.s1_literal:
+    elif config.kind == "S1_literal":
         bins = np.full(count, a_f + 0j)
     else:
         noise = _standard_complex_normal(rng, n)
@@ -88,12 +92,12 @@ def bin_moments(config: JammerConfig, a_f: float) -> tuple[complex, float]:
     """Mean and complex variance of every occupied bin that
     ``generate_jamming_frame`` puts on the grid (zero when disabled).
 
-    Both spectra draw i.i.d. CN(0, ``a_f**2``) bins; the literal S1 is the
+    S1 and S2 draw i.i.d. CN(0, ``a_f**2``) bins; S1_literal is the
     constant ``a_f``.
     """
     if not config.enabled:
         return 0j, 0.0
-    if config.kind == "S1" and config.s1_literal:
+    if config.kind == "S1_literal":
         return complex(a_f), 0.0
     return 0j, a_f**2
 

@@ -10,6 +10,7 @@ exactly those resources.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 import types
 from dataclasses import MISSING, dataclass, fields, replace
@@ -110,8 +111,8 @@ class CellConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.numerology <= 2:
             raise ConfigError(f"numerology must be 0..2, got {self.numerology}")
-        if self.cell_bandwidth <= 0:
-            raise ConfigError("cell_bandwidth must be positive")
+        if not 0 < self.cell_bandwidth < math.inf:  # false for NaN too
+            raise ConfigError(f"cell_bandwidth must be > 0 and finite, got {self.cell_bandwidth}")
         if self.dft_size < self.n_prb * SUBCARRIERS_PER_PRB:
             raise ConfigError("dft_size must cover n_prb * 12 subcarriers")
         if self.dft_size & (self.dft_size - 1) != 0 or self.dft_size <= 0:
@@ -204,14 +205,14 @@ def occasion_time_ms(occ: PrachOccasion, cell: CellConfig) -> float:
 
 
 def occasions_between(config: PrachConfig, cell: CellConfig, start_ms: float, end_ms: float):
-    """``(instant, occasion)`` of every PRACH occasion in ``[start_ms, end_ms)``."""
-    for sfn in itertools.count(int(start_ms // FRAME_MS)):
-        if sfn * FRAME_MS >= end_ms:
-            return
-        for occ in occasions_in_frame(config, cell, sfn):
-            t = occasion_time_ms(occ, cell)
-            if start_ms <= t < end_ms:
-                yield t, occ
+    """``(instant, occasion)`` of every PRACH occasion in the finite ``[start_ms, end_ms)``."""
+    if not math.isfinite(end_ms):
+        raise ConfigError(f"end_ms must be finite, got {end_ms}")
+    frames = itertools.takewhile(lambda sfn: sfn * FRAME_MS < end_ms,
+                                 itertools.count(int(start_ms // FRAME_MS)))
+    timed = ((occasion_time_ms(occ, cell), occ)
+             for sfn in frames for occ in occasions_in_frame(config, cell, sfn))
+    return ((t, occ) for t, occ in timed if start_ms <= t < end_ms)
 
 
 def _symbols_per_period(config: PrachConfig) -> int:

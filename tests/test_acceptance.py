@@ -207,7 +207,7 @@ def test_criterion_7_baseline_sanity():
     )
     records, _ = run_campaign(cfg, threads=0)
     metrics = compute_metrics(records)
-    mean_sent = metrics.mean_preambles_sent_per_interval
+    mean_sent = metrics.mean_preambles_per_interval
     elapsed = time.time() - start
     ok = metrics.e_s == 1 and mean_sent <= 2
     report(

@@ -9,6 +9,7 @@ replaced: exactly where the arithmetic allows, and by two-proportion
 z-tests on the miss rate and two-sample KS tests on tap powers where
 they draw different numbers.
 """
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -48,29 +49,33 @@ def preamble_wave(signature, occ, amplitude=1.0):
 def test_ue_and_constant_jammer_bins_equal_demapped_waveforms(freq_offset):
     prach = replace(PRACH, freq_offset=freq_offset)
     occ = occasions_in_frame(prach, CELL, 1)[0]
-    chan_cfg = ChannelConfig(noise_sigma=0.0, ue_gain=0.8, jammer_gain=1.3, ue_delay_samples=5)
-    spectrum = JammerConfig(kind="S1", snr_db=-6.0, s1_literal=True)
+    # A UE at 0.7 received at gain 0.8 and a jammer at gain 1.3: the levels
+    # 0.8 * 0.7 and the design SNR 20 * log10(1.3 / 0.8) dB lower.
+    chan_cfg = ChannelConfig(noise_sigma=0.0, ue_delay_samples=5)
+    amplitude, snr_db = 0.8 * 0.7, -6.0 - 20 * math.log10(1.3 / 0.8)
+    spectrum = JammerConfig(kind="S1_literal", snr_db=snr_db)
     signatures, _, chan, means = _bins(
-        prach, CELL, spectrum, chan_cfg, DetectorConfig(roots=(1, 2)), 0.7
+        prach, CELL, spectrum, chan_cfg, DetectorConfig(roots=(1, 2)), amplitude
     )
     rng = np.random.default_rng(0)
     for n, signature in enumerate(signatures):
-        wave = preamble_wave(signature, occ, 0.7)
+        wave = preamble_wave(signature, occ, amplitude)
         _, bins = demap_prach(superpose(wave, None, chan_cfg, rng), occ, CELL)
         np.testing.assert_allclose(chan.ue_mean[n] - chan.idle_mean, bins, atol=1e-12)
         np.testing.assert_array_equal(means.profile[n], delay_profile(chan.ue_mean[n], signature[0]))
-    jam = generate_jamming_frame(spectrum, occ, CELL, amplitude_from_snr(0.7, -6.0), rng)
+    jam = generate_jamming_frame(spectrum, occ, CELL, amplitude_from_snr(amplitude, snr_db), rng)
     _, bins = demap_prach(superpose(None, jam, chan_cfg, rng), occ, CELL)
     np.testing.assert_allclose(bins, chan.idle_mean, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["S1", "S2", "off"])
 def test_jammer_and_noise_power_equal_demapped_waveforms(kind):
-    spectrum = JammerConfig(kind="S1" if kind == "off" else kind, snr_db=-6.0,
-                            enabled=kind != "off")
-    chan_cfg = ChannelConfig(noise_sigma=SIGMA_0DB, jammer_gain=1.3)
+    # A jammer received at gain 1.3: 20 * log10(1.3) dB below the design SNR.
+    spectrum = JammerConfig(kind="S1" if kind == "off" else kind,
+                            snr_db=-6.0 - 20 * math.log10(1.3), enabled=kind != "off")
+    chan_cfg = ChannelConfig(noise_sigma=SIGMA_0DB)
     _, _, chan, _ = _bins(PRACH, CELL, spectrum, chan_cfg, DetectorConfig(), 1.0)
-    a_f = amplitude_from_snr(1.0, -6.0)
+    a_f = amplitude_from_snr(1.0, spectrum.snr_db)
     rng = np.random.default_rng(1)
     silent = IqFrame(np.zeros(frame_length(CELL), dtype=complex), CELL.sample_rate)
     power = []
@@ -246,24 +251,26 @@ def test_profile_draw_misses_like_the_bin_draw():
 # rows, so the polar draw is held to the complex one on them with its
 # gather over every tap (``polar_means``). At -12 dB the delayed,
 # attenuated UE is missed 99.6 % of the time, so that one runs at -6 dB,
-# where the miss rate is about 0.7.
+# where the miss rate is about 0.7. Its UE is received at gain 0.8 and its
+# jammer at gain 1.3: the preamble amplitude 0.8, and a design SNR
+# 20 * log10(1.3 / 0.8) dB lower.
 MEANS = {
-    "S1": (JammerConfig(kind="S1", snr_db=-12.0), ChannelConfig(noise_sigma=SIGMA_0DB)),
+    "S1": (JammerConfig(kind="S1", snr_db=-12.0), ChannelConfig(noise_sigma=SIGMA_0DB), 1.0),
     "s1_literal": (
-        JammerConfig(kind="S1", snr_db=-12.0, s1_literal=True),
-        ChannelConfig(noise_sigma=SIGMA_0DB),
+        JammerConfig(kind="S1_literal", snr_db=-12.0), ChannelConfig(noise_sigma=SIGMA_0DB), 1.0,
     ),
     "delay_and_gains": (
-        JammerConfig(kind="S1", snr_db=-6.0),
-        ChannelConfig(noise_sigma=SIGMA_0DB, ue_gain=0.8, jammer_gain=1.3, ue_delay_samples=5),
+        JammerConfig(kind="S1", snr_db=-6.0 - 20 * math.log10(1.3 / 0.8)),
+        ChannelConfig(noise_sigma=SIGMA_0DB, ue_delay_samples=5),
+        0.8,
     ),
 }
 MEANS_DET = DetectorConfig(roots=(1, 2, 5))
 
 
 def means_channel(name):
-    spectrum, chan_cfg = MEANS[name]
-    return _bins(PRACH, CELL, spectrum, chan_cfg, MEANS_DET, 1.0)
+    spectrum, chan_cfg, amplitude = MEANS[name]
+    return _bins(PRACH, CELL, spectrum, chan_cfg, MEANS_DET, amplitude)
 
 
 def polar_means(means):

@@ -1,7 +1,9 @@
 """Campaign protocol, metric formulas and determinism."""
 import copy
+import functools
 import json
 import math
+import re
 from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
@@ -222,15 +224,15 @@ class TestIntervals:
             {},
             {"spectrum": JammerConfig(kind="S2", snr_db=-6.0)},
             {"spectrum": JammerConfig(kind="S1", snr_db=-6.0, enabled=False)},
-            {"spectrum": JammerConfig(kind="S1", snr_db=-6.0, s1_literal=True)},
+            {"spectrum": JammerConfig(kind="S1_literal", snr_db=-6.0)},
             {"invalid_probability": 0.5},
             # The UE retries, so the record path judges both blocks.
             {"spectrum": JammerConfig(kind="S1", snr_db=-18.0)},
+            # A UE received at gain 0.8 and a jammer at gain 1.3.
             {
-                "spectrum": JammerConfig(kind="S2", snr_db=-14.0),
-                "channel": ChannelConfig(
-                    noise_sigma=SIGMA_0DB, ue_gain=0.8, jammer_gain=1.3, ue_delay_samples=5
-                ),
+                "spectrum": JammerConfig(kind="S2", snr_db=-14.0 - 20 * math.log10(1.3 / 0.8)),
+                "channel": ChannelConfig(noise_sigma=SIGMA_0DB, ue_delay_samples=5),
+                "preamble_amplitude": 0.8,
             },
             {
                 "spectrum": JammerConfig(kind="S1", snr_db=-16.0),
@@ -759,6 +761,28 @@ class TestConfigLoading:
         (doc if section is None else doc.setdefault(section, {}))[field] = value
         with pytest.raises(ConfigError, match=message):
             load_campaign_config(doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("build, field, rule", [
+        (make_config, "interval_duration", "> 0 and finite"),
+        (make_config, "jammer_lead", ">= 0 and finite"),
+        (make_config, "jammer_lag", ">= 0 and finite"),
+        (make_config, "preamble_amplitude", ">= 0 and finite"),
+        (make_config, "ue_startup_delay", ">= 0 and finite"),
+        (ChannelConfig, "noise_sigma", ">= 0 and finite"),
+        (DetectorConfig, "threshold_factor", "> 1 and finite"),
+        (functools.partial(JammerConfig, "S1"), "snr_db", "finite"),
+        (functools.partial(replace, CELL), "cell_bandwidth", "> 0 and finite"),
+        (functools.partial(occasions_between, PRACH, CELL, 0.0), "end_ms", "finite"),
+    ], ids=["interval_duration", "jammer_lead", "jammer_lag", "preamble_amplitude",
+            "ue_startup_delay", "noise_sigma", "threshold_factor", "snr_db", "cell_bandwidth",
+            "end_ms"])
+    def test_library_callers_get_no_non_finite_value(self, build, field, rule, value):
+        # The JSON loader refuses these before any dataclass sees them. Built
+        # directly, a non-finite time would never end a schedule and a
+        # non-finite level would make every verdict False.
+        with pytest.raises(ConfigError, match=f"^{field} must be {re.escape(rule)}, got {value}$"):
+            build(**{field: value})
 
     def test_float_fields_are_stored_as_float(self):
         doc = self.base_doc()

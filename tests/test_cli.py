@@ -121,11 +121,17 @@ class TestOccupancy:
             ("detector.shift_step=200", "detector.shift_step must be at most"),
             ("spectrum.snr_db=-3100", "spectrum.snr_db -3100 at preamble_amplitude 1 overflows"),
             ("spectrum.snr_db=-7000", "spectrum.snr_db -7000 at preamble_amplitude 1 overflows"),
+            ("channel.noise_sigma=1e300",
+             "campaign: channel.noise_sigma 1e+300 overflows the sum of 139 tap powers"),
+            ("jammer_lag=Infinity", "campaign.jammer_lag must be a finite number, got inf"),
+            ("detector.threshold_factor=NaN",
+             "detector.threshold_factor must be a finite number, got nan"),
         ],
         ids=["spectrum", "n_intervals-str", "n_intervals-float", "n_intervals-bool",
              "enabled-str", "roots-int", "interval_duration-nan", "roots-zero",
              "roots-length", "roots-twice", "shift_step-long", "snr_db-square-overflows",
-             "snr_db-amplitude-overflows"],
+             "snr_db-amplitude-overflows", "noise_sigma-overflows", "jammer_lag-inf",
+             "threshold_factor-nan"],
     )
     def test_wrong_value_exits_one(self, capsys, override, message):
         argv = ["occupancy", "--config", str(CONFIGS / "quick.json"), "--set", override]
@@ -477,10 +483,14 @@ class TestCheckedAtLoad:
                                        "cell.numerology 1"),
         (["prach.preamble_length=139"], "unknown field 'preamble_length' in prach"),
         (["cell.sample_rate=7680000.0"], "unknown field 'sample_rate' in cell"),
-        (['spectrum.kind="S2"', "spectrum.s1_literal=true"],
-         "spectrum.s1_literal is an S1 spectrum, but spectrum.kind is 'S2'"),
+        # A weak jammer leaves the UE's tap power to overflow.
+        (["preamble_amplitude=1e200", "spectrum.snr_db=4000"],
+         "campaign: preamble_amplitude 1e+200 overflows the sum of 139 tap powers"),
         (["base_seed=-1"], "campaign: base_seed must be in [0, 2**64), got -1"),
         ([f"base_seed={2**64}"], f"campaign: base_seed must be in [0, 2**64), got {2**64}"),
+        # Each level alone fits; the UE's and the noise's together do not.
+        (["preamble_amplitude=3e151", "channel.noise_sigma=3e151", "spectrum.snr_db=4000"],
+         "campaign: preamble_amplitude 3e+151 overflows the sum of 139 tap powers"),
     ])
     def test_exits_one(self, tmp_path, capsys, command, overrides, message):
         argv = [command, "--config", str(explicit_quick(tmp_path))]

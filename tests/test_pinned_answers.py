@@ -86,8 +86,8 @@ PINNED_SUMMARY = (
     '"invalid_probability": 0.0, "jammer_lag": 0.5, "jammer_lead": 0.5, '
     '"preamble_amplitude": 1.0, "ue_startup_delay": 0.1}, "cell": '
     '{"cell_bandwidth": 40000000.0, "cp_samples": 18, "dft_size": 256, "n_prb": '
-    '12, "numerology": 1, "sample_rate": 7680000.0}, "channel": {"jammer_gain": 1.0, '
-    '"noise_sigma": 0.7071067811865476, "ue_delay_samples": 0, "ue_gain": 1.0}, '
+    '12, "numerology": 1, "sample_rate": 7680000.0}, "channel": {'
+    '"noise_sigma": 0.7071067811865476, "ue_delay_samples": 0}, '
     '"detector": {"roots": [1], "shift_step": 13, "threshold_factor": 12.35}, '
     '"jammer_budget": '
     '{"active_span_per_period_ms": 0.42857142857142855, "bandwidth_hz": 4170000.0, '
@@ -95,8 +95,7 @@ PINNED_SUMMARY = (
     '"e_p_j_exact": "1/91", "e_p_j_ppm": 10989.010989010989, "e_s": 0.2, '
     '"e_s_exact": "1/5", "mean_preambles_per_interval": 18.2, '
     '"mean_preambles_per_interval_exact": "91/5", '
-    '"mean_preambles_sent_per_interval": 18.2, '
-    '"mean_preambles_sent_per_interval_exact": "91/5", "n_e": 0, "n_p_j": 180, '
+    '"n_e": 0, "n_p_j": 180, '
     '"n_ra_s": 2, "n_ra_u": 8}, "n_intervals": 10, "occupancy": {"bandwidth": '
     '0.10425, "period": 0.5, "ratio": 0.002233928571428571, "temporal": '
     '0.04285714285714286}, "prach": {"duration_symbols": 4, "freq_occasions": 1, '
@@ -126,7 +125,7 @@ PINNED_SUMMARY = (
     'standard normals for each occasion without a preamble; a record depends on '
     'no draw after the first preamble detected", '
     '"spectrum": {"enabled": true, '
-    '"kind": "S1", "s1_literal": false, "snr_db": -16.0}}'
+    '"kind": "S1", "snr_db": -16.0}}'
 )
 
 

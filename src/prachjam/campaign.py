@@ -47,7 +47,7 @@ from .detector import (
     DelayProfile, DetectorConfig, delay_profile, detect_preambles, signatures_detected,
 )
 from .errors import ConfigError, SimulationError
-from .jammer import JammerConfig, amplitude_from_snr, bin_moments, generate_jamming_frame
+from .jammer import JammerConfig, bin_moments, generate_jamming_frame
 from .prach import (
     SUBCARRIERS_PER_PRB,
     CellConfig,
@@ -131,7 +131,6 @@ class CampaignConfig:
     base_seed: int
     jammer_lead: float = 10.0
     jammer_lag: float = 10.0
-    preamble_amplitude: float = 1.0
     ue_startup_delay: float = 0.5
     invalid_probability: float = 0.0
     detection_log: bool = False
@@ -144,7 +143,7 @@ class CampaignConfig:
             raise ConfigError(
                 f"interval_duration must be > 0 and finite, got {self.interval_duration}"
             )
-        for name in ("jammer_lead", "jammer_lag", "preamble_amplitude", "ue_startup_delay"):
+        for name in ("jammer_lead", "jammer_lag", "ue_startup_delay"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
         if not 0 <= self.invalid_probability <= 1:
@@ -173,25 +172,21 @@ class CampaignConfig:
             raise ConfigError(
                 f"detector.shift_step must be at most the preamble length {length}"
             )
-        amplitude, snr_db = self.preamble_amplitude, self.spectrum.snr_db
-        try:
-            mean, variance = bin_moments(self.spectrum, amplitude_from_snr(amplitude, snr_db))
-            jammer = abs(mean) + math.sqrt(variance)
-        except OverflowError:  # a Python float's ** raises rather than give inf
-            jammer = math.inf
-        # The bins hold the UE, the jammer and the noise at these amplitudes. A
-        # delay-profile tap is at most sqrt(L) times its bins' amplitude, twice
-        # that with the noise's tail, and the detector sums L tap powers.
+        # The bins hold the UE (the unit), the jammer and the noise. A tap is at
+        # most sqrt(L) times its bins' amplitude, twice that with the noise's
+        # tail; the detector sums L tap powers and scales their floor by its factor.
         levels = {
-            f"preamble_amplitude {amplitude:g}": amplitude,
-            f"spectrum.snr_db {snr_db:g} at preamble_amplitude {amplitude:g}": jammer,
+            f"spectrum.snr_db {self.spectrum.snr_db:g}": self.spectrum.amplitude,
             f"channel.noise_sigma {self.channel.noise_sigma:g}": self.channel.noise_sigma,
         }
-        bound = 2 * length * sum(levels.values())
+        bound = 2 * length * (1 + sum(levels.values()))
         if not math.isfinite(bound * bound):
             raise ConfigError(
                 f"{max(levels, key=levels.get)} overflows the sum of {length} tap powers"
             )
+        if not math.isfinite(self.detector.threshold_factor * bound * bound):
+            raise ConfigError(f"detector.threshold_factor {self.detector.threshold_factor:g} "
+                              f"overflows the detector's limit on {length} tap powers")
 
 
 @dataclass(frozen=True)
@@ -312,17 +307,17 @@ class _Means(NamedTuple):
 
 
 @functools.lru_cache(maxsize=16)
-def _bins(prach, cell, spectrum, channel, det, amplitude):
+def _bins(prach, cell, spectrum, channel, det):
     """The UE's signatures (as a tuple and an array), the bin-domain
     channel of its occasions and the mean delay profiles of its preambles
     (``_Means``)."""
     length = prach.preamble_length
     signatures = tuple((r, s) for r in det.roots for s in range(length // det.shift_step))
     preambles = np.array([
-        preamble_bins(cyclic_shift(generate_zc(root, length), s * det.shift_step), amplitude)
+        preamble_bins(cyclic_shift(generate_zc(root, length), s * det.shift_step), 1.0)
         for root, s in signatures
     ])
-    jam = bin_moments(spectrum, amplitude_from_snr(amplitude, spectrum.snr_db))
+    jam = bin_moments(spectrum)
     first = prach.freq_offset * SUBCARRIERS_PER_PRB
     chan = bin_channel(preambles, *jam, channel, first, cell.dft_size)
     sig_array = np.array(signatures)
@@ -415,7 +410,7 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
     rng = np.random.default_rng(seed)
     valid = bool(rng.random() >= cfg.invalid_probability)
     signatures, sig_array, chan, means = _bins(
-        cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector, cfg.preamble_amplitude
+        cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector
     )
     sig_idx = rng.integers(len(signatures), size=len(sends))
     logged, logs = cfg.detection_log or cfg.event_trace, Logs([], [])
@@ -639,7 +634,6 @@ def build_summary_payload(
             "interval_duration": cfg.interval_duration,
             "jammer_lead": cfg.jammer_lead,
             "jammer_lag": cfg.jammer_lag,
-            "preamble_amplitude": cfg.preamble_amplitude,
             "ue_startup_delay": cfg.ue_startup_delay,
             "invalid_probability": cfg.invalid_probability,
         },

@@ -19,8 +19,8 @@ __all__ = ["ChannelConfig", "superpose", "BinChannel", "bin_channel"]
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """UE timing offset and thermal noise level. The UE and the jammer arrive
-    at the levels they send at, ``preamble_amplitude`` and the design SNR.
+    """UE timing offset and thermal noise level. The UE arrives at unit
+    amplitude and the jammer at the spectrum's ``amplitude``, as they send.
 
     ``noise_sigma`` is the standard deviation per real/imag component, so
     the complex per-sample noise power is ``2 * noise_sigma**2``.

@@ -30,8 +30,8 @@ class JammerConfig:
     ``kind`` is ``"S1"`` (band-limited noise), ``"S1_literal"`` (S1 as the
     constant real spectrum, a single impulse-like symbol) or ``"S2"``
     (i.i.d. complex normal bins). ``snr_db`` is the design dial relating
-    the jamming amplitude to the legitimate preamble's per-bin amplitude:
-    negative values make the jammer stronger.
+    the jamming amplitude to the legitimate preamble's per-bin amplitude,
+    the unit of every level: negative values make the jammer stronger.
     """
 
     kind: str
@@ -43,6 +43,15 @@ class JammerConfig:
             raise ConfigError(f"jammer kind must be one of {KINDS}, got '{self.kind}'")
         if not math.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        try:
+            amplitude_from_snr(1.0, self.snr_db)
+        except OverflowError:  # a Python float's ** raises rather than give inf
+            raise ConfigError(f"snr_db {self.snr_db:g} overflows the jammer's amplitude") from None
+
+    @property
+    def amplitude(self) -> float:
+        """The per-bin amplitude ``a_f`` at unit preamble amplitude, 0 when disabled."""
+        return amplitude_from_snr(1.0, self.snr_db) if self.enabled else 0.0
 
 
 def amplitude_from_snr(a_n: float, snr_db: float) -> float:
@@ -60,19 +69,17 @@ def generate_jamming_frame(
     config: JammerConfig,
     occasion: PrachOccasion,
     cell: CellConfig,
-    a_f: float,
     rng: np.random.Generator,
 ) -> IqFrame:
-    """One occasion-spanning jamming frame.
+    """One occasion-spanning jamming frame at the spectrum's amplitude ``a_f``.
 
     S1 draws band-limited white Gaussian noise in the time domain (its
     occupied bins are scaled to an expected per-bin power of ``a_f**2``);
     S1_literal puts ``a_f`` on every occupied bin; S2 draws each occupied
     bin from the standard complex normal distribution scaled by ``a_f``.
-    All other bins are exactly zero.
+    All other bins are exactly zero, and so is every bin when disabled.
     """
-    if a_f < 0:
-        raise ValueError("a_f must be >= 0")
+    a_f = config.amplitude
     n = cell.dft_size
     count = occasion.num_subcarriers
     first = occasion.first_subcarrier
@@ -88,18 +95,15 @@ def generate_jamming_frame(
     return IqFrame(samples=samples, sample_rate=cell.sample_rate, start_offset=0)
 
 
-def bin_moments(config: JammerConfig, a_f: float) -> tuple[complex, float]:
+def bin_moments(config: JammerConfig) -> tuple[complex, float]:
     """Mean and complex variance of every occupied bin that
     ``generate_jamming_frame`` puts on the grid (zero when disabled).
 
     S1 and S2 draw i.i.d. CN(0, ``a_f**2``) bins; S1_literal is the
-    constant ``a_f``.
+    constant ``a_f``, with ``a_f`` the spectrum's ``amplitude``.
     """
-    if not config.enabled:
-        return 0j, 0.0
-    if config.kind == "S1_literal":
-        return complex(a_f), 0.0
-    return 0j, a_f**2
+    a_f = config.amplitude
+    return (complex(a_f), 0.0) if config.kind == "S1_literal" else (0j, a_f**2)
 
 
 def _standard_complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -136,7 +136,6 @@ class PrachOccasion:
     """One time-domain PRACH occasion inside a frame."""
 
     sfn: int
-    subframe: int
     slot: int
     start_symbol: int
     occasion_index: int
@@ -182,7 +181,6 @@ def occasions_in_frame(
                 occasions.append(
                     PrachOccasion(
                         sfn=sfn,
-                        subframe=subframe,
                         slot=slot,
                         start_symbol=config.start_symbol
                         + occ * config.duration_symbols,

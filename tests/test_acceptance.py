@@ -41,7 +41,6 @@ def preamble_trial_missed(kind, snr_db, det_cfg, trials, seed, waves=None):
     """Fraction of transmitted preambles whose signature window stays silent."""
     jam_cfg = JammerConfig(kind=kind, snr_db=snr_db)
     chan = ChannelConfig(noise_sigma=SIGMA_0DB)
-    a_f = amplitude_from_snr(1.0, snr_db)
     rng = np.random.default_rng(seed)
     if waves is None:
         root_seq = generate_zc(1, 139)
@@ -52,7 +51,7 @@ def preamble_trial_missed(kind, snr_db, det_cfg, trials, seed, waves=None):
     missed = 0
     for _ in range(trials):
         sig = int(rng.integers(10))
-        jam = generate_jamming_frame(jam_cfg, OCCASION, CELL, a_f, rng)
+        jam = generate_jamming_frame(jam_cfg, OCCASION, CELL, rng)
         rx = superpose(waves[sig], jam, chan, rng)
         _, bins = demap_prach(rx, OCCASION, CELL)
         result = detect_preambles(bins, det_cfg)

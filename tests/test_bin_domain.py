@@ -26,7 +26,7 @@ from prachjam.detector import (
     profile_bins,
     signatures_detected,
 )
-from prachjam.jammer import JammerConfig, amplitude_from_snr, generate_jamming_frame
+from prachjam.jammer import JammerConfig, generate_jamming_frame
 from prachjam.prach import PRESETS, occasions_in_frame
 from prachjam.waveform import IqFrame, demap_prach, frame_length, modulate_preamble
 from prachjam.zc import cyclic_shift, generate_zc
@@ -39,31 +39,30 @@ OCCASION = occasions_in_frame(PRACH, CELL, 1)[0]
 SIGMA_0DB = 1 / np.sqrt(2)
 
 
-def preamble_wave(signature, occ, amplitude=1.0):
+def preamble_wave(signature, occ):
     root, shift = signature
     seq = cyclic_shift(generate_zc(root, PRACH.preamble_length), 13 * shift)
-    return modulate_preamble(seq, occ, CELL, amplitude)
+    return modulate_preamble(seq, occ, CELL, 1.0)
 
 
 @pytest.mark.parametrize("freq_offset", [0, 2])
 def test_ue_and_constant_jammer_bins_equal_demapped_waveforms(freq_offset):
     prach = replace(PRACH, freq_offset=freq_offset)
     occ = occasions_in_frame(prach, CELL, 1)[0]
-    # A UE at 0.7 received at gain 0.8 and a jammer at gain 1.3: the levels
-    # 0.8 * 0.7 and the design SNR 20 * log10(1.3 / 0.8) dB lower.
+    # A UE received at gain 0.8 and a jammer at gain 1.3: at the UE's level,
+    # the design SNR 20 * log10(1.3 / 0.8) dB lower.
     chan_cfg = ChannelConfig(noise_sigma=0.0, ue_delay_samples=5)
-    amplitude, snr_db = 0.8 * 0.7, -6.0 - 20 * math.log10(1.3 / 0.8)
-    spectrum = JammerConfig(kind="S1_literal", snr_db=snr_db)
+    spectrum = JammerConfig(kind="S1_literal", snr_db=-6.0 - 20 * math.log10(1.3 / 0.8))
     signatures, _, chan, means = _bins(
-        prach, CELL, spectrum, chan_cfg, DetectorConfig(roots=(1, 2)), amplitude
+        prach, CELL, spectrum, chan_cfg, DetectorConfig(roots=(1, 2))
     )
     rng = np.random.default_rng(0)
     for n, signature in enumerate(signatures):
-        wave = preamble_wave(signature, occ, amplitude)
+        wave = preamble_wave(signature, occ)
         _, bins = demap_prach(superpose(wave, None, chan_cfg, rng), occ, CELL)
         np.testing.assert_allclose(chan.ue_mean[n] - chan.idle_mean, bins, atol=1e-12)
         np.testing.assert_array_equal(means.profile[n], delay_profile(chan.ue_mean[n], signature[0]))
-    jam = generate_jamming_frame(spectrum, occ, CELL, amplitude_from_snr(amplitude, snr_db), rng)
+    jam = generate_jamming_frame(spectrum, occ, CELL, rng)
     _, bins = demap_prach(superpose(None, jam, chan_cfg, rng), occ, CELL)
     np.testing.assert_allclose(bins, chan.idle_mean, atol=1e-12)
 
@@ -74,13 +73,12 @@ def test_jammer_and_noise_power_equal_demapped_waveforms(kind):
     spectrum = JammerConfig(kind="S1" if kind == "off" else kind,
                             snr_db=-6.0 - 20 * math.log10(1.3), enabled=kind != "off")
     chan_cfg = ChannelConfig(noise_sigma=SIGMA_0DB)
-    _, _, chan, _ = _bins(PRACH, CELL, spectrum, chan_cfg, DetectorConfig(), 1.0)
-    a_f = amplitude_from_snr(1.0, spectrum.snr_db)
+    _, _, chan, _ = _bins(PRACH, CELL, spectrum, chan_cfg, DetectorConfig())
     rng = np.random.default_rng(1)
     silent = IqFrame(np.zeros(frame_length(CELL), dtype=complex), CELL.sample_rate)
     power = []
     for _ in range(1000):
-        jam = generate_jamming_frame(spectrum, OCCASION, CELL, a_f, rng) if kind != "off" else silent
+        jam = generate_jamming_frame(spectrum, OCCASION, CELL, rng) if kind != "off" else silent
         _, bins = demap_prach(superpose(None, jam, chan_cfg, rng), OCCASION, CELL)
         power.append(np.mean(np.abs(bins) ** 2))
     # 139,000 exponential samples: a 2 % tolerance is seven standard errors.
@@ -93,13 +91,12 @@ def demapped_rows(roots, snr_db, count, seed):
     signatures = [(r, s) for r in roots for s in range(10)]
     waves = {sig: preamble_wave(sig, OCCASION) for sig in signatures}
     jam_cfg = JammerConfig(kind="S1", snr_db=snr_db)
-    a_f = amplitude_from_snr(1.0, snr_db)
     chan_cfg = ChannelConfig(noise_sigma=SIGMA_0DB)
     rng = np.random.default_rng(seed)
     rows, sigs = [], []
     for _ in range(count):
         sig = signatures[rng.integers(len(signatures))]
-        jam = generate_jamming_frame(jam_cfg, OCCASION, CELL, a_f, rng)
+        jam = generate_jamming_frame(jam_cfg, OCCASION, CELL, rng)
         rows.append(demap_prach(superpose(waves[sig], jam, chan_cfg, rng), OCCASION, CELL)[1])
         sigs.append(sig)
     return np.array(rows), np.array(sigs)
@@ -147,7 +144,7 @@ def test_batched_kernel_decides_like_detect_preambles(roots, monkeypatch):
     # row's complex profile, taken back to bins and through
     # detect_preambles, gets the block's verdict.
     channel = _bins(PRACH, CELL, JammerConfig(kind="S1", snr_db=-13.0),
-                    ChannelConfig(noise_sigma=SIGMA_0DB), det, 1.0)
+                    ChannelConfig(noise_sigma=SIGMA_0DB), det)
     signatures = channel[0]
     rng = np.random.default_rng(sum(roots))
     verdicts = []
@@ -183,7 +180,7 @@ def missed_bin_rows(spectrum, det, n, seed):
     their delay profiles."""
     chunk = 2000
     signatures, sig_array, chan, _ = _bins(
-        PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det, 1.0
+        PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det
     )
     rng = np.random.default_rng(seed)
     missed = 0
@@ -236,7 +233,7 @@ def test_profile_draw_misses_like_the_bin_draw():
     det = DetectorConfig(roots=(1, 2, 5))
     spectrum = JammerConfig(kind="S1", snr_db=-12.0)
     n = 50_000
-    channel = _bins(PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det, 1.0)
+    channel = _bins(PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det)
     missed = missed_complex_profiles(channel, det, n, seed=41)
     from_bins = missed_bin_rows(spectrum, det, n, seed=42)
     z = two_proportion_z(from_bins, n, missed, n)
@@ -252,25 +249,23 @@ def test_profile_draw_misses_like_the_bin_draw():
 # gather over every tap (``polar_means``). At -12 dB the delayed,
 # attenuated UE is missed 99.6 % of the time, so that one runs at -6 dB,
 # where the miss rate is about 0.7. Its UE is received at gain 0.8 and its
-# jammer at gain 1.3: the preamble amplitude 0.8, and a design SNR
-# 20 * log10(1.3 / 0.8) dB lower.
+# jammer at gain 1.3: at the UE's level, the noise 1 / 0.8 times as strong
+# and a design SNR 20 * log10(1.3 / 0.8) dB lower.
 MEANS = {
-    "S1": (JammerConfig(kind="S1", snr_db=-12.0), ChannelConfig(noise_sigma=SIGMA_0DB), 1.0),
+    "S1": (JammerConfig(kind="S1", snr_db=-12.0), ChannelConfig(noise_sigma=SIGMA_0DB)),
     "s1_literal": (
-        JammerConfig(kind="S1_literal", snr_db=-12.0), ChannelConfig(noise_sigma=SIGMA_0DB), 1.0,
+        JammerConfig(kind="S1_literal", snr_db=-12.0), ChannelConfig(noise_sigma=SIGMA_0DB),
     ),
     "delay_and_gains": (
         JammerConfig(kind="S1", snr_db=-6.0 - 20 * math.log10(1.3 / 0.8)),
-        ChannelConfig(noise_sigma=SIGMA_0DB, ue_delay_samples=5),
-        0.8,
+        ChannelConfig(noise_sigma=SIGMA_0DB / 0.8, ue_delay_samples=5),
     ),
 }
 MEANS_DET = DetectorConfig(roots=(1, 2, 5))
 
 
 def means_channel(name):
-    spectrum, chan_cfg, amplitude = MEANS[name]
-    return _bins(PRACH, CELL, spectrum, chan_cfg, MEANS_DET, amplitude)
+    return _bins(PRACH, CELL, *MEANS[name], MEANS_DET)
 
 
 def polar_means(means):
@@ -358,7 +353,7 @@ def test_round_off_rule_zeroes_all_but_the_own_tap(roots):
     det = DetectorConfig(roots=roots)
     spectrum = JammerConfig(kind="S1", snr_db=-6.0)
     _, _, _, means = _bins(
-        PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det, 1.0
+        PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det
     )
     assert (means.profile == 0).sum(axis=-1).tolist() == [138] * len(means.profile)
     np.testing.assert_array_equal(means.magnitude, np.abs(means.profile))

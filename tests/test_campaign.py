@@ -228,11 +228,10 @@ class TestIntervals:
             {"invalid_probability": 0.5},
             # The UE retries, so the record path judges both blocks.
             {"spectrum": JammerConfig(kind="S1", snr_db=-18.0)},
-            # A UE received at gain 0.8 and a jammer at gain 1.3.
+            # A UE received at gain 0.8 and a jammer at gain 1.3, at the UE's level.
             {
                 "spectrum": JammerConfig(kind="S2", snr_db=-14.0 - 20 * math.log10(1.3 / 0.8)),
-                "channel": ChannelConfig(noise_sigma=SIGMA_0DB, ue_delay_samples=5),
-                "preamble_amplitude": 0.8,
+                "channel": ChannelConfig(noise_sigma=SIGMA_0DB / 0.8, ue_delay_samples=5),
             },
             {
                 "spectrum": JammerConfig(kind="S1", snr_db=-16.0),
@@ -767,16 +766,14 @@ class TestConfigLoading:
         (make_config, "interval_duration", "> 0 and finite"),
         (make_config, "jammer_lead", ">= 0 and finite"),
         (make_config, "jammer_lag", ">= 0 and finite"),
-        (make_config, "preamble_amplitude", ">= 0 and finite"),
         (make_config, "ue_startup_delay", ">= 0 and finite"),
         (ChannelConfig, "noise_sigma", ">= 0 and finite"),
         (DetectorConfig, "threshold_factor", "> 1 and finite"),
         (functools.partial(JammerConfig, "S1"), "snr_db", "finite"),
         (functools.partial(replace, CELL), "cell_bandwidth", "> 0 and finite"),
         (functools.partial(occasions_between, PRACH, CELL, 0.0), "end_ms", "finite"),
-    ], ids=["interval_duration", "jammer_lead", "jammer_lag", "preamble_amplitude",
-            "ue_startup_delay", "noise_sigma", "threshold_factor", "snr_db", "cell_bandwidth",
-            "end_ms"])
+    ], ids=["interval_duration", "jammer_lead", "jammer_lag", "ue_startup_delay", "noise_sigma",
+            "threshold_factor", "snr_db", "cell_bandwidth", "end_ms"])
     def test_library_callers_get_no_non_finite_value(self, build, field, rule, value):
         # The JSON loader refuses these before any dataclass sees them. Built
         # directly, a non-finite time would never end a schedule and a

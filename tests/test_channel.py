@@ -16,7 +16,7 @@ OCCASION = occasions_in_frame(PRACH, CELL, 1)[0]
 def make_frames():
     ue = modulate_preamble(generate_zc(1, 139), OCCASION, CELL, 1.0)
     cfg = JammerConfig(kind="S2", snr_db=0.0)
-    jam = generate_jamming_frame(cfg, OCCASION, CELL, 1.0, np.random.default_rng(4))
+    jam = generate_jamming_frame(cfg, OCCASION, CELL, np.random.default_rng(4))
     return ue, jam
 
 

@@ -119,10 +119,14 @@ class TestOccupancy:
             ("detector.roots=[139]", "detector.roots must be distinct roots in [1, 139)"),
             ("detector.roots=[1,1]", "detector.roots must be distinct roots in [1, 139)"),
             ("detector.shift_step=200", "detector.shift_step must be at most"),
-            ("spectrum.snr_db=-3100", "spectrum.snr_db -3100 at preamble_amplitude 1 overflows"),
-            ("spectrum.snr_db=-7000", "spectrum.snr_db -7000 at preamble_amplitude 1 overflows"),
+            ("spectrum.snr_db=-3100",
+             "campaign: spectrum.snr_db -3100 overflows the sum of 139 tap powers"),
+            ("spectrum.snr_db=-7000",
+             "spectrum: snr_db -7000 overflows the jammer's amplitude"),
             ("channel.noise_sigma=1e300",
              "campaign: channel.noise_sigma 1e+300 overflows the sum of 139 tap powers"),
+            ("detector.threshold_factor=1e307", "campaign: detector.threshold_factor 1e+307 "
+                                                "overflows the detector's limit on 139 tap powers"),
             ("jammer_lag=Infinity", "campaign.jammer_lag must be a finite number, got inf"),
             ("detector.threshold_factor=NaN",
              "detector.threshold_factor must be a finite number, got nan"),
@@ -130,8 +134,8 @@ class TestOccupancy:
         ids=["spectrum", "n_intervals-str", "n_intervals-float", "n_intervals-bool",
              "enabled-str", "roots-int", "interval_duration-nan", "roots-zero",
              "roots-length", "roots-twice", "shift_step-long", "snr_db-square-overflows",
-             "snr_db-amplitude-overflows", "noise_sigma-overflows", "jammer_lag-inf",
-             "threshold_factor-nan"],
+             "snr_db-amplitude-overflows", "noise_sigma-overflows", "threshold_factor-overflows",
+             "jammer_lag-inf", "threshold_factor-nan"],
     )
     def test_wrong_value_exits_one(self, capsys, override, message):
         argv = ["occupancy", "--config", str(CONFIGS / "quick.json"), "--set", override]
@@ -470,6 +474,8 @@ def explicit_quick(tmp_path) -> Path:
 
 CARRIER = ("prach.freq_offset + prach.freq_occasions * 12 = {} PRBs lie outside the "
            "carrier's cell.n_prb 12")
+THRESHOLD = ("campaign: detector.threshold_factor {} overflows the detector's limit on 139 "
+             "tap powers")
 
 
 class TestCheckedAtLoad:
@@ -483,14 +489,19 @@ class TestCheckedAtLoad:
                                        "cell.numerology 1"),
         (["prach.preamble_length=139"], "unknown field 'preamble_length' in prach"),
         (["cell.sample_rate=7680000.0"], "unknown field 'sample_rate' in cell"),
-        # A weak jammer leaves the UE's tap power to overflow.
-        (["preamble_amplitude=1e200", "spectrum.snr_db=4000"],
-         "campaign: preamble_amplitude 1e+200 overflows the sum of 139 tap powers"),
+        # The jammer's tap power overflows.
+        (["spectrum.snr_db=-4000"],
+         "campaign: spectrum.snr_db -4000 overflows the sum of 139 tap powers"),
         (["base_seed=-1"], "campaign: base_seed must be in [0, 2**64), got -1"),
         ([f"base_seed={2**64}"], f"campaign: base_seed must be in [0, 2**64), got {2**64}"),
-        # Each level alone fits; the UE's and the noise's together do not.
-        (["preamble_amplitude=3e151", "channel.noise_sigma=3e151", "spectrum.snr_db=4000"],
-         "campaign: preamble_amplitude 3e+151 overflows the sum of 139 tap powers"),
+        # Each level alone fits; the jammer's and the noise's together do not.
+        (["spectrum.snr_db=-3030", "channel.noise_sigma=3e151"],
+         "campaign: spectrum.snr_db -3030 overflows the sum of 139 tap powers"),
+        # The detector's limit overflows: its factor alone, and a factor that
+        # fits at the configured jammer but not at a strong one.
+        (["detector.threshold_factor=1e307"], THRESHOLD.format("1e+307")),
+        (["detector.threshold_factor=1e104", "spectrum.snr_db=-2000"],
+         THRESHOLD.format("1e+104")),
     ])
     def test_exits_one(self, tmp_path, capsys, command, overrides, message):
         argv = [command, "--config", str(explicit_quick(tmp_path))]

@@ -1,4 +1,6 @@
 """Jamming amplitude law, spectra statistics and band confinement."""
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,11 @@ from prachjam.waveform import REPETITIONS, cp_length
 
 PRACH, CELL = PRESETS["index98_40mhz_desk"]
 OCCASION = occasions_in_frame(PRACH, CELL, 1)[0]
+
+
+def at_amplitude(kind, a_f):
+    """A ``kind`` spectrum whose amplitude is ``a_f``."""
+    return JammerConfig(kind=kind, snr_db=-20 * math.log10(a_f))
 
 
 def occupied_bins(frame, n_symbols=REPETITIONS):
@@ -43,26 +50,23 @@ class TestFrames:
         with pytest.raises(ConfigError, match="kind"):
             JammerConfig(kind="S3", snr_db=0.0)
 
-    def test_negative_amplitude_rejected(self):
-        cfg = JammerConfig(kind="S2", snr_db=0.0)
-        with pytest.raises(ValueError, match="a_f must be >= 0"):
-            generate_jamming_frame(cfg, OCCASION, CELL, -1.0, np.random.default_rng(3))
-
-    def test_zero_amplitude_gives_zero_frame(self):
-        cfg = JammerConfig(kind="S2", snr_db=0.0)
-        frame = generate_jamming_frame(cfg, OCCASION, CELL, 0.0, np.random.default_rng(3))
+    @pytest.mark.parametrize("kind", ["S1", "S1_literal", "S2"])
+    def test_disabled_spectrum_gives_zero_frame(self, kind):
+        cfg = JammerConfig(kind=kind, snr_db=-6.0, enabled=False)
+        assert cfg.amplitude == 0.0
+        frame = generate_jamming_frame(cfg, OCCASION, CELL, np.random.default_rng(3))
         assert np.max(np.abs(frame.samples)) == 0.0
 
     def test_deterministic_frames(self):
         for kind in ("S1", "S2"):
-            cfg = JammerConfig(kind=kind, snr_db=-6.0)
-            a = generate_jamming_frame(cfg, OCCASION, CELL, 2.0, np.random.default_rng(9))
-            b = generate_jamming_frame(cfg, OCCASION, CELL, 2.0, np.random.default_rng(9))
+            cfg = at_amplitude(kind, 2.0)
+            a = generate_jamming_frame(cfg, OCCASION, CELL, np.random.default_rng(9))
+            b = generate_jamming_frame(cfg, OCCASION, CELL, np.random.default_rng(9))
             np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_repetition_structure(self):
         cfg = JammerConfig(kind="S1", snr_db=0.0)
-        frame = generate_jamming_frame(cfg, OCCASION, CELL, 1.0, np.random.default_rng(5))
+        frame = generate_jamming_frame(cfg, OCCASION, CELL, np.random.default_rng(5))
         cp = cp_length(CELL)
         n = CELL.dft_size
         first = frame.samples[cp : cp + n]
@@ -75,7 +79,7 @@ class TestFrames:
     @pytest.mark.parametrize("kind", ["S1", "S1_literal", "S2"])
     def test_band_confinement(self, kind):
         cfg = JammerConfig(kind=kind, snr_db=0.0)
-        frame = generate_jamming_frame(cfg, OCCASION, CELL, 1.0, np.random.default_rng(11))
+        frame = generate_jamming_frame(cfg, OCCASION, CELL, np.random.default_rng(11))
         cp = cp_length(CELL)
         n = CELL.dft_size
         spectrum = np.fft.fft(frame.samples[cp : cp + n])
@@ -90,23 +94,22 @@ class TestFrames:
         rng = np.random.default_rng(17)
         values = []
         for _ in range(800):
-            frame = generate_jamming_frame(cfg, OCCASION, CELL, 1.0, rng)
+            frame = generate_jamming_frame(cfg, OCCASION, CELL, rng)
             values.append(occupied_bins(frame, n_symbols=1)[0])
         values = np.concatenate(values)  # > 1e5 bins
         assert len(values) >= 100_000
         assert np.mean(np.abs(values) ** 2) == pytest.approx(1.0, rel=0.02)
 
     def test_s2_component_variances(self):
-        cfg = JammerConfig(kind="S2", snr_db=0.0)
+        cfg = at_amplitude("S2", 1.4)
         rng = np.random.default_rng(23)
-        a_f = 1.4
         values = []
         for _ in range(400):
-            frame = generate_jamming_frame(cfg, OCCASION, CELL, a_f, rng)
+            frame = generate_jamming_frame(cfg, OCCASION, CELL, rng)
             values.append(occupied_bins(frame, n_symbols=1)[0])
         values = np.concatenate(values)
         n = len(values)
-        target = a_f**2 / 2
+        target = cfg.amplitude**2 / 2
         # 3 sigma of the variance estimator for Gaussian components.
         tol = 3 * target * np.sqrt(2 / n)
         assert abs(np.var(values.real) - target) < tol
@@ -115,14 +118,13 @@ class TestFrames:
     def test_matched_in_band_power(self):
         rng1 = np.random.default_rng(31)
         rng2 = np.random.default_rng(32)
-        a_f = 2.0
         powers = {}
         for kind, rng in (("S1", rng1), ("S2", rng2)):
-            cfg = JammerConfig(kind=kind, snr_db=0.0)
+            cfg = at_amplitude(kind, 2.0)
             total = 0.0
             count = 0
             for _ in range(800):
-                frame = generate_jamming_frame(cfg, OCCASION, CELL, a_f, rng)
+                frame = generate_jamming_frame(cfg, OCCASION, CELL, rng)
                 bins = occupied_bins(frame, n_symbols=1)[0]
                 total += np.sum(np.abs(bins) ** 2)
                 count += len(bins)
@@ -130,16 +132,16 @@ class TestFrames:
         assert powers["S1"] == pytest.approx(powers["S2"], rel=0.02)
 
     def test_literal_spectrum_is_constant(self):
-        cfg = JammerConfig(kind="S1_literal", snr_db=0.0)
-        frame = generate_jamming_frame(cfg, OCCASION, CELL, 1.5, np.random.default_rng(2))
+        cfg = at_amplitude("S1_literal", 1.5)
+        frame = generate_jamming_frame(cfg, OCCASION, CELL, np.random.default_rng(2))
         bins = occupied_bins(frame, n_symbols=1)[0]
         np.testing.assert_allclose(bins, np.full(139, 1.5 + 0j), atol=1e-9)
 
     def test_frames_export_as_raw_iq(self, tmp_path):
         from prachjam.waveform import read_iq, write_iq
 
-        cfg = JammerConfig(kind="S2", snr_db=-6.0)
-        frame = generate_jamming_frame(cfg, OCCASION, CELL, 2.0, np.random.default_rng(8))
+        cfg = at_amplitude("S2", 2.0)
+        frame = generate_jamming_frame(cfg, OCCASION, CELL, np.random.default_rng(8))
         write_iq(frame, tmp_path / "jam.iq")
         loaded = read_iq(tmp_path / "jam.iq")
         np.testing.assert_allclose(loaded.samples, frame.samples, atol=1e-5)

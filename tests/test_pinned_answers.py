@@ -84,7 +84,7 @@ def test_calibrated_factor(roots, factor):
 PINNED_SUMMARY = (
     '{"base_seed": 20240601, "campaign": {"interval_duration": 2.0, '
     '"invalid_probability": 0.0, "jammer_lag": 0.5, "jammer_lead": 0.5, '
-    '"preamble_amplitude": 1.0, "ue_startup_delay": 0.1}, "cell": '
+    '"ue_startup_delay": 0.1}, "cell": '
     '{"cell_bandwidth": 40000000.0, "cp_samples": 18, "dft_size": 256, "n_prb": '
     '12, "numerology": 1, "sample_rate": 7680000.0}, "channel": {'
     '"noise_sigma": 0.7071067811865476, "ue_delay_samples": 0}, '
@@ -184,7 +184,7 @@ def test_quick_log_replays_from_the_interval_stream(tmp_path):
     _, first_ms, ue_off = _ue_instants(cfg)
     sends = _schedule(cfg.prach, cfg.cell, first_ms, ue_off)
     signatures, sig_array, chan, means = _bins(
-        cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector, cfg.preamble_amplitude
+        cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector
     )
     rng = np.random.default_rng(interval_seed(cfg.base_seed, 0))
     rng.random()

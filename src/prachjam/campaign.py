@@ -4,28 +4,26 @@ A campaign is a series of independent intervals. In each interval the
 jammer runs for the whole span while the UE appears after a lead delay,
 retries a preamble every 100 ms until a random-access procedure succeeds,
 and disappears before the jammer stops. Occasions are simulated as their
-averaged PRACH bins (``channel.bin_channel``). An unanswered UE sends on a
-fixed schedule (``ue_step`` stepped with no RAR), so the campaign draws
-the signatures of all its transmissions at once and judges them in
-batches with no transform, on the tap powers of their delay profiles:
-white bins times the constant-modulus ZC reference stay white, with the
-same variance, so each tap is its mean plus complex normal noise: an
-exponential power, and a uniform phase that is drawn with it only on the
-few taps where the mean is not zero. The first transmission, the one
-that decides when the UE is heard at once, is drawn as a complex row
-instead. An interval reads one random stream. Its transmissions are judged
-first, each on its own run of the stream, in two blocks: the first alone,
-then the other K - 1 at once, which a record run judges only when the
-first is missed and a logged run always.
+averaged PRACH bins (``channel.bin_channel``). An unanswered UE sends on
+a fixed schedule (``ue_step`` stepped with no RAR), so the campaign draws
+the signatures of all its K transmissions at once. An interval reads one
+random stream, each transmission its own run of it. The detector judges
+the first send, which decides when the UE is heard at once, on its
+complex delay profile. The kernel judges the other K - 1 at once, which a
+record run needs only when the first is missed and a logged run always.
+It needs no transform and reads only the tap powers: white bins times the
+constant-modulus ZC reference stay white, with the same variance, so each
+tap is its mean plus complex normal noise: an exponential power, and a
+uniform phase drawn only on the few taps where the mean is not zero.
 
 A record run then computes its record in closed form. Msg2 to Msg4 are
 delivered reliably and the single UE wins its contention, so it connects
-at the first transmission detected, or sends all K unheard. Only that
+at the first transmission detected, or sends all K unheard. A later
 deciding transmission is rebuilt as a complex profile (its other phases
 read on from the stream) that ``detect_preambles`` judges as it is and
-must agree with the batch verdict. A logged run (``detection_log`` or
+must agree with the kernel's verdict. A logged run (``detection_log`` or
 ``event_trace``) steps every occasion through the RA machines instead,
-rebuilding and checking each sent transmission the same way.
+rebuilding and checking each later transmission the same way.
 """
 from __future__ import annotations
 
@@ -179,14 +177,13 @@ class CampaignConfig:
             f"spectrum.snr_db {self.spectrum.snr_db:g}": self.spectrum.amplitude,
             f"channel.noise_sigma {self.channel.noise_sigma:g}": self.channel.noise_sigma,
         }
-        bound = 2 * length * (1 + sum(levels.values()))
+        bound, top = 2 * length * (1 + sum(levels.values())), max(levels, key=levels.get)
         if not math.isfinite(bound * bound):
-            raise ConfigError(
-                f"{max(levels, key=levels.get)} overflows the sum of {length} tap powers"
-            )
+            raise ConfigError(f"{top} overflows the sum of {length} tap powers")
         if not math.isfinite(self.detector.threshold_factor * bound * bound):
-            raise ConfigError(f"detector.threshold_factor {self.detector.threshold_factor:g} "
-                              f"overflows the detector's limit on {length} tap powers")
+            raise ConfigError(f"{top} with detector.threshold_factor "
+                              f"{self.detector.threshold_factor:g} overflows the "
+                              f"detector's limit on {length} tap powers")
 
 
 @dataclass(frozen=True)
@@ -339,19 +336,19 @@ def _bins(prach, cell, spectrum, channel, det):
     return signatures, sig_array, chan, means
 
 
-def _judged(chan, means, sig_array, det_cfg, rng, idx, polar=True):
+def _judged(chan, means, sig_array, det_cfg, rng, idx):
     """One block of transmissions of the signatures ``idx``: ``(profile_of,
     hits)``, ``profile_of(j, rng)`` the complex delay profile of row ``j``
     (see ``_polar_powers`` for ``rng``) and ``hits`` whether each row's own
     signature is detected.
 
     Rows are drawn in polar form (``_polar_powers``) and judged on their
-    tap powers, but drawn as complex rows (``chan.draw``) where ``polar`` is
-    false, and where a mean profile has nonzero taps on half its length or
-    more (``means.taps`` is None): each of those taps needs its phase, and
-    a cosine costs more than a normal pair there.
+    tap powers, but drawn as complex rows (``chan.draw``) where a mean
+    profile has nonzero taps on half its length or more (``means.taps`` is
+    None): each of those taps needs its phase, and a cosine costs more than
+    a normal pair there.
     """
-    if polar and means.taps is not None:
+    if means.taps is not None:
         power, profile_of = _polar_powers(chan.std, means, rng, idx)
     else:
         rows = chan.draw(rng, means.profile[idx], len(idx))
@@ -414,21 +411,23 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
     )
     sig_idx = rng.integers(len(signatures), size=len(sends))
     logged, logs = cfg.detection_log or cfg.event_trace, Logs([], [])
-    # Judge first, in two blocks: the first send alone, as the complex row
-    # that is checked when the UE is heard at once, then the other K - 1,
-    # which a record run needs only when the first is missed.
-    first_of, hits = _judged(chan, means, sig_array, cfg.detector, rng, sig_idx[:1], polar=False)
-    profiles_of = [first_of]
+    # Judge first: the detector the first send, as a complex row, and the kernel
+    # the other K - 1 at once, which a record run needs only when it is missed.
+    own = signatures[sig_idx[0]]
+    row = chan.draw(rng, means.profile[sig_idx[:1]], 1)[0]
+    first = detect_preambles(DelayProfile(own[0], row), cfg.detector, occasion=sends[0][1])
+    hits = [first.reports(own)]
     if logged or not hits[0]:
-        rest_of, rest = _judged(chan, means, sig_array, cfg.detector, rng, sig_idx[1:])
-        profiles_of, hits = [first_of, rest_of], np.concatenate([hits, rest])
+        profile_of, rest = _judged(chan, means, sig_array, cfg.detector, rng, sig_idx[1:])
+        hits += rest.tolist()
 
     def checked(n: int, occ: PrachOccasion):
-        """The detector's result on send ``n``'s complex profile, rebuilt (its
-        other phases read on from the stream), which must agree with the
-        kernel's verdict ``hits[n]``."""
+        """The detector's result on send ``n``: the first's, or a later one's on
+        its rebuilt complex profile, which must agree with the kernel's verdict."""
+        if n == 0:
+            return first
         signature = signatures[sig_idx[n]]
-        row = DelayProfile(signature[0], profiles_of[n > 0](max(n - 1, 0), rng))
+        row = DelayProfile(signature[0], profile_of(n - 1, rng))
         result = detect_preambles(row, cfg.detector, occasion=occ)
         if result.reports(signature) != hits[n]:
             raise SimulationError(
@@ -439,11 +438,11 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
     if not logged:
         # The record in closed form: the UE connects at the first send
         # detected (Msg2 to Msg4 are reliable, and it wins its contention),
-        # or sends all K unheard. Only that send is checked.
-        k = int(hits.argmax()) if hits.any() else len(hits) - 1
+        # or sends all K unheard. Only a later deciding send is checked.
+        k = hits.index(True) if True in hits else len(hits) - 1
         t, occ = sends[k]
         checked(k, occ)
-        hit = bool(hits[k])
+        hit = hits[k]
         return IntervalRecord(index, valid, k + 1, int(hit), hit,
                               (t - ue_on) / 1000.0 if hit else None, seed), logs
 

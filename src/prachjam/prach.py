@@ -9,12 +9,11 @@ exactly those resources.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import types
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import Any, ClassVar, get_type_hints
+from typing import Any, ClassVar, NamedTuple, get_type_hints
 
 from .errors import ConfigError
 
@@ -131,8 +130,7 @@ class CellConfig:
         return self.dft_size * self.subcarrier_spacing
 
 
-@dataclass(frozen=True)
-class PrachOccasion:
+class PrachOccasion(NamedTuple):
     """One time-domain PRACH occasion inside a frame."""
 
     sfn: int
@@ -206,11 +204,24 @@ def occasions_between(config: PrachConfig, cell: CellConfig, start_ms: float, en
     """``(instant, occasion)`` of every PRACH occasion in the finite ``[start_ms, end_ms)``."""
     if not math.isfinite(end_ms):
         raise ConfigError(f"end_ms must be finite, got {end_ms}")
-    frames = itertools.takewhile(lambda sfn: sfn * FRAME_MS < end_ms,
-                                 itertools.count(int(start_ms // FRAME_MS)))
-    timed = ((occasion_time_ms(occ, cell), occ)
-             for sfn in frames for occ in occasions_in_frame(config, cell, sfn))
-    return ((t, occ) for t, occ in timed if start_ms <= t < end_ms)
+    return _stamped(config, cell, start_ms, end_ms)
+
+
+def _stamped(config: PrachConfig, cell: CellConfig, start_ms: float, end_ms: float):
+    """``occasions_between``: every PRACH frame has the occasions of the
+    first, built once, with its own ``sfn`` stamped on them."""
+    first = int(start_ms // FRAME_MS)
+    if first < 0:
+        raise ValueError("sfn must be >= 0")
+    pattern = [occ[1:] for occ in occasions_in_frame(config, cell, config.sfn_remainder)]
+    sfn = first + (config.sfn_remainder - first) % config.sfn_modulus
+    while sfn * FRAME_MS < end_ms:
+        for fields_after_sfn in pattern:
+            occ = PrachOccasion(sfn, *fields_after_sfn)
+            t = occasion_time_ms(occ, cell)
+            if start_ms <= t < end_ms:
+                yield t, occ
+        sfn += config.sfn_modulus
 
 
 def _symbols_per_period(config: PrachConfig) -> int:

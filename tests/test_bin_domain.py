@@ -111,22 +111,25 @@ def profiles_of(bins, roots):
 
 
 def judged_with_powers(monkeypatch, bins, det, rng, sig_idx):
-    """The campaign's two blocks ``(profile_of, power, hits)`` of
-    ``_judged`` on the channel ``bins`` (a ``_bins`` result), with the tap
-    powers each judged: the first transmission as a complex row, then the
-    others."""
+    """The campaign's two blocks ``(profile_of, power, hits)`` on the
+    channel ``bins`` (a ``_bins`` result), with the tap powers each judged:
+    the first transmission drawn as a complex row (``chan.draw``) and judged
+    here by the kernel too, then the others as ``_judged`` draws and judges
+    them."""
     _, sig_array, chan, means = bins
-    powers = []
+    rows, powers = chan.draw(rng, means.profile[sig_idx[:1]], 1), []
 
     def recording(power, windows, cfg):
         powers.append(power.copy())
         return signatures_detected(power, windows, cfg)
 
+    first = np.abs(rows) ** 2
+    blocks = [(lambda j, rng: rows[j], first,
+               signatures_detected(first, sig_array[sig_idx[:1], 1], det))]
     monkeypatch.setattr(prachjam.campaign, "signatures_detected", recording)
-    blocks = [_judged(chan, means, sig_array, det, rng, sig_idx[:1], polar=False),
-              _judged(chan, means, sig_array, det, rng, sig_idx[1:])]
+    profile_of, hits = _judged(chan, means, sig_array, det, rng, sig_idx[1:])
     monkeypatch.undo()
-    return [(of, power, hits) for (of, hits), power in zip(blocks, powers)]
+    return blocks + [(profile_of, *powers, hits)]
 
 
 @pytest.mark.parametrize("roots", [(1,), (1, 2, 5)])

@@ -329,9 +329,9 @@ class TestIntervals:
     @pytest.mark.parametrize("logged, duration", [(False, 2.0), (True, 2.0), (True, 0.15)],
                              ids=["record", "logged", "logged_one_send"])
     def test_judges_the_first_send_then_the_rest_at_once(self, monkeypatch, logged, duration):
-        # One judge call for the first send and one for the other K - 1,
-        # empty where K = 1: a record run whose first send is heard makes
-        # only the first.
+        # The detector alone judges the first send, and the kernel the other
+        # K - 1 in one call, empty where K = 1: a record run whose first send
+        # is heard makes no kernel call.
         cfg = make_config(n_intervals=18, interval_duration=duration,
                           spectrum=JammerConfig(kind="S1", snr_db=-14.0), detection_log=logged)
         sends = _schedule(cfg.prach, cfg.cell, 400.0, 300.0 + 1000.0 * duration)
@@ -350,7 +350,7 @@ class TestIntervals:
             heard_at_once.append(record.ra_succeeded and record.preambles_sent == 1)
         assert 0 < sum(heard_at_once) < cfg.n_intervals
         for heard, judged in zip(heard_at_once, rows):
-            assert judged == ([1] if heard and not logged else [1, len(sends) - 1])
+            assert judged == ([] if heard and not logged else [len(sends) - 1])
 
     def test_logged_run_spans_the_lag_with_the_jammer_off(self):
         # quick.json: 0.5 s lead, 2 s of UE activity, 0.5 s lag, 3 occasions
@@ -368,28 +368,33 @@ class TestIntervals:
         assert 2500.0 <= instants[last["sfn"], last["slot"], last["occasion_index"]] < 3000.0
 
     def test_fast_path_calls_the_detector_once_per_interval(self, monkeypatch):
+        # The detector judges the first send of every interval, and sees the
+        # deciding send only when the first is missed.
         cfg = make_config(
             n_intervals=4, spectrum=JammerConfig(kind="S1", snr_db=-18.0)
         )
-        occasions = []
+        occasions, records = [], []
         detect = prachjam.campaign.detect_preambles
 
         def counting(bins, det_cfg, occasion=None):
-            occasions.append(occasion)
+            occasions[-1].append(occasion)
             return detect(bins, det_cfg, occasion=occasion)
 
         monkeypatch.setattr(prachjam.campaign, "detect_preambles", counting)
-        records = [run_interval(cfg, i)[0] for i in range(cfg.n_intervals)]
+        for i in range(cfg.n_intervals):
+            occasions.append([])
+            records.append(run_interval(cfg, i)[0])
         assert any(r.preambles_sent > 1 for r in records)
         ue_on = 1000.0 * cfg.jammer_lead
         sends = _schedule(
             cfg.prach, cfg.cell, ue_on + 1000.0 * cfg.ue_startup_delay,
             ue_on + 1000.0 * cfg.interval_duration,
         )
-        assert occasions == [sends[r.preambles_sent - 1][1] for r in records]
-        for r, occ in zip(records, occasions):
+        for r, seen in zip(records, occasions):
+            deciding = [sends[r.preambles_sent - 1][1]] if r.preambles_sent > 1 else []
+            assert seen == [sends[0][1]] + deciding
             if r.ra_succeeded:
-                t = occasion_time_ms(occ, cfg.cell)
+                t = occasion_time_ms(seen[-1], cfg.cell)
                 assert r.time_to_success == (t - ue_on) / 1000.0
 
     @pytest.mark.parametrize("logged", [False, True], ids=["record", "logged"])
@@ -415,8 +420,9 @@ class TestIntervals:
 
     @pytest.mark.parametrize("logged", [False, True], ids=["record", "logged"])
     def test_kernel_and_detector_must_agree(self, monkeypatch, logged):
-        # The unjammed UE is found at once; a detector that then reports
-        # nothing contradicts the batched kernel.
+        # The unjammed UE is found at once. A detector that reports nothing
+        # alone decides that first send, missed, and then contradicts the
+        # batched kernel at the next.
         cfg = make_config(spectrum=JammerConfig(kind="S1", snr_db=-6.0, enabled=False),
                           detection_log=logged)
         detect = prachjam.campaign.detect_preambles
@@ -426,7 +432,7 @@ class TestIntervals:
             return replace(result, detected=[])
 
         monkeypatch.setattr(prachjam.campaign, "detect_preambles", deaf)
-        with pytest.raises(SimulationError, match="disagree on preamble 0"):
+        with pytest.raises(SimulationError, match="disagree on preamble 1"):
             run_interval(cfg, 0)
 
     def test_logged_run_checks_every_send(self, monkeypatch):
@@ -452,6 +458,38 @@ class TestIntervals:
         assert (record.preambles_sent, record.preambles_detected) == (len(sends), 0)
         with pytest.raises(SimulationError, match="disagree on preamble 2"):
             run_interval(replace(cfg, detection_log=True), 0)
+
+    def test_detector_alone_decides_the_first_send(self, monkeypatch):
+        # At -30 dB the kernel misses every send. A detector that reports
+        # every signature at the first send's occasion connects the UE there,
+        # and a record run makes no kernel call; a logged run agrees.
+        cfg = make_config(spectrum=JammerConfig(kind="S1", snr_db=-30.0))
+        ue_on = 1000.0 * cfg.jammer_lead
+        sends = _schedule(
+            cfg.prach, cfg.cell, ue_on + 1000.0 * cfg.ue_startup_delay,
+            ue_on + 1000.0 * cfg.interval_duration,
+        )
+        detect, judge, judged = (prachjam.campaign.detect_preambles,
+                                 prachjam.campaign.signatures_detected, [])
+
+        def eager(bins, det_cfg, occasion=None):
+            result = detect(bins, det_cfg, occasion=occasion)
+            if occasion != sends[0][1]:
+                return result
+            return replace(result, detected=[Detection(1, w, 99.0) for w in range(10)])
+
+        def counting(power, windows, det_cfg):
+            judged.append(len(power))
+            return judge(power, windows, det_cfg)
+
+        monkeypatch.setattr(prachjam.campaign, "detect_preambles", eager)
+        monkeypatch.setattr(prachjam.campaign, "signatures_detected", counting)
+        record, _ = run_interval(cfg, 0)
+        assert (record.preambles_sent, record.preambles_detected) == (1, 1)
+        assert record.time_to_success == (sends[0][0] - ue_on) / 1000.0
+        assert judged == []
+        assert run_interval(replace(cfg, detection_log=True), 0)[0] == record
+        assert judged == [len(sends) - 1]
 
     def test_ue_without_an_occasion_is_a_config_error(self, monkeypatch):
         # A UE that never sends would be tallied as a jammed interval.

@@ -13,6 +13,8 @@ from prachjam.prach import PRESETS
 from prachjam.zc import generate_zc
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+THRESHOLD = ("campaign: spectrum.snr_db {} with detector.threshold_factor {} overflows the "
+             "detector's limit on 139 tap powers")
 
 
 def small_config(tmp_path, **extra) -> Path:
@@ -125,8 +127,8 @@ class TestOccupancy:
              "spectrum: snr_db -7000 overflows the jammer's amplitude"),
             ("channel.noise_sigma=1e300",
              "campaign: channel.noise_sigma 1e+300 overflows the sum of 139 tap powers"),
-            ("detector.threshold_factor=1e307", "campaign: detector.threshold_factor 1e+307 "
-                                                "overflows the detector's limit on 139 tap powers"),
+            ("detector.threshold_factor=1e307", THRESHOLD.format("-16", "1e+307")),
+            ("spectrum.snr_db=-3030", THRESHOLD.format("-3030", "12.35")),
             ("jammer_lag=Infinity", "campaign.jammer_lag must be a finite number, got inf"),
             ("detector.threshold_factor=NaN",
              "detector.threshold_factor must be a finite number, got nan"),
@@ -135,7 +137,7 @@ class TestOccupancy:
              "enabled-str", "roots-int", "interval_duration-nan", "roots-zero",
              "roots-length", "roots-twice", "shift_step-long", "snr_db-square-overflows",
              "snr_db-amplitude-overflows", "noise_sigma-overflows", "threshold_factor-overflows",
-             "jammer_lag-inf", "threshold_factor-nan"],
+             "snr_db-limit-overflows", "jammer_lag-inf", "threshold_factor-nan"],
     )
     def test_wrong_value_exits_one(self, capsys, override, message):
         argv = ["occupancy", "--config", str(CONFIGS / "quick.json"), "--set", override]
@@ -474,8 +476,6 @@ def explicit_quick(tmp_path) -> Path:
 
 CARRIER = ("prach.freq_offset + prach.freq_occasions * 12 = {} PRBs lie outside the "
            "carrier's cell.n_prb 12")
-THRESHOLD = ("campaign: detector.threshold_factor {} overflows the detector's limit on 139 "
-             "tap powers")
 
 
 class TestCheckedAtLoad:
@@ -497,11 +497,12 @@ class TestCheckedAtLoad:
         # Each level alone fits; the jammer's and the noise's together do not.
         (["spectrum.snr_db=-3030", "channel.noise_sigma=3e151"],
          "campaign: spectrum.snr_db -3030 overflows the sum of 139 tap powers"),
-        # The detector's limit overflows: its factor alone, and a factor that
-        # fits at the configured jammer but not at a strong one.
-        (["detector.threshold_factor=1e307"], THRESHOLD.format("1e+307")),
+        # The detector's limit overflows, named by the strongest level and the
+        # factor: the factor alone, and a factor that fits at the configured
+        # jammer but not at a strong one.
+        (["detector.threshold_factor=1e307"], THRESHOLD.format("-16", "1e+307")),
         (["detector.threshold_factor=1e104", "spectrum.snr_db=-2000"],
-         THRESHOLD.format("1e+104")),
+         THRESHOLD.format("-2000", "1e+104")),
     ])
     def test_exits_one(self, tmp_path, capsys, command, overrides, message):
         argv = [command, "--config", str(explicit_quick(tmp_path))]

@@ -175,9 +175,9 @@ def test_quick_logs(name, tmp_path):
 
 def test_quick_log_replays_from_the_interval_stream(tmp_path):
     # Interval 0 of the logged quick.json, rebuilt by hand from its one
-    # stream: the validity flag, the signatures, both of the kernel's blocks,
-    # then the idle occasions before the UE's first send, drawn in one call,
-    # give its first log lines.
+    # stream: the validity flag, the signatures, the first send's complex
+    # row, the kernel's block of the others, then the idle occasions before
+    # the UE's first send, drawn in one call, give its first log lines.
     logged_quick_run("S1", tmp_path)
     lines = (tmp_path / "detections.jsonl").read_text().splitlines()
     cfg = load_campaign_config(json.loads(QUICK.read_text()))
@@ -189,7 +189,7 @@ def test_quick_log_replays_from_the_interval_stream(tmp_path):
     rng = np.random.default_rng(interval_seed(cfg.base_seed, 0))
     rng.random()
     sig_idx = rng.integers(len(signatures), size=len(sends))
-    _judged(chan, means, sig_array, cfg.detector, rng, sig_idx[:1], polar=False)
+    chan.draw(rng, means.profile[sig_idx[:1]], 1)
     _judged(chan, means, sig_array, cfg.detector, rng, sig_idx[1:])
     idle = [occ for _, occ in occasions_between(cfg.prach, cfg.cell, 0.0, sends[0][0])]
     rows = rng.standard_normal((len(idle), cfg.prach.preamble_length, 2))

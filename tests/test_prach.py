@@ -1,19 +1,25 @@
 """Occasion scheduling, occupancy ratio and configuration loading."""
 import dataclasses
+import itertools
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prachjam.errors import ConfigError
 from prachjam.prach import (
+    FRAME_MS,
     CellConfig,
     PrachConfig,
+    PrachOccasion,
     PRESETS,
     is_prach_frame,
     jammer_resource_budget,
     load_record,
+    occasion_time_ms,
+    occasions_between,
     occasions_in_frame,
     occupancy_factors,
     occupancy_ratio,
@@ -126,6 +132,32 @@ class TestOccasions:
         cell = dataclasses.replace(CELL, numerology=0)
         with pytest.raises(ConfigError, match="slot_in_subframe"):
             occasions_in_frame(cfg, cell, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), start_ms=st.floats(0.0, 2000.0),
+           span_ms=st.floats(0.0, 500.0), edges=st.tuples(st.integers(0, 99), st.integers(0, 99)))
+    def test_stamped_frames_match_frames_built_one_by_one(self, seed, start_ms, span_ms, edges):
+        # occasions_between builds a PRACH frame's occasions once and stamps
+        # each frame's sfn on them. It must give every frame-by-frame
+        # occasion and instant, also in a window whose ends are instants.
+        config, cell = random_config(np.random.default_rng(seed))
+        instants = [t for t, _ in occasions_frame_by_frame(config, cell, 0.0, 200.0)]
+        windows = [(start_ms, start_ms + span_ms),
+                   tuple(instants[i % len(instants)] for i in sorted(edges))]
+        for window in windows:
+            stamped = list(occasions_between(config, cell, *window))
+            assert stamped == occasions_frame_by_frame(config, cell, *window)
+            assert all(type(occ) is PrachOccasion for _, occ in stamped)
+
+
+def occasions_frame_by_frame(config, cell, start_ms, end_ms):
+    """The reference for ``occasions_between``: every frame's occasions
+    rebuilt by ``occasions_in_frame`` and timed by ``occasion_time_ms``."""
+    frames = itertools.takewhile(lambda sfn: sfn * FRAME_MS < end_ms,
+                                 itertools.count(int(start_ms // FRAME_MS)))
+    timed = ((occasion_time_ms(occ, cell), occ)
+             for sfn in frames for occ in occasions_in_frame(config, cell, sfn))
+    return [(t, occ) for t, occ in timed if start_ms <= t < end_ms]
 
 
 class TestOccupancy:

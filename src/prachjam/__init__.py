@@ -38,7 +38,7 @@ from .prach import (
 )
 from .rafsm import GnbRaContext, UeRaState, UeState, gnb_step, make_ue, ue_step
 from .waveform import IqFrame, demap_prach, modulate_preamble, read_iq, write_iq
-from .zc import CorrelationProfile, ZcSequence, cyclic_shift, generate_zc, periodic_xcorr
+from .zc import ZcSequence, cyclic_shift, generate_zc, periodic_xcorr
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "CellConfig",
     "ChannelConfig",
     "ConfigError",
-    "CorrelationProfile",
     "Detection",
     "DetectionResult",
     "DetectorConfig",

@@ -16,14 +16,16 @@ constant-modulus ZC reference stay white, with the same variance, so each
 tap is its mean plus complex normal noise: an exponential power, and a
 uniform phase drawn only on the few taps where the mean is not zero.
 
-A record run then computes its record in closed form. Msg2 to Msg4 are
+Every run then computes its record in closed form. Msg2 to Msg4 are
 delivered reliably and the single UE wins its contention, so it connects
-at the first transmission detected, or sends all K unheard. A later
-deciding transmission is rebuilt as a complex profile (its other phases
-read on from the stream) that ``detect_preambles`` judges as it is and
-must agree with the kernel's verdict. A logged run (``detection_log`` or
-``event_trace``) steps every occasion through the RA machines instead,
-rebuilding and checking each later transmission the same way.
+at the first transmission detected, or sends all K unheard. A record run
+rebuilds a later deciding transmission as a complex profile (its other
+phases read on from the stream) that ``detect_preambles`` judges as it is
+and must agree with the kernel's verdict. A logged run (``detection_log``
+or ``event_trace``) also steps every occasion through the RA machines,
+rebuilding and checking each later transmission the same way, and its UE
+must reach the closed-form record: as many preambles sent, and connected
+at the same instant or not at all.
 """
 from __future__ import annotations
 
@@ -266,16 +268,13 @@ def _schedule(prach: PrachConfig, cell: CellConfig, first_ms: float, off_ms: flo
     return tuple(sends)
 
 
-def _ue_instants(cfg: CampaignConfig) -> tuple[float, float, float]:
-    """When the UE turns on, first tries to send and turns off, in ms of an interval."""
-    ue_on = cfg.jammer_lead * 1000.0
-    return ue_on, ue_on + cfg.ue_startup_delay * 1000.0, ue_on + cfg.interval_duration * 1000.0
-
-
 def _ue_sends(cfg: CampaignConfig):
-    """``_ue_instants`` and the UE's ``_schedule``. A UE that never sends
-    would be tallied as a jammed interval, so that is a config error."""
-    ue_on, first_ms, ue_off = _ue_instants(cfg)
+    """When the UE turns on, first tries to send and turns off, in ms of an
+    interval, and its ``_schedule``. A UE that never sends would be tallied
+    as a jammed interval, so that is a config error."""
+    ue_on = cfg.jammer_lead * 1000.0
+    first_ms = ue_on + cfg.ue_startup_delay * 1000.0
+    ue_off = ue_on + cfg.interval_duration * 1000.0
     sends = _schedule(cfg.prach, cfg.cell, first_ms, ue_off)
     if not sends:
         raise ConfigError(
@@ -399,8 +398,8 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
     t=lead until lead + duration and sends its first preamble after the
     configured startup delay. ``time_to_success`` is measured from the UE
     start. A logged run simulates every occasion of that span, whether the
-    jammer is enabled or not; its record equals the one without logs (see
-    ``SEEDING_RULE``).
+    jammer is enabled or not, and raises ``SimulationError`` unless its RA
+    machines reach the closed-form record that both runs return.
     """
     ue_on, first_ms, ue_off, sends = _ue_sends(cfg)
     seed = interval_seed(cfg.base_seed, index)
@@ -435,16 +434,17 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
             )
         return result
 
+    # The record in closed form: the UE connects at the first send detected
+    # (Msg2 to Msg4 are reliable, and it wins its contention), or sends all K
+    # unheard.
+    k = hits.index(True) if True in hits else len(hits) - 1
+    hit = hits[k]
+    t_k = sends[k][0] if hit else None
+    record = IntervalRecord(index, valid, k + 1, int(hit), hit,
+                            None if t_k is None else (t_k - ue_on) / 1000.0, seed)
     if not logged:
-        # The record in closed form: the UE connects at the first send
-        # detected (Msg2 to Msg4 are reliable, and it wins its contention),
-        # or sends all K unheard. Only a later deciding send is checked.
-        k = hits.index(True) if True in hits else len(hits) - 1
-        t, occ = sends[k]
-        checked(k, occ)
-        hit = hits[k]
-        return IntervalRecord(index, valid, k + 1, int(hit), hit,
-                              (t - ue_on) / 1000.0 if hit else None, seed), logs
+        checked(k, sends[k][1])  # only a later deciding send is rebuilt
+        return record, logs
 
     def log_event(t: float, ue) -> None:
         if cfg.event_trace:
@@ -452,8 +452,7 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
                                 "entity": f"ue{ue.unique_id}", "transition": ue.state.value})
 
     ue, ctx = make_ue(index + 1, first_ms), GnbRaContext()
-    detected = 0
-    success_ms: float | None = None
+    connected_ms: float | None = None
     for t, occ in occasions_between(cfg.prach, cfg.cell, 0.0, ue_off + cfg.jammer_lag * 1000.0):
         active, tx = ue_on <= t < ue_off and ue.state is not UeState.CONNECTED, None
         if active:
@@ -465,7 +464,6 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
                 log_event(t, ue)
         if tx is not None:
             result = checked(n, occ)
-            detected += int(hits[n])
         else:
             result = detect_preambles(chan.draw(rng, chan.idle_mean, 1)[0], cfg.detector,
                                       occasion=occ)
@@ -479,17 +477,14 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
             ue_step(ue, t, gnb_step(ctx, None, [msg3]))
             log_event(t, ue)
             if ue.state is UeState.CONNECTED:
-                success_ms = t
+                connected_ms = t
 
-    return IntervalRecord(
-        index=index,
-        valid=valid,
-        preambles_sent=ue.preambles_sent,
-        preambles_detected=detected,
-        ra_succeeded=success_ms is not None,
-        time_to_success=None if success_ms is None else (success_ms - ue_on) / 1000.0,
-        seed=seed,
-    ), logs
+    if (ue.preambles_sent, connected_ms) != (k + 1, t_k):
+        raise SimulationError(
+            f"interval {index}: the RA machines sent {ue.preambles_sent} preambles and "
+            f"connected at {connected_ms} ms, the record {k + 1} and {t_k} ms"
+        )
+    return record, logs
 
 
 def run_campaign(cfg: CampaignConfig, threads: int = 1) -> tuple[list[IntervalRecord], Logs]:
@@ -509,6 +504,8 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1) -> tuple[list[IntervalRe
             threads = len(os.sched_getaffinity(0))
         else:
             threads = os.cpu_count() or 1
+    # A pool starts all its workers at the first submit: no more than there are intervals.
+    threads = min(threads, len(indices))
     if threads > 1:
         # An interval can take under a millisecond: hand each worker a few
         # large chunks rather than one interval per round trip.

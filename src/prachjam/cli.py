@@ -144,8 +144,7 @@ def _cmd_zc(args) -> int:
         seq = cyclic_shift(seq, req.shift)
     if req.xcorr_root is not None:
         other = generate_zc(req.xcorr_root, req.length)
-        profile = periodic_xcorr(seq, other, normalize=req.normalize)
-        sys.stdout.write(_csv_rows(profile.values))
+        sys.stdout.write(_csv_rows(periodic_xcorr(seq, other, normalize=req.normalize)))
     else:
         sys.stdout.write(_csv_rows(seq.samples))
     return 0

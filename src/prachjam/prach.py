@@ -9,6 +9,7 @@ exactly those resources.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import types
@@ -311,6 +312,12 @@ def _json_value(value: Any, kind: Any, where: str) -> Any:
     raise ConfigError(f"{where} must be {expected}, got {value!r}")
 
 
+@functools.cache
+def _type_hints(cls) -> dict[str, Any]:
+    """``get_type_hints(cls)``, whose string annotations compile once per class."""
+    return get_type_hints(cls)
+
+
 def load_record(cls, data: dict[str, Any], section: str, **given):
     """Build the dataclass ``cls`` from the JSON object ``data``.
 
@@ -328,7 +335,7 @@ def load_record(cls, data: dict[str, Any], section: str, **given):
     missing = required - set(given) - set(data)
     if missing:
         raise ConfigError(f"missing field '{sorted(missing)[0]}' in {section}")
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     for name, value in data.items():
         given[name] = _json_value(value, hints[name], f"{section}.{name}")
     try:

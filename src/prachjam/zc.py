@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "ZcSequence",
-    "CorrelationProfile",
     "generate_zc",
     "cyclic_shift",
     "periodic_xcorr",
@@ -54,18 +53,6 @@ class ZcSequence:
             raise ValueError(f"shift {self.shift} out of range [0, {self.length})")
         if len(self.samples) != self.length:
             raise ValueError("sample count does not match declared length")
-
-
-@dataclass(frozen=True, eq=False)
-class CorrelationProfile:
-    """Periodic cross-correlation values at every lag.
-
-    ``values[lag]`` holds the raw correlation sum divided by
-    ``normalization`` (1.0 when unnormalized, N when normalized).
-    """
-
-    values: np.ndarray
-    normalization: float
 
 
 def generate_zc(root: int, length: int) -> ZcSequence:
@@ -123,14 +110,14 @@ def periodic_xcorr(
     a: ZcSequence | np.ndarray,
     b: ZcSequence | np.ndarray,
     normalize: bool = True,
-) -> CorrelationProfile:
+) -> np.ndarray:
     """Periodic (circular) cross-correlation of two equal-length signals.
 
-    ``values[l] = sum_k a[k] * conj(b[(k + l) mod N])``, optionally divided
-    by N. For two ZC sequences of the same root this peaks at the lag equal
-    to their relative cyclic shift and vanishes elsewhere; for distinct
-    roots whose difference is coprime with a prime N the magnitude is the
-    constant ``1/sqrt(N)`` (normalized) at every lag.
+    Lag ``l`` holds ``sum_k a[k] * conj(b[(k + l) mod N])``, optionally
+    divided by N. For two ZC sequences of the same root this peaks at the
+    lag equal to their relative cyclic shift and vanishes elsewhere; for
+    distinct roots whose difference is coprime with a prime N the magnitude
+    is the constant ``1/sqrt(N)`` (normalized) at every lag.
     """
     sa = _as_samples(a)
     sb = _as_samples(b)
@@ -141,6 +128,5 @@ def periodic_xcorr(
     # Circular correlation via FFT; reorder so index l matches the sum above.
     r = np.fft.ifft(np.fft.fft(sa) * np.conj(np.fft.fft(sb)))
     values = np.concatenate([r[:1], r[:0:-1]])
-    norm = float(len(sa)) if normalize else 1.0
-    return CorrelationProfile(values=values / norm, normalization=norm)
+    return values / len(sa) if normalize else values
 

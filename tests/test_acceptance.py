@@ -68,14 +68,14 @@ def test_criterion_1_zc_property_suite():
         seq = generate_zc(root, 139)
         ok &= bool(np.max(np.abs(np.abs(seq.samples) - 1.0)) < 1e-12)
         auto = periodic_xcorr(seq, seq, normalize=True)
-        ok &= bool(np.max(np.abs(auto.values[1:])) < 1e-9)
+        ok &= bool(np.max(np.abs(auto[1:])) < 1e-9)
         spectrum = np.fft.fft(seq.samples)
         ok &= bool(np.max(np.abs(np.abs(spectrum) - math.sqrt(139))) < 1e-9)
     expected = 1 / math.sqrt(139)
     for i, r1 in enumerate(roots):
         for r2 in roots[i + 1 :]:
             cross = periodic_xcorr(generate_zc(r1, 139), generate_zc(r2, 139))
-            ok &= bool(np.max(np.abs(np.abs(cross.values) - expected)) < 1e-9)
+            ok &= bool(np.max(np.abs(np.abs(cross) - expected)) < 1e-9)
     elapsed = time.time() - start
     ok &= elapsed < 5.0
     report(1, "ZC properties", ok, f"{len(roots)} roots, {elapsed:.2f} s")

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import prachjam.campaign
 import prachjam.cli
+import prachjam.prach
 from prachjam.campaign import (
     CampaignConfig,
     IntervalRecord,
@@ -33,7 +35,8 @@ from prachjam.detector import Detection, DetectorConfig
 from prachjam.errors import ConfigError, SimulationError
 from prachjam.jammer import JammerConfig
 from prachjam.prach import (
-    PRESETS, jammer_resource_budget, occasions_between, occasions_in_frame, occupancy_factors,
+    PRESETS, CellConfig, PrachConfig, jammer_resource_budget, occasions_between,
+    occasions_in_frame, occupancy_factors,
 )
 from prachjam.rafsm import PreambleTx, make_ue, ue_step
 
@@ -491,6 +494,19 @@ class TestIntervals:
         assert run_interval(replace(cfg, detection_log=True), 0)[0] == record
         assert judged == [len(sends) - 1]
 
+    def test_logged_run_must_reach_the_closed_form_record(self, monkeypatch):
+        # quick.json unjammed: the UE is heard at its first send. A gNB that
+        # answers nothing leaves the RA machines sending all 19 preambles,
+        # away from the record the verdicts give, and the logged run refuses.
+        doc = copy.deepcopy(QUICK_DOC)
+        doc["spectrum"]["enabled"], doc["detection_log"] = False, True
+        cfg = load_campaign_config(doc)
+        assert len(prachjam.campaign._ue_sends(cfg)[3]) == 19
+        assert run_interval(cfg, 0)[0].preambles_sent == 1
+        monkeypatch.setattr(prachjam.campaign, "gnb_step", lambda ctx, result, msg3s: [])
+        with pytest.raises(SimulationError, match="^interval 0: the RA machines sent 19 "):
+            run_interval(cfg, 0)
+
     def test_ue_without_an_occasion_is_a_config_error(self, monkeypatch):
         # A UE that never sends would be tallied as a jammed interval.
         ran = []
@@ -600,6 +616,32 @@ class TestIntervals:
         monkeypatch.setattr(prachjam.campaign, "ProcessPoolExecutor", no_pool)
         cfg = make_config(n_intervals=2, interval_duration=1.0)
         assert run_campaign(cfg, threads=0)[0] == run_campaign(cfg, threads=1)[0]
+
+    @pytest.mark.parametrize("n_intervals, started", [(1, []), (3, [3])],
+                             ids=["one_in_process", "three"])
+    def test_pool_starts_no_more_workers_than_intervals(self, monkeypatch, n_intervals,
+                                                        started):
+        # A pool starts all its workers at the first submit, so three
+        # intervals at eight threads ask for three; one runs in process.
+        pools = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(prachjam.campaign, "ProcessPoolExecutor", Pool)
+        cfg = make_config(n_intervals=n_intervals, interval_duration=1.0)
+        assert run_campaign(cfg, threads=8)[0] == run_campaign(cfg, threads=1)[0]
+        assert pools == started
 
     def test_unjammed_success_within_two_retry_periods(self):
         # At per-bin SNR >= 0 dB the first or second attempt succeeds in
@@ -848,6 +890,25 @@ class TestConfigLoading:
             load_campaign_config(doc)
         except ConfigError:
             pass
+
+    def test_repeated_loads_resolve_each_class_once(self, monkeypatch):
+        # load_record compiles a dataclass's string annotations once, not on
+        # every config or records.jsonl line it reads.
+        resolve, resolved = prachjam.prach.get_type_hints, []
+
+        def counting(cls):
+            resolved.append(cls)
+            return resolve(cls)
+
+        monkeypatch.setattr(prachjam.prach, "get_type_hints", counting)
+        prachjam.prach._type_hints.cache_clear()
+        record = IntervalRecord(3, True, 10, 1, True, 1.25, 99)
+        for _ in range(3):
+            assert load_campaign_config(QUICK_EXPLICIT) == load_campaign_config(QUICK_DOC)
+            assert record_from_dict(record_to_dict(record)) == record
+        assert Counter(resolved) == dict.fromkeys(
+            [CampaignConfig, JammerConfig, ChannelConfig, DetectorConfig, PrachConfig,
+             CellConfig, IntervalRecord], 1)
 
     def test_explicit_sections_load_quick_json(self):
         # The fuzz above reaches the explicit sections' rules only if they load.

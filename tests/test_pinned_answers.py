@@ -19,7 +19,7 @@ import pytest
 
 import prachjam.campaign
 from prachjam.campaign import (
-    SEEDING_RULE, _bins, _judged, _schedule, _ue_instants, build_summary_payload,
+    SEEDING_RULE, _bins, _judged, _ue_sends, build_summary_payload,
     compute_metrics, detection_entry, interval_seed, load_campaign_config, run_campaign,
 )
 from prachjam.cli import main
@@ -181,8 +181,7 @@ def test_quick_log_replays_from_the_interval_stream(tmp_path):
     logged_quick_run("S1", tmp_path)
     lines = (tmp_path / "detections.jsonl").read_text().splitlines()
     cfg = load_campaign_config(json.loads(QUICK.read_text()))
-    _, first_ms, ue_off = _ue_instants(cfg)
-    sends = _schedule(cfg.prach, cfg.cell, first_ms, ue_off)
+    sends = _ue_sends(cfg)[3]
     signatures, sig_array, chan, means = _bins(
         cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector
     )

@@ -69,6 +69,7 @@ __all__ = [
     "demap_prach",
     "detect_preambles",
     "generate_jamming_frame",
+    "generate_zc",
     "gnb_step",
     "interval_seed",
     "is_prach_frame",

@@ -7,14 +7,15 @@ and disappears before the jammer stops. Occasions are simulated as their
 averaged PRACH bins (``channel.bin_channel``). An unanswered UE sends on
 a fixed schedule (``ue_step`` stepped with no RAR), so the campaign draws
 the signatures of all its K transmissions at once. An interval reads one
-random stream, each transmission its own run of it. The detector judges
-the first send, which decides when the UE is heard at once, on its
-complex delay profile. The kernel judges the other K - 1 at once, which a
-record run needs only when the first is missed and a logged run always.
-It needs no transform and reads only the tap powers: white bins times the
-constant-modulus ZC reference stay white, with the same variance, so each
-tap is its mean plus complex normal noise: an exponential power, and a
-uniform phase drawn only on the few taps where the mean is not zero.
+random stream, each transmission its own run of it, in the order that
+``judge_sends`` alone holds. The detector judges the first send, which
+decides when the UE is heard at once, on its complex delay profile. The
+kernel judges the other K - 1 at once, which a record run needs only when
+the first is missed and a logged run always. It needs no transform and
+reads only the tap powers: white bins times the constant-modulus ZC
+reference stay white, with the same variance, so each tap is its mean plus
+complex normal noise: an exponential power, and a uniform phase drawn
+only on the few taps where the mean is not zero.
 
 Every run then computes its record in closed form. Msg2 to Msg4 are
 delivered reliably and the single UE wins its contention, so it connects
@@ -322,8 +323,8 @@ def _bins(prach, cell, spectrum, channel, det):
     round_off = magnitude < _ROUND_OFF * magnitude.max(axis=-1, keepdims=True)
     profiles[round_off] = magnitude[round_off] = 0.0
     width = int(np.count_nonzero(profiles, axis=-1).max())
-    # Polar draws pay only where the nonzero taps are few (see _judged). A
-    # stable sort puts each row's nonzero taps first, in order.
+    # Polar draws pay only where nonzero taps are few (a cosine per tap costs more
+    # than a normal pair). A stable sort puts each row's nonzero taps first, in order.
     if 2 * width < length:
         taps = np.argsort(profiles == 0, axis=-1, kind="stable")[:, :width]
     else:
@@ -335,24 +336,30 @@ def _bins(prach, cell, spectrum, channel, det):
     return signatures, sig_array, chan, means
 
 
-def _judged(chan, means, sig_array, det_cfg, rng, idx):
-    """One block of transmissions of the signatures ``idx``: ``(profile_of,
-    hits)``, ``profile_of(j, rng)`` the complex delay profile of row ``j``
-    (see ``_polar_powers`` for ``rng``) and ``hits`` whether each row's own
-    signature is detected.
-
-    Rows are drawn in polar form (``_polar_powers``) and judged on their
-    tap powers, but drawn as complex rows (``chan.draw``) where a mean
-    profile has nonzero taps on half its length or more (``means.taps`` is
-    None): each of those taps needs its phase, and a cosine costs more than
-    a normal pair there.
+def judge_sends(bins, det_cfg, rng, sig_idx, every, occasion=None):
+    """Draw and judge an interval's sends of the signatures ``sig_idx`` from
+    ``rng`` on the channel ``bins`` (a ``_bins`` result), in the one order of
+    ``SEEDING_RULE``: ``(hits, first, profile_of)``. The detector judges the
+    first send's complex row at ``occasion``, with result ``first``. When
+    ``every`` is set or the first is missed, the kernel judges the other
+    K - 1 at once, drawn in polar form where ``means.taps`` is set. ``hits``
+    says whether each send judged is detected, and ``profile_of(n, rng)`` is
+    send ``n``'s complex delay profile (see ``_polar_powers`` for ``rng``).
     """
-    if means.taps is not None:
-        power, profile_of = _polar_powers(chan.std, means, rng, idx)
-    else:
-        rows = chan.draw(rng, means.profile[idx], len(idx))
-        power, profile_of = np.abs(rows) ** 2, lambda j, rng: rows[j]
-    return profile_of, signatures_detected(power, sig_array[idx, 1], det_cfg)
+    signatures, sig_array, chan, means = bins
+    own = signatures[sig_idx[0]]
+    row = chan.draw(rng, means.profile[sig_idx[:1]], 1)[0]
+    first = detect_preambles(DelayProfile(own[0], row), det_cfg, occasion=occasion)
+    hits, later_of = [first.reports(own)], None
+    if every or not hits[0]:
+        later = sig_idx[1:]
+        if means.taps is not None:
+            power, later_of = _polar_powers(chan.std, means, rng, later)
+        else:
+            rows = chan.draw(rng, means.profile[later], len(later))
+            power, later_of = np.abs(rows) ** 2, lambda j, rng: rows[j]
+        hits += signatures_detected(power, sig_array[later, 1], det_cfg).tolist()
+    return hits, first, lambda n, rng: later_of(n - 1, rng) if n else row
 
 
 def _polar_powers(std, means, rng, idx):
@@ -397,28 +404,20 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
     slot from t=0 until lead + duration + lag; the UE is active from
     t=lead until lead + duration and sends its first preamble after the
     configured startup delay. ``time_to_success`` is measured from the UE
-    start. A logged run simulates every occasion of that span, whether the
-    jammer is enabled or not, and raises ``SimulationError`` unless its RA
-    machines reach the closed-form record that both runs return.
+    start. ``judge_sends``, the one place that holds the stream's order,
+    draws and judges the sends. A logged run simulates every occasion of
+    that span, jammer enabled or not, and raises ``SimulationError`` unless
+    its RA machines reach the closed-form record that both runs return.
     """
     ue_on, first_ms, ue_off, sends = _ue_sends(cfg)
     seed = interval_seed(cfg.base_seed, index)
     rng = np.random.default_rng(seed)
     valid = bool(rng.random() >= cfg.invalid_probability)
-    signatures, sig_array, chan, means = _bins(
-        cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector
-    )
+    bins = _bins(cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector)
+    signatures, _, chan, _ = bins
     sig_idx = rng.integers(len(signatures), size=len(sends))
     logged, logs = cfg.detection_log or cfg.event_trace, Logs([], [])
-    # Judge first: the detector the first send, as a complex row, and the kernel
-    # the other K - 1 at once, which a record run needs only when it is missed.
-    own = signatures[sig_idx[0]]
-    row = chan.draw(rng, means.profile[sig_idx[:1]], 1)[0]
-    first = detect_preambles(DelayProfile(own[0], row), cfg.detector, occasion=sends[0][1])
-    hits = [first.reports(own)]
-    if logged or not hits[0]:
-        profile_of, rest = _judged(chan, means, sig_array, cfg.detector, rng, sig_idx[1:])
-        hits += rest.tolist()
+    hits, first, profile_of = judge_sends(bins, cfg.detector, rng, sig_idx, logged, sends[0][1])
 
     def checked(n: int, occ: PrachOccasion):
         """The detector's result on send ``n``: the first's, or a later one's on
@@ -426,7 +425,7 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
         if n == 0:
             return first
         signature = signatures[sig_idx[n]]
-        row = DelayProfile(signature[0], profile_of(n - 1, rng))
+        row = DelayProfile(signature[0], profile_of(n, rng))
         result = detect_preambles(row, cfg.detector, occasion=occ)
         if result.reports(signature) != hits[n]:
             raise SimulationError(

@@ -9,7 +9,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from prachjam.campaign import (
     CampaignConfig,

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import prachjam.campaign
-from prachjam.campaign import _bins, _judged, _polar_powers
+from prachjam.campaign import _bins, _polar_powers, judge_sends
 from prachjam.channel import ChannelConfig, superpose
 from prachjam.detector import (
     DetectorConfig,
@@ -111,29 +111,23 @@ def profiles_of(bins, roots):
 
 
 def judged_with_powers(monkeypatch, bins, det, rng, sig_idx):
-    """The campaign's two blocks ``(profile_of, power, hits)`` on the
-    channel ``bins`` (a ``_bins`` result), with the tap powers each judged:
-    the first transmission drawn as a complex row (``chan.draw``) and judged
-    here by the kernel too, then the others as ``_judged`` draws and judges
-    them."""
-    _, sig_array, chan, means = bins
-    rows, powers = chan.draw(rng, means.profile[sig_idx[:1]], 1), []
+    """``judge_sends`` on every send of the signatures ``sig_idx``:
+    ``(power, profile_of)``, ``power`` the tap powers each send was judged
+    on, the first's row by the detector and the others by the kernel."""
+    powers = []
 
     def recording(power, windows, cfg):
         powers.append(power.copy())
         return signatures_detected(power, windows, cfg)
 
-    first = np.abs(rows) ** 2
-    blocks = [(lambda j, rng: rows[j], first,
-               signatures_detected(first, sig_array[sig_idx[:1], 1], det))]
-    monkeypatch.setattr(prachjam.campaign, "signatures_detected", recording)
-    profile_of, hits = _judged(chan, means, sig_array, det, rng, sig_idx[1:])
-    monkeypatch.undo()
-    return blocks + [(profile_of, *powers, hits)]
+    with monkeypatch.context() as patch:
+        patch.setattr(prachjam.campaign, "signatures_detected", recording)
+        profile_of = judge_sends(bins, det, rng, sig_idx, every=True)[2]
+    return np.vstack([np.abs(profile_of(0, None)) ** 2, *powers]), profile_of
 
 
 @pytest.mark.parametrize("roots", [(1,), (1, 2, 5)])
-def test_batched_kernel_decides_like_detect_preambles(roots, monkeypatch):
+def test_batched_kernel_decides_like_detect_preambles(roots):
     det = DetectorConfig(roots=roots)
     bins, sigs = demapped_rows(roots, -13.0, 400, seed=sum(roots))
     single = np.array([
@@ -143,9 +137,9 @@ def test_batched_kernel_decides_like_detect_preambles(roots, monkeypatch):
     assert 40 < single.sum() < 360
     power = np.abs(profiles_of(bins, sigs[:, 0])) ** 2
     assert signatures_detected(power, sigs[:, 1], det).tolist() == single.tolist()
-    # The kernel's own draws, cut into intervals of 25 transmissions: each
-    # row's complex profile, taken back to bins and through
-    # detect_preambles, gets the block's verdict.
+    # judge_sends's own draws, in intervals of 25 transmissions: each
+    # send's complex profile, taken back to bins and through
+    # detect_preambles, gets the verdict judge_sends gave it.
     channel = _bins(PRACH, CELL, JammerConfig(kind="S1", snr_db=-13.0),
                     ChannelConfig(noise_sigma=SIGMA_0DB), det)
     signatures = channel[0]
@@ -153,14 +147,13 @@ def test_batched_kernel_decides_like_detect_preambles(roots, monkeypatch):
     verdicts = []
     for _ in range(16):
         idx = rng.integers(len(signatures), size=25)
-        blocks = judged_with_powers(monkeypatch, channel, det, rng, idx)
-        assert [len(hits) for _, _, hits in blocks] == [1, 24]
-        for k, (profile_of, _, hits) in zip((0, 1), blocks):
-            for j, hit in enumerate(hits):
-                root, window = signatures[idx[k + j]]
-                row = profile_bins(profile_of(j, phases(len(verdicts))), root)
-                assert detect_preambles(row, det).reports((root, window)) == hit
-                verdicts.append(hit)
+        hits, _, profile_of = judge_sends(channel, det, rng, idx, every=True)
+        assert len(hits) == 25
+        for n, hit in enumerate(hits):
+            root, window = signatures[idx[n]]
+            row = profile_bins(profile_of(n, phases(len(verdicts))), root)
+            assert detect_preambles(row, det).reports((root, window)) == hit
+            verdicts.append(hit)
     assert 40 < sum(verdicts) < 360
 
 
@@ -336,13 +329,12 @@ def test_tap_powers_follow_the_complex_draw():
 @pytest.mark.parametrize("name", sorted(MEANS))
 def test_rebuilt_row_power_equals_kernel_power(name, monkeypatch):
     # A transmission that is stepped goes back to a complex profile; its
-    # tap powers are the ones judged: in the kernel's blocks, and in the
-    # polar draw with every tap gathered.
+    # tap powers are the ones judged: by judge_sends, and in the polar draw
+    # with every tap gathered.
     channel = means_channel(name)
     rng = np.random.default_rng(81)
     idx = rng.integers(len(channel[0]), size=127)
-    chunks = [(power, of) for of, power, _ in
-              judged_with_powers(monkeypatch, channel, MEANS_DET, rng, idx)]
+    chunks = [judged_with_powers(monkeypatch, channel, MEANS_DET, rng, idx)]
     chunks += [(power, of) for _, power, of in polar_chunks(channel, rng, 254, chunk=127)]
     for power, profile_of in chunks:
         rebuilt = np.array([profile_of(j, phases(j)) for j in range(len(power))])
@@ -409,16 +401,17 @@ def test_first_transmission_is_a_complex_row(monkeypatch):
     length = means.profile.shape[-1]
     assert means.taps.shape == (len(sig_array), 1)
     idx = np.random.default_rng(93).integers(len(sig_array), size=5)
-    blocks = judged_with_powers(monkeypatch, channel, MEANS_DET, np.random.default_rng(94), idx)
+    judged, profile_of = judged_with_powers(monkeypatch, channel, MEANS_DET,
+                                            np.random.default_rng(94), idx)
     rng = np.random.default_rng(94)
     first = chan.draw(rng, means.profile[idx[:1]], 1)
-    np.testing.assert_array_equal(blocks[0][0](0, None), first[0])
+    np.testing.assert_array_equal(profile_of(0, None), first[0])
     u = rng.random((4, length + 1))
     power = -2 * chan.std**2 * np.log(1.0 - u[:, :length])
     at = (np.arange(4), means.taps[idx[1:], 0])
     mean, tap = means.magnitude[idx[1:]][at], power[at]
     power[at] = tap + mean * (mean + 2 * np.sqrt(tap) * np.cos(2 * np.pi * u[:, length]))
-    np.testing.assert_array_equal(blocks[1][1], power)
+    np.testing.assert_array_equal(judged[1:], power)
 
 
 def other_root_alarms(profiles, roots, det):

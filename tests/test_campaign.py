@@ -337,7 +337,7 @@ class TestIntervals:
         # is heard makes no kernel call.
         cfg = make_config(n_intervals=18, interval_duration=duration,
                           spectrum=JammerConfig(kind="S1", snr_db=-14.0), detection_log=logged)
-        sends = _schedule(cfg.prach, cfg.cell, 400.0, 300.0 + 1000.0 * duration)
+        sends = prachjam.campaign._ue_sends(cfg)[3]
         assert len(sends) == (19 if duration == 2.0 else 1)
         judge, rows = prachjam.campaign.signatures_detected, []
 
@@ -388,11 +388,7 @@ class TestIntervals:
             occasions.append([])
             records.append(run_interval(cfg, i)[0])
         assert any(r.preambles_sent > 1 for r in records)
-        ue_on = 1000.0 * cfg.jammer_lead
-        sends = _schedule(
-            cfg.prach, cfg.cell, ue_on + 1000.0 * cfg.ue_startup_delay,
-            ue_on + 1000.0 * cfg.interval_duration,
-        )
+        ue_on, _, _, sends = prachjam.campaign._ue_sends(cfg)
         for r, seen in zip(records, occasions):
             deciding = [sends[r.preambles_sent - 1][1]] if r.preambles_sent > 1 else []
             assert seen == [sends[0][1]] + deciding
@@ -435,7 +431,8 @@ class TestIntervals:
             return replace(result, detected=[])
 
         monkeypatch.setattr(prachjam.campaign, "detect_preambles", deaf)
-        with pytest.raises(SimulationError, match="disagree on preamble 1"):
+        with pytest.raises(SimulationError,
+                           match=r"^interval 0: kernel and detector disagree on preamble 1$"):
             run_interval(cfg, 0)
 
     def test_logged_run_checks_every_send(self, monkeypatch):
@@ -443,11 +440,7 @@ class TestIntervals:
         # every signature at the third send's occasion contradicts it there,
         # which only a run that steps every send can see.
         cfg = make_config(spectrum=JammerConfig(kind="S1", snr_db=-30.0))
-        ue_on = 1000.0 * cfg.jammer_lead
-        sends = _schedule(
-            cfg.prach, cfg.cell, ue_on + 1000.0 * cfg.ue_startup_delay,
-            ue_on + 1000.0 * cfg.interval_duration,
-        )
+        sends = prachjam.campaign._ue_sends(cfg)[3]
         detect = prachjam.campaign.detect_preambles
 
         def eager(bins, det_cfg, occasion=None):
@@ -459,7 +452,8 @@ class TestIntervals:
         monkeypatch.setattr(prachjam.campaign, "detect_preambles", eager)
         record, _ = run_interval(cfg, 0)  # checks only the last send
         assert (record.preambles_sent, record.preambles_detected) == (len(sends), 0)
-        with pytest.raises(SimulationError, match="disagree on preamble 2"):
+        with pytest.raises(SimulationError,
+                           match=r"^interval 0: kernel and detector disagree on preamble 2$"):
             run_interval(replace(cfg, detection_log=True), 0)
 
     def test_detector_alone_decides_the_first_send(self, monkeypatch):
@@ -467,11 +461,7 @@ class TestIntervals:
         # every signature at the first send's occasion connects the UE there,
         # and a record run makes no kernel call; a logged run agrees.
         cfg = make_config(spectrum=JammerConfig(kind="S1", snr_db=-30.0))
-        ue_on = 1000.0 * cfg.jammer_lead
-        sends = _schedule(
-            cfg.prach, cfg.cell, ue_on + 1000.0 * cfg.ue_startup_delay,
-            ue_on + 1000.0 * cfg.interval_duration,
-        )
+        ue_on, _, _, sends = prachjam.campaign._ue_sends(cfg)
         detect, judge, judged = (prachjam.campaign.detect_preambles,
                                  prachjam.campaign.signatures_detected, [])
 

@@ -1,0 +1,63 @@
+"""The package's public names and the imports of its modules and tests."""
+import ast
+import types
+from pathlib import Path
+
+import pytest
+
+import prachjam
+
+from test_campaign import BENCHMARK_NAMES
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted([*(ROOT / "src" / "prachjam").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+
+def test_all_lists_every_public_name():
+    # ``from prachjam import *`` binds every public name the package
+    # imports (the README's example calls generate_zc), and only names
+    # that exist.
+    public = {name for name, value in vars(prachjam).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(public - set(prachjam.__all__)) == []
+    assert [name for name in prachjam.__all__ if not hasattr(prachjam, name)] == []
+
+
+def dotted(node):
+    """``a.b.c`` for an attribute chain on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = dotted(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def unused_imports(path):
+    """The names ``path`` imports and never reads, its ``__all__`` aside,
+    each with its line. ``import a.b`` counts as read only where ``a.b``
+    itself is read."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported, read, exported = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({alias.asname or alias.name: node.lineno for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({alias.asname or alias.name: node.lineno for alias in node.names})
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            read.add(dotted(node))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return {name: line for name, line in imported.items() if name not in read | exported}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_every_import_is_read(path):
+    # No linter is a dependency, so this is the unused-import check.
+    # campaign.py keeps the names perfbench patches and times.
+    unused = unused_imports(path)
+    if path == ROOT / "src" / "prachjam" / "campaign.py":
+        unused = {name: line for name, line in unused.items() if name not in BENCHMARK_NAMES}
+    assert unused == {}

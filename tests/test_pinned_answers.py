@@ -19,7 +19,7 @@ import pytest
 
 import prachjam.campaign
 from prachjam.campaign import (
-    SEEDING_RULE, _bins, _judged, _ue_sends, build_summary_payload,
+    SEEDING_RULE, _bins, _ue_sends, build_summary_payload,
     compute_metrics, detection_entry, interval_seed, load_campaign_config, run_campaign,
 )
 from prachjam.cli import main
@@ -176,20 +176,20 @@ def test_quick_logs(name, tmp_path):
 def test_quick_log_replays_from_the_interval_stream(tmp_path):
     # Interval 0 of the logged quick.json, rebuilt by hand from its one
     # stream: the validity flag, the signatures, the first send's complex
-    # row, the kernel's block of the others, then the idle occasions before
-    # the UE's first send, drawn in one call, give its first log lines.
+    # row, L + w uniforms for each other send, then the idle occasions
+    # before the UE's first send, drawn in one call, give its first log lines.
     logged_quick_run("S1", tmp_path)
     lines = (tmp_path / "detections.jsonl").read_text().splitlines()
     cfg = load_campaign_config(json.loads(QUICK.read_text()))
     sends = _ue_sends(cfg)[3]
-    signatures, sig_array, chan, means = _bins(
+    signatures, _, chan, means = _bins(
         cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector
     )
     rng = np.random.default_rng(interval_seed(cfg.base_seed, 0))
     rng.random()
     sig_idx = rng.integers(len(signatures), size=len(sends))
     chan.draw(rng, means.profile[sig_idx[:1]], 1)
-    _judged(chan, means, sig_array, cfg.detector, rng, sig_idx[1:])
+    rng.random((len(sends) - 1, cfg.prach.preamble_length + means.taps.shape[-1]))
     idle = [occ for _, occ in occasions_between(cfg.prach, cfg.cell, 0.0, sends[0][0])]
     rows = rng.standard_normal((len(idle), cfg.prach.preamble_length, 2))
     rows = rows.view(complex)[..., 0] * chan.std + chan.idle_mean

@@ -92,6 +92,7 @@ __all__ = [
     "build_summary_payload",
     "record_to_dict",
     "record_from_dict",
+    "check_record",
 ]
 
 SCHEMA_VERSION = 1
@@ -210,11 +211,11 @@ class MetricsSummary:
     random access, ``n_e`` the invalid intervals, ``n_p_j`` the preambles
     sent but never detected over all valid intervals. ``e_s`` is the
     success ratio over valid intervals, ``e_p_j`` the per-preamble
-    survival ratio, and the mean counters average preambles per valid
-    interval (``mean_preambles_per_interval`` from the jammed+received
-    sum). That sum is also the number of preambles sent: a UE connects at
-    its first preamble detected, so a record's detected count is
-    ``int(ra_succeeded)`` (``record_from_dict`` refuses any other).
+    survival ratio, and ``mean_preambles_per_interval`` averages the
+    jammed+received sum over valid intervals. That sum is also the number
+    of preambles sent: a UE connects at its first preamble detected, so a
+    record's detected count is ``int(ra_succeeded)`` (``check_record``
+    refuses any other).
     """
 
     n_intervals: int
@@ -283,6 +284,20 @@ def _ue_sends(cfg: CampaignConfig):
             f"at {first_ms:g} ms to its switch-off at {ue_off:g} ms"
         )
     return ue_on, first_ms, ue_off, sends
+
+
+def _stream(cfg: CampaignConfig, index: int):
+    """Interval ``index``'s seed, stream and validity flag (its first read)."""
+    seed = interval_seed(cfg.base_seed, index)
+    rng = np.random.default_rng(seed)
+    return seed, rng, bool(rng.random() >= cfg.invalid_probability)
+
+
+def _closed_form(index, k, hit, seed, valid, ue_on, sends) -> IntervalRecord:
+    """Interval ``index``'s record if send ``k`` is its first heard (Msg2 to
+    Msg4 are reliable and the UE wins its contention) or, unheard, its last."""
+    time = (sends[k][0] - ue_on) / 1000.0 if hit else None
+    return IntervalRecord(index, valid, k + 1, int(hit), hit, time, seed)
 
 
 # Mean-profile taps below this fraction of their row's peak are FFT round-off
@@ -410,9 +425,7 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
     its RA machines reach the closed-form record that both runs return.
     """
     ue_on, first_ms, ue_off, sends = _ue_sends(cfg)
-    seed = interval_seed(cfg.base_seed, index)
-    rng = np.random.default_rng(seed)
-    valid = bool(rng.random() >= cfg.invalid_probability)
+    seed, rng, valid = _stream(cfg, index)
     bins = _bins(cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector)
     signatures, _, chan, _ = bins
     sig_idx = rng.integers(len(signatures), size=len(sends))
@@ -433,14 +446,9 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
             )
         return result
 
-    # The record in closed form: the UE connects at the first send detected
-    # (Msg2 to Msg4 are reliable, and it wins its contention), or sends all K
-    # unheard.
     k = hits.index(True) if True in hits else len(hits) - 1
-    hit = hits[k]
-    t_k = sends[k][0] if hit else None
-    record = IntervalRecord(index, valid, k + 1, int(hit), hit,
-                            None if t_k is None else (t_k - ue_on) / 1000.0, seed)
+    t_k = sends[k][0] if hits[k] else None
+    record = _closed_form(index, k, hits[k], seed, valid, ue_on, sends)
     if not logged:
         checked(k, sends[k][1])  # only a later deciding send is rebuilt
         return record, logs
@@ -559,32 +567,29 @@ def record_to_dict(record: IntervalRecord) -> dict[str, Any]:
 
 
 def record_from_dict(data: dict[str, Any]) -> IntervalRecord:
-    """Read a record, which must also be consistent with itself."""
-    r = load_record(IntervalRecord, data, "record")
-    if r.preambles_sent < 1:
-        # A campaign whose UE has no PRACH occasion is refused before it runs.
-        raise ConfigError(f"record.preambles_sent {r.preambles_sent} is below 1")
-    if not 0 <= r.preambles_detected <= r.preambles_sent:
-        raise ConfigError(
-            f"record.preambles_detected {r.preambles_detected} is not in "
-            f"[0, preambles_sent {r.preambles_sent}]"
-        )
-    if r.ra_succeeded != (r.time_to_success is not None):
-        raise ConfigError(
-            f"record.ra_succeeded {r.ra_succeeded} does not match time_to_success "
-            f"{r.time_to_success}"
-        )
-    if r.ra_succeeded and r.preambles_detected == 0:
-        raise ConfigError("record.ra_succeeded is true but no preamble was detected")
-    if r.time_to_success is not None and r.time_to_success < 0:
-        raise ConfigError(f"record.time_to_success {r.time_to_success} is negative")
-    if r.preambles_detected != int(r.ra_succeeded):
-        # The UE connects at its first preamble detected and sends no more.
-        raise ConfigError(
-            f"record.preambles_detected {r.preambles_detected} is not "
-            f"{int(r.ra_succeeded)}, with ra_succeeded {r.ra_succeeded}"
-        )
-    return r
+    """Read a record: each field must have its JSON type. ``check_record``
+    holds it to a config."""
+    return load_record(IntervalRecord, data, "record")
+
+
+def check_record(cfg: CampaignConfig, index: int, record: IntervalRecord) -> IntervalRecord:
+    """``record`` if ``run_interval(cfg, index)`` writes it for its outcome
+    (``ra_succeeded``, and a success's ``preambles_sent``; a failure sends
+    all K), else a ``ConfigError`` naming the first field that differs. Only
+    a re-run judges the outcome: a success at send K edited to K unheard passes.
+    """
+    ue_on, _, _, sends = _ue_sends(cfg)
+    k = record.preambles_sent - 1 if record.ra_succeeded else len(sends) - 1
+    if not 0 <= k < len(sends):
+        raise ConfigError(f"record.preambles_sent {record.preambles_sent} is not in "
+                          f"[1, {len(sends)}], the UE's scheduled sends")
+    seed, _, valid = _stream(cfg, index)
+    expected = _closed_form(index, k, record.ra_succeeded, seed, valid, ue_on, sends)
+    for name, value in asdict(expected).items():
+        if getattr(record, name) != value:
+            raise ConfigError(f"record.{name} {getattr(record, name)!r} is not {value!r}, "
+                              f"interval {index}'s under this config")
+    return record
 
 
 def build_summary_payload(
@@ -649,7 +654,7 @@ def load_campaign_config(data: dict[str, Any]) -> CampaignConfig:
         raise ConfigError(f"campaign must be a JSON object, got {data!r}")
     top = dict(data)
     version = top.pop("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}")
 
     if "preset" in top:

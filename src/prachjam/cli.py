@@ -21,8 +21,8 @@ import numpy as np
 
 from .campaign import (
     build_summary_payload,
+    check_record,
     compute_metrics,
-    interval_seed,
     load_campaign_config,
     record_from_dict,
     record_to_dict,
@@ -90,13 +90,21 @@ def _apply_overrides(doc: dict[str, Any], overrides: dict[str, Any]) -> None:
         node[parts[-1]] = value
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of ``path``; a file that cannot be read is a config error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    raise ConfigError(f"cannot read {what}: {path}: {reason}")
+
+
 def _load_config_doc(args, overrides: dict[str, Any]) -> dict[str, Any]:
     if args.config is None:
         raise ConfigError("--config is required for this subcommand")
-    try:
-        text = args.config.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+    text = _read_text(args.config, "config")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -205,33 +213,19 @@ def _cmd_metrics(args) -> int:
     cfg = load_campaign_config(doc)
     out = args.out
     path = Path(records_path) if records_path else out / "records.jsonl"
-    if not path.exists():
-        raise ConfigError(f"records file not found: {path}")
     records = []
-    with path.open() as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{line_no}"
-            try:
-                record = record_from_dict(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{where}: invalid JSON ({exc.msg})") from exc
-            except ConfigError as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
-            i = len(records)
-            if record.index != i:
-                raise ConfigError(f"{where}: interval index {record.index}, expected {i}")
-            if record.seed != interval_seed(cfg.base_seed, i):
-                raise ConfigError(
-                    f"{where}: seed {record.seed} is not interval_seed({cfg.base_seed}, {i})"
-                )
-            records.append(record)
+    for line_no, line in enumerate(_read_text(path, "records").split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(check_record(cfg, len(records), record_from_dict(json.loads(line))))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{line_no}: {exc}") from exc
     if len(records) != cfg.n_intervals:
-        raise ConfigError(
-            f"{path}: {len(records)} records, but the config has n_intervals "
-            f"{cfg.n_intervals}"
-        )
+        raise ConfigError(f"{path}: {len(records)} records, but the config has "
+                          f"n_intervals {cfg.n_intervals}")
     metrics = compute_metrics(records)
     out.mkdir(parents=True, exist_ok=True)
     _write_summary(out, build_summary_payload(cfg, metrics))

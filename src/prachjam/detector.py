@@ -240,13 +240,13 @@ def calibrate_threshold(
     rng: np.random.Generator,
     l_ra: int = 139,
 ) -> float:
-    """Smallest threshold factor whose noise-only false-alarm rate per
-    occasion does not exceed ``target_far``.
+    """A threshold factor whose noise-only false-alarm rate per occasion on
+    these ``trials`` draws is at most ``target_far``: a bisection's upper end
+    at 1 % relative tolerance, so up to 1 % above the smallest such factor
+    (12.3025, exceeded by 48 of criterion 5's 50,000 draws, against 12.2521).
 
-    The decision statistic is scale free, so calibration runs on
-    unit-variance noise (``_noise_statistics``) and the result applies at
-    any noise level.
-    Bisection stops at a 1 % relative tolerance on the factor.
+    The decision statistic is scale free, so calibration runs on unit-variance
+    noise (``_noise_statistics``) and the result applies at any noise level.
     """
     if not 0 < target_far < 1:
         raise ValueError("target_far must be in (0, 1)")

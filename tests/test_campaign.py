@@ -20,6 +20,7 @@ from prachjam.campaign import (
     CampaignConfig,
     IntervalRecord,
     _schedule,
+    check_record,
     compute_metrics,
     interval_seed,
     load_campaign_config,
@@ -180,27 +181,28 @@ class TestSeeding:
     @pytest.mark.parametrize(
         "changes, message",
         [
+            # record_from_dict refuses a field of the wrong JSON type ...
             ({"extra": 1}, "unknown field 'extra' in record"),
             ({"ra_succeeded": "no"}, "record.ra_succeeded must be a bool"),
             ({"index": 1.0}, "record.index must be an int"),
             ({"preambles_sent": True}, "record.preambles_sent must be an int"),
             ({"time_to_success": "1.5"},
              "record.time_to_success must be a finite number or null"),
-            ({"preambles_detected": 2},
-             r"record.preambles_detected 2 is not in \[0, preambles_sent 1\]"),
-            ({"preambles_detected": -1}, "record.preambles_detected -1 is not in"),
-            ({"time_to_success": None},
-             "record.ra_succeeded True does not match time_to_success"),
-            ({"ra_succeeded": False},
-             "record.ra_succeeded False does not match time_to_success"),
-            ({"time_to_success": -0.5}, "record.time_to_success -0.5 is negative"),
-            ({"preambles_detected": 0},
-             "record.ra_succeeded is true but no preamble was detected"),
-            ({"preambles_sent": 0}, "record.preambles_sent 0 is below 1"),
+            # ... and check_record a record that run_interval cannot write.
+            # Interval 0 connects at its first send, at t seconds, and a UE
+            # that is never heard sends all K of its scheduled sends.
+            ({"preambles_detected": 2}, "record.preambles_detected 2 is not 1"),
+            ({"preambles_detected": -1}, "record.preambles_detected -1 is not 1"),
+            ({"time_to_success": None}, "record.time_to_success None is not {t}"),
+            ({"ra_succeeded": False}, "record.preambles_sent 1 is not {K}"),
+            ({"time_to_success": -0.5}, "record.time_to_success -0.5 is not {t}"),
+            ({"preambles_detected": 0}, "record.preambles_detected 0 is not 1"),
+            ({"preambles_sent": 0},
+             r"record.preambles_sent 0 is not in \[1, {K}\], the UE's scheduled sends"),
             ({"preambles_sent": 3, "ra_succeeded": False, "time_to_success": None},
-             "record.preambles_detected 1 is not 0, with ra_succeeded False"),
+             "record.preambles_sent 3 is not {K}"),
             ({"preambles_sent": 3, "preambles_detected": 2},
-             "record.preambles_detected 2 is not 1, with ra_succeeded True"),
+             "record.preambles_detected 2 is not 1, interval 0's under this config"),
         ],
         ids=["extra", "ra_succeeded", "index", "preambles_sent", "time_to_success",
              "detected_above_sent", "detected_negative", "success_without_time",
@@ -208,10 +210,15 @@ class TestSeeding:
              "nothing_sent", "detection_without_success", "two_detected"],
     )
     def test_bad_record_rejected(self, changes, message):
-        data = record_to_dict(IntervalRecord(0, True, 1, 1, True, 0.25, 0))
-        data.update(changes)
+        cfg = make_config()
+        record = run_interval(cfg, 0)[0]
+        assert (record.preambles_sent, record.ra_succeeded) == (1, True)
+        assert check_record(cfg, 0, record_from_dict(record_to_dict(record))) == record
+        data = {**record_to_dict(record), **changes}
+        sends = prachjam.campaign._ue_sends(cfg)[3]
+        message = message.format(t=record.time_to_success, K=len(sends))
         with pytest.raises(ConfigError, match=message):
-            record_from_dict(data)
+            check_record(cfg, 0, record_from_dict(data))
 
 
 class TestIntervals:
@@ -249,6 +256,30 @@ class TestIntervals:
         records, _ = run_campaign(cfg)
         logged, _ = run_campaign(replace(cfg, detection_log=True, event_trace=True))
         assert records == logged
+
+    @pytest.mark.parametrize("logged", [False, True], ids=["record", "logged"])
+    @pytest.mark.parametrize("name, sets", [
+        *[(name, {}) for name in ("quick", "reference_60s", "s1_60s", "s1_600s", "s2_60s")],
+        ("s2_60s", {"spectrum": {"snr_db": -24.0}, "detector": {"threshold_factor": 30.0}}),
+        ("quick", {"invalid_probability": 0.5}),
+        ("quick", {"spectrum": {"kind": "S1_literal", "snr_db": -13.0},
+                   "detector": {"roots": [1, 2, 5]}}),
+    ], ids=["quick", "reference_60s", "s1_60s", "s1_600s", "s2_60s", "s2_saturated",
+            "invalid_half", "s1_literal_roots_1_2_5"])
+    def test_check_record_accepts_what_run_interval_writes(self, name, sets, logged):
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        for key, value in sets.items():
+            doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
+        if logged:
+            # A logged run steps every occasion of the span: a shorter one
+            # keeps a 60 s config to a few hundred.
+            doc.update(interval_duration=1.0, jammer_lead=0.1, jammer_lag=0.1,
+                       detection_log=True, event_trace=True)
+        cfg = load_campaign_config(doc)
+        records = [run_interval(cfg, i)[0] for i in range(4)]
+        assert [check_record(cfg, i, r) for i, r in enumerate(records)] == records
+        if "invalid_probability" in sets:
+            assert {r.valid for r in records} == {False, True}
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -755,6 +786,14 @@ class TestConfigLoading:
         assert cfg.prach == PRACH
         assert cfg.cell == CELL
         assert cfg.detector == DetectorConfig()
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+    def test_schema_version_must_be_the_int_one(self, version):
+        doc = {"schema_version": version, **self.base_doc()}
+        with pytest.raises(ConfigError, match=rf"unsupported schema_version {version!r}$"):
+            load_campaign_config(doc)
+        doc["schema_version"] = 1
+        assert load_campaign_config(doc) == load_campaign_config(self.base_doc())
 
     def test_a_document_that_is_not_an_object_is_rejected(self):
         with pytest.raises(ConfigError, match=r"campaign must be a JSON object, got \[1\]"):

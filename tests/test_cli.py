@@ -328,7 +328,7 @@ class TestMetricsRoundTrip:
     def test_missing_records_leave_no_directory(self, tmp_path, capsys):
         out = tmp_path / "none"
         assert main(["metrics", "--config", str(CONFIGS / "quick.json"), "--out", str(out)]) == 1
-        assert "records file not found" in capsys.readouterr().err
+        assert "records.jsonl: No such file or directory" in capsys.readouterr().err
         assert not out.exists()
 
     def test_malformed_metrics_config_exit_one(self, tmp_path, capsys):
@@ -338,45 +338,6 @@ class TestMetricsRoundTrip:
         cfg.write_text("[1]")
         assert main(["metrics", "--config", str(cfg), "--set", "n_intervals=1"]) == 1
         assert "must be a JSON object" in capsys.readouterr().err
-
-    def test_metrics_on_synthesized_records(self, tmp_path, capsys):
-        # A records file carrying a known series of tallies reproduces the
-        # series' summary numbers.
-        cfg = small_config(tmp_path, n_intervals=800)
-        out = tmp_path / "synth"
-        out.mkdir()
-        lines = []
-        idx = 0
-        for _ in range(13):  # invalid
-            lines.append(dict(index=idx, valid=False, preambles_sent=1,
-                              preambles_detected=0, ra_succeeded=False,
-                              time_to_success=None, seed=interval_seed(42, idx)))
-            idx += 1
-        for _ in range(33):  # successful
-            lines.append(dict(index=idx, valid=True, preambles_sent=2,
-                              preambles_detected=1, ra_succeeded=True,
-                              time_to_success=1.0, seed=interval_seed(42, idx)))
-            idx += 1
-        remaining = 343_522 - 33
-        n_unsucc = 800 - 13 - 33
-        for i in range(n_unsucc):
-            share = remaining // n_unsucc + (1 if i < remaining % n_unsucc else 0)
-            lines.append(dict(index=idx, valid=True, preambles_sent=share,
-                              preambles_detected=0, ra_succeeded=False,
-                              time_to_success=None, seed=interval_seed(42, idx)))
-            idx += 1
-        with (out / "records.jsonl").open("w") as fh:
-            for line in lines:
-                fh.write(json.dumps(line) + "\n")
-        assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        metrics = summary["metrics"]
-        assert metrics["n_e"] == 13
-        assert metrics["n_ra_s"] == 33
-        assert metrics["n_p_j"] == 343_522
-        assert metrics["mean_preambles_per_interval"] == pytest.approx(436.54, abs=0.01)
-        assert metrics["e_p_j_ppm"] == pytest.approx(96.05, abs=0.01)
-        assert metrics["e_s"] == pytest.approx(0.04193, abs=1e-4)
 
     def rewrite_records(self, tmp_path, edit) -> tuple[Path, Path]:
         """Simulate the small config, then pass each record through ``edit``."""
@@ -394,8 +355,10 @@ class TestMetricsRoundTrip:
         [
             ("bogus", 1, "records.jsonl:2: unknown field 'bogus'"),
             ("ra_succeeded", "no", "records.jsonl:2: record.ra_succeeded must be a bool"),
-            ("preambles_detected", 99, "records.jsonl:2: record.preambles_detected 99 is not in"),
-            ("ra_succeeded", True, "records.jsonl:2: record.ra_succeeded True does not match"),
+            # All three intervals send their 9 preambles unheard.
+            ("preambles_detected", 99, "records.jsonl:2: record.preambles_detected 99 is not 0, "
+                                       "interval 1's under this config"),
+            ("ra_succeeded", True, "records.jsonl:2: record.preambles_detected 0 is not 1"),
         ],
         ids=["bogus", "ra_succeeded", "detected_above_sent", "success_without_time"],
     )
@@ -418,7 +381,7 @@ class TestMetricsRoundTrip:
             tmp_path, lambda i, r: {**r, **two_detected} if i == 1 else r
         )
         assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 1
-        message = "records.jsonl:2: record.preambles_detected 2 is not 1, with ra_succeeded True"
+        message = "records.jsonl:2: record.preambles_detected 2 is not 1"
         assert message in capsys.readouterr().err
 
     def test_records_without_a_preamble_exit_one(self, tmp_path, capsys):
@@ -435,14 +398,15 @@ class TestMetricsRoundTrip:
         argv = ["metrics", "--config", str(CONFIGS / "quick.json"), "--out", str(out),
                 "--set", "n_intervals=2", "--set", "base_seed=7"]
         assert main(argv) == 1
-        assert "records.jsonl:1: record.preambles_sent 0 is below 1" in capsys.readouterr().err
+        # A UE that is never heard sends all 19 of its scheduled preambles.
+        assert "records.jsonl:1: record.preambles_sent 0 is not 19" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
     def test_repeated_interval_rejected(self, tmp_path, capsys):
         # Interval 0 three times is not a 3-interval campaign.
         cfg, out = self.rewrite_records(tmp_path, lambda i, r: {**r, "index": 0})
         assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "records.jsonl:2: interval index 0, expected 1" in capsys.readouterr().err
+        assert "records.jsonl:2: record.index 0 is not 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("keep", [2, 4])
     def test_record_count_must_match_the_config(self, tmp_path, capsys, keep):
@@ -461,7 +425,44 @@ class TestMetricsRoundTrip:
             tmp_path, lambda i, r: {**r, "seed": r["seed"] + 1} if i == 2 else r
         )
         assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "records.jsonl:3: seed" in capsys.readouterr().err
+        assert "records.jsonl:3: record.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"preambles_sent": 594}, "record.preambles_sent 594 is not 595"),
+        ({"preambles_sent": 5000}, "record.preambles_sent 5000 is not 595"),
+        ({"valid": False}, "record.valid False is not True"),
+        ({"preambles_sent": 3, "preambles_detected": 1, "ra_succeeded": True,
+          "time_to_success": 0.7}, "record.time_to_success 0.7 is not 0.7195"),
+        ({"preambles_sent": 5000, "preambles_detected": 1, "ra_succeeded": True,
+          "time_to_success": 500.0},
+         "record.preambles_sent 5000 is not in [1, 595], the UE's scheduled sends"),
+        ({"index": 0}, "record.index 0 is not 1"),
+        ({"seed": lambda seed: seed + 1}, "record.seed "),
+    ], ids=["one_send_short", "above_the_schedule", "valid_flipped", "success_off_the_schedule",
+            "success_above_the_schedule", "repeated_index", "foreign_seed"])
+    def test_records_simulate_cannot_write_are_refused(self, tmp_path, capsys, edit, message):
+        # A saturated S2 run: each interval sends its 595 preambles unheard,
+        # the third at 0.7195 s. The first four edits pass every check a
+        # record can make on itself (each field's range, and a detected
+        # count and a time that match ra_succeeded): only the config's
+        # schedule and validity draw refuse them.
+        out = tmp_path / "run"
+        argv = ["--config", str(CONFIGS / "s2_60s.json"), "--out", str(out),
+                "--set", "n_intervals=3", "--set", "spectrum.snr_db=-24",
+                "--set", "detector.threshold_factor=30"]
+        assert main(["simulate", *argv]) == 0
+        path = out / "records.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        assert (record["preambles_sent"], record["ra_succeeded"]) == (595, False)
+        edit = {key: value(record[key]) if callable(value) else value
+                for key, value in edit.items()}
+        lines[1] = json.dumps({**record, **edit})
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["metrics", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}:2: {message}")
 
 
 def explicit_quick(tmp_path) -> Path:
@@ -546,23 +547,36 @@ class TestFieldChecks:
         ("occupancy", ["spectrum.kind.snr_db=1"],
          "override 'spectrum.kind.snr_db' traverses a non-object"),
         ("calibrate", ["absent"], "cannot read config: "),
+        ("occupancy", ["config-not-utf8"], "explicit.json: not UTF-8 text (invalid start byte "
+                                           "at byte 1)"),
         ("metrics", [], "records.jsonl:1: invalid JSON"),
+        ("metrics", ["records-dir"], "run/records.jsonl: Is a directory"),
+        ("metrics", ["records-not-utf8"], "run/records.jsonl: not UTF-8 text (invalid start "
+                                          "byte at byte 0)"),
     ], ids=["sfn_modulus", "start_symbol-high", "start_symbol-negative", "occasions_per_slot",
             "freq_occasions", "freq_offset", "prach_subframes_per_frame", "subframe_number",
             "slot_in_subframe", "n_prb", "numerology-high",
             "numerology-negative", "ue_delay_samples", "threshold_factor", "shift_step",
             "invalid_probability-high", "invalid_probability-negative", "set-without-equals",
-            "set-through-a-string", "unreadable-config", "records-line-not-json"])
+            "set-through-a-string", "unreadable-config", "config-not-utf8",
+            "records-line-not-json", "records-a-directory", "records-not-utf8"])
     def test_exits_one(self, tmp_path, capsys, command, sets, message):
-        config = explicit_quick(tmp_path)
+        config, records = explicit_quick(tmp_path), tmp_path / "run" / "records.jsonl"
+        # A row whose only override names one of these reads a file that fails.
         if sets == ["absent"]:  # --config names a file that does not exist
             config, sets = tmp_path / "absent.json", []
+        elif sets == ["config-not-utf8"]:
+            config.write_bytes(b"{\xff}")
+            sets = []
         argv = [command, "--config", str(config)]
         if command == "metrics":
-            out = tmp_path / "run"
-            out.mkdir()
-            (out / "records.jsonl").write_text("not json\n")
-            argv += ["--out", str(out)]
+            records.parent.mkdir()
+            if sets == ["records-dir"]:
+                records.mkdir()
+            else:
+                records.write_bytes(b"\xff\n" if sets == ["records-not-utf8"] else b"not json\n")
+            sets = []
+            argv += ["--out", str(records.parent)]
         for override in sets:
             argv += ["--set", override]
         assert main(argv) == 1
@@ -654,6 +668,15 @@ class TestShippedConfigs:
         records = (out / "records.jsonl").read_bytes()
         assert len(records.splitlines()) == 2
         assert hashlib.sha256(records).hexdigest() == PINNED_RECORDS[name]
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_metrics_reads_what_simulate_writes(self, name, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["--config", str(CONFIGS / name), "--out", str(out), "--set", "n_intervals=2"]
+        assert main(["simulate", *argv]) == 0
+        written = summary_without_timestamp(out / "summary.json")
+        assert main(["metrics", *argv]) == 0
+        assert summary_without_timestamp(out / "summary.json") == written
 
     def test_quick_config_runs(self, tmp_path, capsys):
         out = tmp_path / "quick"

@@ -61,3 +61,39 @@ def test_every_import_is_read(path):
     if path == ROOT / "src" / "prachjam" / "campaign.py":
         unused = {name: line for name, line in unused.items() if name not in BENCHMARK_NAMES}
     assert unused == {}
+
+
+def private_definitions(path):
+    """The module-level private names (``_x``, not ``__x__``) ``path`` defines."""
+    names = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+
+def names_read(path):
+    """The names and attributes ``path`` reads, and the names it imports."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_private_name_is_read():
+    # Code that nothing reaches gets deleted: each private module-level
+    # name of the package is read somewhere in the package or its tests.
+    read = set().union(*map(names_read, MODULES))
+    sources = sorted((ROOT / "src" / "prachjam").glob("*.py"))
+    unread = {f"{path.name}:{name}" for path in sources
+              for name in private_definitions(path) - read}
+    assert sorted(unread) == []
+    assert sum(len(private_definitions(path)) for path in sources) > 30

@@ -77,16 +77,17 @@ def generate_jamming_frame(
     occupied bins are scaled to an expected per-bin power of ``a_f**2``);
     S1_literal puts ``a_f`` on every occupied bin; S2 draws each occupied
     bin from the standard complex normal distribution scaled by ``a_f``.
-    All other bins are exactly zero, and so is every bin when disabled.
+    All other bins are exactly zero, and so is every bin when disabled: a
+    disabled spectrum reads nothing from ``rng``.
     """
     a_f = config.amplitude
     n = cell.dft_size
     count = occasion.num_subcarriers
     first = occasion.first_subcarrier
-    if config.kind == "S2":
-        bins = a_f * _standard_complex_normal(rng, count)
-    elif config.kind == "S1_literal":
+    if config.kind == "S1_literal" or not config.enabled:
         bins = np.full(count, a_f + 0j)
+    elif config.kind == "S2":
+        bins = a_f * _standard_complex_normal(rng, count)
     else:
         noise = _standard_complex_normal(rng, n)
         spectrum = np.fft.fft(noise)

@@ -47,8 +47,8 @@ class IqFrame:
     def __post_init__(self) -> None:
         if not 0 < self.sample_rate < math.inf:  # false for NaN too
             raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
-        if len(self.samples) == 0:
-            raise ValueError("samples must be nonempty")
+        if self.samples.ndim == 0 or self.samples.shape[-1] == 0:
+            raise ValueError(f"samples must be nonempty, got shape {self.samples.shape}")
 
 
 def cp_length(cell: CellConfig) -> int:
@@ -120,14 +120,16 @@ def demap_prach(
 
     One ``dft_size`` transform is taken at each repetition boundary (after
     the cyclic prefix); the returned average combines the four repetitions
-    coherently.
+    coherently. Leading axes of ``frame.samples`` stack frames: each
+    returned array keeps them.
     """
     n = cell.dft_size
     cp = cp_length(cell)
     need = cp + REPETITIONS * n
-    if len(frame.samples) < need:
+    samples = frame.samples
+    if samples.shape[-1] < need:
         raise ValueError(
-            f"frame too short: {len(frame.samples)} samples, need {need}"
+            f"frame too short: {samples.shape[-1]} samples, need {need}"
         )
     if abs(frame.start_offset) > cp:
         raise ValueError(
@@ -135,21 +137,20 @@ def demap_prach(
             f"tolerance {cp}"
         )
     first = occasion.first_subcarrier
-    count = occasion.num_subcarriers
-    scale = 1.0 / np.sqrt(n)
-    reps = []
-    for r in range(REPETITIONS):
-        window = frame.samples[cp + r * n : cp + (r + 1) * n]
-        spectrum = np.fft.fft(window) * scale
-        reps.append(spectrum[first : first + count])
-    average = np.mean(reps, axis=0)
-    return reps, average
+    symbols = samples[..., cp:need].reshape(*samples.shape[:-1], REPETITIONS, n)
+    spectra = np.fft.fft(symbols) * (1.0 / np.sqrt(n))
+    reps = spectra[..., first : first + occasion.num_subcarriers]
+    return list(np.moveaxis(reps, -2, 0)), reps.mean(axis=-2)
 
 
 # --- Raw IQ file I/O ----------------------------------------------------------
 
 def write_iq(frame: IqFrame, path: str | Path) -> None:
     """Write interleaved little-endian float32 IQ pairs plus a JSON sidecar."""
+    if frame.samples.ndim != 1:
+        raise ValueError(
+            f"write_iq writes one stream of samples, got shape {frame.samples.shape}"
+        )
     path = Path(path)
     interleaved = np.empty(2 * len(frame.samples), dtype="<f4")
     interleaved[0::2] = frame.samples.real

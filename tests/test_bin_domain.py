@@ -27,22 +27,14 @@ from prachjam.detector import (
     signatures_detected,
 )
 from prachjam.jammer import JammerConfig, generate_jamming_frame
-from prachjam.prach import PRESETS, occasions_in_frame
-from prachjam.waveform import IqFrame, demap_prach, frame_length, modulate_preamble
-from prachjam.zc import cyclic_shift, generate_zc
+from prachjam.prach import occasions_in_frame
+from prachjam.waveform import demap_prach
+from prachjam.zc import generate_zc
 
-from helpers import two_proportion_z
-from test_acceptance import preamble_trial_missed
-
-PRACH, CELL = PRESETS["index98_40mhz_desk"]
-OCCASION = occasions_in_frame(PRACH, CELL, 1)[0]
-SIGMA_0DB = 1 / np.sqrt(2)
-
-
-def preamble_wave(signature, occ):
-    root, shift = signature
-    seq = cyclic_shift(generate_zc(root, PRACH.preamble_length), 13 * shift)
-    return modulate_preamble(seq, occ, CELL, 1.0)
+from helpers import (
+    CELL, OCCASION, PRACH, SIGMA_0DB, WAVES, oracle_misses, preamble_wave, received_bins,
+    two_proportion_z,
+)
 
 
 @pytest.mark.parametrize("freq_offset", [0, 2])
@@ -74,32 +66,29 @@ def test_jammer_and_noise_power_equal_demapped_waveforms(kind):
                             snr_db=-6.0 - 20 * math.log10(1.3), enabled=kind != "off")
     chan_cfg = ChannelConfig(noise_sigma=SIGMA_0DB)
     _, _, chan, _ = _bins(PRACH, CELL, spectrum, chan_cfg, DetectorConfig())
-    rng = np.random.default_rng(1)
-    silent = IqFrame(np.zeros(frame_length(CELL), dtype=complex), CELL.sample_rate)
-    power = []
-    for _ in range(1000):
-        jam = generate_jamming_frame(spectrum, OCCASION, CELL, rng) if kind != "off" else silent
-        _, bins = demap_prach(superpose(None, jam, chan_cfg, rng), OCCASION, CELL)
-        power.append(np.mean(np.abs(bins) ** 2))
+    _, bins = received_bins(1000, np.random.default_rng(1), spectrum, chan_cfg)
     # 139,000 exponential samples: a 2 % tolerance is seven standard errors.
-    assert np.mean(power) == pytest.approx(2 * chan.std**2, rel=0.02)
+    assert np.mean(np.abs(bins) ** 2) == pytest.approx(2 * chan.std**2, rel=0.02)
     assert chan.idle_mean == 0
 
 
-def demapped_rows(roots, snr_db, count, seed):
-    """Demapped time-domain occasions of random signatures under S1."""
-    signatures = [(r, s) for r in roots for s in range(10)]
-    waves = {sig: preamble_wave(sig, OCCASION) for sig in signatures}
-    jam_cfg = JammerConfig(kind="S1", snr_db=snr_db)
+@pytest.mark.parametrize("enabled", [True, False], ids=["S1", "no-jammer"])
+def test_received_bins_reads_the_stream_trial_by_trial(enabled, monkeypatch):
+    # The oracle draws each trial's index, jamming frame and noise in turn,
+    # as a loop of single frames would; a chunk of 2 stacks frames across a
+    # chunk boundary. A disabled spectrum reads nothing: it is no jammer.
+    monkeypatch.setattr("helpers.CHUNK", 2)
+    spectrum = JammerConfig(kind="S1", snr_db=-6.0, enabled=enabled)
     chan_cfg = ChannelConfig(noise_sigma=SIGMA_0DB)
-    rng = np.random.default_rng(seed)
-    rows, sigs = [], []
-    for _ in range(count):
-        sig = signatures[rng.integers(len(signatures))]
-        jam = generate_jamming_frame(jam_cfg, OCCASION, CELL, rng)
-        rows.append(demap_prach(superpose(waves[sig], jam, chan_cfg, rng), OCCASION, CELL)[1])
-        sigs.append(sig)
-    return np.array(rows), np.array(sigs)
+    batched_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
+    index, bins = received_bins(3, batched_rng, spectrum, chan_cfg, WAVES)
+    for t in range(3):
+        sig = rng.integers(len(WAVES))
+        jam = generate_jamming_frame(spectrum, OCCASION, CELL, rng) if enabled else None
+        _, row = demap_prach(superpose(WAVES[sig], jam, chan_cfg, rng), OCCASION, CELL)
+        assert index[t] == sig
+        assert np.array_equal(bins[t], row)
+    assert batched_rng.random() == rng.random()
 
 
 def profiles_of(bins, roots):
@@ -129,7 +118,12 @@ def judged_with_powers(monkeypatch, bins, det, rng, sig_idx):
 @pytest.mark.parametrize("roots", [(1,), (1, 2, 5)])
 def test_batched_kernel_decides_like_detect_preambles(roots):
     det = DetectorConfig(roots=roots)
-    bins, sigs = demapped_rows(roots, -13.0, 400, seed=sum(roots))
+    spectrum, chan_cfg = JammerConfig(kind="S1", snr_db=-13.0), ChannelConfig(noise_sigma=SIGMA_0DB)
+    # Time-domain occasions of random signatures.
+    sent = [(r, s) for r in roots for s in range(10)]
+    index, bins = received_bins(400, np.random.default_rng(sum(roots)), spectrum, chan_cfg,
+                                [preamble_wave(sig) for sig in sent])
+    sigs = np.array(sent)[index]
     single = np.array([
         (int(r), int(s)) in {(d.root, d.signature) for d in detect_preambles(row, det).detected}
         for row, (r, s) in zip(bins, sigs)
@@ -140,8 +134,7 @@ def test_batched_kernel_decides_like_detect_preambles(roots):
     # judge_sends's own draws, in intervals of 25 transmissions: each
     # send's complex profile, taken back to bins and through
     # detect_preambles, gets the verdict judge_sends gave it.
-    channel = _bins(PRACH, CELL, JammerConfig(kind="S1", snr_db=-13.0),
-                    ChannelConfig(noise_sigma=SIGMA_0DB), det)
+    channel = _bins(PRACH, CELL, spectrum, chan_cfg, det)
     signatures = channel[0]
     rng = np.random.default_rng(sum(roots))
     verdicts = []
@@ -163,28 +156,33 @@ def test_miss_rate_matches_the_waveform_oracle(kind, snr_db):
     det = DetectorConfig()
     seed = 7000 + 100 * (kind == "S2") - int(snr_db)
     oracle_n, kernel_n = 1500, 8000
-    oracle = preamble_trial_missed(kind, snr_db, det, oracle_n, seed)
+    spectrum = JammerConfig(kind=kind, snr_db=snr_db)
+    oracle = oracle_misses(spectrum, det, oracle_n, seed)
     # The kernel judges the delay profiles of drawn bin rows here: the
     # campaign's own profile draw is held to this one below.
-    missed = missed_bin_rows(JammerConfig(kind=kind, snr_db=snr_db), det, kernel_n, seed)
-    z = two_proportion_z(oracle * oracle_n, oracle_n, missed, kernel_n)
-    assert abs(z) < 2.576, f"kernel {missed / kernel_n:.4f} vs oracle {oracle:.4f}, z = {z:.2f}"
-
-
-def missed_bin_rows(spectrum, det, n, seed):
-    """Misses among ``n`` transmissions drawn as bin rows and judged on
-    their delay profiles."""
-    chunk = 2000
-    signatures, sig_array, chan, _ = _bins(
-        PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det
+    channel = _bins(PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det)
+    missed = missed_rows(channel, det, kernel_n, seed, as_bins=True)
+    z = two_proportion_z(oracle, oracle_n, missed, kernel_n)
+    assert abs(z) < 2.576, (
+        f"kernel {missed / kernel_n:.4f} vs oracle {oracle / oracle_n:.4f}, z = {z:.2f}"
     )
+
+
+def missed_rows(channel, det, n, seed, as_bins):
+    """Misses among ``n`` transmissions drawn in chunks of 2,000: as bin
+    rows judged on their delay profiles, or as complex delay profiles
+    (seeding rule v4) judged on their tap powers."""
+    chunk = 2000
+    signatures, sig_array, chan, means = channel
     rng = np.random.default_rng(seed)
     missed = 0
     for _ in range(n // chunk):
         idx = rng.integers(len(signatures), size=chunk)
-        rows = chan.draw(rng, chan.ue_mean[idx], len(idx))
-        power = np.abs(profiles_of(rows, sig_array[idx, 0])) ** 2
-        missed += int(np.sum(~signatures_detected(power, sig_array[idx, 1], det)))
+        if as_bins:
+            rows = profiles_of(chan.draw(rng, chan.ue_mean[idx], chunk), sig_array[idx, 0])
+        else:
+            rows = chan.draw(rng, means.profile[idx], chunk)
+        missed += int(np.sum(~signatures_detected(np.abs(rows) ** 2, sig_array[idx, 1], det)))
     return missed
 
 
@@ -209,20 +207,6 @@ def test_profile_map_is_unitary(root):
     np.testing.assert_allclose(profile_bins(delay_profile(z, root), root), z, atol=1e-12)
 
 
-def missed_complex_profiles(channel, det, n, seed):
-    """Misses among ``n`` transmissions drawn as complex delay profiles
-    (seeding rule v4) and judged on their tap powers."""
-    chunk = 2000
-    signatures, sig_array, chan, means = channel
-    rng = np.random.default_rng(seed)
-    missed = 0
-    for _ in range(n // chunk):
-        idx = rng.integers(len(signatures), size=chunk)
-        rows = chan.draw(rng, means.profile[idx], len(idx))
-        missed += int(np.sum(~signatures_detected(np.abs(rows) ** 2, sig_array[idx, 1], det)))
-    return missed
-
-
 def test_profile_draw_misses_like_the_bin_draw():
     # S1 at -12 dB misses about three preambles in four: the two draws'
     # miss rates agree by a two-sided two-proportion z-test at 99 %.
@@ -230,8 +214,8 @@ def test_profile_draw_misses_like_the_bin_draw():
     spectrum = JammerConfig(kind="S1", snr_db=-12.0)
     n = 50_000
     channel = _bins(PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det)
-    missed = missed_complex_profiles(channel, det, n, seed=41)
-    from_bins = missed_bin_rows(spectrum, det, n, seed=42)
+    missed = missed_rows(channel, det, n, seed=41, as_bins=False)
+    from_bins = missed_rows(channel, det, n, seed=42, as_bins=True)
     z = two_proportion_z(from_bins, n, missed, n)
     assert 0.6 < missed / n < 0.9
     assert abs(z) < 2.576, f"profiles {missed / n:.4f} vs bins {from_bins / n:.4f}, z = {z:.2f}"
@@ -297,7 +281,7 @@ def test_power_draw_misses_like_the_complex_draw(name, seed):
         int(np.sum(~signatures_detected(power, sig_array[idx, 1], MEANS_DET)))
         for idx, power, _ in polar_chunks(channel, np.random.default_rng(seed), n)
     )
-    reference = missed_complex_profiles(channel, MEANS_DET, n, seed=seed + 1000)
+    reference = missed_rows(channel, MEANS_DET, n, seed=seed + 1000, as_bins=False)
     z = two_proportion_z(reference, n, missed, n)
     assert 0.5 < missed / n < 0.9
     assert abs(z) < 2.576, f"powers {missed / n:.4f} vs complex {reference / n:.4f}, z = {z:.2f}"

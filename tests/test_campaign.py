@@ -36,15 +36,12 @@ from prachjam.detector import Detection, DetectorConfig
 from prachjam.errors import ConfigError, SimulationError
 from prachjam.jammer import JammerConfig
 from prachjam.prach import (
-    PRESETS, CellConfig, PrachConfig, jammer_resource_budget, occasions_between,
+    CellConfig, PrachConfig, jammer_resource_budget, occasions_between,
     occasions_in_frame, occupancy_factors,
 )
 from prachjam.rafsm import PreambleTx, make_ue, ue_step
 
-from test_prach import random_config
-
-PRACH, CELL = PRESETS["index98_40mhz_desk"]
-SIGMA_0DB = 1 / np.sqrt(2)  # per-bin SNR of 0 dB at unit preamble amplitude
+from helpers import BENCHMARK_NAMES, CELL, PRACH, SIGMA_0DB, random_config, synthetic_records
 
 
 def make_config(**overrides) -> CampaignConfig:
@@ -63,25 +60,6 @@ def make_config(**overrides) -> CampaignConfig:
     )
     base.update(overrides)
     return CampaignConfig(**base)
-
-
-def synthetic_records(n_intervals, n_invalid, n_success, jammed_total):
-    """Record set with prescribed aggregate tallies."""
-    records = []
-    idx = 0
-    for _ in range(n_invalid):
-        records.append(IntervalRecord(idx, False, 5, 0, False, None, 0))
-        idx += 1
-    for _ in range(n_success):
-        records.append(IntervalRecord(idx, True, 2, 1, True, 1.0, 0))
-        idx += 1
-    n_unsucc = n_intervals - n_invalid - n_success
-    remaining = jammed_total - n_success  # each success contributed sent-detected=1
-    for i in range(n_unsucc):
-        share = remaining // n_unsucc + (1 if i < remaining % n_unsucc else 0)
-        records.append(IntervalRecord(idx, True, share, 0, False, None, 0))
-        idx += 1
-    return records
 
 
 class TestMetricFormulas:
@@ -990,15 +968,6 @@ def test_freq_occasions_scale_only_the_occupancy():
     ratio = [occupancy_factors(cfg.prach, cfg.cell)["ratio"] for cfg in (one, two)]
     bandwidth = [jammer_resource_budget(cfg.prach, cfg.cell)["bandwidth_hz"] for cfg in (one, two)]
     assert (ratio[1], bandwidth[1]) == (2 * ratio[0], 2 * bandwidth[0])
-
-
-# perfbench/run.py imports these names from prachjam.campaign or patches
-# them there; the benchmark breaks if one goes away.
-BENCHMARK_NAMES = [
-    "occasions_in_frame", "generate_jamming_frame", "superpose", "demap_prach",
-    "detect_preambles", "ue_step", "gnb_step", "run_interval", "occasion_time_ms",
-    "interval_seed", "record_from_dict", "record_to_dict",
-]
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)

@@ -5,16 +5,13 @@ import pytest
 from prachjam.channel import ChannelConfig, superpose
 from prachjam.errors import ConfigError
 from prachjam.jammer import JammerConfig, generate_jamming_frame
-from prachjam.prach import PRESETS, occasions_in_frame
-from prachjam.waveform import IqFrame, modulate_preamble
-from prachjam.zc import generate_zc
+from prachjam.waveform import IqFrame
 
-PRACH, CELL = PRESETS["index98_40mhz_desk"]
-OCCASION = occasions_in_frame(PRACH, CELL, 1)[0]
+from helpers import CELL, OCCASION, WAVES
 
 
 def make_frames():
-    ue = modulate_preamble(generate_zc(1, 139), OCCASION, CELL, 1.0)
+    ue = WAVES[0]
     cfg = JammerConfig(kind="S2", snr_db=0.0)
     jam = generate_jamming_frame(cfg, OCCASION, CELL, np.random.default_rng(4))
     return ue, jam

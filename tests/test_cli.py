@@ -12,27 +12,11 @@ from prachjam.cli import main
 from prachjam.prach import PRESETS
 from prachjam.zc import generate_zc
 
+from helpers import small_config
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 THRESHOLD = ("campaign: spectrum.snr_db {} with detector.threshold_factor {} overflows the "
              "detector's limit on 139 tap powers")
-
-
-def small_config(tmp_path, **extra) -> Path:
-    doc = {
-        "n_intervals": 3,
-        "interval_duration": 1.0,
-        "jammer_lead": 0.3,
-        "jammer_lag": 0.3,
-        "ue_startup_delay": 0.1,
-        "base_seed": 42,
-        "preset": "index98_40mhz_desk",
-        "spectrum": {"kind": "S2", "snr_db": -16.0},
-        "channel": {"noise_sigma": 0.7071067811865476},
-    }
-    doc.update(extra)
-    path = tmp_path / "campaign.json"
-    path.write_text(json.dumps(doc))
-    return path
 
 
 def summary_without_timestamp(path: Path) -> str:

@@ -20,26 +20,21 @@ from prachjam.detector import (
     profile_bins,
     signatures_detected,
 )
-from prachjam.prach import PRESETS, occasions_in_frame
-from prachjam.waveform import demap_prach, modulate_preamble
+from prachjam.jammer import JammerConfig
+from prachjam.waveform import demap_prach
 from prachjam.zc import cyclic_shift, generate_zc
 
-from helpers import two_proportion_z
-from test_pinned_answers import CALIBRATED_FACTORS
+from helpers import (
+    CALIBRATED_FACTORS, CELL, OCCASION, oracle_misses, preamble_wave, two_proportion_z,
+)
 
-PRACH, CELL = PRESETS["index98_40mhz_desk"]
-OCCASION = occasions_in_frame(PRACH, CELL, 1)[0]
 ROOT_SEQ = generate_zc(1, 139)
 CFG = DetectorConfig()
 
 
-def received_bins(shift=0, sigma=0.0, rng=None, delay=0, amplitude=1.0, root=1):
-    seq = generate_zc(root, 139) if root != 1 else ROOT_SEQ
-    seq = cyclic_shift(seq, shift) if shift else seq
-    frame = modulate_preamble(seq, OCCASION, CELL, amplitude)
+def received_bins(window=0, sigma=0.0, rng=None, delay=0, root=1):
     chan = ChannelConfig(noise_sigma=sigma, ue_delay_samples=delay)
-    rng = rng or np.random.default_rng(0)
-    rx = superpose(frame, None, chan, rng)
+    rx = superpose(preamble_wave((root, window)), None, chan, rng or np.random.default_rng(0))
     return demap_prach(rx, OCCASION, CELL)[1]
 
 
@@ -55,7 +50,7 @@ class TestDecisions:
         assert result.noise_floor == 0.0
 
     def test_shift_thirteen_fires_window_one(self):
-        bins = received_bins(shift=13)
+        bins = received_bins(window=1)
         result = detect_preambles(bins, CFG)
         assert [(d.root, d.signature) for d in result.detected] == [(1, 1)]
         # Brute-force correlation over all lags confirms the peak position.
@@ -69,14 +64,14 @@ class TestDecisions:
 
     def test_detected_metric_respects_threshold(self):
         rng = np.random.default_rng(5)
-        bins = received_bins(shift=26, sigma=0.5, rng=rng)
+        bins = received_bins(window=2, sigma=0.5, rng=rng)
         result = detect_preambles(bins, CFG)
         for det in result.detected:
             assert det.metric >= CFG.threshold_factor * result.noise_floor
 
     def test_phase_rotation_invariance(self):
         rng = np.random.default_rng(6)
-        bins = received_bins(shift=39, sigma=0.7, rng=rng)
+        bins = received_bins(window=3, sigma=0.7, rng=rng)
         rotated = bins * np.exp(1j * 1.234)
         a = detect_preambles(bins, CFG)
         b = detect_preambles(rotated, CFG)
@@ -96,25 +91,17 @@ class TestDecisions:
     def test_delay_within_cp_keeps_window(self, delay):
         # Tap spread from a delay d is at most floor(d * 139 / 256) + 1,
         # well inside one 13-tap window for any CP-legal delay here.
-        bins = received_bins(shift=0, delay=delay)
+        bins = received_bins(delay=delay)
         result = detect_preambles(bins, CFG)
         assert [(d.root, d.signature) for d in result.detected] == [(1, 0)]
 
 
 class TestMissedDetectionFloor:
     def test_missed_rate_below_one_percent_at_zero_db(self):
-        # Per-bin SNR 0 dB: amplitude 1, per-component sigma 1/sqrt(2).
-        rng = np.random.default_rng(2024)
+        # Per-bin SNR 0 dB: amplitude 1, per-component sigma 1/sqrt(2), no jammer.
+        off = JammerConfig(kind="S1", snr_db=0.0, enabled=False)
         trials = 10_000
-        misses = 0
-        sigma = 1 / np.sqrt(2)
-        for _ in range(trials):
-            shift_idx = int(rng.integers(10))
-            bins = received_bins(shift=13 * shift_idx, sigma=sigma, rng=rng)
-            result = detect_preambles(bins, CFG)
-            if (1, shift_idx) not in {(d.root, d.signature) for d in result.detected}:
-                misses += 1
-        assert misses / trials < 0.01
+        assert oracle_misses(off, CFG, trials, seed=2024) / trials < 0.01
 
 
 class TestOwnWindow:
@@ -200,7 +187,7 @@ class TestDelayProfileInput:
     def test_noiseless_loopback(self, roots, own):
         # One tap and FFT dust: the floor guard leaves only the sent window.
         cfg = DetectorConfig(roots=roots)
-        profile = delay_profile(received_bins(shift=13, root=own), own)
+        profile = delay_profile(received_bins(window=1, root=own), own)
         assert self.judged_like_its_bins(profile, own, cfg) == [(own, 1)]
 
     def test_short_profile_rejected_like_short_bins(self):

@@ -6,11 +6,9 @@ import pytest
 
 from prachjam.errors import ConfigError
 from prachjam.jammer import JammerConfig, amplitude_from_snr, generate_jamming_frame
-from prachjam.prach import PRESETS, occasions_in_frame
 from prachjam.waveform import REPETITIONS, cp_length
 
-PRACH, CELL = PRESETS["index98_40mhz_desk"]
-OCCASION = occasions_in_frame(PRACH, CELL, 1)[0]
+from helpers import CELL, OCCASION
 
 
 def at_amplitude(kind, a_f):
@@ -54,8 +52,11 @@ class TestFrames:
     def test_disabled_spectrum_gives_zero_frame(self, kind):
         cfg = JammerConfig(kind=kind, snr_db=-6.0, enabled=False)
         assert cfg.amplitude == 0.0
-        frame = generate_jamming_frame(cfg, OCCASION, CELL, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        frame = generate_jamming_frame(cfg, OCCASION, CELL, rng)
         assert np.max(np.abs(frame.samples)) == 0.0
+        # It draws nothing, so the generator's next number is its first.
+        assert rng.random() == np.random.default_rng(3).random()
 
     def test_deterministic_frames(self):
         for kind in ("S1", "S2"):

@@ -7,7 +7,7 @@ import pytest
 
 import prachjam
 
-from test_campaign import BENCHMARK_NAMES
+from helpers import BENCHMARK_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src" / "prachjam").glob("*.py"), *(ROOT / "tests").glob("*.py")])
@@ -61,6 +61,19 @@ def test_every_import_is_read(path):
     if path == ROOT / "src" / "prachjam" / "campaign.py":
         unused = {name: line for name, line in unused.items() if name not in BENCHMARK_NAMES}
     assert unused == {}
+
+
+def test_no_test_module_imports_another():
+    # Code the tests share lives in tests/helpers.py.
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    names = {path.stem for path in tests if path.stem.startswith("test_")}
+    found = {}
+    for path in tests:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            found.update({path.name: m for m in modules if m.split(".")[0] in names})
+    assert found == {}
 
 
 def private_definitions(path):

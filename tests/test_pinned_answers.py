@@ -28,6 +28,8 @@ from prachjam.detector import (
 )
 from prachjam.prach import occasions_between
 
+from helpers import CALIBRATED_FACTORS
+
 ROOT = Path(__file__).resolve().parent.parent
 QUICK = ROOT / "configs" / "quick.json"
 
@@ -64,12 +66,6 @@ def test_quick_campaign_records(name):
     for i, r in enumerate(records):
         assert (r.index, r.valid, r.seed) == (i, True, interval_seed(cfg.base_seed, i))
         assert r.ra_succeeded == (r.time_to_success is not None)
-
-
-# calibrate_threshold(1e-3, 50,000 trials) per detector root set, seeded with
-# quick.json's base_seed; test_detector checks the several-roots factor
-# against the closed form.
-CALIBRATED_FACTORS = {(1,): 12.302488491048589, (1, 2, 5): 13.721947376669078}
 
 
 @pytest.mark.parametrize("roots, factor", list(CALIBRATED_FACTORS.items()))

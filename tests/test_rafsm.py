@@ -4,7 +4,6 @@ import itertools
 
 import numpy as np
 
-from prachjam.detector import Detection, DetectionResult
 from prachjam.rafsm import (
     GnbRaContext,
     Msg3,
@@ -19,39 +18,9 @@ from prachjam.rafsm import (
     ue_step,
 )
 
+from helpers import detections_for, run_exchange
+
 SIGNATURE = (1, 3)
-
-
-def detections_for(signatures, occasion=None):
-    return DetectionResult(
-        detected=[Detection(root=r, signature=s, metric=100.0) for r, s in signatures],
-        noise_floor=1.0,
-        occasion=occasion,
-    )
-
-
-def run_exchange(ues, occasion_key, now, signatures, detected_signatures=None):
-    """One occasion: each UE offered its signature, detection stub, RAR/Msg3/Msg4."""
-    ctx = GnbRaContext()
-    txs = {}
-    for name, ue in ues.items():
-        action = ue_step(ue, now, [], PreambleTx(signatures[name], occasion_key))
-        if isinstance(action, PreambleTx):
-            txs[name] = action
-    if detected_signatures is None:
-        detected_signatures = {tx.signature for tx in txs.values()}
-    rars = gnb_step(ctx, detections_for(detected_signatures), [])
-    # Patch occasion keys since the stub result has no occasion attached.
-    rars = [RarEvent(PreambleTx(r.preamble.signature, occasion_key), r.tid) for r in rars]
-    msg3s = []
-    for ue in ues.values():
-        action = ue_step(ue, now, rars)
-        if isinstance(action, Msg3):
-            msg3s.append(action)
-    msg4s = gnb_step(ctx, None, msg3s)
-    for ue in ues.values():
-        ue_step(ue, now, msg4s)
-    return ctx
 
 
 class TestUeHappyPath:

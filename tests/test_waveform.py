@@ -17,8 +17,7 @@ from prachjam.waveform import (
 )
 from prachjam.zc import generate_zc
 
-PRACH, CELL = PRESETS["index98_40mhz_desk"]
-OCCASION = occasions_in_frame(PRACH, CELL, 1)[0]
+from helpers import CELL, OCCASION, PRACH
 SEQ = generate_zc(1, 139)
 
 
@@ -67,9 +66,10 @@ class TestModulate:
     @pytest.mark.parametrize("samples, rate, message", [
         (np.ones(4, dtype=complex), 0.0, "sample_rate must be positive"),
         (np.zeros(0, dtype=complex), 1.0, "samples must be nonempty"),
+        (np.zeros((1, 0), dtype=complex), 1.0, r"samples must be nonempty, got shape \(1, 0\)"),
         (np.ones(4, dtype=complex), float("nan"), "sample_rate must be positive and finite"),
         (np.ones(4, dtype=complex), float("inf"), "sample_rate must be positive and finite"),
-    ], ids=["zero-rate", "no-samples", "nan-rate", "infinite-rate"])
+    ], ids=["zero-rate", "no-samples", "stack-of-no-samples", "nan-rate", "infinite-rate"])
     def test_frame_checks(self, samples, rate, message):
         with pytest.raises(ValueError, match=message):
             IqFrame(samples, rate)
@@ -90,6 +90,16 @@ class TestDemap:
         )
         reps, avg = demap_prach(frame, OCCASION, CELL)
         assert np.max(np.abs(avg)) == 0.0
+
+    def test_stack_equals_each_frame(self):
+        # Leading axes stack frames: each gets the bits it gets alone.
+        shape = (2, 3, frame_length(CELL), 2)
+        samples = np.random.default_rng(4).standard_normal(shape).view(complex)[..., 0]
+        reps, avg = demap_prach(IqFrame(samples, 1.0), OCCASION, CELL)
+        for i, j in np.ndindex(2, 3):
+            one_reps, one_avg = demap_prach(IqFrame(samples[i, j], 1.0), OCCASION, CELL)
+            assert np.array_equal(avg[i, j], one_avg)
+            assert np.array_equal(np.array(reps)[:, i, j], one_reps)
 
     def test_frame_too_short(self):
         frame = IqFrame(samples=np.zeros(100, dtype=complex), sample_rate=CELL.sample_rate)
@@ -141,6 +151,13 @@ class TestIqFiles:
         write_iq(frame, path)
         raw = np.fromfile(path, dtype="<f4")
         np.testing.assert_allclose(raw, [1, 2, 3, -4])
+
+    def test_stacked_frame_refused(self, tmp_path):
+        # An IQ file holds one interleaved stream.
+        frame = IqFrame(np.zeros((3, frame_length(CELL)), dtype=complex), CELL.sample_rate)
+        with pytest.raises(ValueError, match=r"one stream of samples, got shape \(3, 1042\)"):
+            write_iq(frame, tmp_path / "stack.iq")
+        assert list(tmp_path.iterdir()) == []
 
     def test_odd_float_count_rejected(self, tmp_path):
         path = tmp_path / "bad.iq"

@@ -14,14 +14,14 @@ kernel judges the other K - 1 at once, which a record run needs only when
 the first is missed and a logged run always. It needs no transform and
 reads only the tap powers: white bins times the constant-modulus ZC
 reference stay white, with the same variance, so each tap is its mean plus
-complex normal noise: an exponential power, and a uniform phase drawn
-only on the few taps where the mean is not zero.
+complex normal noise. Where the means are sparse, a send draws only its own
+window's taps and two numbers for the rest of its profile (``_noise_like``).
 
 Every run then computes its record in closed form. Msg2 to Msg4 are
 delivered reliably and the single UE wins its contention, so it connects
 at the first transmission detected, or sends all K unheard. A record run
-rebuilds a later deciding transmission as a complex profile (its other
-phases read on from the stream) that ``detect_preambles`` judges as it is
+rebuilds a later deciding transmission as a complex profile (the rest of
+it read on from the stream) that ``detect_preambles`` judges as it is
 and must agree with the kernel's verdict. A logged run (``detection_log``
 or ``event_trace``) also steps every occasion through the RA machines,
 rebuilding and checking each later transmission the same way, and its UE
@@ -45,7 +45,8 @@ import numpy as np
 
 from .channel import ChannelConfig, bin_channel, superpose
 from .detector import (
-    DelayProfile, DetectorConfig, delay_profile, detect_preambles, signatures_detected,
+    DelayProfile, DetectorConfig, _fisher_quantile, _fisher_tail, _window_indices,
+    delay_profile, detect_preambles, signatures_detected, window_detected,
 )
 from .errors import ConfigError, SimulationError
 from .jammer import JammerConfig, bin_moments, generate_jamming_frame
@@ -98,26 +99,30 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 SEEDING_RULE = (
-    "v8: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
-    "data=pack('<QQ', base_seed, i)); interval stream = numpy.random.default_rng("
-    "interval_seed(i)), drawing the validity flag (random()), then the signatures "
-    "of all K scheduled preambles (integers(n_signatures, size=K)), then per "
-    "preamble in transmit order the noise of its delay profile ifft(bins * conj(fft("
-    "zc(root)))) against its own root, whose L taps are mu[n] plus white noise with "
-    "the variance of the bins, mu the UE's mean profile with its taps below 1e-12 of "
-    "its peak set to 0: for the first preamble, and for every preamble if one of the "
-    "UE's mean profiles has nonzero taps on L/2 of its taps or more, 2*L standard "
-    "normals, the interleaved (re, im) parts of the noise; for each other one L + w "
-    "uniforms u (random()), L for E = -log(1 - u), then w phase fractions F for its "
-    "nonzero taps of mu in tap order, padded with its first zero taps to w, the most "
-    "of any mean profile, tap n being mu[n] + sqrt(2 * std**2 * E[n]) * exp(1j * ("
-    "angle(mu[n]) + 2 * pi * F[n])), std the deviation per part of the jammer and "
-    "noise; the kernel judges the tap powers, and a stepped preamble is judged on "
-    "its complex profile (other roots on its bins fft(profile) / conj(fft(zc(root)))"
-    "); a logged run draws all K preambles, then reads on in occasion order: "
-    "random(L) for F at the other taps of each stepped polar preamble, and 2*L "
-    "standard normals for each occasion without a preamble; a record depends on "
-    "no draw after the first preamble detected"
+    "v9: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
+    "data=pack('<QQ', base_seed, i)); interval stream = "
+    "numpy.random.default_rng(interval_seed(i)), drawing the validity flag (random()), "
+    "the signatures of all K scheduled preambles (integers(n_signatures, size=K)), then "
+    "the noise of each preamble's delay profile ifft(bins * conj(fft(zc(root)))) against "
+    "its own root: L taps mu[n] plus white noise of variance theta = 2 * std**2 (std that "
+    "of the bins' parts), mu its mean with taps below 1e-12 of its peak set to 0; 2*L "
+    "standard normals (interleaved re, im) for the first and, unless each mu's nonzero "
+    "taps lie in its own window T of s < L/2 taps and Q(x0) is in (0, 1), for each other "
+    "in turn; else random((s + 1 + w, K - 1)), column j for preamble j + 1: E = -log(1 - "
+    "u) at T (nonzero mu first, each part in tap order), v = 1 - u, and phase fractions F "
+    "at T's first w taps (w the most nonzero taps of a mu), tap n being mu[n] + "
+    "sqrt(theta * E[n]) * exp(1j * (angle(mu[n]) + 2 * pi * F[n])), then the power sums "
+    "S_O of the n = L - s other taps, gamma(n, theta, size=K - 1); it is detected if T's "
+    "peak exceeds f * max((S_T + S_O - P) / (L - 1), 1e-12 * P), S_T T's power sum, P the "
+    "larger of T's peak and, if v <= Q(x0), g * S_O with Q(g) = v, Q(x) = sum((-1)**(k-1) "
+    "* C(n, k) * (1 - k * x)**(n - 1), 1 <= k <= 1/x), x0 = f / (f + L - 1); then in "
+    "occasion order each such preamble the detector judges after the first reads "
+    "random(L) for F at its other taps, integers(n) if v <= Q(x0) for the place of g * "
+    "S_O among its other taps in tap order, then -log(1 - random(n)) (random(n - 1) if v "
+    "<= Q(x0)) until their largest is below x0 (g / (1 - g)) times their sum, scaled to "
+    "sum S_O (S_O - g * S_O); a logged run reads 2*L standard normals for each occasion "
+    "without a preamble; a record depends on no draw of a preamble after the first "
+    "detected"
 )
 
 
@@ -313,20 +318,21 @@ class _Means(NamedTuple):
     profile: np.ndarray  # (n, L) complex
     magnitude: np.ndarray  # (n, L) abs(profile)
     phase: np.ndarray  # (n, L) angle(profile), 0 where the profile is
-    # (n, width) the nonzero taps of each row, padded with its first zero
-    # taps; None when some row has nonzero taps on half its length or more
+    # None unless each row's nonzero taps lie in its window of s < L/2 taps: its taps
+    # (n, L) by rank (``_bins``); w, x0 = f / (f + L - 1) and log P(g > x0).
     taps: np.ndarray | None
+    reduced: tuple[int, float, float] | None
 
 
 @functools.lru_cache(maxsize=16)
 def _bins(prach, cell, spectrum, channel, det):
     """The UE's signatures (as a tuple and an array), the bin-domain
     channel of its occasions and the mean delay profiles of its preambles
-    (``_Means``)."""
-    length = prach.preamble_length
-    signatures = tuple((r, s) for r in det.roots for s in range(length // det.shift_step))
+    (``_Means``) for the detector ``det``."""
+    length, step = prach.preamble_length, det.shift_step
+    signatures = tuple((r, s) for r in det.roots for s in range(length // step))
     preambles = np.array([
-        preamble_bins(cyclic_shift(generate_zc(root, length), s * det.shift_step), 1.0)
+        preamble_bins(cyclic_shift(generate_zc(root, length), s * step), 1.0)
         for root, s in signatures
     ])
     jam = bin_moments(spectrum)
@@ -337,15 +343,18 @@ def _bins(prach, cell, spectrum, channel, det):
     magnitude = np.abs(profiles)
     round_off = magnitude < _ROUND_OFF * magnitude.max(axis=-1, keepdims=True)
     profiles[round_off] = magnitude[round_off] = 0.0
-    width = int(np.count_nonzero(profiles, axis=-1).max())
-    # Polar draws pay only where nonzero taps are few (a cosine per tap costs more
-    # than a normal pair). A stable sort puts each row's nonzero taps first, in order.
-    if 2 * width < length:
-        taps = np.argsort(profiles == 0, axis=-1, kind="stable")[:, :width]
-    else:
-        taps = None
-    means = _Means(profiles, magnitude, np.angle(profiles), taps)
-    for shared in (chan.ue_mean, sig_array, *means):  # every later caller gets these
+    # Ranks: 0 for a nonzero tap, 1 for another of its window's, 2 for the rest.
+    rank, nonzero = np.full(profiles.shape, 2), profiles != 0
+    rank[np.arange(len(rank))[:, None], _window_indices(length, step)[sig_array[:, 1]]] = 1
+    n, x0 = length - step, det.threshold_factor / (det.threshold_factor + length - 1)
+    taps = reduced = None  # Fisher's tail is a probability for factors above about 1.3.
+    if (2 * step < length and np.all(rank[nonzero] == 1)
+            and 0 < (tail := float(_fisher_tail(n, x0)(x0)[0])) < 1):
+        rank[nonzero] = 0
+        taps = np.argsort(rank, axis=-1, kind="stable")  # each rank in tap order
+        reduced = (int(nonzero.sum(-1).max()), x0, math.log(tail))
+    means = _Means(profiles, magnitude, np.angle(profiles), taps, reduced)
+    for shared in (chan.ue_mean, sig_array, *means[:4]):  # every later caller gets these
         if shared is not None:
             shared.setflags(write=False)
     return signatures, sig_array, chan, means
@@ -353,13 +362,13 @@ def _bins(prach, cell, spectrum, channel, det):
 
 def judge_sends(bins, det_cfg, rng, sig_idx, every, occasion=None):
     """Draw and judge an interval's sends of the signatures ``sig_idx`` from
-    ``rng`` on the channel ``bins`` (a ``_bins`` result), in the one order of
-    ``SEEDING_RULE``: ``(hits, first, profile_of)``. The detector judges the
+    ``rng`` on the channel ``bins`` (``_bins`` for ``det_cfg``), in the one order
+    of ``SEEDING_RULE``: ``(hits, first, profile_of)``. The detector judges the
     first send's complex row at ``occasion``, with result ``first``. When
-    ``every`` is set or the first is missed, the kernel judges the other
-    K - 1 at once, drawn in polar form where ``means.taps`` is set. ``hits``
-    says whether each send judged is detected, and ``profile_of(n, rng)`` is
-    send ``n``'s complex delay profile (see ``_polar_powers`` for ``rng``).
+    ``every`` is set or the first is missed, the kernel judges the other K - 1
+    at once, drawn reduced where ``means.taps`` is set (``_noise_like``).
+    ``hits`` says whether each send judged is detected, and ``profile_of(n,
+    rng)`` is send ``n``'s complex delay profile, rebuilt from ``rng``.
     """
     signatures, sig_array, chan, means = bins
     own = signatures[sig_idx[0]]
@@ -369,47 +378,56 @@ def judge_sends(bins, det_cfg, rng, sig_idx, every, occasion=None):
     if every or not hits[0]:
         later = sig_idx[1:]
         if means.taps is not None:
-            power, later_of = _polar_powers(chan.std, means, rng, later)
+            later_hits, later_of = _noise_like(chan.std, means, det_cfg, rng, later)
         else:
             rows = chan.draw(rng, means.profile[later], len(later))
-            power, later_of = np.abs(rows) ** 2, lambda j, rng: rows[j]
-        hits += signatures_detected(power, sig_array[later, 1], det_cfg).tolist()
+            later_hits = signatures_detected(np.abs(rows) ** 2, sig_array[later, 1], det_cfg)
+            later_of = lambda j, rng: rows[j]  # noqa: E731
+        hits += later_hits.tolist()
     return hits, first, lambda n, rng: later_of(n - 1, rng) if n else row
 
 
-def _polar_powers(std, means, rng, idx):
-    """The tap powers ``(rows, L)`` of transmissions of the signatures
-    ``idx``, and the function ``profile_of(j, rng)`` giving row ``j``'s
-    complex delay profile.
-
-    A tap's noise is complex normal with standard deviation ``std`` per
-    part, drawn in polar form: power ``P = 2 * std**2 * E`` with
-    ``E = -log(1 - u)`` standard exponential, and a uniform phase
-    ``2 * pi * F`` measured from the mean's. The tap's power is then
-    ``P + |mu| * (|mu| + 2 * sqrt(P) * cos(2 * pi * F))``, which is ``P``
-    where the mean ``mu`` is zero: a row reads L + w uniforms, ``E`` and
-    then ``F`` at its w taps ``means.taps[i]``. Only a rebuilt row draws its
-    other ``F``, as ``rng.random(L)``.
-    """
-    length, cols = means.profile.shape[-1], means.taps[idx]
-    draws = rng.random((len(idx), length + cols.shape[-1]))
-    turns = draws[:, length:].copy()
-    # Transformed whole, the contiguous draw is faster than its E columns.
-    np.subtract(1.0, draws, out=draws)
-    np.log(draws, out=draws)
-    draws *= -2 * std**2
-    power = draws[:, :length]
-    at, mean = (np.arange(len(idx))[:, None], cols), means.magnitude[idx[:, None], cols]
-    tap = power[at]
-    power[at] = tap + mean * (mean + 2 * np.sqrt(tap) * np.cos(2 * np.pi * turns))
+def _noise_like(std, means, det_cfg, rng, idx):
+    """The verdicts of sends of the signatures ``idx``, and ``profile_of(j, rng)``
+    rebuilding send ``j``'s profile. A send draws its window T's taps in polar
+    form: power ``P = theta * E``, ``theta = 2 * std**2``, at a uniform phase
+    ``2 * pi * F`` from the mean's, so ``|tap|**2 = P + |mu| * (|mu| + 2 *
+    sqrt(P) * cos(2 * pi * F))``. Its n other taps' power sum ``S_O`` is Gamma(n,
+    theta), independent of their largest share, Fisher's g (Devroye 1986). A g
+    below x0 cannot decide: T's peak is larger, or below ``x0 * S_O = f * (1 -
+    x0) * S_O / (L - 1)``, a miss. So g is drawn, by inversion, only in its tail."""
+    (w, x0, log_q0), m, (_, length) = means.reduced, len(idx), means.taps.shape
+    n, s, theta = length - det_cfg.shift_step, det_cfg.shift_step, 2 * std**2
+    # One row per quantity: reductions over a send's taps run along columns.
+    draws = rng.random((s + 1 + w, m))
+    turns = draws[s + 1 :].copy()
+    np.log(np.subtract(1.0, draws, out=draws), out=draws)
+    power, log_v = draws[:s], draws[s]
+    power *= -theta
+    rest = rng.gamma(n, theta, m)
+    mean, tap = means.magnitude[idx, means.taps[idx, :w].T], power[:w].copy()
+    power[:w] = tap + mean * (mean + 2 * np.sqrt(tap) * np.cos(2 * np.pi * turns))
+    g, tail = np.zeros(m), log_v <= log_q0
+    if tail.any():
+        g[tail] = _fisher_quantile(log_v[tail], n, x0)
+    hits = window_detected(power.T, rest, g * rest, length, det_cfg)
 
     def profile_of(j, rng):
-        i, noise, turn = idx[j], power[j].copy(), rng.random(length)
-        noise[cols[j]], turn[cols[j]] = tap[j], turns[j]
-        phase = means.phase[i] + 2 * np.pi * turn
-        return means.profile[i] + np.sqrt(noise) * np.exp(1j * phase)
+        i, order, turn = idx[j], means.taps[idx[j]], rng.random(length)
+        turn[order[:w]] = turns[:, j]
+        tail, top = bool(g[j]), g[j] * rest[j]
+        spot, share = (rng.integers(n), g[j] / (1 - g[j])) if tail else (0, x0)
+        while True:
+            e = -np.log(1.0 - rng.random(n - tail))
+            if e.max() < share * e.sum():
+                break
+        e *= (rest[j] - top) / e.sum()
+        noise = np.empty(length)
+        noise[order] = np.concatenate((power[:, j], np.insert(e, spot, top) if tail else e))
+        noise[order[:w]] = tap[:, j]
+        return means.profile[i] + np.sqrt(noise) * np.exp(1j * (means.phase[i] + 2 * np.pi * turn))
 
-    return power, profile_of
+    return hits, profile_of
 
 
 def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]:

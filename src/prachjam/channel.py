@@ -46,6 +46,9 @@ def superpose(
 
     An absent input contributes zero; at least one must be given.
     """
+    for frame in (ue, jam):
+        if frame is not None and frame.samples.ndim != 1:
+            raise ConfigError(f"superpose takes one frame each, got shape {frame.samples.shape}")
     if ue is not None and jam is not None:
         if ue.sample_rate != jam.sample_rate:
             raise ConfigError(

@@ -1,7 +1,8 @@
 """The campaign's bin-domain occasions against the time-domain waveform.
 
 Campaigns draw an occasion's averaged PRACH bins, or a transmission's
-delay-profile tap powers, directly and judge a batch of them at once.
+delay profile (where the means are sparse, only its own window and two
+numbers for the rest), directly and judge a batch of them at once.
 These tests hold that path to the waveform chain it replaces
 (``modulate_preamble``, ``generate_jamming_frame``, ``superpose``,
 ``demap_prach``, ``detect_preambles``) and to the complex draws it
@@ -16,15 +17,17 @@ import numpy as np
 import pytest
 
 import prachjam.campaign
-from prachjam.campaign import _bins, _polar_powers, judge_sends
+from prachjam.campaign import _bins, judge_sends
 from prachjam.channel import ChannelConfig, superpose
 from prachjam.detector import (
     DetectorConfig,
     _decide,
+    _window_indices,
     delay_profile,
     detect_preambles,
     profile_bins,
     signatures_detected,
+    window_detected,
 )
 from prachjam.jammer import JammerConfig, generate_jamming_frame
 from prachjam.prach import occasions_in_frame
@@ -187,8 +190,8 @@ def missed_rows(channel, det, n, seed, as_bins):
 
 
 def phases(key):
-    """A generator, keyed by ``key``, for ``profile_of`` to draw a rebuilt
-    polar row's zero-mean taps' phases from."""
+    """A generator, keyed by ``key``, for ``profile_of`` to draw the rest of
+    a rebuilt row from."""
     return np.random.default_rng([9, key])
 
 
@@ -224,9 +227,8 @@ def test_profile_draw_misses_like_the_bin_draw():
 # The kernel's means: the shipped one, with a single nonzero tap per
 # signature, and two with every tap nonzero (the literal S1's constant
 # spectrum; a delayed UE, whose shift spreads over the taps, with a phase
-# that turns from tap to tap). The kernel draws the last two as complex
-# rows, so the polar draw is held to the complex one on them with its
-# gather over every tap (``polar_means``). At -12 dB the delayed,
+# that turns from tap to tap). The kernel draws the shipped one reduced
+# (``_noise_like``) and the last two as complex rows. At -12 dB the delayed,
 # attenuated UE is missed 99.6 % of the time, so that one runs at -6 dB,
 # where the miss rate is about 0.7. Its UE is received at gain 0.8 and its
 # jammer at gain 1.3: at the UE's level, the noise 1 / 0.8 times as strong
@@ -244,158 +246,210 @@ MEANS = {
 MEANS_DET = DetectorConfig(roots=(1, 2, 5))
 
 
-def means_channel(name):
-    return _bins(PRACH, CELL, *MEANS[name], MEANS_DET)
+def means_channel(name, det=MEANS_DET):
+    return _bins(PRACH, CELL, *MEANS[name], det)
 
 
-def polar_means(means):
-    """``means`` as ``_polar_powers`` reads them: where the kernel would
-    draw complex rows, with every tap gathered."""
-    if means.taps is not None:
-        return means
-    length = means.profile.shape[-1]
-    return means._replace(taps=np.tile(np.arange(length), (len(means.profile), 1)))
-
-
-def polar_chunks(channel, rng, n, chunk=2000):
-    """``(idx, power, profile_of)`` of ``n`` transmissions drawn by
-    ``_polar_powers`` in chunks of ``chunk``, the signatures drawn first."""
-    signatures, _, chan, means = channel
-    means = polar_means(means)
-    out = []
+def judged_sends(channel, det, rng, n, chunk=2000):
+    """Hits among ``n`` later sends that ``judge_sends`` judges, in calls of
+    ``chunk`` + 1 sends (each call's first send is a complex row, not counted)."""
+    hits = 0
     for _ in range(n // chunk):
-        idx = rng.integers(len(signatures), size=chunk)
-        out.append((idx, *_polar_powers(chan.std, means, rng, idx)))
-    return out
+        idx = rng.integers(len(channel[0]), size=chunk + 1)
+        hits += sum(judge_sends(channel, det, rng, idx, every=True)[0][1:])
+    return hits
 
 
-@pytest.mark.parametrize("name, seed", [("S1", 51), ("s1_literal", 53), ("delay_and_gains", 57)])
-def test_power_draw_misses_like_the_complex_draw(name, seed):
-    # The polar draw's tap powers against the complex profiles they
-    # replace, 50,000 transmissions each: a two-sided two-proportion z-test
-    # at 99 %.
-    n = 50_000
-    channel = means_channel(name)
-    sig_array = channel[1]
-    missed = sum(
-        int(np.sum(~signatures_detected(power, sig_array[idx, 1], MEANS_DET)))
-        for idx, power, _ in polar_chunks(channel, np.random.default_rng(seed), n)
-    )
-    reference = missed_rows(channel, MEANS_DET, n, seed=seed + 1000, as_bins=False)
-    z = two_proportion_z(reference, n, missed, n)
-    assert 0.5 < missed / n < 0.9
-    assert abs(z) < 2.576, f"powers {missed / n:.4f} vs complex {reference / n:.4f}, z = {z:.2f}"
+# The verdict-rate gate of the reduced draw, family-wise at 99 %: each cell's
+# judged later sends hit as often as complex rows (``chan.draw``, judged on
+# all their tap powers) by a two-sided two-proportion z-test at 99.8 %
+# (Bonferroni over five cells). Cells: S1 in the transition band; S2; a
+# jammer-dominated S2 whose hits are own-window false alarms (about 240 ppm);
+# a factor of 6, where P(g > x0) = 0.48, so about half the sends take the
+# tail branch; and three roots. Columns: spectrum, factor, roots, reduced
+# sends, complex rows.
+GATE = {
+    "S1_-15dB": (JammerConfig(kind="S1", snr_db=-15.0), 12.35, (1,), 40_000, 40_000),
+    "S2_-12dB": (JammerConfig(kind="S2", snr_db=-12.0), 12.35, (1,), 40_000, 40_000),
+    "S2_-24dB": (JammerConfig(kind="S2", snr_db=-24.0), 12.35, (1,), 1_000_000, 100_000),
+    "factor_6": (JammerConfig(kind="S1", snr_db=-15.0), 6.0, (1,), 40_000, 40_000),
+    "roots_1_2_5": (JammerConfig(kind="S1", snr_db=-13.0), 12.35, (1, 2, 5), 40_000, 40_000),
+}
 
 
-def test_tap_powers_follow_the_complex_draw():
-    # The power of each transmission's mean tap (noncentral) and of a tap
-    # 69 further on (zero mean, exponential), from 20,000 transmissions of
-    # the polar draw and of the complex draw: two-sample KS tests at 99 %.
+@pytest.mark.parametrize("name", sorted(GATE))
+def test_judged_sends_hit_like_complex_rows(name):
+    spectrum, factor, roots, n, n_complex = GATE[name]
+    det = DetectorConfig(threshold_factor=factor, roots=roots)
+    channel = _bins(PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det)
+    assert channel[3].taps is not None
+    seed = sorted(GATE).index(name)
+    hits = judged_sends(channel, det, np.random.default_rng([101, seed]), n, chunk=20_000)
+    missed = missed_rows(channel, det, n_complex, seed=[103, seed], as_bins=False)
+    z = two_proportion_z(n_complex - missed, n_complex, hits, n)
+    assert abs(z) < 3.09, f"reduced {hits / n:.6f} vs complex {1 - missed / n_complex:.6f}"
+
+
+@pytest.mark.parametrize("factor, snr_db", [(4.0, -18.0), (8.0, -14.0), (12.35, -12.0),
+                                            (30.0, -6.0)])
+def test_reduced_verdict_equals_the_full_row(factor, snr_db):
+    # Full rows of exponential tap powers plus the shipped mean tap, a third
+    # of them with one other tap raised up to 60-fold, so that its share g
+    # of the others' sum passes x0 at every factor. From (T's powers, S_O,
+    # g) the reduced rule gives every row the verdict signatures_detected
+    # gives the whole row, on both sides of x0.
+    det = DetectorConfig(threshold_factor=factor)
+    spectrum = JammerConfig(kind="S1", snr_db=snr_db)
+    signatures, sig_array, chan, means = _bins(
+        PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det)
+    rows, length, (_, x0, _) = 20_000, PRACH.preamble_length, means.reduced
+    rng = np.random.default_rng(int(factor * 100))
+    idx = rng.integers(len(signatures), size=rows)
+    theta, taps, at = 2 * chan.std**2, means.taps[idx, :13], np.arange(rows)
+    power = -theta * np.log(1.0 - rng.random((rows, length)))
+    mean, tap = means.magnitude[idx, taps[:, 0]], power[at, taps[:, 0]]
+    power[at, taps[:, 0]] = tap + mean * (
+        mean + 2 * np.sqrt(tap) * np.cos(2 * np.pi * rng.random(rows)))
+    others = np.ones((rows, length), dtype=bool)
+    others[at[:, None], taps] = False
+    rest = power[others].reshape(rows, -1)
+    raised = at[::3]
+    rest[raised, rng.integers(rest.shape[-1], size=len(raised))] *= rng.uniform(1, 60, len(raised))
+    power[others] = rest.ravel()
+    g = rest.max(axis=-1) / rest.sum(axis=-1)
+    top = np.where(g >= x0, g * rest.sum(axis=-1), 0.0)
+    reduced = window_detected(power[at[:, None], taps], rest.sum(axis=-1), top, length, det)
+    full = signatures_detected(power, sig_array[idx, 1], det)
+    for branch in (g >= x0, g < x0):
+        assert 0 < full[branch].mean() < 1
+    assert np.array_equal(reduced, full)
+
+
+def rebuilt_sends(channel, det, rng, n):
+    """``(idx, rows)``: ``n`` later sends judged by ``judge_sends`` and their
+    rebuilt complex profiles, read on from ``rng`` in send order."""
+    idx = rng.integers(len(channel[0]), size=n + 1)
+    profile_of = judge_sends(channel, det, rng, idx, every=True)[2]
+    return idx[1:], np.array([profile_of(j, rng) for j in range(1, n + 1)])
+
+
+def test_rebuilt_taps_follow_the_complex_draw():
+    # 4,000 rebuilt sends at factor 6, where about half take the tail
+    # branch: their zero-mean taps' powers over theta are standard
+    # exponential (a KS test at 99 % over all of them), and their mean taps'
+    # powers follow those of complex rows (a two-sample KS test at 99 %).
     stats = pytest.importorskip("scipy.stats")
-    n = 20_000
-    channel = means_channel("S1")
+    det = DetectorConfig(threshold_factor=6.0)
+    spectrum, chan_cfg = GATE["factor_6"][0], ChannelConfig(noise_sigma=SIGMA_0DB)
+    channel = _bins(PRACH, CELL, spectrum, chan_cfg, det)
     signatures, _, chan, means = channel
-    chunks = polar_chunks(channel, np.random.default_rng(71), n)
-    idx = np.concatenate([idx for idx, _, _ in chunks])
-    power = np.concatenate([power for _, power, _ in chunks])
-    reference_rng = np.random.default_rng(72)
-    reference_idx = reference_rng.integers(len(signatures), size=n)
-    reference = np.abs(chan.draw(reference_rng, means.profile[reference_idx], n)) ** 2
-    for shift in (0, 69):
-        taps = (means.taps[idx, 0] + shift) % PRACH.preamble_length
-        reference_taps = (means.taps[reference_idx, 0] + shift) % PRACH.preamble_length
-        assert np.all((means.profile[idx, taps] != 0) == (shift == 0))
-        result = stats.ks_2samp(power[np.arange(n), taps],
-                                reference[np.arange(n), reference_taps])
-        assert result.pvalue > 0.01, f"tap +{shift}: {result}"
+    rng = np.random.default_rng(71)
+    idx, rows = rebuilt_sends(channel, det, rng, 4000)
+    power = np.abs(rows) ** 2 / (2 * chan.std**2)
+    zero = means.profile[idx] == 0
+    assert zero.sum(axis=-1).tolist() == [PRACH.preamble_length - 1] * len(idx)
+    assert stats.kstest(power[zero], "expon").pvalue > 0.01
+    reference_idx = rng.integers(len(signatures), size=4000)
+    reference = chan.draw(rng, means.profile[reference_idx], 4000)
+    mean_tap = np.abs(reference[np.arange(4000), means.taps[reference_idx, 0]]) ** 2
+    result = stats.ks_2samp(power[~zero] * 2 * chan.std**2, mean_tap)
+    assert result.pvalue > 0.01, result
 
 
 @pytest.mark.parametrize("name", sorted(MEANS))
 def test_rebuilt_row_power_equals_kernel_power(name, monkeypatch):
-    # A transmission that is stepped goes back to a complex profile; its
-    # tap powers are the ones judged: by judge_sends, and in the polar draw
-    # with every tap gathered.
-    channel = means_channel(name)
-    rng = np.random.default_rng(81)
-    idx = rng.integers(len(channel[0]), size=127)
-    chunks = [judged_with_powers(monkeypatch, channel, MEANS_DET, rng, idx)]
-    chunks += [(power, of) for _, power, of in polar_chunks(channel, rng, 254, chunk=127)]
-    for power, profile_of in chunks:
+    # A judged send that is rebuilt goes back to a complex profile. Drawn
+    # reduced (S1, at factor 6 so that both branches show), its window holds
+    # the powers the kernel judged and its other taps sum to S_O and peak at
+    # g * S_O in the tail, or below x0 * S_O; drawn as a complex row, its tap
+    # powers are the ones judged.
+    det = replace(MEANS_DET, threshold_factor=6.0)
+    channel = means_channel(name, det)
+    means, length = channel[3], PRACH.preamble_length
+    idx = np.random.default_rng(81).integers(len(channel[0]), size=128)
+    if means.taps is None:
+        power, profile_of = judged_with_powers(monkeypatch, channel, det,
+                                               np.random.default_rng(82), idx)
         rebuilt = np.array([profile_of(j, phases(j)) for j in range(len(power))])
         np.testing.assert_allclose(np.abs(rebuilt) ** 2, power, rtol=1e-12)
+        return
+    judged = []
+
+    def recording(window, rest_sum, rest_peak, length, cfg):
+        judged.append((window.copy(), rest_sum, rest_peak))
+        return window_detected(window, rest_sum, rest_peak, length, cfg)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(prachjam.campaign, "window_detected", recording)
+        hits, _, profile_of = judge_sends(channel, det, np.random.default_rng(82), idx, True)
+    (window, rest_sum, rest_peak), x0 = judged[0], means.reduced[1]
+    assert 0 < np.count_nonzero(rest_peak) < len(rest_peak)
+    for j in range(1, len(idx)):
+        power = np.abs(profile_of(j, phases(j))) ** 2
+        taps = means.taps[idx[j]]
+        others = power[taps[13:]]
+        np.testing.assert_allclose(power[taps[:13]], window[j - 1], rtol=1e-12)
+        assert others.sum() == pytest.approx(rest_sum[j - 1], rel=1e-12)
+        if rest_peak[j - 1]:
+            assert others.max() == pytest.approx(rest_peak[j - 1], rel=1e-12)
+        else:
+            assert others.max() < x0 * rest_sum[j - 1]
+        assert signatures_detected(power[None], channel[1][idx[j:j + 1], 1], det)[0] == hits[j]
 
 
 @pytest.mark.parametrize("roots", [(1,), (1, 2, 5)])
 def test_round_off_rule_zeroes_all_but_the_own_tap(roots):
     # Shipped preset: one nonzero tap per signature, the rest round-off
-    # (about 6e-14 against a peak of 11.79) set to 0.
+    # (about 6e-14 against a peak of 11.79) set to 0. It is the first tap of
+    # its window.
     det = DetectorConfig(roots=roots)
     spectrum = JammerConfig(kind="S1", snr_db=-6.0)
-    _, _, _, means = _bins(
+    _, sig_array, _, means = _bins(
         PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det
     )
     assert (means.profile == 0).sum(axis=-1).tolist() == [138] * len(means.profile)
     np.testing.assert_array_equal(means.magnitude, np.abs(means.profile))
-    assert means.taps.shape == (len(means.profile), 1)
+    # Each row's taps: its window's (the nonzero one first), then the rest in order.
+    assert np.all(np.sort(means.taps, axis=-1) == np.arange(139))
+    np.testing.assert_array_equal(means.taps[:, :13], _window_indices(139, 13)[sig_array[:, 1]])
+    assert np.all(np.diff(means.taps[:, 13:]) > 0)
+    assert means.reduced[0] == 1
+    assert np.all(means.profile[np.arange(len(sig_array)), means.taps[:, 0]] != 0)
     for name in ("s1_literal", "delay_and_gains"):
         means = means_channel(name)[3]
         assert not np.any(means.profile == 0), name
-        assert means.taps is None
+        assert means.taps is None and means.reduced is None
 
 
-class Drawn:
-    """A generator stand-in whose ``random(shape)`` returns ``values``."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def random(self, shape):
-        assert np.broadcast_shapes(shape) == self.values.shape
-        return self.values.copy()
-
-
-def test_gathered_taps_only_save_work():
-    # The polar draw computes the mean's term on the gathered taps only.
-    # Gathering every tap, from the same exponentials and the same phase
-    # fractions at the gathered taps, gives the same floats, where the mean
-    # is zero too; and a rebuilt row whose other fractions come from
-    # the same generator is the same row.
-    _, _, chan, means = means_channel("S1")
-    n, length = 300, means.profile.shape[-1]
-    every = means._replace(taps=np.tile(np.arange(length), (len(means.profile), 1)))
-    rng = np.random.default_rng(91)
-    idx = rng.integers(len(means.profile), size=n)
-    exps, fractions = rng.random((n, length)), rng.random((n, length))
-    gathered = fractions[np.arange(n)[:, None], means.taps[idx]]
-    few, few_of = _polar_powers(chan.std, means, Drawn(np.hstack([exps, gathered])), idx)
-    all_taps, every_of = _polar_powers(chan.std, every, Drawn(np.hstack([exps, fractions])), idx)
-    np.testing.assert_array_equal(few, all_taps)
-    for j in range(0, n, 7):
-        np.testing.assert_array_equal(
-            few_of(j, Drawn(fractions[j])), every_of(j, Drawn(fractions[j]))
-        )
-
-
-def test_first_transmission_is_a_complex_row(monkeypatch):
-    # The first transmission reads 2 * L standard normals, as chan.draw;
-    # each next one reads L + 1 uniforms on this preset: L for its
-    # exponentials, then the phase fraction of its one nonzero tap.
+def test_first_transmission_is_a_complex_row():
+    # The first send reads 2 * L standard normals, as chan.draw; the other
+    # K - 1 read s + 1 + w uniforms each, as the columns of one block (s = 13
+    # window taps and w = 1 phase fraction on this preset), then K - 1
+    # Gamma variates S_O. A
+    # rebuilt send keeps its window's taps as they were drawn, bit for bit,
+    # and its other taps' powers sum to S_O.
     channel = means_channel("S1")
-    _, sig_array, chan, means = channel
-    length = means.profile.shape[-1]
-    assert means.taps.shape == (len(sig_array), 1)
-    idx = np.random.default_rng(93).integers(len(sig_array), size=5)
-    judged, profile_of = judged_with_powers(monkeypatch, channel, MEANS_DET,
-                                            np.random.default_rng(94), idx)
-    rng = np.random.default_rng(94)
-    first = chan.draw(rng, means.profile[idx[:1]], 1)
-    np.testing.assert_array_equal(profile_of(0, None), first[0])
-    u = rng.random((4, length + 1))
-    power = -2 * chan.std**2 * np.log(1.0 - u[:, :length])
-    at = (np.arange(4), means.taps[idx[1:], 0])
-    mean, tap = means.magnitude[idx[1:]][at], power[at]
-    power[at] = tap + mean * (mean + 2 * np.sqrt(tap) * np.cos(2 * np.pi * u[:, length]))
-    np.testing.assert_array_equal(judged[1:], power)
+    signatures, _, chan, means = channel
+    (w, _, _), s, length = means.reduced, MEANS_DET.shift_step, PRACH.preamble_length
+    assert (w, s) == (1, 13)
+    idx = np.random.default_rng(93).integers(len(signatures), size=5)
+    rng, replay = np.random.default_rng(94), np.random.default_rng(94)
+    profile_of = judge_sends(channel, MEANS_DET, rng, idx, every=True)[2]
+    first = chan.draw(replay, means.profile[idx[:1]], 1)[0]
+    u = replay.random((s + 1 + w, 4))
+    rest = replay.gamma(length - s, 2 * chan.std**2, 4)
+    assert rng.random() == replay.random()
+    np.testing.assert_array_equal(profile_of(0, None), first)
+    for j in range(1, 5):
+        i, taps, row = idx[j], means.taps[idx[j], :s], profile_of(j, phases(j))
+        turn = phases(j).random(length)
+        turn[taps[:w]] = u[s + 1:, j - 1]
+        noise = np.log(1.0 - u[:s, j - 1]) * -(2 * chan.std**2)
+        window = means.profile[i, taps] + np.sqrt(noise) * np.exp(
+            1j * (means.phase[i, taps] + 2 * np.pi * turn[taps]))
+        np.testing.assert_array_equal(row[taps], window)
+        others = np.abs(np.delete(row, taps)) ** 2
+        assert others.sum() == pytest.approx(rest[j - 1], rel=1e-12)
 
 
 def other_root_alarms(profiles, roots, det):
@@ -411,19 +465,18 @@ def other_root_alarms(profiles, roots, det):
 
 
 def test_other_roots_see_rebuilt_rows_like_complex_rows():
-    # A rebuilt polar row reads its zero-mean taps' phases after every
-    # block's powers, as the campaign does. Against another root the UE's taps spread
-    # over the whole profile, so there those phases count: at a threshold
-    # lowered to 8, where other-root false alarms run at about 10 %, their
-    # rate on 20,000 rebuilt rows and on 20,000 complex rows agree by a
-    # two-sided two-proportion z-test at 99 %.
+    # A rebuilt row reads the rest of its profile after every send's draws,
+    # as the campaign does. Against another root the UE's taps spread over
+    # the whole profile, so there those taps count: at a threshold lowered
+    # to 8, where other-root false alarms run at about 10 %, their rate on
+    # 20,000 rebuilt rows and on 20,000 complex rows agree by a two-sided
+    # two-proportion z-test at 99 %.
     n = 20_000
     det = replace(MEANS_DET, threshold_factor=8.0)
-    signatures, sig_array, chan, means = means_channel("S1")
+    channel = means_channel("S1", det)
+    signatures, sig_array, chan, means = channel
     rng = np.random.default_rng(61)
-    idx = rng.integers(len(signatures), size=n)
-    _, profile_of = _polar_powers(chan.std, means, rng, idx)
-    rebuilt = np.array([profile_of(j, rng) for j in range(n)])
+    idx, rebuilt = rebuilt_sends(channel, det, rng, n)
     reference_idx = rng.integers(len(signatures), size=n)
     reference = chan.draw(rng, means.profile[reference_idx], n)
     alarms = other_root_alarms(rebuilt, sig_array[idx, 0], det)

@@ -343,18 +343,19 @@ class TestIntervals:
     def test_judges_the_first_send_then_the_rest_at_once(self, monkeypatch, logged, duration):
         # The detector alone judges the first send, and the kernel the other
         # K - 1 in one call, empty where K = 1: a record run whose first send
-        # is heard makes no kernel call.
+        # is heard makes no kernel call. S1's means are sparse, so the kernel
+        # judges each send on its own window (window_detected).
         cfg = make_config(n_intervals=18, interval_duration=duration,
                           spectrum=JammerConfig(kind="S1", snr_db=-14.0), detection_log=logged)
         sends = prachjam.campaign._ue_sends(cfg)[3]
         assert len(sends) == (19 if duration == 2.0 else 1)
-        judge, rows = prachjam.campaign.signatures_detected, []
+        judge, rows = prachjam.campaign.window_detected, []
 
-        def counting(power, windows, det_cfg):
-            rows[-1].append(len(power))
-            return judge(power, windows, det_cfg)
+        def counting(window, *args):
+            rows[-1].append(len(window))
+            return judge(window, *args)
 
-        monkeypatch.setattr(prachjam.campaign, "signatures_detected", counting)
+        monkeypatch.setattr(prachjam.campaign, "window_detected", counting)
         heard_at_once = []
         for i in range(cfg.n_intervals):
             rows.append([])
@@ -472,7 +473,7 @@ class TestIntervals:
         cfg = make_config(spectrum=JammerConfig(kind="S1", snr_db=-30.0))
         ue_on, _, _, sends = prachjam.campaign._ue_sends(cfg)
         detect, judge, judged = (prachjam.campaign.detect_preambles,
-                                 prachjam.campaign.signatures_detected, [])
+                                 prachjam.campaign.window_detected, [])
 
         def eager(bins, det_cfg, occasion=None):
             result = detect(bins, det_cfg, occasion=occasion)
@@ -480,12 +481,12 @@ class TestIntervals:
                 return result
             return replace(result, detected=[Detection(1, w, 99.0) for w in range(10)])
 
-        def counting(power, windows, det_cfg):
-            judged.append(len(power))
-            return judge(power, windows, det_cfg)
+        def counting(window, *args):
+            judged.append(len(window))
+            return judge(window, *args)
 
         monkeypatch.setattr(prachjam.campaign, "detect_preambles", eager)
-        monkeypatch.setattr(prachjam.campaign, "signatures_detected", counting)
+        monkeypatch.setattr(prachjam.campaign, "window_detected", counting)
         record, _ = run_interval(cfg, 0)
         assert (record.preambles_sent, record.preambles_detected) == (1, 1)
         assert record.time_to_success == (sends[0][0] - ue_on) / 1000.0

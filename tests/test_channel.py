@@ -77,3 +77,14 @@ def test_negative_parameters_rejected():
 def test_no_frame_rejected():
     with pytest.raises(ConfigError, match="needs a UE or a jammer frame"):
         superpose(None, None, ChannelConfig(noise_sigma=0.0), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("stacked", ["ue", "jam"])
+def test_stacked_frame_rejected(stacked):
+    # A frame of stacked occasions (as demap_prach takes) is refused by shape.
+    ue, jam = make_frames()
+    frames = {"ue": ue, "jam": jam}
+    frames[stacked] = IqFrame(np.stack([frames[stacked].samples] * 3), ue.sample_rate)
+    with pytest.raises(ConfigError, match=r"^superpose takes one frame each, got shape \(3, 1042\)$"):
+        superpose(frames["ue"], frames["jam"], ChannelConfig(noise_sigma=0.0),
+                  np.random.default_rng(0))

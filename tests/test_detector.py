@@ -12,6 +12,8 @@ from prachjam.detector import (
     DelayProfile,
     DetectorConfig,
     _decide,
+    _fisher_quantile,
+    _fisher_tail,
     _noise_statistics,
     _window_indices,
     calibrate_threshold,
@@ -296,6 +298,42 @@ def fisher_far(gamma, length=139, covered=130):
         for k in range(1, math.floor(1 / x) + 1)
     )
     return total * covered / length
+
+
+def exact_fisher_tail(x, n):
+    """Fisher's P(g > x) for ``n`` exponentials as an exact rational."""
+    x = Fraction(x)
+    return sum((-1) ** (k - 1) * math.comb(n, k) * (1 - k * x) ** (n - 1)
+               for k in range(1, math.floor(1 / x) + 1))
+
+
+# The campaign's reduced draw sums Fisher's tail over the n = 126 taps
+# outside a 13-tap window, from x0 = f / (f + 138) up: the float64 sum's
+# relative error against the exact one at x0 and above, as its docstring
+# states it for each factor f.
+FISHER_BOUNDS = {1.5: 2e-5, 2.0: 1e-8, 3.0: 1.3e-12, 4.0: 2e-14, 6.0: 2e-14, 8.0: 2e-14,
+                 12.35: 2e-14, 30.0: 2e-14}
+
+
+@pytest.mark.parametrize("factor", sorted(FISHER_BOUNDS))
+def test_fisher_tail_float_sum_meets_its_bound(factor):
+    n, x0 = 126, factor / (factor + 138)
+    x = np.array([x0, 1.5 * x0, 0.3, 0.6])
+    got = _fisher_tail(n, x0)(x)[0]
+    want = np.array([float(exact_fisher_tail(v, n)) for v in x])
+    assert np.all(np.abs(got / want - 1) <= FISHER_BOUNDS[factor])
+
+
+@pytest.mark.parametrize("factor", sorted(FISHER_BOUNDS))
+def test_fisher_quantile_inverts_the_tail(factor):
+    # From 1e-16 to the tail at x0: the quantile lies at or above x0 and the
+    # tail there gives the probability back.
+    n, x0 = 126, factor / (factor + 138)
+    tail = _fisher_tail(n, x0)
+    v = np.geomspace(1e-16, tail(x0)[0], 400)
+    g = _fisher_quantile(np.log(v), n, x0)
+    assert np.all(g >= x0)
+    np.testing.assert_allclose(tail(g)[0], v, rtol=2e-12)
 
 
 class TestOneRootDraw:

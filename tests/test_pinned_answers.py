@@ -35,12 +35,12 @@ QUICK = ROOT / "configs" / "quick.json"
 
 # (preambles_sent, preambles_detected, time_to_success) per interval of
 # quick.json (10 x 2 s, S1 at -16 dB) with the spectrum varied, under
-# seeding rule v8 (as under v6: v7 and v8 moved only the logs' draws). S1 and
+# seeding rule v9 (v8 heard intervals 6 and 8 at sends 17 and 13). S1 and
 # S2 give equally distributed bins and draw them from the same stream, so
 # their records are the same.
 _JAMMED = (19, 0, None)
 _JAMMED_RECORDS = (
-    [_JAMMED] * 6 + [(17, 1, 1.7195), _JAMMED, (13, 1, 1.3195), _JAMMED]
+    [_JAMMED] * 7 + [(6, 1, 0.6195), (4, 1, 0.4195), _JAMMED]
 )
 PINNED_RECORDS = {
     "S1": _JAMMED_RECORDS,
@@ -80,48 +80,50 @@ def test_calibrated_factor(roots, factor):
 PINNED_SUMMARY = (
     '{"base_seed": 20240601, "campaign": {"interval_duration": 2.0, '
     '"invalid_probability": 0.0, "jammer_lag": 0.5, "jammer_lead": 0.5, '
-    '"ue_startup_delay": 0.1}, "cell": '
-    '{"cell_bandwidth": 40000000.0, "cp_samples": 18, "dft_size": 256, "n_prb": '
-    '12, "numerology": 1, "sample_rate": 7680000.0}, "channel": {'
-    '"noise_sigma": 0.7071067811865476, "ue_delay_samples": 0}, '
-    '"detector": {"roots": [1], "shift_step": 13, "threshold_factor": 12.35}, '
-    '"jammer_budget": '
-    '{"active_span_per_period_ms": 0.42857142857142855, "bandwidth_hz": 4170000.0, '
-    '"duty_period_ms": 20.0}, "metrics": {"e_p_j": 0.01098901098901099, '
-    '"e_p_j_exact": "1/91", "e_p_j_ppm": 10989.010989010989, "e_s": 0.2, '
-    '"e_s_exact": "1/5", "mean_preambles_per_interval": 18.2, '
-    '"mean_preambles_per_interval_exact": "91/5", '
-    '"n_e": 0, "n_p_j": 180, '
-    '"n_ra_s": 2, "n_ra_u": 8}, "n_intervals": 10, "occupancy": {"bandwidth": '
-    '0.10425, "period": 0.5, "ratio": 0.002233928571428571, "temporal": '
-    '0.04285714285714286}, "prach": {"duration_symbols": 4, "freq_occasions": 1, '
-    '"freq_offset": 0, "occasions_per_slot": 3, "prach_prbs": 12, '
-    '"prach_subframes_per_frame": 1, "preamble_format": "A2", "preamble_length": '
-    '139, "sfn_modulus": 2, "sfn_remainder": 1, "slot_in_subframe": 1, '
-    '"slots_per_subframe_with_prach": 1, "start_symbol": 0, "subframe_number": 9}, '
-    '"schema_version": 1, "seeding": "v8: interval_seed(i) = uint64(little-endian) '
-    "of blake2b(digest_size=8, data=pack('<QQ', base_seed, i)); interval stream = "
-    'numpy.random.default_rng(interval_seed(i)), drawing the validity flag '
-    '(random()), then the signatures of all K scheduled preambles '
-    '(integers(n_signatures, size=K)), then per preamble in transmit order the '
-    'noise of its delay profile ifft(bins * conj(fft(zc(root)))) against its own '
-    'root, whose L taps are mu[n] plus white noise with the variance of the bins, '
-    "mu the UE's mean profile with its taps below 1e-12 of its peak set to 0: for "
-    "the first preamble, and for every preamble if one of the UE's mean profiles "
-    'has nonzero taps on L/2 of its taps or more, 2*L standard normals, the '
-    'interleaved (re, im) parts of the noise; for each other one L + w uniforms u '
-    '(random()), L for E = -log(1 - u), then w phase fractions F for its nonzero '
-    'taps of mu in tap order, padded with its first zero taps to w, the most of '
-    'any mean profile, tap n being mu[n] + sqrt(2 * std**2 * E[n]) * exp(1j * '
-    '(angle(mu[n]) + 2 * pi * F[n])), std the deviation per part of the jammer and '
-    'noise; the kernel judges the tap powers, and a stepped preamble is judged on '
-    'its complex profile (other roots on its bins fft(profile) / conj(fft(zc(root)))'
-    '); a logged run draws all K preambles, then reads on in occasion order: '
-    'random(L) for F at the other taps of each stepped polar preamble, and 2*L '
-    'standard normals for each occasion without a preamble; a record depends on '
-    'no draw after the first preamble detected", '
-    '"spectrum": {"enabled": true, '
-    '"kind": "S1", "snr_db": -16.0}}'
+    '"ue_startup_delay": 0.1}, "cell": {"cell_bandwidth": 40000000.0, '
+    '"cp_samples": 18, "dft_size": 256, "n_prb": 12, "numerology": 1, '
+    '"sample_rate": 7680000.0}, "channel": {"noise_sigma": 0.7071067811865476, '
+    '"ue_delay_samples": 0}, "detector": {"roots": [1], "shift_step": 13, '
+    '"threshold_factor": 12.35}, "jammer_budget": {"active_span_per_period_ms": '
+    '0.42857142857142855, "bandwidth_hz": 4170000.0, "duty_period_ms": 20.0}, '
+    '"metrics": {"e_p_j": 0.012345679012345678, "e_p_j_exact": "1/81", '
+    '"e_p_j_ppm": 12345.67901234568, "e_s": 0.2, "e_s_exact": "1/5", '
+    '"mean_preambles_per_interval": 16.2, "mean_preambles_per_interval_exact": '
+    '"81/5", "n_e": 0, "n_p_j": 160, "n_ra_s": 2, "n_ra_u": 8}, "n_intervals": '
+    '10, "occupancy": {"bandwidth": 0.10425, "period": 0.5, "ratio": '
+    '0.002233928571428571, "temporal": 0.04285714285714286}, "prach": '
+    '{"duration_symbols": 4, "freq_occasions": 1, "freq_offset": 0, '
+    '"occasions_per_slot": 3, "prach_prbs": 12, "prach_subframes_per_frame": 1, '
+    '"preamble_format": "A2", "preamble_length": 139, "sfn_modulus": 2, '
+    '"sfn_remainder": 1, "slot_in_subframe": 1, "slots_per_subframe_with_prach": '
+    '1, "start_symbol": 0, "subframe_number": 9}, "schema_version": 1, '
+    '"seeding": "v9: interval_seed(i) = uint64(little-endian) of '
+    "blake2b(digest_size=8, data=pack('<QQ', base_seed, i)); interval stream = "
+    "numpy.random.default_rng(interval_seed(i)), drawing the validity flag "
+    "(random()), the signatures of all K scheduled preambles "
+    "(integers(n_signatures, size=K)), then the noise of each preamble's delay "
+    "profile ifft(bins * conj(fft(zc(root)))) against its own root: L taps mu[n] "
+    "plus white noise of variance theta = 2 * std**2 (std that of the bins' "
+    "parts), mu its mean with taps below 1e-12 of its peak set to 0; 2*L "
+    "standard normals (interleaved re, im) for the first and, unless each mu's "
+    "nonzero taps lie in its own window T of s < L/2 taps and Q(x0) is in (0, "
+    "1), for each other in turn; else random((s + 1 + w, K - 1)), column j for "
+    "preamble j + 1: E = -log(1 - u) at T (nonzero mu first, each part in tap "
+    "order), v = 1 - u, and phase fractions F at T's first w taps (w the most "
+    "nonzero taps of a mu), tap n being mu[n] + sqrt(theta * E[n]) * exp(1j * "
+    "(angle(mu[n]) + 2 * pi * F[n])), then the power sums S_O of the n = L - s "
+    "other taps, gamma(n, theta, size=K - 1); it is detected if T's peak exceeds "
+    "f * max((S_T + S_O - P) / (L - 1), 1e-12 * P), S_T T's power sum, P the "
+    "larger of T's peak and, if v <= Q(x0), g * S_O with Q(g) = v, Q(x) = "
+    "sum((-1)**(k-1) * C(n, k) * (1 - k * x)**(n - 1), 1 <= k <= 1/x), x0 = f / "
+    "(f + L - 1); then in occasion order each such preamble the detector judges "
+    "after the first reads random(L) for F at its other taps, integers(n) if v "
+    "<= Q(x0) for the place of g * S_O among its other taps in tap order, then "
+    "-log(1 - random(n)) (random(n - 1) if v <= Q(x0)) until their largest is "
+    "below x0 (g / (1 - g)) times their sum, scaled to sum S_O (S_O - g * S_O); "
+    "a logged run reads 2*L standard normals for each occasion without a "
+    "preamble; a record depends on no draw of a preamble after the first "
+    'detected", "spectrum": {"enabled": true, "kind": "S1", "snr_db": -16.0}}'
 )
 
 
@@ -137,12 +139,12 @@ def test_quick_summary_payload():
 # occasion's detections and noise floor and each UE transition.
 PINNED_LOGS = {
     "S1": (
-        "186da7fe436cf408be05ad6da1f03b0a9fd3201e1e3899c9bdc90656f6fe1a69",
+        "c9f0b3512d05e03fe8ec58ef83121068a30b64a054c00bb13baf71b16f43f964",
         "422078caa76be74cd6de01394d7e369d70597eec2ef464e10e2b3da93c361905",
     ),
     "roots_1_2_5": (
-        "b41d32756bc593b31b57f3431efe03a3b9e305cd1f5ffb1e47de2c4f62135320",
-        "a187ac6931afcddf65acef55f1655ee0e29d66082fdea979540dfeec2638982a",
+        "88adc27da1848b47a65aaaf0a285b86ae69f5c90cc25d6e30218388c413502c7",
+        "30120a62354ec23106bae155252aa30dfb8b21f362c7e32523fa771eebc3248d",
     ),
 }
 
@@ -172,8 +174,9 @@ def test_quick_logs(name, tmp_path):
 def test_quick_log_replays_from_the_interval_stream(tmp_path):
     # Interval 0 of the logged quick.json, rebuilt by hand from its one
     # stream: the validity flag, the signatures, the first send's complex
-    # row, L + w uniforms for each other send, then the idle occasions
-    # before the UE's first send, drawn in one call, give its first log lines.
+    # row, s + 1 + w uniforms for each other send and their K - 1 Gamma
+    # variates, then the idle occasions before the UE's first send, drawn in
+    # one call, give its first log lines.
     logged_quick_run("S1", tmp_path)
     lines = (tmp_path / "detections.jsonl").read_text().splitlines()
     cfg = load_campaign_config(json.loads(QUICK.read_text()))
@@ -185,7 +188,9 @@ def test_quick_log_replays_from_the_interval_stream(tmp_path):
     rng.random()
     sig_idx = rng.integers(len(signatures), size=len(sends))
     chan.draw(rng, means.profile[sig_idx[:1]], 1)
-    rng.random((len(sends) - 1, cfg.prach.preamble_length + means.taps.shape[-1]))
+    step, (w, _, _) = cfg.detector.shift_step, means.reduced
+    rng.random((step + 1 + w, len(sends) - 1))
+    rng.gamma(cfg.prach.preamble_length - step, 2 * chan.std**2, len(sends) - 1)
     idle = [occ for _, occ in occasions_between(cfg.prach, cfg.cell, 0.0, sends[0][0])]
     rows = rng.standard_normal((len(idle), cfg.prach.preamble_length, 2))
     rows = rows.view(complex)[..., 0] * chan.std + chan.idle_mean

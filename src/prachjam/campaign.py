@@ -343,7 +343,7 @@ def _bins(prach, cell, spectrum, channel, det):
     magnitude = np.abs(profiles)
     round_off = magnitude < _ROUND_OFF * magnitude.max(axis=-1, keepdims=True)
     profiles[round_off] = magnitude[round_off] = 0.0
-    # Ranks: 0 for a nonzero tap, 1 for another of its window's, 2 for the rest.
+    # Ranks: 0 for a nonzero tap, 1 for the other taps of its window, 2 for the rest.
     rank, nonzero = np.full(profiles.shape, 2), profiles != 0
     rank[np.arange(len(rank))[:, None], _window_indices(length, step)[sig_array[:, 1]]] = 1
     n, x0 = length - step, det.threshold_factor / (det.threshold_factor + length - 1)
@@ -381,8 +381,8 @@ def judge_sends(bins, det_cfg, rng, sig_idx, every, occasion=None):
             later_hits, later_of = _noise_like(chan.std, means, det_cfg, rng, later)
         else:
             rows = chan.draw(rng, means.profile[later], len(later))
-            later_hits = signatures_detected(np.abs(rows) ** 2, sig_array[later, 1], det_cfg)
-            later_of = lambda j, rng: rows[j]  # noqa: E731
+            power, later_of = np.abs(rows) ** 2, lambda j, rng: rows[j]
+            later_hits = signatures_detected(power, sig_array[later, 1], det_cfg)
         hits += later_hits.tolist()
     return hits, first, lambda n, rng: later_of(n - 1, rng) if n else row
 
@@ -415,15 +415,15 @@ def _noise_like(std, means, det_cfg, rng, idx):
     def profile_of(j, rng):
         i, order, turn = idx[j], means.taps[idx[j]], rng.random(length)
         turn[order[:w]] = turns[:, j]
-        tail, top = bool(g[j]), g[j] * rest[j]
-        spot, share = (rng.integers(n), g[j] / (1 - g[j])) if tail else (0, x0)
+        in_tail, top = bool(g[j]), g[j] * rest[j]
+        spot, share = (rng.integers(n), g[j] / (1 - g[j])) if in_tail else (0, x0)
         while True:
-            e = -np.log(1.0 - rng.random(n - tail))
+            e = -np.log(1.0 - rng.random(n - in_tail))
             if e.max() < share * e.sum():
                 break
         e *= (rest[j] - top) / e.sum()
         noise = np.empty(length)
-        noise[order] = np.concatenate((power[:, j], np.insert(e, spot, top) if tail else e))
+        noise[order] = np.concatenate((power[:, j], np.insert(e, spot, top) if in_tail else e))
         noise[order[:w]] = tap[:, j]
         return means.profile[i] + np.sqrt(noise) * np.exp(1j * (means.phase[i] + 2 * np.pi * turn))
 

@@ -336,8 +336,10 @@ def rebuilt_sends(channel, det, rng, n):
 def test_rebuilt_taps_follow_the_complex_draw():
     # 4,000 rebuilt sends at factor 6, where about half take the tail
     # branch: their zero-mean taps' powers over theta are standard
-    # exponential (a KS test at 99 % over all of them), and their mean taps'
-    # powers follow those of complex rows (a two-sample KS test at 99 %).
+    # exponential (a KS test at 99 % over all of them), the largest of the
+    # 126 taps outside their window lies anywhere among them (a chi-square
+    # test at 99 %), and their mean taps' powers follow those of complex rows
+    # (a two-sample KS test at 99 %).
     stats = pytest.importorskip("scipy.stats")
     det = DetectorConfig(threshold_factor=6.0)
     spectrum, chan_cfg = GATE["factor_6"][0], ChannelConfig(noise_sigma=SIGMA_0DB)
@@ -349,6 +351,9 @@ def test_rebuilt_taps_follow_the_complex_draw():
     zero = means.profile[idx] == 0
     assert zero.sum(axis=-1).tolist() == [PRACH.preamble_length - 1] * len(idx)
     assert stats.kstest(power[zero], "expon").pvalue > 0.01
+    others = power[np.arange(len(idx))[:, None], means.taps[idx, 13:]]
+    place = np.bincount(others.argmax(axis=-1), minlength=126)
+    assert stats.chisquare(place).pvalue > 0.01
     reference_idx = rng.integers(len(signatures), size=4000)
     reference = chan.draw(rng, means.profile[reference_idx], 4000)
     mean_tap = np.abs(reference[np.arange(4000), means.taps[reference_idx, 0]]) ** 2

@@ -107,22 +107,22 @@ SEEDING_RULE = (
     "its own root: L taps mu[n] plus white noise of variance theta = 2 * std**2 (std that "
     "of the bins' parts), mu its mean with taps below 1e-12 of its peak set to 0; 2*L "
     "standard normals (interleaved re, im) for the first and, unless each mu's nonzero "
-    "taps lie in its own window T of s < L/2 taps and Q(x0) is in (0, 1), for each other "
-    "in turn; else random((s + 1 + w, K - 1)), column j for preamble j + 1: E = -log(1 - "
-    "u) at T (nonzero mu first, each part in tap order), v = 1 - u, and phase fractions F "
-    "at T's first w taps (w the most nonzero taps of a mu), tap n being mu[n] + "
-    "sqrt(theta * E[n]) * exp(1j * (angle(mu[n]) + 2 * pi * F[n])), then the power sums "
-    "S_O of the n = L - s other taps, gamma(n, theta, size=K - 1); it is detected if T's "
-    "peak exceeds f * max((S_T + S_O - P) / (L - 1), 1e-12 * P), S_T T's power sum, P the "
-    "larger of T's peak and, if v <= Q(x0), g * S_O with Q(g) = v, Q(x) = sum((-1)**(k-1) "
-    "* C(n, k) * (1 - k * x)**(n - 1), 1 <= k <= 1/x), x0 = f / (f + L - 1); then in "
-    "occasion order each such preamble the detector judges after the first reads "
-    "random(L) for F at its other taps, integers(n) if v <= Q(x0) for the place of g * "
-    "S_O among its other taps in tap order, then -log(1 - random(n)) (random(n - 1) if v "
-    "<= Q(x0)) until their largest is below x0 (g / (1 - g)) times their sum, scaled to "
-    "sum S_O (S_O - g * S_O); a logged run reads 2*L standard normals for each occasion "
-    "without a preamble; a record depends on no draw of a preamble after the first "
-    "detected"
+    "taps lie in its own window T of s < L/2 taps and 1 - Q(x0) >= 1e-3 with a float64 "
+    "rounding bound under 1e-6 of it, for each other in turn; else random((s + 1 + w, K - "
+    "1)), column j for preamble j + 1: E = -log(1 - u) at T (nonzero mu first, each part "
+    "in tap order), v = 1 - u, and phase fractions F at T's first w taps (w the most "
+    "nonzero taps of a mu), tap n being mu[n] + sqrt(theta * E[n]) * exp(1j * "
+    "(angle(mu[n]) + 2 * pi * F[n])), then the power sums S_O of the n = L - s other "
+    "taps, gamma(n, theta, size=K - 1); it is detected if T's peak exceeds f * max((S_T + "
+    "S_O - P) / (L - 1), 1e-12 * P), S_T T's power sum, P the larger of T's peak and, if "
+    "v <= Q(x0), g * S_O with Q(g) = v, Q(x) = sum((-1)**(k-1) * C(n, k) * (1 - k * "
+    "x)**(n - 1), 1 <= k <= 1/x), x0 = f / (f + L - 1); then in occasion order each such "
+    "preamble the detector judges after the first reads random(L) for F at its other "
+    "taps, integers(n) if v <= Q(x0) for the place of g * S_O among its other taps in tap "
+    "order, then -log(1 - random(n)) (random(n - 1) if v <= Q(x0)) until their largest is "
+    "below x0 (g / (1 - g)) times their sum, scaled to sum S_O (S_O - g * S_O); a logged "
+    "run reads 2*L standard normals for each occasion without a preamble; a record "
+    "depends on no draw of a preamble after the first detected"
 )
 
 
@@ -347,12 +347,13 @@ def _bins(prach, cell, spectrum, channel, det):
     rank, nonzero = np.full(profiles.shape, 2), profiles != 0
     rank[np.arange(len(rank))[:, None], _window_indices(length, step)[sig_array[:, 1]]] = 1
     n, x0 = length - step, det.threshold_factor / (det.threshold_factor + length - 1)
-    taps = reduced = None  # Fisher's tail is a probability for factors above about 1.3.
+    # Rebuilds with g < x0 take 1 / P(g < x0) tries: keep P >= 1e-3, and known to 1e-6.
+    taps = reduced = None
     if (2 * step < length and np.all(rank[nonzero] == 1)
-            and 0 < (tail := float(_fisher_tail(n, x0)(x0)[0])) < 1):
+            and (q := _fisher_tail(n, x0)(x0))[2] < 1e-6 * (1 - q[0]) and q[0] < 0.999):
         rank[nonzero] = 0
         taps = np.argsort(rank, axis=-1, kind="stable")  # each rank in tap order
-        reduced = (int(nonzero.sum(-1).max()), x0, math.log(tail))
+        reduced = (int(nonzero.sum(-1).max()), x0, math.log(q[0]) if q[0] else -math.inf)
     means = _Means(profiles, magnitude, np.angle(profiles), taps, reduced)
     for shared in (chan.ue_mean, sig_array, *means[:4]):  # every later caller gets these
         if shared is not None:

@@ -204,8 +204,8 @@ def window_detected(window, rest_sum, rest_peak, length: int, cfg: DetectorConfi
 
 
 def _fisher_tail(n: int, x_min: float):
-    """Fisher's ``P(g > x)`` (Proc. R. Soc. A 125, 1929), g the largest share of
-    the sum of ``n`` i.i.d. exponentials, and its derivative for x >= ``x_min``:
+    """Fisher's ``P(g > x)`` (Proc. R. Soc. A 125, 1929), g the largest share of the
+    sum of ``n`` i.i.d. exponentials, its derivative and a rounding bound for x >= ``x_min``:
     ``sum((-1)**(k-1) C(n, k) (1 - k x)**(n-1), 1 <= k <= 1/x)``. At n = 126 and
     ``x = f / (f + 138)``, float64 gives it to 2e-14 (relative) for f >= 4,
     1.3e-12 at 3, 8e-9 at 2 and 1.8e-5 at 1.5; below 1.3, to no digit."""
@@ -215,19 +215,18 @@ def _fisher_tail(n: int, x_min: float):
     def tail(x):
         base = np.maximum(1 - np.multiply.outer(x, k), 0)
         low = base ** (n - 2)
-        return (low * base) @ c, (1 - n) * (low @ (c * k))
+        return (low * base) @ c, (1 - n) * (low @ (c * k)), 2**-52 * ((low * base) @ abs(c))
 
     return tail
 
 
 def _fisher_quantile(log_v: np.ndarray, n: int, x0: float) -> np.ndarray:
-    """The ``g >= x0`` where ``_fisher_tail`` is ``exp(log_v)``: Newton's method
-    on ``log(-log(P))``, near linear in x, from the sum's first term, to a step
-    below 1e-8 of x (quadratic; 8 steps at most for n = 126, f = 1.5 to 30)."""
+    """The ``g >= x0`` where ``_fisher_tail`` is ``exp(log_v)``: Newton's method on the near
+    linear ``log(-log(P))`` from the sum's first term, to a step below 1e-8 of x (<= 8 steps)."""
     tail, target = _fisher_tail(n, x0), np.log(-log_v)
     x = -np.expm1((log_v - math.log(n)) / (n - 1))
     for _ in range(12):
-        p, slope = tail(x)
+        p, slope, _ = tail(x)
         step = (np.log(-np.log(p)) - target) * p * np.log(p) / slope
         x = np.maximum(x - step, x0)
         if np.all(np.abs(step) <= 1e-8 * x):

@@ -20,6 +20,7 @@ import prachjam.campaign
 from prachjam.campaign import _bins, judge_sends
 from prachjam.channel import ChannelConfig, superpose
 from prachjam.detector import (
+    DelayProfile,
     DetectorConfig,
     _decide,
     _window_indices,
@@ -323,6 +324,26 @@ def test_reduced_verdict_equals_the_full_row(factor, snr_db):
     for branch in (g >= x0, g < x0):
         assert 0 < full[branch].mean() < 1
     assert np.array_equal(reduced, full)
+
+
+@pytest.mark.parametrize("factor, reduced", [(1.08, False), (1.1, False), (2.0, False),
+                                             (3.0, False), (4.0, True), (1e6, True)])
+def test_reduced_draw_needs_sends_below_x0(factor, reduced):
+    # Below a factor of about 3.7 fewer than 1e-3 of the sends have g below x0,
+    # and below 1.3 Fisher's float64 sum is no probability: those sparse means
+    # draw complex rows. Either way every judged send is rebuilt and the
+    # detector agrees with its verdict; at 1e6, P(g > x0) underflows to 0.
+    det = DetectorConfig(threshold_factor=factor)
+    spectrum = JammerConfig(kind="S1", snr_db=-20.0)
+    channel = _bins(PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det)
+    assert (channel[3].taps is not None) == reduced
+    idx = np.random.default_rng(5).integers(len(channel[0]), size=60)
+    hits, _, profile_of = judge_sends(channel, det, np.random.default_rng(6), idx, every=True)
+    rng = np.random.default_rng(7)
+    for n in range(1, len(idx)):
+        root, window = channel[0][idx[n]]
+        result = detect_preambles(DelayProfile(root, profile_of(n, rng)), det)
+        assert result.reports((root, window)) == hits[n]
 
 
 def rebuilt_sends(channel, det, rng, n):

@@ -85,6 +85,7 @@ def test_stacked_frame_rejected(stacked):
     ue, jam = make_frames()
     frames = {"ue": ue, "jam": jam}
     frames[stacked] = IqFrame(np.stack([frames[stacked].samples] * 3), ue.sample_rate)
-    with pytest.raises(ConfigError, match=r"^superpose takes one frame each, got shape \(3, 1042\)$"):
+    message = r"^superpose takes one frame each, got shape \(3, 1042\)$"
+    with pytest.raises(ConfigError, match=message):
         superpose(frames["ue"], frames["jam"], ChannelConfig(noise_sigma=0.0),
                   np.random.default_rng(0))

@@ -7,8 +7,7 @@ and disappears before the jammer stops. Occasions are simulated as their
 averaged PRACH bins (``channel.bin_channel``). An unanswered UE sends on
 a fixed schedule (``ue_step`` stepped with no RAR), so the campaign draws
 the signatures of all its K transmissions at once. An interval reads one
-random stream, each transmission its own run of it, in the order that
-``judge_sends`` alone holds. The detector judges the first send, which
+random stream, in the order that ``judge_sends`` alone holds. The detector judges the first send, which
 decides when the UE is heard at once, on its complex delay profile. The
 kernel judges the other K - 1 at once, which a record run needs only when
 the first is missed and a logged run always. It needs no transform and

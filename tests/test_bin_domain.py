@@ -265,7 +265,7 @@ def judged_sends(channel, det, rng, n, chunk=2000):
 # judged later sends hit as often as complex rows (``chan.draw``, judged on
 # all their tap powers) by a two-sided two-proportion z-test at 99.8 %
 # (Bonferroni over five cells). Cells: S1 in the transition band; S2; a
-# jammer-dominated S2 whose hits are own-window false alarms (about 240 ppm);
+# jammer-dominated S2 whose hits are own-window false alarms (about 200 ppm);
 # a factor of 6, where P(g > x0) = 0.48, so about half the sends take the
 # tail branch; and three roots. Columns: spectrum, factor, roots, reduced
 # sends, complex rows.
@@ -451,9 +451,8 @@ def test_first_transmission_is_a_complex_row():
     # The first send reads 2 * L standard normals, as chan.draw; the other
     # K - 1 read s + 1 + w uniforms each, as the columns of one block (s = 13
     # window taps and w = 1 phase fraction on this preset), then K - 1
-    # Gamma variates S_O. A
-    # rebuilt send keeps its window's taps as they were drawn, bit for bit,
-    # and its other taps' powers sum to S_O.
+    # Gamma variates S_O. A rebuilt send keeps its window's taps as they
+    # were drawn, bit for bit, and its other taps' powers sum to S_O.
     channel = means_channel("S1")
     signatures, _, chan, means = channel
     (w, _, _), s, length = means.reduced, MEANS_DET.shift_step, PRACH.preamble_length

@@ -410,9 +410,9 @@ class TestIntervals:
     @pytest.mark.parametrize("snr_db", [-6.0, -18.0])
     def test_each_interval_builds_one_generator(self, monkeypatch, snr_db, logged):
         # The interval stream is the only one: the kernel's blocks, a
-        # rebuilt row's phases and a logged run's idle occasions all read it.
+        # rebuilt row's draws and a logged run's idle occasions all read it.
         # At -6 dB the UE is heard at once; at -18 dB it retries, so a later
-        # (polar) send is stepped.
+        # (reduced) send is rebuilt.
         seeds = []
         default_rng = np.random.default_rng
 

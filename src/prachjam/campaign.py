@@ -42,7 +42,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .channel import ChannelConfig, bin_channel, superpose
+from .channel import BinChannel, ChannelConfig, bin_channel, superpose
 from .detector import (
     DelayProfile, DetectorConfig, _fisher_quantile, _fisher_tail, _window_indices,
     delay_profile, detect_preambles, signatures_detected, window_detected,
@@ -166,18 +166,6 @@ class CampaignConfig:
         if top > self.cell.n_prb:
             raise ConfigError(f"prach.freq_offset + prach.freq_occasions * 12 = {top} PRBs "
                               f"lie outside the carrier's cell.n_prb {self.cell.n_prb}")
-        length, roots = self.prach.preamble_length, self.detector.roots
-        if len(set(roots)) < len(roots) or any(
-            not 1 <= r < length or math.gcd(r, length) != 1 for r in roots
-        ):
-            raise ConfigError(
-                f"detector.roots must be distinct roots in [1, {length}) coprime "
-                f"with the preamble length {length}, got {list(roots)}"
-            )
-        if self.detector.shift_step > length:
-            raise ConfigError(
-                f"detector.shift_step must be at most the preamble length {length}"
-            )
         # The bins hold the UE (the unit), the jammer and the noise. A tap is at
         # most sqrt(L) times its bins' amplitude, twice that with the noise's
         # tail; the detector sums L tap powers and scales their floor by its factor.
@@ -185,6 +173,7 @@ class CampaignConfig:
             f"spectrum.snr_db {self.spectrum.snr_db:g}": self.spectrum.amplitude,
             f"channel.noise_sigma {self.channel.noise_sigma:g}": self.channel.noise_sigma,
         }
+        length = self.prach.preamble_length
         bound, top = 2 * length * (1 + sum(levels.values())), max(levels, key=levels.get)
         if not math.isfinite(bound * bound):
             raise ConfigError(f"{top} overflows the sum of {length} tap powers")
@@ -309,11 +298,15 @@ def _closed_form(index, k, hit, seed, valid, ue_on, sends) -> IntervalRecord:
 _ROUND_OFF = 1e-12
 
 
-class _Means(NamedTuple):
-    """The mean delay profile of each of the UE's preambles against its own
-    root, ``ifft(ue_mean[n] * ref(root_n))``, with its round-off taps
-    (``_ROUND_OFF``) set to zero, in the forms the kernel reads."""
+class _Channel(NamedTuple):
+    """The UE's occasions for ``detector`` (``_bins``): its signatures, their
+    bins' draw and, in the forms the kernel reads, each preamble's mean delay profile
+    ``ifft(ue_mean[n] * ref(root_n))`` against its own root, round-off taps zeroed."""
 
+    signatures: tuple[tuple[int, int], ...]  # (root, window) of preamble n
+    sig_array: np.ndarray  # (n, 2) the same
+    bins: BinChannel
+    detector: DetectorConfig
     profile: np.ndarray  # (n, L) complex
     magnitude: np.ndarray  # (n, L) abs(profile)
     phase: np.ndarray  # (n, L) angle(profile), 0 where the profile is
@@ -325,9 +318,7 @@ class _Means(NamedTuple):
 
 @functools.lru_cache(maxsize=16)
 def _bins(prach, cell, spectrum, channel, det):
-    """The UE's signatures (as a tuple and an array), the bin-domain
-    channel of its occasions and the mean delay profiles of its preambles
-    (``_Means``) for the detector ``det``."""
+    """The ``_Channel`` of the UE's occasions for the detector ``det``."""
     length, step = prach.preamble_length, det.shift_step
     signatures = tuple((r, s) for r in det.roots for s in range(length // step))
     preambles = np.array([
@@ -353,41 +344,40 @@ def _bins(prach, cell, spectrum, channel, det):
         rank[nonzero] = 0
         taps = np.argsort(rank, axis=-1, kind="stable")  # each rank in tap order
         reduced = (int(nonzero.sum(-1).max()), x0, math.log(q[0]) if q[0] else -math.inf)
-    means = _Means(profiles, magnitude, np.angle(profiles), taps, reduced)
-    for shared in (chan.ue_mean, sig_array, *means[:4]):  # every later caller gets these
-        if shared is not None:
+    phase = np.angle(profiles)
+    for shared in (chan.ue_mean, sig_array, profiles, magnitude, phase, taps):
+        if shared is not None:  # every later caller gets these
             shared.setflags(write=False)
-    return signatures, sig_array, chan, means
+    return _Channel(signatures, sig_array, chan, det, profiles, magnitude, phase, taps, reduced)
 
 
-def judge_sends(bins, det_cfg, rng, sig_idx, every, occasion=None):
+def judge_sends(channel, rng, sig_idx, every, occasion=None):
     """Draw and judge an interval's sends of the signatures ``sig_idx`` from
-    ``rng`` on the channel ``bins`` (``_bins`` for ``det_cfg``), in the one order
-    of ``SEEDING_RULE``: ``(hits, first, profile_of)``. The detector judges the
+    ``rng`` on ``channel`` (``_bins``) with its detector, in the one order of
+    ``SEEDING_RULE``: ``(hits, first, profile_of)``. The detector judges the
     first send's complex row at ``occasion``, with result ``first``. When
     ``every`` is set or the first is missed, the kernel judges the other K - 1
-    at once, drawn reduced where ``means.taps`` is set (``_noise_like``).
+    at once, drawn reduced where ``channel.taps`` is set (``_noise_like``).
     ``hits`` says whether each send judged is detected, and ``profile_of(n,
     rng)`` is send ``n``'s complex delay profile, rebuilt from ``rng``.
     """
-    signatures, sig_array, chan, means = bins
-    own = signatures[sig_idx[0]]
-    row = chan.draw(rng, means.profile[sig_idx[:1]], 1)[0]
-    first = detect_preambles(DelayProfile(own[0], row), det_cfg, occasion=occasion)
+    chan, det, own = channel.bins, channel.detector, channel.signatures[sig_idx[0]]
+    row = chan.draw(rng, channel.profile[sig_idx[:1]], 1)[0]
+    first = detect_preambles(DelayProfile(own[0], row), det, occasion=occasion)
     hits, later_of = [first.reports(own)], None
     if every or not hits[0]:
         later = sig_idx[1:]
-        if means.taps is not None:
-            later_hits, later_of = _noise_like(chan.std, means, det_cfg, rng, later)
+        if channel.taps is not None:
+            later_hits, later_of = _noise_like(channel, rng, later)
         else:
-            rows = chan.draw(rng, means.profile[later], len(later))
+            rows = chan.draw(rng, channel.profile[later], len(later))
             power, later_of = np.abs(rows) ** 2, lambda j, rng: rows[j]
-            later_hits = signatures_detected(power, sig_array[later, 1], det_cfg)
+            later_hits = signatures_detected(power, channel.sig_array[later, 1], det)
         hits += later_hits.tolist()
     return hits, first, lambda n, rng: later_of(n - 1, rng) if n else row
 
 
-def _noise_like(std, means, det_cfg, rng, idx):
+def _noise_like(channel, rng, idx):
     """The verdicts of sends of the signatures ``idx``, and ``profile_of(j, rng)``
     rebuilding send ``j``'s profile. A send draws its window T's taps in polar
     form: power ``P = theta * E``, ``theta = 2 * std**2``, at a uniform phase
@@ -396,8 +386,9 @@ def _noise_like(std, means, det_cfg, rng, idx):
     theta), independent of their largest share, Fisher's g (Devroye 1986). A g
     below x0 cannot decide: T's peak is larger, or below ``x0 * S_O = f * (1 -
     x0) * S_O / (L - 1)``, a miss. So g is drawn, by inversion, only in its tail."""
-    (w, x0, log_q0), m, (_, length) = means.reduced, len(idx), means.taps.shape
-    n, s, theta = length - det_cfg.shift_step, det_cfg.shift_step, 2 * std**2
+    (w, x0, log_q0), m, (_, length) = channel.reduced, len(idx), channel.taps.shape
+    s = channel.detector.shift_step
+    n, theta = length - s, 2 * channel.bins.std**2
     # One row per quantity: reductions over a send's taps run along columns.
     draws = rng.random((s + 1 + w, m))
     turns = draws[s + 1 :].copy()
@@ -405,15 +396,15 @@ def _noise_like(std, means, det_cfg, rng, idx):
     power, log_v = draws[:s], draws[s]
     power *= -theta
     rest = rng.gamma(n, theta, m)
-    mean, tap = means.magnitude[idx, means.taps[idx, :w].T], power[:w].copy()
+    mean, tap = channel.magnitude[idx, channel.taps[idx, :w].T], power[:w].copy()
     power[:w] = tap + mean * (mean + 2 * np.sqrt(tap) * np.cos(2 * np.pi * turns))
     g, tail = np.zeros(m), log_v <= log_q0
     if tail.any():
         g[tail] = _fisher_quantile(log_v[tail], n, x0)
-    hits = window_detected(power.T, rest, g * rest, length, det_cfg)
+    hits = window_detected(power.T, rest, g * rest, length, channel.detector)
 
     def profile_of(j, rng):
-        i, order, turn = idx[j], means.taps[idx[j]], rng.random(length)
+        i, order, turn = idx[j], channel.taps[idx[j]], rng.random(length)
         turn[order[:w]] = turns[:, j]
         in_tail, top = bool(g[j]), g[j] * rest[j]
         spot, share = (rng.integers(n), g[j] / (1 - g[j])) if in_tail else (0, x0)
@@ -425,7 +416,8 @@ def _noise_like(std, means, det_cfg, rng, idx):
         noise = np.empty(length)
         noise[order] = np.concatenate((power[:, j], np.insert(e, spot, top) if in_tail else e))
         noise[order[:w]] = tap[:, j]
-        return means.profile[i] + np.sqrt(noise) * np.exp(1j * (means.phase[i] + 2 * np.pi * turn))
+        return channel.profile[i] + np.sqrt(noise) * np.exp(
+            1j * (channel.phase[i] + 2 * np.pi * turn))
 
     return hits, profile_of
 
@@ -444,11 +436,11 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
     """
     ue_on, first_ms, ue_off, sends = _ue_sends(cfg)
     seed, rng, valid = _stream(cfg, index)
-    bins = _bins(cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector)
-    signatures, _, chan, _ = bins
+    channel = _bins(cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector)
+    signatures, chan, det = channel.signatures, channel.bins, channel.detector
     sig_idx = rng.integers(len(signatures), size=len(sends))
     logged, logs = cfg.detection_log or cfg.event_trace, Logs([], [])
-    hits, first, profile_of = judge_sends(bins, cfg.detector, rng, sig_idx, logged, sends[0][1])
+    hits, first, profile_of = judge_sends(channel, rng, sig_idx, logged, sends[0][1])
 
     def checked(n: int, occ: PrachOccasion):
         """The detector's result on send ``n``: the first's, or a later one's on
@@ -457,7 +449,7 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
             return first
         signature = signatures[sig_idx[n]]
         row = DelayProfile(signature[0], profile_of(n, rng))
-        result = detect_preambles(row, cfg.detector, occasion=occ)
+        result = detect_preambles(row, det, occasion=occ)
         if result.reports(signature) != hits[n]:
             raise SimulationError(
                 f"interval {index}: kernel and detector disagree on preamble {n}"
@@ -490,8 +482,7 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
         if tx is not None:
             result = checked(n, occ)
         else:
-            result = detect_preambles(chan.draw(rng, chan.idle_mean, 1)[0], cfg.detector,
-                                      occasion=occ)
+            result = detect_preambles(chan.draw(rng, chan.idle_mean, 1)[0], det, occasion=occ)
         if cfg.detection_log:
             transmitted = None if tx is None else tx.signature
             logs.detections.append(detection_entry(index, occ, result, transmitted))

@@ -243,9 +243,7 @@ def _cmd_calibrate(args) -> int:
         raise ConfigError(f"target_far must be in (0, 1), got {target_far!r}")
     trials = int(max(20_000, np.ceil(10 / target_far)))
     rng = np.random.default_rng(cfg.base_seed)
-    factor = calibrate_threshold(
-        target_far, trials, cfg.detector, rng, l_ra=cfg.prach.preamble_length
-    )
+    factor = calibrate_threshold(target_far, trials, cfg.detector, rng)
     print(f"threshold_factor {factor:.6g} (target_far {target_far:g}, {trials} trials)")
     return 0
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .prach import PrachOccasion
+from .prach import PrachConfig, PrachOccasion
 from .zc import generate_zc
 
 __all__ = [
@@ -58,10 +58,17 @@ class DetectorConfig:
             raise ConfigError(
                 f"threshold_factor must be > 1 and finite, got {self.threshold_factor}"
             )
+        length = PrachConfig.preamble_length
         if self.shift_step < 1:
             raise ConfigError("shift_step must be >= 1")
+        if self.shift_step > length:
+            raise ConfigError(f"shift_step must be at most the preamble length {length}")
         if not self.roots:
             raise ConfigError("root list must be nonempty")
+        usable = {r for r in self.roots if 0 < r < length and math.gcd(r, length) == 1}
+        if len(usable) < len(self.roots):  # a duplicate or an unusable root
+            raise ConfigError(f"roots must be distinct roots in [1, {length}) coprime "
+                              f"with {length}, got {list(self.roots)}")
 
 
 class Detection(NamedTuple):
@@ -276,7 +283,7 @@ def calibrate_threshold(
     trials: int,
     cfg: DetectorConfig,
     rng: np.random.Generator,
-    l_ra: int = 139,
+    l_ra: int = PrachConfig.preamble_length,
 ) -> float:
     """A threshold factor whose noise-only false-alarm rate per occasion on
     these ``trials`` draws is at most ``target_far``: a bisection's upper end
@@ -293,6 +300,8 @@ def calibrate_threshold(
             f"insufficient trials: need at least {int(np.ceil(10 / target_far))} "
             f"for target_far {target_far}"
         )
+    if l_ra < cfg.shift_step:
+        raise ValueError(f"l_ra {l_ra} is below the detector's shift_step {cfg.shift_step}")
     stats = _noise_statistics(trials, cfg, rng, l_ra)
 
     def far(factor: float) -> float:

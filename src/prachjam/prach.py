@@ -203,8 +203,9 @@ def occasion_time_ms(occ: PrachOccasion, cell: CellConfig) -> float:
 
 def occasions_between(config: PrachConfig, cell: CellConfig, start_ms: float, end_ms: float):
     """``(instant, occasion)`` of every PRACH occasion in the finite ``[start_ms, end_ms)``."""
-    if not math.isfinite(end_ms):
-        raise ConfigError(f"end_ms must be finite, got {end_ms}")
+    for name, value in (("start_ms", start_ms), ("end_ms", end_ms)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     return _stamped(config, cell, start_ms, end_ms)
 
 

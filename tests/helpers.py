@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 
-from prachjam.campaign import IntervalRecord
+from prachjam.campaign import IntervalRecord, _bins
 from prachjam.channel import ChannelConfig, superpose
-from prachjam.detector import Detection, DetectionResult, delay_profile, signatures_detected
+from prachjam.detector import (
+    Detection, DetectionResult, DetectorConfig, delay_profile, signatures_detected,
+)
 from prachjam.jammer import generate_jamming_frame
 from prachjam.prach import PRESETS, CellConfig, PrachConfig, occasions_in_frame, occupancy_ratio
 from prachjam.rafsm import GnbRaContext, Msg3, PreambleTx, RarEvent, gnb_step, ue_step
@@ -18,6 +20,7 @@ from prachjam.zc import cyclic_shift, generate_zc
 PRACH, CELL = PRESETS["index98_40mhz_desk"]
 OCCASION = occasions_in_frame(PRACH, CELL, 1)[0]
 SIGMA_0DB = 1 / np.sqrt(2)  # unit preamble amplitude -> per-bin SNR 0 dB
+NOISE_0DB = ChannelConfig(noise_sigma=SIGMA_0DB)
 CHUNK = 1000  # frames demapped in one stack, 17 MB of samples
 
 
@@ -63,14 +66,19 @@ def received_bins(trials, rng, spectrum, channel, waves=None):
     return index, np.concatenate(bins)
 
 
-def oracle_misses(spectrum, det, trials, seed):
+def oracle_misses(spectrum, det, trials, seed, channel=NOISE_0DB):
     """Missed preambles among ``trials`` occasions of root 1's ten
-    signatures under ``spectrum`` and per-bin noise at 0 dB, each judged in
-    its own window."""
-    channel = ChannelConfig(noise_sigma=SIGMA_0DB)
+    signatures under ``spectrum`` and ``channel`` (per-bin noise at 0 dB by
+    default), each judged in its own window."""
     index, bins = received_bins(trials, np.random.default_rng(seed), spectrum, channel, WAVES)
     power = np.abs(delay_profile(bins, 1)) ** 2
     return int(np.sum(~signatures_detected(power, index, det)))
+
+
+def bin_domain(spectrum, channel=NOISE_0DB, det=DetectorConfig(), prach=PRACH):
+    """The campaign's channel of the UE's occasions (``campaign._bins``) on
+    the shipped cell, per-bin noise at 0 dB and the shipped detector by default."""
+    return _bins(prach, CELL, spectrum, channel, det)
 
 
 def enumerate_occupancy(config: PrachConfig, cell: CellConfig) -> Fraction:

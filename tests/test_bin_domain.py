@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import prachjam.campaign
-from prachjam.campaign import _bins, judge_sends
+from prachjam.campaign import judge_sends
 from prachjam.channel import ChannelConfig, superpose
 from prachjam.detector import (
     DelayProfile,
@@ -36,8 +36,8 @@ from prachjam.waveform import demap_prach
 from prachjam.zc import generate_zc
 
 from helpers import (
-    CELL, OCCASION, PRACH, SIGMA_0DB, WAVES, oracle_misses, preamble_wave, received_bins,
-    two_proportion_z,
+    CELL, NOISE_0DB, OCCASION, PRACH, SIGMA_0DB, WAVES, bin_domain, oracle_misses,
+    preamble_wave, received_bins, two_proportion_z,
 )
 
 
@@ -49,15 +49,15 @@ def test_ue_and_constant_jammer_bins_equal_demapped_waveforms(freq_offset):
     # the design SNR 20 * log10(1.3 / 0.8) dB lower.
     chan_cfg = ChannelConfig(noise_sigma=0.0, ue_delay_samples=5)
     spectrum = JammerConfig(kind="S1_literal", snr_db=-6.0 - 20 * math.log10(1.3 / 0.8))
-    signatures, _, chan, means = _bins(
-        prach, CELL, spectrum, chan_cfg, DetectorConfig(roots=(1, 2))
-    )
+    channel = bin_domain(spectrum, chan_cfg, DetectorConfig(roots=(1, 2)), prach)
+    chan = channel.bins
     rng = np.random.default_rng(0)
-    for n, signature in enumerate(signatures):
+    for n, signature in enumerate(channel.signatures):
         wave = preamble_wave(signature, occ)
         _, bins = demap_prach(superpose(wave, None, chan_cfg, rng), occ, CELL)
         np.testing.assert_allclose(chan.ue_mean[n] - chan.idle_mean, bins, atol=1e-12)
-        np.testing.assert_array_equal(means.profile[n], delay_profile(chan.ue_mean[n], signature[0]))
+        np.testing.assert_array_equal(channel.profile[n],
+                                      delay_profile(chan.ue_mean[n], signature[0]))
     jam = generate_jamming_frame(spectrum, occ, CELL, rng)
     _, bins = demap_prach(superpose(None, jam, chan_cfg, rng), occ, CELL)
     np.testing.assert_allclose(bins, chan.idle_mean, atol=1e-12)
@@ -69,7 +69,7 @@ def test_jammer_and_noise_power_equal_demapped_waveforms(kind):
     spectrum = JammerConfig(kind="S1" if kind == "off" else kind,
                             snr_db=-6.0 - 20 * math.log10(1.3), enabled=kind != "off")
     chan_cfg = ChannelConfig(noise_sigma=SIGMA_0DB)
-    _, _, chan, _ = _bins(PRACH, CELL, spectrum, chan_cfg, DetectorConfig())
+    chan = bin_domain(spectrum, chan_cfg).bins
     _, bins = received_bins(1000, np.random.default_rng(1), spectrum, chan_cfg)
     # 139,000 exponential samples: a 2 % tolerance is seven standard errors.
     assert np.mean(np.abs(bins) ** 2) == pytest.approx(2 * chan.std**2, rel=0.02)
@@ -103,7 +103,7 @@ def profiles_of(bins, roots):
     return out
 
 
-def judged_with_powers(monkeypatch, bins, det, rng, sig_idx):
+def judged_with_powers(monkeypatch, channel, rng, sig_idx):
     """``judge_sends`` on every send of the signatures ``sig_idx``:
     ``(power, profile_of)``, ``power`` the tap powers each send was judged
     on, the first's row by the detector and the others by the kernel."""
@@ -115,7 +115,7 @@ def judged_with_powers(monkeypatch, bins, det, rng, sig_idx):
 
     with monkeypatch.context() as patch:
         patch.setattr(prachjam.campaign, "signatures_detected", recording)
-        profile_of = judge_sends(bins, det, rng, sig_idx, every=True)[2]
+        profile_of = judge_sends(channel, rng, sig_idx, every=True)[2]
     return np.vstack([np.abs(profile_of(0, None)) ** 2, *powers]), profile_of
 
 
@@ -138,13 +138,13 @@ def test_batched_kernel_decides_like_detect_preambles(roots):
     # judge_sends's own draws, in intervals of 25 transmissions: each
     # send's complex profile, taken back to bins and through
     # detect_preambles, gets the verdict judge_sends gave it.
-    channel = _bins(PRACH, CELL, spectrum, chan_cfg, det)
-    signatures = channel[0]
+    channel = bin_domain(spectrum, chan_cfg, det)
+    signatures = channel.signatures
     rng = np.random.default_rng(sum(roots))
     verdicts = []
     for _ in range(16):
         idx = rng.integers(len(signatures), size=25)
-        hits, _, profile_of = judge_sends(channel, det, rng, idx, every=True)
+        hits, _, profile_of = judge_sends(channel, rng, idx, every=True)
         assert len(hits) == 25
         for n, hit in enumerate(hits):
             root, window = signatures[idx[n]]
@@ -164,29 +164,29 @@ def test_miss_rate_matches_the_waveform_oracle(kind, snr_db):
     oracle = oracle_misses(spectrum, det, oracle_n, seed)
     # The kernel judges the delay profiles of drawn bin rows here: the
     # campaign's own profile draw is held to this one below.
-    channel = _bins(PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det)
-    missed = missed_rows(channel, det, kernel_n, seed, as_bins=True)
+    channel = bin_domain(spectrum, det=det)
+    missed = missed_rows(channel, kernel_n, seed, as_bins=True)
     z = two_proportion_z(oracle, oracle_n, missed, kernel_n)
     assert abs(z) < 2.576, (
         f"kernel {missed / kernel_n:.4f} vs oracle {oracle / oracle_n:.4f}, z = {z:.2f}"
     )
 
 
-def missed_rows(channel, det, n, seed, as_bins):
-    """Misses among ``n`` transmissions drawn in chunks of 2,000: as bin
-    rows judged on their delay profiles, or as complex delay profiles
-    (seeding rule v4) judged on their tap powers."""
-    chunk = 2000
-    signatures, sig_array, chan, means = channel
+def missed_rows(channel, n, seed, as_bins):
+    """Misses among ``n`` transmissions on ``channel`` drawn in chunks of
+    2,000: as bin rows judged on their delay profiles, or as complex delay
+    profiles (seeding rule v4) judged on their tap powers."""
+    chunk, chan, sig_array = 2000, channel.bins, channel.sig_array
     rng = np.random.default_rng(seed)
     missed = 0
     for _ in range(n // chunk):
-        idx = rng.integers(len(signatures), size=chunk)
+        idx = rng.integers(len(sig_array), size=chunk)
         if as_bins:
             rows = profiles_of(chan.draw(rng, chan.ue_mean[idx], chunk), sig_array[idx, 0])
         else:
-            rows = chan.draw(rng, means.profile[idx], chunk)
-        missed += int(np.sum(~signatures_detected(np.abs(rows) ** 2, sig_array[idx, 1], det)))
+            rows = chan.draw(rng, channel.profile[idx], chunk)
+        power = np.abs(rows) ** 2
+        missed += int(np.sum(~signatures_detected(power, sig_array[idx, 1], channel.detector)))
     return missed
 
 
@@ -217,9 +217,9 @@ def test_profile_draw_misses_like_the_bin_draw():
     det = DetectorConfig(roots=(1, 2, 5))
     spectrum = JammerConfig(kind="S1", snr_db=-12.0)
     n = 50_000
-    channel = _bins(PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det)
-    missed = missed_rows(channel, det, n, seed=41, as_bins=False)
-    from_bins = missed_rows(channel, det, n, seed=42, as_bins=True)
+    channel = bin_domain(spectrum, det=det)
+    missed = missed_rows(channel, n, seed=41, as_bins=False)
+    from_bins = missed_rows(channel, n, seed=42, as_bins=True)
     z = two_proportion_z(from_bins, n, missed, n)
     assert 0.6 < missed / n < 0.9
     assert abs(z) < 2.576, f"profiles {missed / n:.4f} vs bins {from_bins / n:.4f}, z = {z:.2f}"
@@ -235,10 +235,8 @@ def test_profile_draw_misses_like_the_bin_draw():
 # jammer at gain 1.3: at the UE's level, the noise 1 / 0.8 times as strong
 # and a design SNR 20 * log10(1.3 / 0.8) dB lower.
 MEANS = {
-    "S1": (JammerConfig(kind="S1", snr_db=-12.0), ChannelConfig(noise_sigma=SIGMA_0DB)),
-    "s1_literal": (
-        JammerConfig(kind="S1_literal", snr_db=-12.0), ChannelConfig(noise_sigma=SIGMA_0DB),
-    ),
+    "S1": (JammerConfig(kind="S1", snr_db=-12.0), NOISE_0DB),
+    "s1_literal": (JammerConfig(kind="S1_literal", snr_db=-12.0), NOISE_0DB),
     "delay_and_gains": (
         JammerConfig(kind="S1", snr_db=-6.0 - 20 * math.log10(1.3 / 0.8)),
         ChannelConfig(noise_sigma=SIGMA_0DB / 0.8, ue_delay_samples=5),
@@ -248,16 +246,16 @@ MEANS_DET = DetectorConfig(roots=(1, 2, 5))
 
 
 def means_channel(name, det=MEANS_DET):
-    return _bins(PRACH, CELL, *MEANS[name], det)
+    return bin_domain(*MEANS[name], det)
 
 
-def judged_sends(channel, det, rng, n, chunk=2000):
+def judged_sends(channel, rng, n, chunk=2000):
     """Hits among ``n`` later sends that ``judge_sends`` judges, in calls of
     ``chunk`` + 1 sends (each call's first send is a complex row, not counted)."""
     hits = 0
     for _ in range(n // chunk):
-        idx = rng.integers(len(channel[0]), size=chunk + 1)
-        hits += sum(judge_sends(channel, det, rng, idx, every=True)[0][1:])
+        idx = rng.integers(len(channel.signatures), size=chunk + 1)
+        hits += sum(judge_sends(channel, rng, idx, every=True)[0][1:])
     return hits
 
 
@@ -282,13 +280,39 @@ GATE = {
 def test_judged_sends_hit_like_complex_rows(name):
     spectrum, factor, roots, n, n_complex = GATE[name]
     det = DetectorConfig(threshold_factor=factor, roots=roots)
-    channel = _bins(PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det)
-    assert channel[3].taps is not None
+    channel = bin_domain(spectrum, det=det)
+    assert channel.taps is not None
     seed = sorted(GATE).index(name)
-    hits = judged_sends(channel, det, np.random.default_rng([101, seed]), n, chunk=20_000)
-    missed = missed_rows(channel, det, n_complex, seed=[103, seed], as_bins=False)
+    hits = judged_sends(channel, np.random.default_rng([101, seed]), n, chunk=20_000)
+    missed = missed_rows(channel, n_complex, seed=[103, seed], as_bins=False)
     z = two_proportion_z(n_complex - missed, n_complex, hits, n)
     assert abs(z) < 3.09, f"reduced {hits / n:.6f} vs complex {1 - missed / n_complex:.6f}"
+
+
+# Dense means against the time-domain chain, family-wise at 99 %: the later
+# sends that judge_sends draws as complex rows (the literal S1; the delayed
+# UE of MEANS) miss as often as the waveform oracle's occasions by a
+# two-sided two-proportion z-test at 99.67 % (Bonferroni over three cells).
+# Each cell's miss rate lies mid-range, at about 0.64, 0.85 and 0.70.
+# Columns: spectrum, channel.
+DENSE = {
+    "S1_literal_-12dB": (JammerConfig(kind="S1_literal", snr_db=-12.0), NOISE_0DB),
+    "S1_literal_-13dB": (JammerConfig(kind="S1_literal", snr_db=-13.0), NOISE_0DB),
+    "delay_and_gains": MEANS["delay_and_gains"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE))
+def test_dense_later_sends_miss_like_the_waveform_oracle(name):
+    spectrum, chan_cfg = DENSE[name]
+    oracle_n, n = 3000, 40_000
+    channel = bin_domain(spectrum, chan_cfg)
+    assert channel.taps is None
+    seed = sorted(DENSE).index(name)
+    oracle = oracle_misses(spectrum, channel.detector, oracle_n, [111, seed], chan_cfg)
+    missed = n - judged_sends(channel, np.random.default_rng([113, seed]), n)
+    z = two_proportion_z(oracle, oracle_n, missed, n)
+    assert abs(z) < 2.935, f"judged {missed / n:.4f} vs oracle {oracle / oracle_n:.4f}, z = {z:.2f}"
 
 
 @pytest.mark.parametrize("factor, snr_db", [(4.0, -18.0), (8.0, -14.0), (12.35, -12.0),
@@ -301,14 +325,13 @@ def test_reduced_verdict_equals_the_full_row(factor, snr_db):
     # gives the whole row, on both sides of x0.
     det = DetectorConfig(threshold_factor=factor)
     spectrum = JammerConfig(kind="S1", snr_db=snr_db)
-    signatures, sig_array, chan, means = _bins(
-        PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det)
-    rows, length, (_, x0, _) = 20_000, PRACH.preamble_length, means.reduced
+    channel = bin_domain(spectrum, det=det)
+    rows, length, (_, x0, _) = 20_000, PRACH.preamble_length, channel.reduced
     rng = np.random.default_rng(int(factor * 100))
-    idx = rng.integers(len(signatures), size=rows)
-    theta, taps, at = 2 * chan.std**2, means.taps[idx, :13], np.arange(rows)
+    idx = rng.integers(len(channel.signatures), size=rows)
+    theta, taps, at = 2 * channel.bins.std**2, channel.taps[idx, :13], np.arange(rows)
     power = -theta * np.log(1.0 - rng.random((rows, length)))
-    mean, tap = means.magnitude[idx, taps[:, 0]], power[at, taps[:, 0]]
+    mean, tap = channel.magnitude[idx, taps[:, 0]], power[at, taps[:, 0]]
     power[at, taps[:, 0]] = tap + mean * (
         mean + 2 * np.sqrt(tap) * np.cos(2 * np.pi * rng.random(rows)))
     others = np.ones((rows, length), dtype=bool)
@@ -320,7 +343,7 @@ def test_reduced_verdict_equals_the_full_row(factor, snr_db):
     g = rest.max(axis=-1) / rest.sum(axis=-1)
     top = np.where(g >= x0, g * rest.sum(axis=-1), 0.0)
     reduced = window_detected(power[at[:, None], taps], rest.sum(axis=-1), top, length, det)
-    full = signatures_detected(power, sig_array[idx, 1], det)
+    full = signatures_detected(power, channel.sig_array[idx, 1], det)
     for branch in (g >= x0, g < x0):
         assert 0 < full[branch].mean() < 1
     assert np.array_equal(reduced, full)
@@ -335,22 +358,22 @@ def test_reduced_draw_needs_sends_below_x0(factor, reduced):
     # detector agrees with its verdict; at 1e6, P(g > x0) underflows to 0.
     det = DetectorConfig(threshold_factor=factor)
     spectrum = JammerConfig(kind="S1", snr_db=-20.0)
-    channel = _bins(PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det)
-    assert (channel[3].taps is not None) == reduced
-    idx = np.random.default_rng(5).integers(len(channel[0]), size=60)
-    hits, _, profile_of = judge_sends(channel, det, np.random.default_rng(6), idx, every=True)
+    channel = bin_domain(spectrum, det=det)
+    assert (channel.taps is not None) == reduced
+    idx = np.random.default_rng(5).integers(len(channel.signatures), size=60)
+    hits, _, profile_of = judge_sends(channel, np.random.default_rng(6), idx, every=True)
     rng = np.random.default_rng(7)
     for n in range(1, len(idx)):
-        root, window = channel[0][idx[n]]
+        root, window = channel.signatures[idx[n]]
         result = detect_preambles(DelayProfile(root, profile_of(n, rng)), det)
         assert result.reports((root, window)) == hits[n]
 
 
-def rebuilt_sends(channel, det, rng, n):
+def rebuilt_sends(channel, rng, n):
     """``(idx, rows)``: ``n`` later sends judged by ``judge_sends`` and their
     rebuilt complex profiles, read on from ``rng`` in send order."""
-    idx = rng.integers(len(channel[0]), size=n + 1)
-    profile_of = judge_sends(channel, det, rng, idx, every=True)[2]
+    idx = rng.integers(len(channel.signatures), size=n + 1)
+    profile_of = judge_sends(channel, rng, idx, every=True)[2]
     return idx[1:], np.array([profile_of(j, rng) for j in range(1, n + 1)])
 
 
@@ -363,21 +386,20 @@ def test_rebuilt_taps_follow_the_complex_draw():
     # (a two-sample KS test at 99 %).
     stats = pytest.importorskip("scipy.stats")
     det = DetectorConfig(threshold_factor=6.0)
-    spectrum, chan_cfg = GATE["factor_6"][0], ChannelConfig(noise_sigma=SIGMA_0DB)
-    channel = _bins(PRACH, CELL, spectrum, chan_cfg, det)
-    signatures, _, chan, means = channel
+    channel = bin_domain(GATE["factor_6"][0], det=det)
+    chan = channel.bins
     rng = np.random.default_rng(71)
-    idx, rows = rebuilt_sends(channel, det, rng, 4000)
+    idx, rows = rebuilt_sends(channel, rng, 4000)
     power = np.abs(rows) ** 2 / (2 * chan.std**2)
-    zero = means.profile[idx] == 0
+    zero = channel.profile[idx] == 0
     assert zero.sum(axis=-1).tolist() == [PRACH.preamble_length - 1] * len(idx)
     assert stats.kstest(power[zero], "expon").pvalue > 0.01
-    others = power[np.arange(len(idx))[:, None], means.taps[idx, 13:]]
+    others = power[np.arange(len(idx))[:, None], channel.taps[idx, 13:]]
     place = np.bincount(others.argmax(axis=-1), minlength=126)
     assert stats.chisquare(place).pvalue > 0.01
-    reference_idx = rng.integers(len(signatures), size=4000)
-    reference = chan.draw(rng, means.profile[reference_idx], 4000)
-    mean_tap = np.abs(reference[np.arange(4000), means.taps[reference_idx, 0]]) ** 2
+    reference_idx = rng.integers(len(channel.signatures), size=4000)
+    reference = chan.draw(rng, channel.profile[reference_idx], 4000)
+    mean_tap = np.abs(reference[np.arange(4000), channel.taps[reference_idx, 0]]) ** 2
     result = stats.ks_2samp(power[~zero] * 2 * chan.std**2, mean_tap)
     assert result.pvalue > 0.01, result
 
@@ -391,11 +413,10 @@ def test_rebuilt_row_power_equals_kernel_power(name, monkeypatch):
     # powers are the ones judged.
     det = replace(MEANS_DET, threshold_factor=6.0)
     channel = means_channel(name, det)
-    means, length = channel[3], PRACH.preamble_length
-    idx = np.random.default_rng(81).integers(len(channel[0]), size=128)
-    if means.taps is None:
-        power, profile_of = judged_with_powers(monkeypatch, channel, det,
-                                               np.random.default_rng(82), idx)
+    idx = np.random.default_rng(81).integers(len(channel.signatures), size=128)
+    if channel.taps is None:
+        power, profile_of = judged_with_powers(monkeypatch, channel, np.random.default_rng(82),
+                                               idx)
         rebuilt = np.array([profile_of(j, phases(j)) for j in range(len(power))])
         np.testing.assert_allclose(np.abs(rebuilt) ** 2, power, rtol=1e-12)
         return
@@ -407,12 +428,12 @@ def test_rebuilt_row_power_equals_kernel_power(name, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(prachjam.campaign, "window_detected", recording)
-        hits, _, profile_of = judge_sends(channel, det, np.random.default_rng(82), idx, True)
-    (window, rest_sum, rest_peak), x0 = judged[0], means.reduced[1]
+        hits, _, profile_of = judge_sends(channel, np.random.default_rng(82), idx, True)
+    (window, rest_sum, rest_peak), x0 = judged[0], channel.reduced[1]
     assert 0 < np.count_nonzero(rest_peak) < len(rest_peak)
     for j in range(1, len(idx)):
         power = np.abs(profile_of(j, phases(j))) ** 2
-        taps = means.taps[idx[j]]
+        taps = channel.taps[idx[j]]
         others = power[taps[13:]]
         np.testing.assert_allclose(power[taps[:13]], window[j - 1], rtol=1e-12)
         assert others.sum() == pytest.approx(rest_sum[j - 1], rel=1e-12)
@@ -420,7 +441,8 @@ def test_rebuilt_row_power_equals_kernel_power(name, monkeypatch):
             assert others.max() == pytest.approx(rest_peak[j - 1], rel=1e-12)
         else:
             assert others.max() < x0 * rest_sum[j - 1]
-        assert signatures_detected(power[None], channel[1][idx[j:j + 1], 1], det)[0] == hits[j]
+        window_of = channel.sig_array[idx[j:j + 1], 1]
+        assert signatures_detected(power[None], window_of, det)[0] == hits[j]
 
 
 @pytest.mark.parametrize("roots", [(1,), (1, 2, 5)])
@@ -430,21 +452,34 @@ def test_round_off_rule_zeroes_all_but_the_own_tap(roots):
     # its window.
     det = DetectorConfig(roots=roots)
     spectrum = JammerConfig(kind="S1", snr_db=-6.0)
-    _, sig_array, _, means = _bins(
-        PRACH, CELL, spectrum, ChannelConfig(noise_sigma=SIGMA_0DB), det
-    )
-    assert (means.profile == 0).sum(axis=-1).tolist() == [138] * len(means.profile)
-    np.testing.assert_array_equal(means.magnitude, np.abs(means.profile))
+    channel = bin_domain(spectrum, det=det)
+    sig_array = channel.sig_array
+    assert (channel.profile == 0).sum(axis=-1).tolist() == [138] * len(channel.profile)
+    np.testing.assert_array_equal(channel.magnitude, np.abs(channel.profile))
     # Each row's taps: its window's (the nonzero one first), then the rest in order.
-    assert np.all(np.sort(means.taps, axis=-1) == np.arange(139))
-    np.testing.assert_array_equal(means.taps[:, :13], _window_indices(139, 13)[sig_array[:, 1]])
-    assert np.all(np.diff(means.taps[:, 13:]) > 0)
-    assert means.reduced[0] == 1
-    assert np.all(means.profile[np.arange(len(sig_array)), means.taps[:, 0]] != 0)
+    assert np.all(np.sort(channel.taps, axis=-1) == np.arange(139))
+    np.testing.assert_array_equal(channel.taps[:, :13], _window_indices(139, 13)[sig_array[:, 1]])
+    assert np.all(np.diff(channel.taps[:, 13:]) > 0)
+    assert channel.reduced[0] == 1
+    assert np.all(channel.profile[np.arange(len(sig_array)), channel.taps[:, 0]] != 0)
     for name in ("s1_literal", "delay_and_gains"):
-        means = means_channel(name)[3]
-        assert not np.any(means.profile == 0), name
-        assert means.taps is None and means.reduced is None
+        channel = means_channel(name)
+        assert not np.any(channel.profile == 0), name
+        assert channel.taps is None and channel.reduced is None
+
+
+def test_channel_holds_the_detector_it_was_built_for():
+    # judge_sends reads its detector from the channel, whose signatures and
+    # x0 that detector set. The cache hands every caller the same channel,
+    # so its arrays are read-only.
+    det = replace(MEANS_DET, threshold_factor=6.0)
+    channel = means_channel("S1", det)
+    assert channel.detector == det and means_channel("S1", det) is channel
+    assert channel.signatures == tuple((r, w) for r in (1, 2, 5) for w in range(10))
+    assert channel.reduced[1] == 6.0 / (6.0 + PRACH.preamble_length - 1)
+    for shared in (channel.bins.ue_mean, channel.sig_array, channel.profile, channel.magnitude,
+                   channel.phase, channel.taps):
+        assert not shared.flags.writeable
 
 
 def test_first_transmission_is_a_complex_row():
@@ -454,24 +489,24 @@ def test_first_transmission_is_a_complex_row():
     # Gamma variates S_O. A rebuilt send keeps its window's taps as they
     # were drawn, bit for bit, and its other taps' powers sum to S_O.
     channel = means_channel("S1")
-    signatures, _, chan, means = channel
-    (w, _, _), s, length = means.reduced, MEANS_DET.shift_step, PRACH.preamble_length
+    chan = channel.bins
+    (w, _, _), s, length = channel.reduced, MEANS_DET.shift_step, PRACH.preamble_length
     assert (w, s) == (1, 13)
-    idx = np.random.default_rng(93).integers(len(signatures), size=5)
+    idx = np.random.default_rng(93).integers(len(channel.signatures), size=5)
     rng, replay = np.random.default_rng(94), np.random.default_rng(94)
-    profile_of = judge_sends(channel, MEANS_DET, rng, idx, every=True)[2]
-    first = chan.draw(replay, means.profile[idx[:1]], 1)[0]
+    profile_of = judge_sends(channel, rng, idx, every=True)[2]
+    first = chan.draw(replay, channel.profile[idx[:1]], 1)[0]
     u = replay.random((s + 1 + w, 4))
     rest = replay.gamma(length - s, 2 * chan.std**2, 4)
     assert rng.random() == replay.random()
     np.testing.assert_array_equal(profile_of(0, None), first)
     for j in range(1, 5):
-        i, taps, row = idx[j], means.taps[idx[j], :s], profile_of(j, phases(j))
+        i, taps, row = idx[j], channel.taps[idx[j], :s], profile_of(j, phases(j))
         turn = phases(j).random(length)
         turn[taps[:w]] = u[s + 1:, j - 1]
         noise = np.log(1.0 - u[:s, j - 1]) * -(2 * chan.std**2)
-        window = means.profile[i, taps] + np.sqrt(noise) * np.exp(
-            1j * (means.phase[i, taps] + 2 * np.pi * turn[taps]))
+        window = channel.profile[i, taps] + np.sqrt(noise) * np.exp(
+            1j * (channel.phase[i, taps] + 2 * np.pi * turn[taps]))
         np.testing.assert_array_equal(row[taps], window)
         others = np.abs(np.delete(row, taps)) ** 2
         assert others.sum() == pytest.approx(rest[j - 1], rel=1e-12)
@@ -499,13 +534,12 @@ def test_other_roots_see_rebuilt_rows_like_complex_rows():
     n = 20_000
     det = replace(MEANS_DET, threshold_factor=8.0)
     channel = means_channel("S1", det)
-    signatures, sig_array, chan, means = channel
     rng = np.random.default_rng(61)
-    idx, rebuilt = rebuilt_sends(channel, det, rng, n)
-    reference_idx = rng.integers(len(signatures), size=n)
-    reference = chan.draw(rng, means.profile[reference_idx], n)
-    alarms = other_root_alarms(rebuilt, sig_array[idx, 0], det)
-    expected = other_root_alarms(reference, sig_array[reference_idx, 0], det)
+    idx, rebuilt = rebuilt_sends(channel, rng, n)
+    reference_idx = rng.integers(len(channel.signatures), size=n)
+    reference = channel.bins.draw(rng, channel.profile[reference_idx], n)
+    alarms = other_root_alarms(rebuilt, channel.sig_array[idx, 0], det)
+    expected = other_root_alarms(reference, channel.sig_array[reference_idx, 0], det)
     z = two_proportion_z(expected, n, alarms, n)
     assert 0.05 < alarms / n < 0.2
     assert abs(z) < 2.576, f"rebuilt {alarms / n:.4f} vs complex {expected / n:.4f}, z = {z:.2f}"

@@ -849,7 +849,7 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=message):
             load_campaign_config(doc)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("build, field, rule", [
         (make_config, "interval_duration", "> 0 and finite"),
         (make_config, "jammer_lead", ">= 0 and finite"),
@@ -860,8 +860,9 @@ class TestConfigLoading:
         (functools.partial(JammerConfig, "S1"), "snr_db", "finite"),
         (functools.partial(replace, CELL), "cell_bandwidth", "> 0 and finite"),
         (functools.partial(occasions_between, PRACH, CELL, 0.0), "end_ms", "finite"),
+        (functools.partial(occasions_between, PRACH, CELL, end_ms=10.0), "start_ms", "finite"),
     ], ids=["interval_duration", "jammer_lead", "jammer_lag", "ue_startup_delay", "noise_sigma",
-            "threshold_factor", "snr_db", "cell_bandwidth", "end_ms"])
+            "threshold_factor", "snr_db", "cell_bandwidth", "end_ms", "start_ms"])
     def test_library_callers_get_no_non_finite_value(self, build, field, rule, value):
         # The JSON loader refuses these before any dataclass sees them. Built
         # directly, a non-finite time would never end a schedule and a

@@ -101,10 +101,10 @@ class TestOccupancy:
             ('spectrum.enabled="false"', "spectrum.enabled must be a bool"),
             ("detector.roots=5", "detector.roots must be a list of ints"),
             ("interval_duration=NaN", "campaign.interval_duration must be a finite number"),
-            ("detector.roots=[0]", "detector.roots must be distinct roots in [1, 139)"),
-            ("detector.roots=[139]", "detector.roots must be distinct roots in [1, 139)"),
-            ("detector.roots=[1,1]", "detector.roots must be distinct roots in [1, 139)"),
-            ("detector.shift_step=200", "detector.shift_step must be at most"),
+            ("detector.roots=[0]", "detector: roots must be distinct roots in [1, 139)"),
+            ("detector.roots=[139]", "detector: roots must be distinct roots in [1, 139)"),
+            ("detector.roots=[1,1]", "detector: roots must be distinct roots in [1, 139)"),
+            ("detector.shift_step=200", "detector: shift_step must be at most"),
             ("spectrum.snr_db=-3100",
              "campaign: spectrum.snr_db -3100 overflows the sum of 139 tap powers"),
             ("spectrum.snr_db=-7000",

@@ -1,6 +1,7 @@
 """Correlation detector: decisions, calibration and robustness."""
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from prachjam.detector import (
     profile_bins,
     signatures_detected,
 )
+from prachjam.errors import ConfigError
 from prachjam.jammer import JammerConfig
 from prachjam.waveform import demap_prach
 from prachjam.zc import cyclic_shift, generate_zc
@@ -88,6 +90,22 @@ class TestDecisions:
     def test_empty_roots_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             DetectorConfig(roots=())
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("roots", (1, 1), "roots must be distinct roots in [1, 139) coprime with 139, got [1, 1]"),
+        ("roots", (0,), "roots must be distinct roots in [1, 139) coprime with 139, got [0]"),
+        ("roots", (139,), "roots must be distinct roots in [1, 139) coprime with 139, got [139]"),
+        ("shift_step", 140, "shift_step must be at most the preamble length 139"),
+    ])
+    def test_config_refuses_what_it_cannot_judge(self, field, value, message):
+        # Library callers of detect_preambles, calibrate_threshold and the
+        # campaign get the check the JSON loader gives: duplicate roots would
+        # report each detection twice.
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            DetectorConfig(**{field: value})
+
+    def test_config_takes_the_bounds(self):
+        assert DetectorConfig(shift_step=139, roots=(1, 138)).roots == (1, 138)
 
     @pytest.mark.parametrize("delay", [0, 5, 11, 17])
     def test_delay_within_cp_keeps_window(self, delay):
@@ -263,6 +281,12 @@ class TestCalibration:
     def test_insufficient_trials_rejected(self):
         with pytest.raises(ValueError, match="insufficient trials"):
             calibrate_threshold(1e-3, 100, CFG, np.random.default_rng(0))
+
+    def test_profile_shorter_than_a_window_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="^l_ra 5 is below the detector's shift_step 13$"):
+            calibrate_threshold(1e-3, 20_000, CFG, rng, l_ra=5)
+        assert rng.random() == np.random.default_rng(0).random()  # refused before drawing
 
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError, match="target_far"):

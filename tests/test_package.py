@@ -1,15 +1,21 @@
-"""The package's public names and the imports of its modules and tests."""
+"""The package's public names, the imports of its modules and tests, and
+the README's statements about the code."""
+import argparse
 import ast
+import re
 import types
 from pathlib import Path
 
 import pytest
 
 import prachjam
+from prachjam.campaign import SEEDING_RULE
+from prachjam.cli import _build_parser
 
 from helpers import BENCHMARK_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 MODULES = sorted([*(ROOT / "src" / "prachjam").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
@@ -110,3 +116,20 @@ def test_every_private_name_is_read():
               for name in private_definitions(path) - read}
     assert sorted(unread) == []
     assert sum(len(private_definitions(path)) for path in sources) > 30
+
+
+def test_readme_names_the_seeding_rule_version():
+    version = SEEDING_RULE.split(":")[0]
+    assert f"seeding rule {version}," in README
+
+
+def test_readme_cli_table_lists_each_subcommands_options():
+    # Each row of the README's CLI table names exactly the options the parser
+    # gives its subcommand.
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(o for action in command._actions for o in action.option_strings
+                            if o not in ("-h", "--help"))
+               for name, command in commands.choices.items()}
+    rows = re.findall(r"^\| `(\w+)` +\|(.*)\|$", README, flags=re.MULTILINE)
+    assert {name: sorted(re.findall(r"--[\w-]+", cell)) for name, cell in rows} == options

@@ -182,14 +182,13 @@ def test_quick_log_replays_from_the_interval_stream(tmp_path):
     lines = (tmp_path / "detections.jsonl").read_text().splitlines()
     cfg = load_campaign_config(json.loads(QUICK.read_text()))
     sends = _ue_sends(cfg)[3]
-    signatures, _, chan, means = _bins(
-        cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector
-    )
+    channel = _bins(cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector)
+    chan = channel.bins
     rng = np.random.default_rng(interval_seed(cfg.base_seed, 0))
     rng.random()
-    sig_idx = rng.integers(len(signatures), size=len(sends))
-    chan.draw(rng, means.profile[sig_idx[:1]], 1)
-    step, (w, _, _) = cfg.detector.shift_step, means.reduced
+    sig_idx = rng.integers(len(channel.signatures), size=len(sends))
+    chan.draw(rng, channel.profile[sig_idx[:1]], 1)
+    step, (w, _, _) = cfg.detector.shift_step, channel.reduced
     rng.random((step + 1 + w, len(sends) - 1))
     rng.gamma(cfg.prach.preamble_length - step, 2 * chan.std**2, len(sends) - 1)
     idle = [occ for _, occ in occasions_between(cfg.prach, cfg.cell, 0.0, sends[0][0])]

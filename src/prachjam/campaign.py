@@ -311,8 +311,10 @@ class _Channel(NamedTuple):
     magnitude: np.ndarray  # (n, L) abs(profile)
     phase: np.ndarray  # (n, L) angle(profile), 0 where the profile is
     # None unless each row's nonzero taps lie in its window of s < L/2 taps: its taps
-    # (n, L) by rank (``_bins``); w, x0 = f / (f + L - 1) and log P(g > x0).
+    # (n, L) by rank (``_bins``), the magnitude at its first w (n, w); w, x0 = f / (f +
+    # L - 1) and log P(g > x0).
     taps: np.ndarray | None
+    own_magnitude: np.ndarray | None
     reduced: tuple[int, float, float] | None
 
 
@@ -338,17 +340,19 @@ def _bins(prach, cell, spectrum, channel, det):
     rank[np.arange(len(rank))[:, None], _window_indices(length, step)[sig_array[:, 1]]] = 1
     n, x0 = length - step, det.threshold_factor / (det.threshold_factor + length - 1)
     # Rebuilds with g < x0 take 1 / P(g < x0) tries: keep P >= 1e-3, and known to 1e-6.
-    taps = reduced = None
+    taps = own_magnitude = reduced = None
     if (2 * step < length and np.all(rank[nonzero] == 1)
             and (q := _fisher_tail(n, x0)(x0))[2] < 1e-6 * (1 - q[0]) and q[0] < 0.999):
         rank[nonzero] = 0
         taps = np.argsort(rank, axis=-1, kind="stable")  # each rank in tap order
         reduced = (int(nonzero.sum(-1).max()), x0, math.log(q[0]) if q[0] else -math.inf)
+        own_magnitude = np.take_along_axis(magnitude, taps[:, : reduced[0]], axis=-1)
     phase = np.angle(profiles)
-    for shared in (chan.ue_mean, sig_array, profiles, magnitude, phase, taps):
+    for shared in (chan.ue_mean, sig_array, profiles, magnitude, phase, taps, own_magnitude):
         if shared is not None:  # every later caller gets these
             shared.setflags(write=False)
-    return _Channel(signatures, sig_array, chan, det, profiles, magnitude, phase, taps, reduced)
+    return _Channel(signatures, sig_array, chan, det, profiles, magnitude, phase, taps,
+                    own_magnitude, reduced)
 
 
 def judge_sends(channel, rng, sig_idx, every, occasion=None):
@@ -358,22 +362,23 @@ def judge_sends(channel, rng, sig_idx, every, occasion=None):
     first send's complex row at ``occasion``, with result ``first``. When
     ``every`` is set or the first is missed, the kernel judges the other K - 1
     at once, drawn reduced where ``channel.taps`` is set (``_noise_like``).
-    ``hits`` says whether each send judged is detected, and ``profile_of(n,
-    rng)`` is send ``n``'s complex delay profile, rebuilt from ``rng``.
+    ``hits``, a bool array, says whether each send judged is detected, and
+    ``profile_of(n, rng)`` is send ``n``'s complex delay profile, rebuilt from ``rng``.
     """
     chan, det, own = channel.bins, channel.detector, channel.signatures[sig_idx[0]]
     row = chan.draw(rng, channel.profile[sig_idx[:1]], 1)[0]
     first = detect_preambles(DelayProfile(own[0], row), det, occasion=occasion)
-    hits, later_of = [first.reports(own)], None
-    if every or not hits[0]:
-        later = sig_idx[1:]
-        if channel.taps is not None:
-            later_hits, later_of = _noise_like(channel, rng, later)
-        else:
-            rows = chan.draw(rng, channel.profile[later], len(later))
-            power, later_of = np.abs(rows) ** 2, lambda j, rng: rows[j]
-            later_hits = signatures_detected(power, channel.sig_array[later, 1], det)
-        hits += later_hits.tolist()
+    hit = first.reports(own)
+    if hit and not every:
+        return np.array([hit]), first, lambda n, rng: row
+    later = sig_idx[1:]
+    if channel.taps is not None:
+        later_hits, later_of = _noise_like(channel, rng, later)
+    else:
+        rows = chan.draw(rng, channel.profile[later], len(later))
+        power, later_of = np.abs(rows) ** 2, lambda j, rng: rows[j]
+        later_hits = signatures_detected(power, channel.sig_array[later, 1], det)
+    hits = np.concatenate(([hit], later_hits))
     return hits, first, lambda n, rng: later_of(n - 1, rng) if n else row
 
 
@@ -391,13 +396,20 @@ def _noise_like(channel, rng, idx):
     n, theta = length - s, 2 * channel.bins.std**2
     # One row per quantity: reductions over a send's taps run along columns.
     draws = rng.random((s + 1 + w, m))
-    turns = draws[s + 1 :].copy()
-    np.log(np.subtract(1.0, draws, out=draws), out=draws)
-    power, log_v = draws[:s], draws[s]
+    logs, turns = draws[: s + 1], draws[s + 1 :]
+    np.log(np.subtract(1.0, logs, out=logs), out=logs)
+    power, log_v = logs[:s], logs[s]
     power *= -theta
     rest = rng.gamma(n, theta, m)
-    mean, tap = channel.magnitude[idx, channel.taps[idx, :w].T], power[:w].copy()
-    power[:w] = tap + mean * (mean + 2 * np.sqrt(tap) * np.cos(2 * np.pi * turns))
+    # power[:w] = tap + mean * (mean + 2 * sqrt(tap) * cos(2 * pi * turns)), in place
+    # and in this order of operations, which the records' bits depend on.
+    mean, tap = channel.own_magnitude[idx].T, power[:w].copy()
+    rice = np.sqrt(tap)
+    rice *= 2
+    rice *= np.cos(2 * np.pi * turns)
+    rice += mean
+    rice *= mean
+    np.add(tap, rice, out=power[:w])
     g, tail = np.zeros(m), log_v <= log_q0
     if tail.any():
         g[tail] = _fisher_quantile(log_v[tail], n, x0)
@@ -409,13 +421,19 @@ def _noise_like(channel, rng, idx):
         in_tail, top = bool(g[j]), g[j] * rest[j]
         spot, share = (rng.integers(n), g[j] / (1 - g[j])) if in_tail else (0, x0)
         while True:
-            e = -np.log(1.0 - rng.random(n - in_tail))
-            if e.max() < share * e.sum():
+            e = rng.random(n - in_tail)
+            np.negative(np.log(np.subtract(1.0, e, out=e), out=e), out=e)
+            total = e.sum()
+            if e.max() < share * total:
                 break
-        e *= (rest[j] - top) / e.sum()
-        noise = np.empty(length)
-        noise[order] = np.concatenate((power[:, j], np.insert(e, spot, top) if in_tail else e))
+        e *= (rest[j] - top) / total
+        # The others' taps in tap order, the tail's largest at ``spot`` among them.
+        noise, cut = np.empty(length), s + spot
+        noise[order[:s]] = power[:, j]
         noise[order[:w]] = tap[:, j]
+        if in_tail:
+            noise[order[s:cut]], noise[order[cut]] = e[:spot], top
+        noise[order[cut + in_tail :]] = e[spot:]
         return channel.profile[i] + np.sqrt(noise) * np.exp(
             1j * (channel.phase[i] + 2 * np.pi * turn))
 
@@ -456,9 +474,11 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
             )
         return result
 
-    k = hits.index(True) if True in hits else len(hits) - 1
-    t_k = sends[k][0] if hits[k] else None
-    record = _closed_form(index, k, hits[k], seed, valid, ue_on, sends)
+    k = int(hits.argmax())  # the first send heard, or 0 if none is
+    heard = bool(hits[k])
+    k = k if heard else len(hits) - 1
+    t_k = sends[k][0] if heard else None
+    record = _closed_form(index, k, heard, seed, valid, ue_on, sends)
     if not logged:
         checked(k, sends[k][1])  # only a later deciding send is rebuilt
         return record, logs

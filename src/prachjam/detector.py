@@ -168,22 +168,27 @@ def detect_preambles(
     """
     own, values = bins if isinstance(bins, DelayProfile) else (None, bins)
     values = np.asarray(values, dtype=complex)
-    if values.ndim != 1 or values.size < cfg.shift_step:
+    least = max(cfg.shift_step, 2)  # one tap would leave none for the floor
+    if values.ndim != 1 or values.size < least:
         raise ValueError(
-            f"expected at least {cfg.shift_step} averaged PRACH bins, got shape "
-            f"{values.shape}"
+            f"expected at least {least} averaged PRACH bins, got shape {values.shape}"
         )
     if own is None:
         bins = values
-    elif any(root != own for root in cfg.roots):
+    elif cfg.roots != (own,):  # the roots are distinct
         bins = profile_bins(values, own)
+    # ``_decide`` on one profile, from Python floats: the same arithmetic.
+    windows = _window_indices(values.size, cfg.shift_step)
     detected: list[Detection] = []
     floors: list[float] = []
     for root in cfg.roots:
-        profile = values if root == own else delay_profile(bins, root)
-        peaks, floor, hits = _decide(np.abs(profile) ** 2, cfg)
-        floors.append(float(floor))
-        detected += [Detection(root, int(w), float(peaks[w])) for w in np.flatnonzero(hits)]
+        power = np.abs(values if root == own else delay_profile(bins, root)) ** 2
+        peak = float(power.max())
+        floor, limit = _floor_and_limit(float(power.sum()), peak, values.size, cfg)
+        floors.append(floor)
+        if peak > limit:  # else no window's peak can pass
+            peaks = power[windows].max(axis=-1).tolist()
+            detected += [Detection(root, w, p) for w, p in enumerate(peaks) if p > limit]
     return DetectionResult(
         detected=detected, noise_floor=min(floors), occasion=occasion
     )
@@ -302,6 +307,8 @@ def calibrate_threshold(
         )
     if l_ra < cfg.shift_step:
         raise ValueError(f"l_ra {l_ra} is below the detector's shift_step {cfg.shift_step}")
+    if l_ra < 2:
+        raise ValueError(f"l_ra {l_ra} is below 2: a floor needs a tap besides the peak")
     stats = _noise_statistics(trials, cfg, rng, l_ra)
 
     def far(factor: float) -> float:

@@ -478,7 +478,7 @@ def test_channel_holds_the_detector_it_was_built_for():
     assert channel.signatures == tuple((r, w) for r in (1, 2, 5) for w in range(10))
     assert channel.reduced[1] == 6.0 / (6.0 + PRACH.preamble_length - 1)
     for shared in (channel.bins.ue_mean, channel.sig_array, channel.profile, channel.magnitude,
-                   channel.phase, channel.taps):
+                   channel.phase, channel.taps, channel.own_magnitude):
         assert not shared.flags.writeable
 
 

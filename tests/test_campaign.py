@@ -365,6 +365,22 @@ class TestIntervals:
         for heard, judged in zip(heard_at_once, rows):
             assert judged == ([] if heard and not logged else [len(sends) - 1])
 
+    @pytest.mark.parametrize("logged", [False, True], ids=["record", "logged"])
+    def test_record_fields_keep_their_python_types(self, logged):
+        # The verdicts are a bool array. At -14 dB the first send of each of
+        # these intervals is missed, and the UE is heard later (at the last
+        # send in interval 0) or not at all: every field must still be a
+        # Python bool, int, float or None, which json.dumps writes.
+        cfg = make_config(spectrum=JammerConfig(kind="S1", snr_db=-14.0), detection_log=logged)
+        records = [run_interval(cfg, i)[0] for i in range(5)]
+        assert [(r.preambles_sent, r.ra_succeeded) for r in records] == [
+            (19, True), (4, True), (19, False), (15, True), (13, True),
+        ]
+        for r in records:
+            fields = [int, bool, int, int, bool, float if r.ra_succeeded else type(None), int]
+            assert [type(value) for value in asdict(r).values()] == fields
+            assert json.loads(json.dumps(record_to_dict(r))) == record_to_dict(r)
+
     def test_logged_run_spans_the_lag_with_the_jammer_off(self):
         # quick.json: 0.5 s lead, 2 s of UE activity, 0.5 s lag, 3 occasions
         # every 20 ms.

@@ -215,6 +215,87 @@ class TestDelayProfileInput:
             with pytest.raises(ValueError, match=r"at least 13 averaged PRACH bins, got shape \(5,\)"):
                 detect_preambles(short, CFG)
 
+    def test_one_tap_profile_rejected(self):
+        # Its floor would be the mean of no taps.
+        cfg = DetectorConfig(shift_step=1)
+        for one in (np.ones(1, dtype=complex), DelayProfile(1, np.ones(1))):
+            with pytest.raises(ValueError, match=r"at least 2 averaged PRACH bins, got shape \(1,\)"):
+                detect_preambles(one, cfg)
+
+
+class TestOneProfile:
+    """``detect_preambles`` judges one profile from Python floats. Every
+    metric and floor it reports must be ``_decide``'s on a batch of the same
+    powers, with ``==``."""
+
+    ROOTS = TestDelayProfileInput.ROOTS
+
+    @staticmethod
+    def judged_like_decide(profiles, own, cfg):
+        """``_decide`` per root on the powers of ``profiles`` ``(M, L)``, each
+        judged as ``DelayProfile(own, profile)``, which ``detect_preambles``
+        must report row by row."""
+        powers = {root: [] for root in cfg.roots}
+        for profile in profiles:
+            bins = profile_bins(profile, own)
+            for root in cfg.roots:
+                taps = profile if root == own else delay_profile(bins, root)
+                powers[root].append(np.abs(taps) ** 2)
+        decided = {root: _decide(np.array(rows), cfg) for root, rows in powers.items()}
+        for i, profile in enumerate(profiles):
+            got = detect_preambles(DelayProfile(own, profile), cfg)
+            assert got.detected == [
+                (root, w, peaks[i, w])
+                for root, (peaks, _, hits) in decided.items() for w in np.flatnonzero(hits[i])
+            ]
+            assert got.noise_floor == min(floor[i] for _, floor, _ in decided.values())
+        return decided
+
+    @ROOTS
+    def test_random_profiles(self, roots, own):
+        cfg = DetectorConfig(threshold_factor=4.0, roots=roots)
+        rng = np.random.default_rng(23)
+        profiles = rng.standard_normal((40, 139)) + 1j * rng.standard_normal((40, 139))
+        profiles[np.arange(40), rng.integers(139, size=40)] *= 6
+        for _, _, hits in self.judged_like_decide(profiles, own, cfg).values():
+            assert hits.any(axis=-1).sum() > 20
+
+    @ROOTS
+    def test_exact_ties_do_not_pass(self, roots, own):
+        # TestOwnWindow's tie at powers that are squares of floats, so that
+        # taps sqrt(p) carry them exactly: 137 taps of 189, 2500 in window 3
+        # and 2466 in window 7 make the floor exactly 205.5 and the limit at
+        # factor 12 exactly 2466, which window 7 only ties. One ulp more passes.
+        cfg = DetectorConfig(threshold_factor=12.0, roots=roots)
+        anchors = _window_indices(139, 13)[:, 0]
+        power = np.full((2, 139), 189.0)
+        power[:, anchors[3]] = 2500.0
+        power[:, anchors[7]] = [2466.0, np.nextafter(2466.0, np.inf)]
+        peaks, floor, hits = self.judged_like_decide(np.sqrt(power) + 0j, own, cfg)[own]
+        assert floor.tolist() == [205.5, 205.5]
+        assert peaks[:, 7].tolist() == power[:, anchors[7]].tolist()
+        assert hits[:, [3, 7]].tolist() == [[True, False], [True, True]]
+
+    @ROOTS
+    def test_peak_in_the_guard_taps(self, roots, own):
+        # Taps 13-21 lie in no window: a peak of 100 there over taps of 1
+        # passes the limit 12.35 (floor 1), and no window does.
+        assert set(range(13, 22)).isdisjoint(_window_indices(139, 13).ravel())
+        profiles = np.ones((9, 139), dtype=complex)
+        profiles[np.arange(9), np.arange(13, 22)] = 10.0
+        peaks, floor, hits = self.judged_like_decide(profiles, own, DetectorConfig(roots=roots))[own]
+        assert floor.tolist() == [1.0] * 9 and not hits.any()
+
+    @ROOTS
+    def test_floor_guard(self, roots, own):
+        # An all-zero profile has floor 0 and reports nothing; a noiseless
+        # loopback's floor is at most FFT dust, and the guard passes its
+        # window alone.
+        profiles = np.array([np.zeros(139), delay_profile(received_bins(window=1, root=own), own)])
+        peaks, floor, hits = self.judged_like_decide(profiles, own, DetectorConfig(roots=roots))[own]
+        assert floor[0] == 0.0 and floor[1] < 1e-12 * peaks[1].max()
+        assert np.flatnonzero(hits[1]).tolist() == [1] and not hits[0].any()
+
 
 def any_window_hits(bins, cfg):
     """Whether ``detect_preambles`` reports any window in each row of bins
@@ -286,6 +367,12 @@ class TestCalibration:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="^l_ra 5 is below the detector's shift_step 13$"):
             calibrate_threshold(1e-3, 20_000, CFG, rng, l_ra=5)
+        assert rng.random() == np.random.default_rng(0).random()  # refused before drawing
+
+    def test_one_tap_profile_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="^l_ra 1 is below 2: a floor needs a tap besides the peak$"):
+            calibrate_threshold(0.5, 1000, DetectorConfig(shift_step=1), rng, l_ra=1)
         assert rng.random() == np.random.default_rng(0).random()  # refused before drawing
 
     def test_bad_target_rejected(self):

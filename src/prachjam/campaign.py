@@ -44,8 +44,8 @@ import numpy as np
 
 from .channel import BinChannel, ChannelConfig, bin_channel, superpose
 from .detector import (
-    DelayProfile, DetectorConfig, _fisher_quantile, _fisher_tail, _window_indices,
-    delay_profile, detect_preambles, signatures_detected, window_detected,
+    DelayProfile, DetectorConfig, _decide, _fisher_quantile, _fisher_tail, _window_indices,
+    delay_profile, detect_preambles, window_detected,
 )
 from .errors import ConfigError, SimulationError
 from .jammer import JammerConfig, bin_moments, generate_jamming_frame
@@ -308,10 +308,9 @@ class _Channel(NamedTuple):
     bins: BinChannel
     detector: DetectorConfig
     profile: np.ndarray  # (n, L) complex
-    magnitude: np.ndarray  # (n, L) abs(profile)
     phase: np.ndarray  # (n, L) angle(profile), 0 where the profile is
     # None unless each row's nonzero taps lie in its window of s < L/2 taps: its taps
-    # (n, L) by rank (``_bins``), the magnitude at its first w (n, w); w, x0 = f / (f +
+    # (n, L) by rank (``_bins``), abs(profile) at its first w (n, w); w, x0 = f / (f +
     # L - 1) and log P(g > x0).
     taps: np.ndarray | None
     own_magnitude: np.ndarray | None
@@ -348,11 +347,11 @@ def _bins(prach, cell, spectrum, channel, det):
         reduced = (int(nonzero.sum(-1).max()), x0, math.log(q[0]) if q[0] else -math.inf)
         own_magnitude = np.take_along_axis(magnitude, taps[:, : reduced[0]], axis=-1)
     phase = np.angle(profiles)
-    for shared in (chan.ue_mean, sig_array, profiles, magnitude, phase, taps, own_magnitude):
+    for shared in (chan.ue_mean, sig_array, profiles, phase, taps, own_magnitude):
         if shared is not None:  # every later caller gets these
             shared.setflags(write=False)
-    return _Channel(signatures, sig_array, chan, det, profiles, magnitude, phase, taps,
-                    own_magnitude, reduced)
+    return _Channel(signatures, sig_array, chan, det, profiles, phase, taps, own_magnitude,
+                    reduced)
 
 
 def judge_sends(channel, rng, sig_idx, every, occasion=None):
@@ -361,7 +360,8 @@ def judge_sends(channel, rng, sig_idx, every, occasion=None):
     ``SEEDING_RULE``: ``(hits, first, profile_of)``. The detector judges the
     first send's complex row at ``occasion``, with result ``first``. When
     ``every`` is set or the first is missed, the kernel judges the other K - 1
-    at once, drawn reduced where ``channel.taps`` is set (``_noise_like``).
+    at once, drawn reduced where ``channel.taps`` is set (``_noise_like``), else
+    as complex rows that ``_decide`` judges in their own windows.
     ``hits``, a bool array, says whether each send judged is detected, and
     ``profile_of(n, rng)`` is send ``n``'s complex delay profile, rebuilt from ``rng``.
     """
@@ -376,8 +376,8 @@ def judge_sends(channel, rng, sig_idx, every, occasion=None):
         later_hits, later_of = _noise_like(channel, rng, later)
     else:
         rows = chan.draw(rng, channel.profile[later], len(later))
-        power, later_of = np.abs(rows) ** 2, lambda j, rng: rows[j]
-        later_hits = signatures_detected(power, channel.sig_array[later, 1], det)
+        decided, later_of = _decide(np.abs(rows) ** 2, det)[2], lambda j, rng: rows[j]
+        later_hits = decided[np.arange(len(later)), channel.sig_array[later, 1]]
     hits = np.concatenate(([hit], later_hits))
     return hits, first, lambda n, rng: later_of(n - 1, rng) if n else row
 

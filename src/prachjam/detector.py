@@ -30,7 +30,6 @@ __all__ = [
     "DetectionResult",
     "DelayProfile",
     "detect_preambles",
-    "signatures_detected",
     "window_detected",
     "delay_profile",
     "profile_bins",
@@ -59,10 +58,14 @@ class DetectorConfig:
                 f"threshold_factor must be > 1 and finite, got {self.threshold_factor}"
             )
         length = PrachConfig.preamble_length
+        if not isinstance(self.shift_step, int):
+            raise ConfigError(f"shift_step must be an int, got {self.shift_step!r}")
         if self.shift_step < 1:
             raise ConfigError("shift_step must be >= 1")
         if self.shift_step > length:
             raise ConfigError(f"shift_step must be at most the preamble length {length}")
+        if not (isinstance(self.roots, tuple) and all(isinstance(r, int) for r in self.roots)):
+            raise ConfigError(f"roots must be a tuple of ints, got {self.roots!r}")
         if not self.roots:
             raise ConfigError("root list must be nonempty")
         usable = {r for r in self.roots if 0 < r < length and math.gcd(r, length) == 1}
@@ -134,7 +137,8 @@ def _floor_and_limit(total, peak, length: int, cfg: DetectorConfig):
 
 
 def _decide(power: np.ndarray, cfg: DetectorConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The detection rule on delay-profile powers ``(..., L)``.
+    """The detection rule on delay-profile powers ``(..., L)``: batches of
+    full rows (calibration, a campaign's dense later sends) go through it.
 
     Returns the peak power of each signature window ``(..., W)``, the floor
     and which windows pass the limit (``_floor_and_limit``) ``(..., W)``.
@@ -192,20 +196,6 @@ def detect_preambles(
     return DetectionResult(
         detected=detected, noise_floor=min(floors), occasion=occasion
     )
-
-
-def signatures_detected(
-    power: np.ndarray, windows: np.ndarray, cfg: DetectorConfig
-) -> np.ndarray:
-    """Whether ``detect_preambles`` reports window ``windows[i]`` in row ``i``.
-
-    ``power`` has shape ``(M, L)``: the tap powers ``|profile|**2`` of each
-    row's delay profile against the root of the signature it is judged for.
-    Only each row's own window is gathered.
-    """
-    taps = _window_indices(power.shape[-1], cfg.shift_step)[windows]
-    peaks = power[np.arange(len(power))[:, None], taps].max(axis=-1)
-    return peaks > _floor_and_limit(power.sum(-1), power.max(-1), power.shape[-1], cfg)[1]
 
 
 def window_detected(window, rest_sum, rest_peak, length: int, cfg: DetectorConfig):

@@ -124,8 +124,7 @@ def demap_prach(
     returned array keeps them.
     """
     n = cell.dft_size
-    cp = cp_length(cell)
-    need = cp + REPETITIONS * n
+    cp, need = cp_length(cell), frame_length(cell)
     samples = frame.samples
     if samples.shape[-1] < need:
         raise ValueError(

@@ -9,7 +9,7 @@ import numpy as np
 from prachjam.campaign import IntervalRecord, _bins
 from prachjam.channel import ChannelConfig, superpose
 from prachjam.detector import (
-    Detection, DetectionResult, DetectorConfig, delay_profile, signatures_detected,
+    Detection, DetectionResult, DetectorConfig, _decide, delay_profile,
 )
 from prachjam.jammer import generate_jamming_frame
 from prachjam.prach import PRESETS, CellConfig, PrachConfig, occasions_in_frame, occupancy_ratio
@@ -66,13 +66,18 @@ def received_bins(trials, rng, spectrum, channel, waves=None):
     return index, np.concatenate(bins)
 
 
+def own_window_hits(power, windows, det):
+    """``_decide``'s verdict on each row of tap powers ``power`` ``(M, L)``
+    in its own window ``windows[i]``."""
+    return _decide(power, det)[2][np.arange(len(power)), windows]
+
+
 def oracle_misses(spectrum, det, trials, seed, channel=NOISE_0DB):
     """Missed preambles among ``trials`` occasions of root 1's ten
     signatures under ``spectrum`` and ``channel`` (per-bin noise at 0 dB by
     default), each judged in its own window."""
     index, bins = received_bins(trials, np.random.default_rng(seed), spectrum, channel, WAVES)
-    power = np.abs(delay_profile(bins, 1)) ** 2
-    return int(np.sum(~signatures_detected(power, index, det)))
+    return int(np.sum(~own_window_hits(np.abs(delay_profile(bins, 1)) ** 2, index, det)))
 
 
 def bin_domain(spectrum, channel=NOISE_0DB, det=DetectorConfig(), prach=PRACH):

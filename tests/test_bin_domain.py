@@ -27,7 +27,6 @@ from prachjam.detector import (
     delay_profile,
     detect_preambles,
     profile_bins,
-    signatures_detected,
     window_detected,
 )
 from prachjam.jammer import JammerConfig, generate_jamming_frame
@@ -37,7 +36,7 @@ from prachjam.zc import generate_zc
 
 from helpers import (
     CELL, NOISE_0DB, OCCASION, PRACH, SIGMA_0DB, WAVES, bin_domain, oracle_misses,
-    preamble_wave, received_bins, two_proportion_z,
+    own_window_hits, preamble_wave, received_bins, two_proportion_z,
 )
 
 
@@ -109,12 +108,12 @@ def judged_with_powers(monkeypatch, channel, rng, sig_idx):
     on, the first's row by the detector and the others by the kernel."""
     powers = []
 
-    def recording(power, windows, cfg):
+    def recording(power, cfg):
         powers.append(power.copy())
-        return signatures_detected(power, windows, cfg)
+        return _decide(power, cfg)
 
     with monkeypatch.context() as patch:
-        patch.setattr(prachjam.campaign, "signatures_detected", recording)
+        patch.setattr(prachjam.campaign, "_decide", recording)
         profile_of = judge_sends(channel, rng, sig_idx, every=True)[2]
     return np.vstack([np.abs(profile_of(0, None)) ** 2, *powers]), profile_of
 
@@ -134,7 +133,7 @@ def test_batched_kernel_decides_like_detect_preambles(roots):
     ])
     assert 40 < single.sum() < 360
     power = np.abs(profiles_of(bins, sigs[:, 0])) ** 2
-    assert signatures_detected(power, sigs[:, 1], det).tolist() == single.tolist()
+    assert own_window_hits(power, sigs[:, 1], det).tolist() == single.tolist()
     # judge_sends's own draws, in intervals of 25 transmissions: each
     # send's complex profile, taken back to bins and through
     # detect_preambles, gets the verdict judge_sends gave it.
@@ -186,7 +185,7 @@ def missed_rows(channel, n, seed, as_bins):
         else:
             rows = chan.draw(rng, channel.profile[idx], chunk)
         power = np.abs(rows) ** 2
-        missed += int(np.sum(~signatures_detected(power, sig_array[idx, 1], channel.detector)))
+        missed += int(np.sum(~own_window_hits(power, sig_array[idx, 1], channel.detector)))
     return missed
 
 
@@ -321,8 +320,8 @@ def test_reduced_verdict_equals_the_full_row(factor, snr_db):
     # Full rows of exponential tap powers plus the shipped mean tap, a third
     # of them with one other tap raised up to 60-fold, so that its share g
     # of the others' sum passes x0 at every factor. From (T's powers, S_O,
-    # g) the reduced rule gives every row the verdict signatures_detected
-    # gives the whole row, on both sides of x0.
+    # g) the reduced rule gives every row the verdict _decide gives the
+    # whole row, on both sides of x0.
     det = DetectorConfig(threshold_factor=factor)
     spectrum = JammerConfig(kind="S1", snr_db=snr_db)
     channel = bin_domain(spectrum, det=det)
@@ -331,7 +330,7 @@ def test_reduced_verdict_equals_the_full_row(factor, snr_db):
     idx = rng.integers(len(channel.signatures), size=rows)
     theta, taps, at = 2 * channel.bins.std**2, channel.taps[idx, :13], np.arange(rows)
     power = -theta * np.log(1.0 - rng.random((rows, length)))
-    mean, tap = channel.magnitude[idx, taps[:, 0]], power[at, taps[:, 0]]
+    mean, tap = np.abs(channel.profile[idx, taps[:, 0]]), power[at, taps[:, 0]]
     power[at, taps[:, 0]] = tap + mean * (
         mean + 2 * np.sqrt(tap) * np.cos(2 * np.pi * rng.random(rows)))
     others = np.ones((rows, length), dtype=bool)
@@ -343,7 +342,7 @@ def test_reduced_verdict_equals_the_full_row(factor, snr_db):
     g = rest.max(axis=-1) / rest.sum(axis=-1)
     top = np.where(g >= x0, g * rest.sum(axis=-1), 0.0)
     reduced = window_detected(power[at[:, None], taps], rest.sum(axis=-1), top, length, det)
-    full = signatures_detected(power, channel.sig_array[idx, 1], det)
+    full = own_window_hits(power, channel.sig_array[idx, 1], det)
     for branch in (g >= x0, g < x0):
         assert 0 < full[branch].mean() < 1
     assert np.array_equal(reduced, full)
@@ -441,8 +440,7 @@ def test_rebuilt_row_power_equals_kernel_power(name, monkeypatch):
             assert others.max() == pytest.approx(rest_peak[j - 1], rel=1e-12)
         else:
             assert others.max() < x0 * rest_sum[j - 1]
-        window_of = channel.sig_array[idx[j:j + 1], 1]
-        assert signatures_detected(power[None], window_of, det)[0] == hits[j]
+        assert _decide(power, det)[2][channel.sig_array[idx[j], 1]] == hits[j]
 
 
 @pytest.mark.parametrize("roots", [(1,), (1, 2, 5)])
@@ -455,7 +453,6 @@ def test_round_off_rule_zeroes_all_but_the_own_tap(roots):
     channel = bin_domain(spectrum, det=det)
     sig_array = channel.sig_array
     assert (channel.profile == 0).sum(axis=-1).tolist() == [138] * len(channel.profile)
-    np.testing.assert_array_equal(channel.magnitude, np.abs(channel.profile))
     # Each row's taps: its window's (the nonzero one first), then the rest in order.
     assert np.all(np.sort(channel.taps, axis=-1) == np.arange(139))
     np.testing.assert_array_equal(channel.taps[:, :13], _window_indices(139, 13)[sig_array[:, 1]])
@@ -477,8 +474,8 @@ def test_channel_holds_the_detector_it_was_built_for():
     assert channel.detector == det and means_channel("S1", det) is channel
     assert channel.signatures == tuple((r, w) for r in (1, 2, 5) for w in range(10))
     assert channel.reduced[1] == 6.0 / (6.0 + PRACH.preamble_length - 1)
-    for shared in (channel.bins.ue_mean, channel.sig_array, channel.profile, channel.magnitude,
-                   channel.phase, channel.taps, channel.own_magnitude):
+    for shared in (channel.bins.ue_mean, channel.sig_array, channel.profile, channel.phase,
+                   channel.taps, channel.own_magnitude):
         assert not shared.flags.writeable
 
 

@@ -340,22 +340,30 @@ class TestIntervals:
 
     @pytest.mark.parametrize("logged, duration", [(False, 2.0), (True, 2.0), (True, 0.15)],
                              ids=["record", "logged", "logged_one_send"])
-    def test_judges_the_first_send_then_the_rest_at_once(self, monkeypatch, logged, duration):
+    @pytest.mark.parametrize("spectrum, kernel", [
+        (JammerConfig(kind="S1", snr_db=-14.0), "window_detected"),
+        (JammerConfig(kind="S1_literal", snr_db=-13.0), "_decide"),
+    ], ids=["sparse", "dense"])
+    def test_judges_the_first_send_then_the_rest_at_once(self, monkeypatch, logged, duration,
+                                                          spectrum, kernel):
         # The detector alone judges the first send, and the kernel the other
         # K - 1 in one call, empty where K = 1: a record run whose first send
         # is heard makes no kernel call. S1's means are sparse, so the kernel
-        # judges each send on its own window (window_detected).
-        cfg = make_config(n_intervals=18, interval_duration=duration,
-                          spectrum=JammerConfig(kind="S1", snr_db=-14.0), detection_log=logged)
+        # judges each send on its own window (window_detected); S1_literal's
+        # are dense, and _decide judges the full rows.
+        cfg = make_config(n_intervals=18, interval_duration=duration, spectrum=spectrum,
+                          detection_log=logged)
         sends = prachjam.campaign._ue_sends(cfg)[3]
         assert len(sends) == (19 if duration == 2.0 else 1)
-        judge, rows = prachjam.campaign.window_detected, []
+        channel = prachjam.campaign._bins(cfg.prach, cfg.cell, spectrum, cfg.channel, cfg.detector)
+        assert (channel.taps is None) == (kernel == "_decide")
+        judge, rows = getattr(prachjam.campaign, kernel), []
 
-        def counting(window, *args):
-            rows[-1].append(len(window))
-            return judge(window, *args)
+        def counting(power, *args):
+            rows[-1].append(len(power))
+            return judge(power, *args)
 
-        monkeypatch.setattr(prachjam.campaign, "window_detected", counting)
+        monkeypatch.setattr(prachjam.campaign, kernel, counting)
         heard_at_once = []
         for i in range(cfg.n_intervals):
             rows.append([])

@@ -21,7 +21,6 @@ from prachjam.detector import (
     delay_profile,
     detect_preambles,
     profile_bins,
-    signatures_detected,
 )
 from prachjam.errors import ConfigError
 from prachjam.jammer import JammerConfig
@@ -96,6 +95,10 @@ class TestDecisions:
         ("roots", (0,), "roots must be distinct roots in [1, 139) coprime with 139, got [0]"),
         ("roots", (139,), "roots must be distinct roots in [1, 139) coprime with 139, got [139]"),
         ("shift_step", 140, "shift_step must be at most the preamble length 139"),
+        # Types the JSON loader makes right, which a library caller may not.
+        ("roots", [1], "roots must be a tuple of ints, got [1]"),
+        ("roots", (1.0,), "roots must be a tuple of ints, got (1.0,)"),
+        ("shift_step", 13.0, "shift_step must be an int, got 13.0"),
     ])
     def test_config_refuses_what_it_cannot_judge(self, field, value, message):
         # Library callers of detect_preambles, calibrate_threshold and the
@@ -122,48 +125,6 @@ class TestMissedDetectionFloor:
         off = JammerConfig(kind="S1", snr_db=0.0, enabled=False)
         trials = 10_000
         assert oracle_misses(off, CFG, trials, seed=2024) / trials < 0.01
-
-
-class TestOwnWindow:
-    """``signatures_detected`` gathers each row's own window only; it must
-    decide as ``_decide`` does on every window, bit for bit."""
-
-    @staticmethod
-    def own_window_of_decide(power, windows, cfg=CFG):
-        got = signatures_detected(power, windows, cfg)
-        np.testing.assert_array_equal(got, _decide(power, cfg)[2][np.arange(len(power)), windows])
-        return got.tolist()
-
-    def test_random_powers(self):
-        rng = np.random.default_rng(11)
-        power = rng.exponential(size=(600, 139))
-        windows = rng.integers(10, size=600)
-        # Half the rows get a strong tap somewhere in their own window.
-        taps = _window_indices(139, 13)[windows, rng.integers(13, size=600)]
-        power[np.arange(0, 600, 2), taps[::2]] *= 40
-        assert 100 < sum(self.own_window_of_decide(power, windows)) < 500
-
-    def test_zero_rows_and_the_floor_guard(self):
-        # An all-zero row reports nothing; with a single nonzero tap the
-        # floor is 0 and the guard lets only that tap's window pass.
-        power = np.zeros((4, 139))
-        power[2:, _window_indices(139, 13)[4, 3]] = 2.5
-        assert self.own_window_of_decide(power, np.array([0, 4, 4, 5])) == [
-            False, False, True, False,
-        ]
-
-    def test_exact_ties_do_not_pass(self):
-        # 137 taps of 126, a peak of 2000 in window 3 and 1644 in window 7:
-        # the floor is exactly 137 and the limit at factor 12 exactly 1644,
-        # which window 7 only ties. One ulp more passes.
-        cfg = DetectorConfig(threshold_factor=12.0)
-        anchors = _window_indices(139, 13)[:, 0]
-        power = np.full((2, 139), 126.0)
-        power[:, anchors[3]] = 2000.0
-        power[:, anchors[7]] = [1644.0, np.nextafter(1644.0, np.inf)]
-        assert _decide(power, cfg)[1].tolist() == [137.0, 137.0]
-        assert self.own_window_of_decide(power, np.array([7, 7]), cfg) == [False, True]
-        assert self.own_window_of_decide(power, np.array([3, 3]), cfg) == [True, True]
 
 
 class TestDelayProfileInput:
@@ -262,9 +223,9 @@ class TestOneProfile:
 
     @ROOTS
     def test_exact_ties_do_not_pass(self, roots, own):
-        # TestOwnWindow's tie at powers that are squares of floats, so that
-        # taps sqrt(p) carry them exactly: 137 taps of 189, 2500 in window 3
-        # and 2466 in window 7 make the floor exactly 205.5 and the limit at
+        # An exact tie at powers that are squares of floats, so that taps
+        # sqrt(p) carry them exactly: 137 taps of 189, 2500 in window 3 and
+        # 2466 in window 7 make the floor exactly 205.5 and the limit at
         # factor 12 exactly 2466, which window 7 only ties. One ulp more passes.
         cfg = DetectorConfig(threshold_factor=12.0, roots=roots)
         anchors = _window_indices(139, 13)[:, 0]

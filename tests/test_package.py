@@ -2,6 +2,7 @@
 the README's statements about the code."""
 import argparse
 import ast
+import importlib
 import re
 import types
 from pathlib import Path
@@ -16,17 +17,23 @@ from helpers import BENCHMARK_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
-MODULES = sorted([*(ROOT / "src" / "prachjam").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SOURCES = sorted((ROOT / "src" / "prachjam").glob("*.py"))
+MODULES = sorted([*SOURCES, *(ROOT / "tests").glob("*.py")])
 
 
 def test_all_lists_every_public_name():
     # ``from prachjam import *`` binds every public name the package
-    # imports (the README's example calls generate_zc), and only names
-    # that exist.
+    # imports (the README's example calls generate_zc). It and
+    # ``from prachjam.<module> import *`` bind only names that exist.
     public = {name for name, value in vars(prachjam).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(public - set(prachjam.__all__)) == []
-    assert [name for name in prachjam.__all__ if not hasattr(prachjam, name)] == []
+    modules = [importlib.import_module(f"prachjam.{path.stem}".removesuffix(".__init__"))
+               for path in SOURCES]
+    exporting = [module for module in modules if hasattr(module, "__all__")]
+    assert prachjam in exporting and len(exporting) > 1
+    assert [f"{module.__name__}.{name}" for module in exporting for name in module.__all__
+            if not hasattr(module, name)] == []
 
 
 def dotted(node):
@@ -111,11 +118,10 @@ def test_every_private_name_is_read():
     # Code that nothing reaches gets deleted: each private module-level
     # name of the package is read somewhere in the package or its tests.
     read = set().union(*map(names_read, MODULES))
-    sources = sorted((ROOT / "src" / "prachjam").glob("*.py"))
-    unread = {f"{path.name}:{name}" for path in sources
+    unread = {f"{path.name}:{name}" for path in SOURCES
               for name in private_definitions(path) - read}
     assert sorted(unread) == []
-    assert sum(len(private_definitions(path)) for path in sources) > 30
+    assert sum(len(private_definitions(path)) for path in SOURCES) > 30
 
 
 def test_readme_names_the_seeding_rule_version():

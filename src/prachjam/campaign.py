@@ -5,12 +5,13 @@ jammer runs for the whole span while the UE appears after a lead delay,
 retries a preamble every 100 ms until a random-access procedure succeeds,
 and disappears before the jammer stops. Occasions are simulated as their
 averaged PRACH bins (``channel.bin_channel``). An unanswered UE sends on
-a fixed schedule (``ue_step`` stepped with no RAR), so the campaign draws
-the signatures of all its K transmissions at once. An interval reads one
-random stream, in the order that ``judge_sends`` alone holds. The detector judges the first send, which
-decides when the UE is heard at once, on its complex delay profile. The
-kernel judges the other K - 1 at once, which a record run needs only when
-the first is missed and a logged run always. It needs no transform and
+a fixed schedule (``ue_step`` stepped with no RAR), so the campaign knows
+its K transmissions up front. An interval reads one random stream, in the
+order that ``judge_sends`` alone holds. The detector judges the first send,
+which decides when the UE is heard at once, on its complex delay profile.
+The kernel judges the other K - 1 at once, which a record run needs only
+when the first is missed and a logged run always; only then are their
+signatures drawn, all at once. It needs no transform and
 reads only the tap powers: white bins times the constant-modulus ZC
 reference stay white, with the same variance, so each tap is its mean plus
 complex normal noise. Where the means are sparse, a send draws only its own
@@ -35,7 +36,6 @@ import itertools
 import math
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import Any, NamedTuple
@@ -98,30 +98,32 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 SEEDING_RULE = (
-    "v9: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
+    "v10: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
     "data=pack('<QQ', base_seed, i)); interval stream = "
     "numpy.random.default_rng(interval_seed(i)), drawing the validity flag (random()), "
-    "the signatures of all K scheduled preambles (integers(n_signatures, size=K)), then "
-    "the noise of each preamble's delay profile ifft(bins * conj(fft(zc(root)))) against "
-    "its own root: L taps mu[n] plus white noise of variance theta = 2 * std**2 (std that "
-    "of the bins' parts), mu its mean with taps below 1e-12 of its peak set to 0; 2*L "
-    "standard normals (interleaved re, im) for the first and, unless each mu's nonzero "
+    "the first preamble's signature (integers(n_signatures)), then the noise of its delay "
+    "profile ifft(bins * conj(fft(zc(root)))) against its own root: L taps mu[n] plus "
+    "white noise of variance theta = 2 * std**2 (std that of the bins' parts), mu its "
+    "mean with taps below 1e-12 of its peak set to 0, as 2*L standard normals "
+    "(interleaved re, im); only if that preamble is not detected or the run is logged, "
+    "the signatures of the K - 1 later preambles (integers(n_signatures, size=K - 1)), "
+    "then their noise: 2*L standard normals for each in turn unless each mu's nonzero "
     "taps lie in its own window T of s < L/2 taps and 1 - Q(x0) >= 1e-3 with a float64 "
-    "rounding bound under 1e-6 of it, for each other in turn; else random((s + 1 + w, K - "
-    "1)), column j for preamble j + 1: E = -log(1 - u) at T (nonzero mu first, each part "
-    "in tap order), v = 1 - u, and phase fractions F at T's first w taps (w the most "
-    "nonzero taps of a mu), tap n being mu[n] + sqrt(theta * E[n]) * exp(1j * "
-    "(angle(mu[n]) + 2 * pi * F[n])), then the power sums S_O of the n = L - s other "
-    "taps, gamma(n, theta, size=K - 1); it is detected if T's peak exceeds f * max((S_T + "
-    "S_O - P) / (L - 1), 1e-12 * P), S_T T's power sum, P the larger of T's peak and, if "
-    "v <= Q(x0), g * S_O with Q(g) = v, Q(x) = sum((-1)**(k-1) * C(n, k) * (1 - k * "
-    "x)**(n - 1), 1 <= k <= 1/x), x0 = f / (f + L - 1); then in occasion order each such "
-    "preamble the detector judges after the first reads random(L) for F at its other "
-    "taps, integers(n) if v <= Q(x0) for the place of g * S_O among its other taps in tap "
-    "order, then -log(1 - random(n)) (random(n - 1) if v <= Q(x0)) until their largest is "
-    "below x0 (g / (1 - g)) times their sum, scaled to sum S_O (S_O - g * S_O); a logged "
-    "run reads 2*L standard normals for each occasion without a preamble; a record "
-    "depends on no draw of a preamble after the first detected"
+    "rounding bound under 1e-6 of it; else random((s + 1 + w, K - 1)), column j for "
+    "preamble j + 1: E = -log(1 - u) at T (nonzero mu first, each part in tap order), v "
+    "= 1 - u, and phase fractions F at T's first w taps (w the most nonzero taps of a "
+    "mu), tap n being mu[n] + sqrt(theta * E[n]) * exp(1j * (angle(mu[n]) + 2 * pi * "
+    "F[n])), then the power sums S_O of the n = L - s other taps, gamma(n, theta, size=K "
+    "- 1); it is detected if T's peak exceeds f * max((S_T + S_O - P) / (L - 1), 1e-12 * "
+    "P), S_T T's power sum, P the larger of T's peak and, if v <= Q(x0), g * S_O with "
+    "Q(g) = v, Q(x) = sum((-1)**(k-1) * C(n, k) * (1 - k * x)**(n - 1), 1 <= k <= 1/x), "
+    "x0 = f / (f + L - 1); then in occasion order each such preamble the detector judges "
+    "after the first reads random(L) for F at its other taps, integers(n) if v <= Q(x0) "
+    "for the place of g * S_O among its other taps in tap order, then -log(1 - "
+    "random(n)) (random(n - 1) if v <= Q(x0)) until their largest is below x0 (g / (1 - "
+    "g)) times their sum, scaled to sum S_O (S_O - g * S_O); a logged run reads 2*L "
+    "standard normals for each occasion without a preamble; a record depends on no draw "
+    "of a preamble after the first detected"
 )
 
 
@@ -355,22 +357,27 @@ def _bins(prach, cell, spectrum, channel, det):
 
 
 def judge_sends(channel, rng, sig_idx, every, occasion=None):
-    """Draw and judge an interval's sends of the signatures ``sig_idx`` from
-    ``rng`` on ``channel`` (``_bins``) with its detector, in the one order of
-    ``SEEDING_RULE``: ``(hits, first, profile_of)``. The detector judges the
-    first send's complex row at ``occasion``, with result ``first``. When
-    ``every`` is set or the first is missed, the kernel judges the other K - 1
-    at once, drawn reduced where ``channel.taps`` is set (``_noise_like``), else
-    as complex rows that ``_decide`` judges in their own windows.
-    ``hits``, a bool array, says whether each send judged is detected, and
+    """Draw and judge an interval's sends from ``rng`` on ``channel`` (``_bins``)
+    with its detector, in the one order of ``SEEDING_RULE``: ``(hits, first,
+    profile_of, sig_idx)``. ``sig_idx`` holds the signatures of the K sends, or
+    is K: then the first's is drawn before its row, and the K - 1 later ones
+    only when they are judged. The detector judges the first send's complex row
+    at ``occasion``, with result ``first``. When ``every`` is set or the first is
+    missed, the kernel judges the other K - 1 at once, drawn reduced where
+    ``channel.taps`` is set (``_noise_like``), else as complex rows that
+    ``_decide`` judges in their own windows. ``hits``, a bool array, says whether
+    each send judged is detected, ``sig_idx`` holds their signatures, and
     ``profile_of(n, rng)`` is send ``n``'s complex delay profile, rebuilt from ``rng``.
     """
-    chan, det, own = channel.bins, channel.detector, channel.signatures[sig_idx[0]]
-    row = chan.draw(rng, channel.profile[sig_idx[:1]], 1)[0]
+    chan, det, n_sig = channel.bins, channel.detector, len(channel.signatures)
+    s0 = rng.integers(n_sig) if isinstance(sig_idx, int) else sig_idx[0]
+    own, row = channel.signatures[s0], chan.draw(rng, channel.profile[s0], 1)[0]
     first = detect_preambles(DelayProfile(own[0], row), det, occasion=occasion)
     hit = first.reports(own)
     if hit and not every:
-        return np.array([hit]), first, lambda n, rng: row
+        return np.array([hit]), first, lambda n, rng: row, (s0,)
+    if isinstance(sig_idx, int):
+        sig_idx = np.concatenate(([s0], rng.integers(n_sig, size=sig_idx - 1)))
     later = sig_idx[1:]
     if channel.taps is not None:
         later_hits, later_of = _noise_like(channel, rng, later)
@@ -379,7 +386,7 @@ def judge_sends(channel, rng, sig_idx, every, occasion=None):
         decided, later_of = _decide(np.abs(rows) ** 2, det)[2], lambda j, rng: rows[j]
         later_hits = decided[np.arange(len(later)), channel.sig_array[later, 1]]
     hits = np.concatenate(([hit], later_hits))
-    return hits, first, lambda n, rng: later_of(n - 1, rng) if n else row
+    return hits, first, lambda n, rng: later_of(n - 1, rng) if n else row, sig_idx
 
 
 def _noise_like(channel, rng, idx):
@@ -418,15 +425,16 @@ def _noise_like(channel, rng, idx):
     def profile_of(j, rng):
         i, order, turn = idx[j], channel.taps[idx[j]], rng.random(length)
         turn[order[:w]] = turns[:, j]
-        in_tail, top = bool(g[j]), g[j] * rest[j]
-        spot, share = (rng.integers(n), g[j] / (1 - g[j])) if in_tail else (0, x0)
+        g_j, sum_o = float(g[j]), float(rest[j])  # Python floats skip numpy's scalar dispatch
+        in_tail, top = g_j > 0, g_j * sum_o
+        spot, share = (int(rng.integers(n)), g_j / (1 - g_j)) if in_tail else (0, x0)
         while True:
             e = rng.random(n - in_tail)
             np.negative(np.log(np.subtract(1.0, e, out=e), out=e), out=e)
-            total = e.sum()
-            if e.max() < share * total:
+            total = float(np.add.reduce(e))
+            if float(np.maximum.reduce(e)) < share * total:
                 break
-        e *= (rest[j] - top) / total
+        e *= (sum_o - top) / total
         # The others' taps in tap order, the tail's largest at ``spot`` among them.
         noise, cut = np.empty(length), s + spot
         noise[order[:s]] = power[:, j]
@@ -456,9 +464,9 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
     seed, rng, valid = _stream(cfg, index)
     channel = _bins(cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector)
     signatures, chan, det = channel.signatures, channel.bins, channel.detector
-    sig_idx = rng.integers(len(signatures), size=len(sends))
     logged, logs = cfg.detection_log or cfg.event_trace, Logs([], [])
-    hits, first, profile_of = judge_sends(channel, rng, sig_idx, logged, sends[0][1])
+    hits, first, profile_of, sig_idx = judge_sends(channel, rng, len(sends), logged,
+                                                   sends[0][1])
 
     def checked(n: int, occ: PrachOccasion):
         """The detector's result on send ``n``: the first's, or a later one's on
@@ -469,9 +477,8 @@ def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]
         row = DelayProfile(signature[0], profile_of(n, rng))
         result = detect_preambles(row, det, occasion=occ)
         if result.reports(signature) != hits[n]:
-            raise SimulationError(
-                f"interval {index}: kernel and detector disagree on preamble {n}"
-            )
+            raise SimulationError(f"interval {index}: kernel and detector disagree on "
+                                  f"preamble {n}")
         return result
 
     k = int(hits.argmax())  # the first send heard, or 0 if none is
@@ -543,18 +550,13 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1) -> tuple[list[IntervalRe
     # A pool starts all its workers at the first submit: no more than there are intervals.
     threads = min(threads, len(indices))
     if threads > 1:
-        # An interval can take under a millisecond: hand each worker a few
-        # large chunks rather than one interval per round trip.
+        # Imported here: a serial run loads no multiprocessing. An interval can take
+        # under a millisecond: hand each worker a few large chunks, not one interval each.
+        from concurrent.futures import ProcessPoolExecutor
         chunksize = max(1, len(indices) // (4 * threads))
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    run_interval,
-                    itertools.repeat(cfg, len(indices)),
-                    indices,
-                    chunksize=chunksize,
-                )
-            )
+            results = list(pool.map(run_interval, itertools.repeat(cfg, len(indices)), indices,
+                                    chunksize=chunksize))
     else:
         results = [run_interval(cfg, i) for i in indices]
     logs = Logs([], [])

@@ -53,18 +53,19 @@ class DetectorConfig:
     roots: tuple[int, ...] = (1,)
 
     def __post_init__(self) -> None:
-        if not 1 < self.threshold_factor < math.inf:  # false for NaN too
-            raise ConfigError(
-                f"threshold_factor must be > 1 and finite, got {self.threshold_factor}"
-            )
+        factor = self.threshold_factor  # as in the JSON loader, a bool is no number
+        if isinstance(factor, bool) or not isinstance(factor, (int, float)):
+            raise ConfigError(f"threshold_factor must be a number, got {factor!r}")
+        if not 1 < factor < math.inf:  # false for NaN too
+            raise ConfigError(f"threshold_factor must be > 1 and finite, got {factor}")
         length = PrachConfig.preamble_length
-        if not isinstance(self.shift_step, int):
+        if type(self.shift_step) is not int:
             raise ConfigError(f"shift_step must be an int, got {self.shift_step!r}")
         if self.shift_step < 1:
             raise ConfigError("shift_step must be >= 1")
         if self.shift_step > length:
             raise ConfigError(f"shift_step must be at most the preamble length {length}")
-        if not (isinstance(self.roots, tuple) and all(isinstance(r, int) for r in self.roots)):
+        if not (isinstance(self.roots, tuple) and all(type(r) is int for r in self.roots)):
             raise ConfigError(f"roots must be a tuple of ints, got {self.roots!r}")
         if not self.roots:
             raise ConfigError("root list must be nonempty")
@@ -128,12 +129,13 @@ def profile_bins(profile: np.ndarray, root: int) -> np.ndarray:
     return np.fft.fft(profile) / _reference_spectrum(root, profile.shape[-1])
 
 
-def _floor_and_limit(total, peak, length: int, cfg: DetectorConfig):
+def _floor_and_limit(total, peak, length: int, cfg: DetectorConfig, maximum=np.maximum):
     """The floor of ``length`` tap powers ``|profile|**2`` summing to ``total``
     and peaking at ``peak`` (their mean with the peak excluded) and the power a
-    window's peak must exceed: ``threshold_factor`` times the guarded floor."""
+    window's peak must exceed: ``threshold_factor`` times the guarded floor.
+    ``maximum`` is the builtin ``max`` on Python floats: no numpy scalar dispatch."""
     floor = (total - peak) / (length - 1)
-    return floor, cfg.threshold_factor * np.maximum(floor, peak * _FLOOR_GUARD)
+    return floor, cfg.threshold_factor * maximum(floor, peak * _FLOOR_GUARD)
 
 
 def _decide(power: np.ndarray, cfg: DetectorConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -182,20 +184,16 @@ def detect_preambles(
     elif cfg.roots != (own,):  # the roots are distinct
         bins = profile_bins(values, own)
     # ``_decide`` on one profile, from Python floats: the same arithmetic.
-    windows = _window_indices(values.size, cfg.shift_step)
-    detected: list[Detection] = []
-    floors: list[float] = []
+    detected, floors = [], []
     for root in cfg.roots:
         power = np.abs(values if root == own else delay_profile(bins, root)) ** 2
-        peak = float(power.max())
-        floor, limit = _floor_and_limit(float(power.sum()), peak, values.size, cfg)
+        peak, total = float(np.maximum.reduce(power)), float(np.add.reduce(power))
+        floor, limit = _floor_and_limit(total, peak, values.size, cfg, max)
         floors.append(floor)
         if peak > limit:  # else no window's peak can pass
-            peaks = power[windows].max(axis=-1).tolist()
+            peaks = power[_window_indices(values.size, cfg.shift_step)].max(axis=-1).tolist()
             detected += [Detection(root, w, p) for w, p in enumerate(peaks) if p > limit]
-    return DetectionResult(
-        detected=detected, noise_floor=min(floors), occasion=occasion
-    )
+    return DetectionResult(detected=detected, noise_floor=min(floors), occasion=occasion)
 
 
 def window_detected(window, rest_sum, rest_peak, length: int, cfg: DetectorConfig):

@@ -143,7 +143,7 @@ def test_batched_kernel_decides_like_detect_preambles(roots):
     verdicts = []
     for _ in range(16):
         idx = rng.integers(len(signatures), size=25)
-        hits, _, profile_of = judge_sends(channel, rng, idx, every=True)
+        hits, _, profile_of, _ = judge_sends(channel, rng, idx, every=True)
         assert len(hits) == 25
         for n, hit in enumerate(hits):
             root, window = signatures[idx[n]]
@@ -360,7 +360,7 @@ def test_reduced_draw_needs_sends_below_x0(factor, reduced):
     channel = bin_domain(spectrum, det=det)
     assert (channel.taps is not None) == reduced
     idx = np.random.default_rng(5).integers(len(channel.signatures), size=60)
-    hits, _, profile_of = judge_sends(channel, np.random.default_rng(6), idx, every=True)
+    hits, _, profile_of, _ = judge_sends(channel, np.random.default_rng(6), idx, every=True)
     rng = np.random.default_rng(7)
     for n in range(1, len(idx)):
         root, window = channel.signatures[idx[n]]
@@ -427,7 +427,7 @@ def test_rebuilt_row_power_equals_kernel_power(name, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(prachjam.campaign, "window_detected", recording)
-        hits, _, profile_of = judge_sends(channel, np.random.default_rng(82), idx, True)
+        hits, _, profile_of, _ = judge_sends(channel, np.random.default_rng(82), idx, True)
     (window, rest_sum, rest_peak), x0 = judged[0], channel.reduced[1]
     assert 0 < np.count_nonzero(rest_peak) < len(rest_peak)
     for j in range(1, len(idx)):

@@ -375,14 +375,13 @@ class TestIntervals:
 
     @pytest.mark.parametrize("logged", [False, True], ids=["record", "logged"])
     def test_record_fields_keep_their_python_types(self, logged):
-        # The verdicts are a bool array. At -14 dB the first send of each of
-        # these intervals is missed, and the UE is heard later (at the last
-        # send in interval 0) or not at all: every field must still be a
-        # Python bool, int, float or None, which json.dumps writes.
+        # The verdicts are a bool array. At -14 dB the UE of these intervals is
+        # heard at its first send, at a later one or not at all: every field
+        # must still be a Python bool, int, float or None, which json.dumps writes.
         cfg = make_config(spectrum=JammerConfig(kind="S1", snr_db=-14.0), detection_log=logged)
         records = [run_interval(cfg, i)[0] for i in range(5)]
         assert [(r.preambles_sent, r.ra_succeeded) for r in records] == [
-            (19, True), (4, True), (19, False), (15, True), (13, True),
+            (1, True), (1, True), (19, False), (15, True), (13, True),
         ]
         for r in records:
             fields = [int, bool, int, int, bool, float if r.ra_succeeded else type(None), int]
@@ -450,6 +449,49 @@ class TestIntervals:
         records = [run_interval(cfg, i)[0] for i in range(cfg.n_intervals)]
         assert seeds == [interval_seed(cfg.base_seed, i) for i in range(cfg.n_intervals)]
         assert any(r.preambles_sent > 1 for r in records) == (snr_db == -18.0)
+
+    def test_heard_first_send_reads_only_its_own_draws(self, monkeypatch):
+        # Seeding rule v10: a record run whose first send is heard reads the
+        # validity flag, that send's signature and its 2 * L normals, and
+        # nothing for the K - 1 later sends.
+        streams = []
+        default_rng = np.random.default_rng
+
+        def catching(seed=None):
+            streams.append(default_rng(seed))
+            return streams[-1]
+
+        cfg = make_config(n_intervals=4)
+        monkeypatch.setattr(np.random, "default_rng", catching)
+        records = [run_interval(cfg, i)[0] for i in range(cfg.n_intervals)]
+        monkeypatch.undo()
+        assert [r.preambles_sent for r in records] == [1] * cfg.n_intervals
+        length = cfg.prach.preamble_length
+        for i, rng in enumerate(streams):
+            replay = np.random.default_rng(interval_seed(cfg.base_seed, i))
+            replay.random()
+            replay.integers(length // cfg.detector.shift_step)
+            replay.standard_normal((1, length, 2))
+            assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_record_and_logged_runs_read_the_same_later_signatures(self, monkeypatch):
+        # At -18 dB the first send is missed, so a record run goes on to the
+        # K - 1 later signatures, as a logged run always does: both read them
+        # at the same place in the stream.
+        judged, judge = [], prachjam.campaign.judge_sends
+
+        def recording(*args):
+            judged.append(judge(*args))
+            return judged[-1]
+
+        monkeypatch.setattr(prachjam.campaign, "judge_sends", recording)
+        spectrum = JammerConfig(kind="S1", snr_db=-18.0)
+        for logged in (False, True):
+            run_interval(make_config(spectrum=spectrum, detection_log=logged), 0)
+        (record_hits, *_, record_sigs), (_, *_, logged_sigs) = judged
+        assert not record_hits[0] and len(record_sigs) == len(record_hits) == 19
+        assert np.array_equal(record_sigs, logged_sigs)
+        assert len(set(record_sigs.tolist())) > 1
 
     @pytest.mark.parametrize("logged", [False, True], ids=["record", "logged"])
     def test_kernel_and_detector_must_agree(self, monkeypatch, logged):
@@ -623,7 +665,7 @@ class TestIntervals:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was created")
 
-        monkeypatch.setattr(prachjam.campaign, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         cfg = make_config(n_intervals=2, interval_duration=1.0)
         assert run_campaign(cfg, threads=0)[0] == run_campaign(cfg, threads=1)[0]
 
@@ -637,7 +679,7 @@ class TestIntervals:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was created")
 
-        monkeypatch.setattr(prachjam.campaign, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         cfg = make_config(n_intervals=2, interval_duration=1.0)
         assert run_campaign(cfg, threads=0)[0] == run_campaign(cfg, threads=1)[0]
 
@@ -662,7 +704,7 @@ class TestIntervals:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(prachjam.campaign, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
         cfg = make_config(n_intervals=n_intervals, interval_duration=1.0)
         assert run_campaign(cfg, threads=8)[0] == run_campaign(cfg, threads=1)[0]
         assert pools == started

@@ -99,6 +99,10 @@ class TestDecisions:
         ("roots", [1], "roots must be a tuple of ints, got [1]"),
         ("roots", (1.0,), "roots must be a tuple of ints, got (1.0,)"),
         ("shift_step", 13.0, "shift_step must be an int, got 13.0"),
+        # A bool is not an int, nor a number, as the JSON loader reads them.
+        ("roots", (True,), "roots must be a tuple of ints, got (True,)"),
+        ("shift_step", True, "shift_step must be an int, got True"),
+        ("threshold_factor", "12", "threshold_factor must be a number, got '12'"),
     ])
     def test_config_refuses_what_it_cannot_judge(self, field, value, message):
         # Library callers of detect_preambles, calibrate_threshold and the

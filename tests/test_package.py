@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import prachjam
-from prachjam.campaign import SEEDING_RULE
 from prachjam.cli import _build_parser
 
 from helpers import BENCHMARK_NAMES
@@ -122,11 +121,6 @@ def test_every_private_name_is_read():
               for name in private_definitions(path) - read}
     assert sorted(unread) == []
     assert sum(len(private_definitions(path)) for path in SOURCES) > 30
-
-
-def test_readme_names_the_seeding_rule_version():
-    version = SEEDING_RULE.split(":")[0]
-    assert f"seeding rule {version}," in README
 
 
 def test_readme_cli_table_lists_each_subcommands_options():

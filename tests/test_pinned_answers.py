@@ -35,9 +35,9 @@ QUICK = ROOT / "configs" / "quick.json"
 
 # (preambles_sent, preambles_detected, time_to_success) per interval of
 # quick.json (10 x 2 s, S1 at -16 dB) with the spectrum varied, under
-# seeding rule v9 (v8 heard intervals 6 and 8 at sends 17 and 13). S1 and
-# S2 give equally distributed bins and draw them from the same stream, so
-# their records are the same.
+# seeding rules v9 and v10 (v8 heard intervals 6 and 8 at sends 17 and 13).
+# S1 and S2 give equally distributed bins and draw them from the same
+# stream, so their records are the same.
 _JAMMED = (19, 0, None)
 _JAMMED_RECORDS = (
     [_JAMMED] * 7 + [(6, 1, 0.6195), (4, 1, 0.4195), _JAMMED]
@@ -97,34 +97,35 @@ PINNED_SUMMARY = (
     '"preamble_format": "A2", "preamble_length": 139, "sfn_modulus": 2, '
     '"sfn_remainder": 1, "slot_in_subframe": 1, "slots_per_subframe_with_prach": '
     '1, "start_symbol": 0, "subframe_number": 9}, "schema_version": 1, '
-    '"seeding": "v9: interval_seed(i) = uint64(little-endian) of '
+    '"seeding": "v10: interval_seed(i) = uint64(little-endian) of '
     "blake2b(digest_size=8, data=pack('<QQ', base_seed, i)); interval stream = "
-    "numpy.random.default_rng(interval_seed(i)), drawing the validity flag "
-    "(random()), the signatures of all K scheduled preambles "
-    "(integers(n_signatures, size=K)), then the noise of each preamble's delay "
-    "profile ifft(bins * conj(fft(zc(root)))) against its own root: L taps mu[n] "
-    "plus white noise of variance theta = 2 * std**2 (std that of the bins' "
-    "parts), mu its mean with taps below 1e-12 of its peak set to 0; 2*L "
-    "standard normals (interleaved re, im) for the first and, unless each mu's "
-    "nonzero taps lie in its own window T of s < L/2 taps and 1 - Q(x0) >= 1e-3 "
-    "with a float64 rounding bound under 1e-6 of it, for each other in turn; "
-    "else random((s + 1 + w, K - 1)), column j for preamble j + 1: E = -log(1 - "
-    "u) at T (nonzero mu first, each part in tap order), v = 1 - u, and phase "
-    "fractions F at T's first w taps (w the most nonzero taps of a mu), tap n "
-    "being mu[n] + sqrt(theta * E[n]) * exp(1j * (angle(mu[n]) + 2 * pi * "
-    "F[n])), then the power sums S_O of the n = L - s other taps, gamma(n, "
-    "theta, size=K - 1); it is detected if T's peak exceeds f * max((S_T + S_O - "
-    "P) / (L - 1), 1e-12 * P), S_T T's power sum, P the larger of T's peak and, "
-    "if v <= Q(x0), g * S_O with Q(g) = v, Q(x) = sum((-1)**(k-1) * C(n, k) * (1 "
-    "- k * x)**(n - 1), 1 <= k <= 1/x), x0 = f / (f + L - 1); then in occasion "
-    "order each such preamble the detector judges after the first reads "
-    "random(L) for F at its other taps, integers(n) if v <= Q(x0) for the place "
-    "of g * S_O among its other taps in tap order, then -log(1 - random(n)) "
-    "(random(n - 1) if v <= Q(x0)) until their largest is below x0 (g / (1 - g)) "
-    "times their sum, scaled to sum S_O (S_O - g * S_O); a logged run reads 2*L "
-    "standard normals for each occasion without a preamble; a record depends on "
-    'no draw of a preamble after the first detected", "spectrum": {"enabled": '
-    'true, "kind": "S1", "snr_db": -16.0}}'
+    'numpy.random.default_rng(interval_seed(i)), drawing the validity flag '
+    "(random()), the first preamble's signature (integers(n_signatures)), then "
+    'the noise of its delay profile ifft(bins * conj(fft(zc(root)))) against its '
+    'own root: L taps mu[n] plus white noise of variance theta = 2 * std**2 (std '
+    "that of the bins' parts), mu its mean with taps below 1e-12 of its peak set "
+    'to 0, as 2*L standard normals (interleaved re, im); only if that preamble '
+    'is not detected or the run is logged, the signatures of the K - 1 later '
+    'preambles (integers(n_signatures, size=K - 1)), then their noise: 2*L '
+    "standard normals for each in turn unless each mu's nonzero taps lie in its "
+    'own window T of s < L/2 taps and 1 - Q(x0) >= 1e-3 with a float64 rounding '
+    'bound under 1e-6 of it; else random((s + 1 + w, K - 1)), column j for '
+    'preamble j + 1: E = -log(1 - u) at T (nonzero mu first, each part in tap '
+    "order), v = 1 - u, and phase fractions F at T's first w taps (w the most "
+    'nonzero taps of a mu), tap n being mu[n] + sqrt(theta * E[n]) * exp(1j * '
+    '(angle(mu[n]) + 2 * pi * F[n])), then the power sums S_O of the n = L - s '
+    "other taps, gamma(n, theta, size=K - 1); it is detected if T's peak exceeds "
+    "f * max((S_T + S_O - P) / (L - 1), 1e-12 * P), S_T T's power sum, P the "
+    "larger of T's peak and, if v <= Q(x0), g * S_O with Q(g) = v, Q(x) = "
+    'sum((-1)**(k-1) * C(n, k) * (1 - k * x)**(n - 1), 1 <= k <= 1/x), x0 = f / '
+    '(f + L - 1); then in occasion order each such preamble the detector judges '
+    'after the first reads random(L) for F at its other taps, integers(n) if v '
+    '<= Q(x0) for the place of g * S_O among its other taps in tap order, then '
+    '-log(1 - random(n)) (random(n - 1) if v <= Q(x0)) until their largest is '
+    'below x0 (g / (1 - g)) times their sum, scaled to sum S_O (S_O - g * S_O); '
+    'a logged run reads 2*L standard normals for each occasion without a '
+    'preamble; a record depends on no draw of a preamble after the first '
+    'detected", "spectrum": {"enabled": true, "kind": "S1", "snr_db": -16.0}}'
 )
 
 
@@ -140,12 +141,12 @@ def test_quick_summary_payload():
 # occasion's detections and noise floor and each UE transition.
 PINNED_LOGS = {
     "S1": (
-        "c9f0b3512d05e03fe8ec58ef83121068a30b64a054c00bb13baf71b16f43f964",
+        "53f5a179301ea354bcfa5e316c40010cd91c59a66e6341346e51f0bf30719f38",
         "422078caa76be74cd6de01394d7e369d70597eec2ef464e10e2b3da93c361905",
     ),
     "roots_1_2_5": (
-        "88adc27da1848b47a65aaaf0a285b86ae69f5c90cc25d6e30218388c413502c7",
-        "30120a62354ec23106bae155252aa30dfb8b21f362c7e32523fa771eebc3248d",
+        "2bf151ffdb3e8db10ba60368a7fd2d2430607c9cfd4947a9a9c0a9fac8a3520c",
+        "bf475ff3f4d388988466fb371a0c0401593b81d9aff2aef9728f6b84e8649fe2",
     ),
 }
 
@@ -174,10 +175,11 @@ def test_quick_logs(name, tmp_path):
 
 def test_quick_log_replays_from_the_interval_stream(tmp_path):
     # Interval 0 of the logged quick.json, rebuilt by hand from its one
-    # stream: the validity flag, the signatures, the first send's complex
-    # row, s + 1 + w uniforms for each other send and their K - 1 Gamma
-    # variates, then the idle occasions before the UE's first send, drawn in
-    # one call, give its first log lines.
+    # stream: the validity flag, the first send's signature and complex row,
+    # the other K - 1 signatures, s + 1 + w uniforms for each other send and
+    # their K - 1 Gamma variates, then the idle occasions before the UE's
+    # first send, drawn in one call, give its first log lines; the first
+    # send's row gives the line after them.
     logged_quick_run("S1", tmp_path)
     lines = (tmp_path / "detections.jsonl").read_text().splitlines()
     cfg = load_campaign_config(json.loads(QUICK.read_text()))
@@ -186,8 +188,9 @@ def test_quick_log_replays_from_the_interval_stream(tmp_path):
     chan = channel.bins
     rng = np.random.default_rng(interval_seed(cfg.base_seed, 0))
     rng.random()
-    sig_idx = rng.integers(len(channel.signatures), size=len(sends))
-    chan.draw(rng, channel.profile[sig_idx[:1]], 1)
+    own = rng.integers(len(channel.signatures))
+    first_row = chan.draw(rng, channel.profile[own], 1)[0]
+    rng.integers(len(channel.signatures), size=len(sends) - 1)
     step, (w, _, _) = cfg.detector.shift_step, channel.reduced
     rng.random((step + 1 + w, len(sends) - 1))
     rng.gamma(cfg.prach.preamble_length - step, 2 * chan.std**2, len(sends) - 1)
@@ -198,9 +201,11 @@ def test_quick_log_replays_from_the_interval_stream(tmp_path):
         detection_entry(0, occ, detect_preambles(row, cfg.detector, occasion=occ), None)
         for occ, row in zip(idle, rows)
     ]
+    first_row = DelayProfile(channel.signatures[own][0], first_row)
+    first = detect_preambles(first_row, cfg.detector, occasion=sends[0][1])
+    entries.append(detection_entry(0, sends[0][1], first, channel.signatures[own]))
     assert len(idle) == 90
-    assert [json.dumps(d, sort_keys=True) for d in entries] == lines[: len(idle)]
-    assert json.loads(lines[len(idle)])["transmitted_signature"] is not None
+    assert [json.dumps(d, sort_keys=True) for d in entries] == lines[: len(idle) + 1]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_LOGS))
@@ -248,10 +253,13 @@ def test_readme_names_the_current_seeding_rule():
 
 def test_readme_library_example_runs(tmp_path):
     # The README's library example, run as a reader would run it: a fresh
-    # interpreter with only the package on its path.
+    # interpreter with only the package on its path. Only a campaign on
+    # several workers loads the process pool and so multiprocessing.
     (example,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    example += "import sys\nprint('multiprocessing' in sys.modules)\n"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", example], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert re.fullmatch(r"\[Detection\(root=1, signature=1, metric=[\d.]+\)\]\n", done.stdout)
+    assert re.fullmatch(r"\[Detection\(root=1, signature=1, metric=[\d.]+\)\]\nFalse\n",
+                        done.stdout)

@@ -98,32 +98,33 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 SEEDING_RULE = (
-    "v10: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
+    "v11: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
     "data=pack('<QQ', base_seed, i)); interval stream = "
-    "numpy.random.default_rng(interval_seed(i)), drawing the validity flag (random()), "
-    "the first preamble's signature (integers(n_signatures)), then the noise of its delay "
-    "profile ifft(bins * conj(fft(zc(root)))) against its own root: L taps mu[n] plus "
-    "white noise of variance theta = 2 * std**2 (std that of the bins' parts), mu its "
-    "mean with taps below 1e-12 of its peak set to 0, as 2*L standard normals "
-    "(interleaved re, im); only if that preamble is not detected or the run is logged, "
-    "the signatures of the K - 1 later preambles (integers(n_signatures, size=K - 1)), "
-    "then their noise: 2*L standard normals for each in turn unless each mu's nonzero "
-    "taps lie in its own window T of s < L/2 taps and 1 - Q(x0) >= 1e-3 with a float64 "
-    "rounding bound under 1e-6 of it; else random((s + 1 + w, K - 1)), column j for "
-    "preamble j + 1: E = -log(1 - u) at T (nonzero mu first, each part in tap order), v "
-    "= 1 - u, and phase fractions F at T's first w taps (w the most nonzero taps of a "
-    "mu), tap n being mu[n] + sqrt(theta * E[n]) * exp(1j * (angle(mu[n]) + 2 * pi * "
-    "F[n])), then the power sums S_O of the n = L - s other taps, gamma(n, theta, size=K "
-    "- 1); it is detected if T's peak exceeds f * max((S_T + S_O - P) / (L - 1), 1e-12 * "
-    "P), S_T T's power sum, P the larger of T's peak and, if v <= Q(x0), g * S_O with "
-    "Q(g) = v, Q(x) = sum((-1)**(k-1) * C(n, k) * (1 - k * x)**(n - 1), 1 <= k <= 1/x), "
-    "x0 = f / (f + L - 1); then in occasion order each such preamble the detector judges "
-    "after the first reads random(L) for F at its other taps, integers(n) if v <= Q(x0) "
-    "for the place of g * S_O among its other taps in tap order, then -log(1 - "
-    "random(n)) (random(n - 1) if v <= Q(x0)) until their largest is below x0 (g / (1 - "
-    "g)) times their sum, scaled to sum S_O (S_O - g * S_O); a logged run reads 2*L "
-    "standard normals for each occasion without a preamble; a record depends on no draw "
-    "of a preamble after the first detected"
+    "numpy.random.Generator(numpy.random.PCG64(w)), w the 4 little-endian uint64 words of "
+    "blake2b(digest_size=32, data=pack('<Q', interval_seed(i))) that PCG64 takes as its "
+    "generate_state(4, uint64), drawing the validity flag (random()), the first preamble's "
+    "signature (integers(n_signatures)), then the noise of its delay profile ifft(bins * "
+    "conj(fft(zc(root)))) against its own root: L taps mu[n] plus white noise of variance "
+    "theta = 2 * std**2 (std that of the bins' parts), mu its mean with taps below 1e-12 "
+    "of its peak set to 0, as 2*L standard normals (interleaved re, im); only if that "
+    "preamble is not detected or the run is logged, the signatures of the K - 1 later "
+    "preambles (integers(n_signatures, size=K - 1)), then their noise: 2*L standard "
+    "normals for each in turn unless each mu's nonzero taps lie in its own window T of s < "
+    "L/2 taps and 1 - Q(x0) >= 1e-3 with a float64 rounding bound under 1e-6 of it; else "
+    "random((s + 1 + w, K - 1)), column j for preamble j + 1: E = -log(1 - u) at T "
+    "(nonzero mu first, each part in tap order), v = 1 - u, and phase fractions F at T's "
+    "first w taps (w the most nonzero taps of a mu), tap n being mu[n] + sqrt(theta * "
+    "E[n]) * exp(1j * (angle(mu[n]) + 2 * pi * F[n])), then the power sums S_O of the n = "
+    "L - s other taps, gamma(n, theta, size=K - 1); it is detected if T's peak exceeds f * "
+    "max((S_T + S_O - P) / (L - 1), 1e-12 * P), S_T T's power sum, P the larger of T's "
+    "peak and, if v <= Q(x0), g * S_O with Q(g) = v, Q(x) = sum((-1)**(k-1) * C(n, k) * (1 "
+    "- k * x)**(n - 1), 1 <= k <= 1/x), x0 = f / (f + L - 1); then in occasion order each "
+    "such preamble the detector judges after the first reads random(L) for F at its other "
+    "taps, integers(n) if v <= Q(x0) for the place of g * S_O among its other taps in tap "
+    "order, then -log(1 - random(n)) (random(n - 1) if v <= Q(x0)) until their largest is "
+    "below x0 (g / (1 - g)) times their sum, scaled to sum S_O (S_O - g * S_O); a logged "
+    "run reads 2*L standard normals for each occasion without a preamble; a record depends "
+    "on no draw of a preamble after the first detected"
 )
 
 
@@ -281,10 +282,23 @@ def _ue_sends(cfg: CampaignConfig):
     return ue_on, first_ms, ue_off, sends
 
 
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """PCG64's 256 seed bits: an interval seed's blake2b digest as 4 little-endian words."""
+
+    def __init__(self, seed: int):
+        digest = hashlib.blake2b(struct.pack("<Q", seed), digest_size=32).digest()
+        self.words = np.array(struct.unpack("<4Q", digest), dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError(f"seed words are 4 of numpy.uint64, not {n_words} of {dtype}")
+        return self.words
+
+
 def _stream(cfg: CampaignConfig, index: int):
     """Interval ``index``'s seed, stream and validity flag (its first read)."""
     seed = interval_seed(cfg.base_seed, index)
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(_SeedWords(seed)))
     return seed, rng, bool(rng.random() >= cfg.invalid_probability)
 
 

@@ -329,10 +329,11 @@ def load_record(cls, data: dict[str, Any], section: str, **given):
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{section} must be a JSON object, got {data!r}")
-    unknown = set(data) - {f.name for f in fields(cls)}
+    declared = fields(cls)
+    unknown = set(data) - {f.name for f in declared}
     if unknown:
         raise ConfigError(f"unknown field '{sorted(unknown)[0]}' in {section}")
-    required = {f.name for f in fields(cls) if f.default is MISSING}
+    required = {f.name for f in declared if f.default is MISSING}
     missing = required - set(given) - set(data)
     if missing:
         raise ConfigError(f"missing field '{sorted(missing)[0]}' in {section}")

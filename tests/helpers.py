@@ -1,6 +1,8 @@
 """Code the test modules share: no test module imports another."""
+import hashlib
 import json
 import math
+import struct
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +24,23 @@ OCCASION = occasions_in_frame(PRACH, CELL, 1)[0]
 SIGMA_0DB = 1 / np.sqrt(2)  # unit preamble amplitude -> per-bin SNR 0 dB
 NOISE_0DB = ChannelConfig(noise_sigma=SIGMA_0DB)
 CHUNK = 1000  # frames demapped in one stack, 17 MB of samples
+
+
+def interval_stream(seed):
+    """The interval stream of ``seed`` under seeding rule v11, rebuilt
+    without prachjam: numpy's PCG64 seeding (one step from state 0 with the
+    increment, add the initial state, one more step; O'Neill's
+    ``pcg_setseq_128_srandom_r``) redone in Python ints on the four
+    little-endian uint64 words of the seed's 32-byte blake2b digest."""
+    digest = hashlib.blake2b(struct.pack("<Q", seed), digest_size=32).digest()
+    w0, w1, w2, w3 = struct.unpack("<4Q", digest)
+    init, seq = w0 << 64 | w1, w2 << 64 | w3
+    inc = (seq << 1 | 1) % 2**128
+    state = ((inc + init) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) % 2**128
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bit_generator)
 
 
 def two_proportion_z(count_a, n_a, count_b, n_b):

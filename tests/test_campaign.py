@@ -41,7 +41,9 @@ from prachjam.prach import (
 )
 from prachjam.rafsm import PreambleTx, make_ue, ue_step
 
-from helpers import BENCHMARK_NAMES, CELL, PRACH, SIGMA_0DB, random_config, synthetic_records
+from helpers import (
+    BENCHMARK_NAMES, CELL, PRACH, SIGMA_0DB, interval_stream, random_config, synthetic_records,
+)
 
 
 def make_config(**overrides) -> CampaignConfig:
@@ -151,6 +153,35 @@ class TestSeeding:
         assert interval_seed(0, 0) == 1041621211125469266
         assert interval_seed(1234, 5) == 615431646176257150
         assert interval_seed(1234, 0) != interval_seed(1234, 1)
+
+    def test_stream_is_pcg64_seeded_from_the_blake2b_words(self):
+        # Seeding rule v11: after its validity flag each interval stream is
+        # where numpy's PCG64 seeding arithmetic, redone in Python ints on
+        # the seed's blake2b words, is after one draw, and the flag agrees.
+        cfg = make_config(invalid_probability=0.5)
+        for i in range(300):
+            seed, rng, valid = prachjam.campaign._stream(cfg, i)
+            replay = interval_stream(seed)
+            assert valid == (replay.random() >= 0.5)
+            assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_seed_words_refuse_other_requests(self):
+        # The words are PCG64's 256 bits: any other request, such as
+        # MT19937's 624 uint32 words, is refused.
+        words = prachjam.campaign._SeedWords(interval_seed(1234, 0))
+        for n_words, dtype in [(4, np.uint32), (3, np.uint64), (5, np.uint64), (4, np.int64)]:
+            with pytest.raises(ValueError, match=f"^seed words are 4 of numpy.uint64, not {n_words} "):
+                words.generate_state(n_words, dtype)
+        with pytest.raises(ValueError, match="^seed words are 4 of numpy.uint64, not 624 "):
+            np.random.MT19937(words)
+        assert words.generate_state(4, np.uint64).dtype == np.uint64
+
+    def test_first_draws_are_uniform(self):
+        # The validity flag's draw, the first random() of 20,000 consecutive
+        # interval streams, is U(0, 1): Kolmogorov-Smirnov at the 0.1 % level.
+        stats = pytest.importorskip("scipy.stats")
+        first = [interval_stream(interval_seed(20240601, i)).random() for i in range(20_000)]
+        assert stats.kstest(first, "uniform").pvalue > 1e-3
 
     def test_record_round_trip(self):
         record = IntervalRecord(3, True, 10, 1, True, 1.25, 99)
@@ -376,12 +407,14 @@ class TestIntervals:
     @pytest.mark.parametrize("logged", [False, True], ids=["record", "logged"])
     def test_record_fields_keep_their_python_types(self, logged):
         # The verdicts are a bool array. At -14 dB the UE of these intervals is
-        # heard at its first send, at a later one or not at all: every field
-        # must still be a Python bool, int, float or None, which json.dumps writes.
+        # heard at its first send (interval 10), at a later one or not at all:
+        # every field must still be a Python bool, int, float or None, which
+        # json.dumps writes.
         cfg = make_config(spectrum=JammerConfig(kind="S1", snr_db=-14.0), detection_log=logged)
-        records = [run_interval(cfg, i)[0] for i in range(5)]
+        records = [run_interval(cfg, i)[0] for i in range(11)]
         assert [(r.preambles_sent, r.ra_succeeded) for r in records] == [
-            (1, True), (1, True), (19, False), (15, True), (13, True),
+            (4, True), (9, True), (3, True), (4, True), (11, True), (11, True),
+            (19, False), (12, True), (19, False), (2, True), (1, True),
         ]
         for r in records:
             fields = [int, bool, int, int, bool, float if r.ra_succeeded else type(None), int]
@@ -435,19 +468,26 @@ class TestIntervals:
         # The interval stream is the only one: the kernel's blocks, a
         # rebuilt row's draws and a logged run's idle occasions all read it.
         # At -6 dB the UE is heard at once; at -18 dB it retries, so a later
-        # (reduced) send is rebuilt.
-        seeds = []
-        default_rng = np.random.default_rng
+        # (reduced) send is rebuilt. Each generator's state is caught as it
+        # is built, and no stream may come from default_rng.
+        states = []
+        generator = np.random.Generator
 
-        def counting(seed=None):
-            seeds.append(seed)
-            return default_rng(seed)
+        def catching(bit_generator):
+            states.append(bit_generator.state)
+            return generator(bit_generator)
 
         cfg = make_config(n_intervals=4, spectrum=JammerConfig(kind="S1", snr_db=snr_db),
                           detection_log=logged)
-        monkeypatch.setattr(np.random, "default_rng", counting)
+        monkeypatch.setattr(np.random, "Generator", catching)
+        monkeypatch.setattr(np.random, "default_rng", None)
         records = [run_interval(cfg, i)[0] for i in range(cfg.n_intervals)]
-        assert seeds == [interval_seed(cfg.base_seed, i) for i in range(cfg.n_intervals)]
+        monkeypatch.undo()
+        assert len(states) == cfg.n_intervals
+        assert states == [
+            interval_stream(interval_seed(cfg.base_seed, i)).bit_generator.state
+            for i in range(cfg.n_intervals)
+        ]
         assert any(r.preambles_sent > 1 for r in records) == (snr_db == -18.0)
 
     def test_heard_first_send_reads_only_its_own_draws(self, monkeypatch):
@@ -455,20 +495,21 @@ class TestIntervals:
         # validity flag, that send's signature and its 2 * L normals, and
         # nothing for the K - 1 later sends.
         streams = []
-        default_rng = np.random.default_rng
+        generator = np.random.Generator
 
-        def catching(seed=None):
-            streams.append(default_rng(seed))
+        def catching(bit_generator):
+            streams.append(generator(bit_generator))
             return streams[-1]
 
         cfg = make_config(n_intervals=4)
-        monkeypatch.setattr(np.random, "default_rng", catching)
+        monkeypatch.setattr(np.random, "Generator", catching)
         records = [run_interval(cfg, i)[0] for i in range(cfg.n_intervals)]
         monkeypatch.undo()
         assert [r.preambles_sent for r in records] == [1] * cfg.n_intervals
+        assert len(streams) == cfg.n_intervals
         length = cfg.prach.preamble_length
         for i, rng in enumerate(streams):
-            replay = np.random.default_rng(interval_seed(cfg.base_seed, i))
+            replay = interval_stream(interval_seed(cfg.base_seed, i))
             replay.random()
             replay.integers(length // cfg.detector.shift_step)
             replay.standard_normal((1, length, 2))

@@ -28,19 +28,20 @@ from prachjam.detector import (
 )
 from prachjam.prach import occasions_between
 
-from helpers import CALIBRATED_FACTORS
+from helpers import CALIBRATED_FACTORS, interval_stream
 
 ROOT = Path(__file__).resolve().parent.parent
 QUICK = ROOT / "configs" / "quick.json"
 
 # (preambles_sent, preambles_detected, time_to_success) per interval of
 # quick.json (10 x 2 s, S1 at -16 dB) with the spectrum varied, under
-# seeding rules v9 and v10 (v8 heard intervals 6 and 8 at sends 17 and 13).
+# seeding rule v11 (v9 and v10 heard intervals 7 and 8 at sends 6 and 4, v8
+# intervals 6 and 8 at sends 17 and 13).
 # S1 and S2 give equally distributed bins and draw them from the same
 # stream, so their records are the same.
 _JAMMED = (19, 0, None)
 _JAMMED_RECORDS = (
-    [_JAMMED] * 7 + [(6, 1, 0.6195), (4, 1, 0.4195), _JAMMED]
+    [_JAMMED] * 4 + [(2, 1, 0.2195)] + [_JAMMED] * 5
 )
 PINNED_RECORDS = {
     "S1": _JAMMED_RECORDS,
@@ -86,10 +87,10 @@ PINNED_SUMMARY = (
     '"ue_delay_samples": 0}, "detector": {"roots": [1], "shift_step": 13, '
     '"threshold_factor": 12.35}, "jammer_budget": {"active_span_per_period_ms": '
     '0.42857142857142855, "bandwidth_hz": 4170000.0, "duty_period_ms": 20.0}, '
-    '"metrics": {"e_p_j": 0.012345679012345678, "e_p_j_exact": "1/81", '
-    '"e_p_j_ppm": 12345.67901234568, "e_s": 0.2, "e_s_exact": "1/5", '
-    '"mean_preambles_per_interval": 16.2, "mean_preambles_per_interval_exact": '
-    '"81/5", "n_e": 0, "n_p_j": 160, "n_ra_s": 2, "n_ra_u": 8}, "n_intervals": '
+    '"metrics": {"e_p_j": 0.005780346820809248, "e_p_j_exact": "1/173", '
+    '"e_p_j_ppm": 5780.346820809248, "e_s": 0.1, "e_s_exact": "1/10", '
+    '"mean_preambles_per_interval": 17.3, "mean_preambles_per_interval_exact": '
+    '"173/10", "n_e": 0, "n_p_j": 172, "n_ra_s": 1, "n_ra_u": 9}, "n_intervals": '
     '10, "occupancy": {"bandwidth": 0.10425, "period": 0.5, "ratio": '
     '0.002233928571428571, "temporal": 0.04285714285714286}, "prach": '
     '{"duration_symbols": 4, "freq_occasions": 1, "freq_offset": 0, '
@@ -97,9 +98,11 @@ PINNED_SUMMARY = (
     '"preamble_format": "A2", "preamble_length": 139, "sfn_modulus": 2, '
     '"sfn_remainder": 1, "slot_in_subframe": 1, "slots_per_subframe_with_prach": '
     '1, "start_symbol": 0, "subframe_number": 9}, "schema_version": 1, '
-    '"seeding": "v10: interval_seed(i) = uint64(little-endian) of '
+    '"seeding": "v11: interval_seed(i) = uint64(little-endian) of '
     "blake2b(digest_size=8, data=pack('<QQ', base_seed, i)); interval stream = "
-    'numpy.random.default_rng(interval_seed(i)), drawing the validity flag '
+    'numpy.random.Generator(numpy.random.PCG64(w)), w the 4 little-endian uint64 '
+    "words of blake2b(digest_size=32, data=pack('<Q', interval_seed(i))) that "
+    'PCG64 takes as its generate_state(4, uint64), drawing the validity flag '
     "(random()), the first preamble's signature (integers(n_signatures)), then "
     'the noise of its delay profile ifft(bins * conj(fft(zc(root)))) against its '
     'own root: L taps mu[n] plus white noise of variance theta = 2 * std**2 (std '
@@ -141,12 +144,12 @@ def test_quick_summary_payload():
 # occasion's detections and noise floor and each UE transition.
 PINNED_LOGS = {
     "S1": (
-        "53f5a179301ea354bcfa5e316c40010cd91c59a66e6341346e51f0bf30719f38",
+        "71634072a1f216c9b2ad5c24d9ce385aa390eafab2cda0373bbe8245b9f4365f",
         "422078caa76be74cd6de01394d7e369d70597eec2ef464e10e2b3da93c361905",
     ),
     "roots_1_2_5": (
-        "2bf151ffdb3e8db10ba60368a7fd2d2430607c9cfd4947a9a9c0a9fac8a3520c",
-        "bf475ff3f4d388988466fb371a0c0401593b81d9aff2aef9728f6b84e8649fe2",
+        "e88f5e362038d2fcba48f5df79d36bec564617cfbdce72ce7d1674130671ff00",
+        "686c6ee754a201026585e491230b944f8464647d2744cab96ad63138b92249b0",
     ),
 }
 
@@ -186,7 +189,7 @@ def test_quick_log_replays_from_the_interval_stream(tmp_path):
     sends = _ue_sends(cfg)[3]
     channel = _bins(cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector)
     chan = channel.bins
-    rng = np.random.default_rng(interval_seed(cfg.base_seed, 0))
+    rng = interval_stream(interval_seed(cfg.base_seed, 0))
     rng.random()
     own = rng.integers(len(channel.signatures))
     first_row = chan.draw(rng, channel.profile[own], 1)[0]
@@ -249,6 +252,19 @@ def test_readme_names_the_current_seeding_rule():
     named = re.search(r"\(seeding rule (v\d+), recorded", (ROOT / "README.md").read_text())
     assert named is not None
     assert SEEDING_RULE.startswith(named.group(1) + ":")
+
+
+def test_readme_rebuilds_the_interval_stream():
+    # The README's few lines of numpy rebuild an interval's stream from its
+    # record's seed: the same validity flag, then the same state.
+    (rebuild,) = re.findall(r"```py\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    cfg = load_campaign_config(json.loads(QUICK.read_text()))
+    for i in range(20):
+        seed, rng, valid = prachjam.campaign._stream(cfg, i)
+        scope = {"seed": seed}
+        exec(rebuild, scope)
+        assert valid == (scope["rng"].random() >= cfg.invalid_probability)
+        assert rng.bit_generator.state == scope["rng"].bit_generator.state
 
 
 def test_readme_library_example_runs(tmp_path):

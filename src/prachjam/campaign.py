@@ -14,8 +14,8 @@ when the first is missed and a logged run always; only then are their
 signatures drawn, all at once. It needs no transform and
 reads only the tap powers: white bins times the constant-modulus ZC
 reference stay white, with the same variance, so each tap is its mean plus
-complex normal noise. Where the means are sparse, a send draws only its own
-window's taps and two numbers for the rest of its profile (``_noise_like``).
+complex normal noise. Where the means are sparse, a send draws only its mean
+taps and two numbers for the other taps of its profile (``_noise_like``).
 
 Every run then computes its record in closed form. Msg2 to Msg4 are
 delivered reliably and the single UE wins its contention, so it connects
@@ -98,7 +98,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 SEEDING_RULE = (
-    "v11: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
+    "v12: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
     "data=pack('<QQ', base_seed, i)); interval stream = "
     "numpy.random.Generator(numpy.random.PCG64(w)), w the 4 little-endian uint64 words of "
     "blake2b(digest_size=32, data=pack('<Q', interval_seed(i))) that PCG64 takes as its "
@@ -109,22 +109,23 @@ SEEDING_RULE = (
     "of its peak set to 0, as 2*L standard normals (interleaved re, im); only if that "
     "preamble is not detected or the run is logged, the signatures of the K - 1 later "
     "preambles (integers(n_signatures, size=K - 1)), then their noise: 2*L standard "
-    "normals for each in turn unless each mu's nonzero taps lie in its own window T of s < "
-    "L/2 taps and 1 - Q(x0) >= 1e-3 with a float64 rounding bound under 1e-6 of it; else "
-    "random((s + 1 + w, K - 1)), column j for preamble j + 1: E = -log(1 - u) at T "
-    "(nonzero mu first, each part in tap order), v = 1 - u, and phase fractions F at T's "
-    "first w taps (w the most nonzero taps of a mu), tap n being mu[n] + sqrt(theta * "
-    "E[n]) * exp(1j * (angle(mu[n]) + 2 * pi * F[n])), then the power sums S_O of the n = "
-    "L - s other taps, gamma(n, theta, size=K - 1); it is detected if T's peak exceeds f * "
-    "max((S_T + S_O - P) / (L - 1), 1e-12 * P), S_T T's power sum, P the larger of T's "
-    "peak and, if v <= Q(x0), g * S_O with Q(g) = v, Q(x) = sum((-1)**(k-1) * C(n, k) * (1 "
-    "- k * x)**(n - 1), 1 <= k <= 1/x), x0 = f / (f + L - 1); then in occasion order each "
-    "such preamble the detector judges after the first reads random(L) for F at its other "
-    "taps, integers(n) if v <= Q(x0) for the place of g * S_O among its other taps in tap "
-    "order, then -log(1 - random(n)) (random(n - 1) if v <= Q(x0)) until their largest is "
-    "below x0 (g / (1 - g)) times their sum, scaled to sum S_O (S_O - g * S_O); a logged "
-    "run reads 2*L standard normals for each occasion without a preamble; a record depends "
-    "on no draw of a preamble after the first detected"
+    "normals for each in turn unless every mu has w nonzero taps, all in its own window, "
+    "and 1 - Q(x0) >= 1e-3 with a float64 rounding bound under 1e-6 of it; else "
+    "random((2 * w + 1, K - 1)), column j for preamble j + 1: E = -log(1 - u) at the w "
+    "nonzero taps M of its mu (in tap order), v = 1 - u, and phase fractions F at M, tap n "
+    "being mu[n] + sqrt(theta * E[n]) * exp(1j * (angle(mu[n]) + 2 * pi * F[n])), then the "
+    "power sums S of the n = L - w other taps, gamma(n, theta, size=K - 1), then for each "
+    "preamble with v <= Q(x0) in turn integers(n) for the place of g * S, Q(g) = v, among "
+    "its other taps in tap order and -log(1 - random(n - 1)) until their largest is below "
+    "g / (1 - g) times their sum, scaled to sum S - g * S; such a preamble is detected as "
+    "the detector judges its L tap powers in its own window, any other if M's peak P "
+    "exceeds f * max((S_M + S - P) / (L - 1), 1e-12 * P), S_M M's power sum, Q(x) = "
+    "sum((-1)**(k-1) * C(n, k) * (1 - k * x)**(n - 1), 1 <= k <= 1/x), x0 = f / (f + L - "
+    "1); then in occasion order each such preamble the detector judges after the first "
+    "reads random(L) for F at its other taps, then, unless v <= Q(x0), -log(1 - random(n)) "
+    "until their largest is below x0 times their sum, scaled to sum S; a logged run reads "
+    "2*L standard normals for each occasion without a preamble; a record depends on no "
+    "draw of a preamble after the first detected"
 )
 
 
@@ -325,9 +326,9 @@ class _Channel(NamedTuple):
     detector: DetectorConfig
     profile: np.ndarray  # (n, L) complex
     phase: np.ndarray  # (n, L) angle(profile), 0 where the profile is
-    # None unless each row's nonzero taps lie in its window of s < L/2 taps: its taps
-    # (n, L) by rank (``_bins``), abs(profile) at its first w (n, w); w, x0 = f / (f +
-    # L - 1) and log P(g > x0).
+    # None unless each row's w nonzero taps lie in its window: its taps (n, L), the
+    # nonzero ones first, each part in tap order, abs(profile) there (n, w); w,
+    # x0 = f / (f + L - 1) and log P(g > x0) for the other L - w taps.
     taps: np.ndarray | None
     own_magnitude: np.ndarray | None
     reduced: tuple[int, float, float] | None
@@ -350,18 +351,16 @@ def _bins(prach, cell, spectrum, channel, det):
     magnitude = np.abs(profiles)
     round_off = magnitude < _ROUND_OFF * magnitude.max(axis=-1, keepdims=True)
     profiles[round_off] = magnitude[round_off] = 0.0
-    # Ranks: 0 for a nonzero tap, 1 for the other taps of its window, 2 for the rest.
-    rank, nonzero = np.full(profiles.shape, 2), profiles != 0
-    rank[np.arange(len(rank))[:, None], _window_indices(length, step)[sig_array[:, 1]]] = 1
-    n, x0 = length - step, det.threshold_factor / (det.threshold_factor + length - 1)
+    nonzero = profiles != 0
+    w, x0 = int(nonzero.sum(-1).max()), det.threshold_factor / (det.threshold_factor + length - 1)
+    own = nonzero[np.arange(len(nonzero))[:, None], _window_indices(length, step)[sig_array[:, 1]]]
     # Rebuilds with g < x0 take 1 / P(g < x0) tries: keep P >= 1e-3, and known to 1e-6.
     taps = own_magnitude = reduced = None
-    if (2 * step < length and np.all(rank[nonzero] == 1)
-            and (q := _fisher_tail(n, x0)(x0))[2] < 1e-6 * (1 - q[0]) and q[0] < 0.999):
-        rank[nonzero] = 0
-        taps = np.argsort(rank, axis=-1, kind="stable")  # each rank in tap order
-        reduced = (int(nonzero.sum(-1).max()), x0, math.log(q[0]) if q[0] else -math.inf)
-        own_magnitude = np.take_along_axis(magnitude, taps[:, : reduced[0]], axis=-1)
+    if (np.all(own.sum(-1) == w)  # so every row has its w nonzero taps in its window
+            and (q := _fisher_tail(length - w, x0)(x0))[2] < 1e-6 * (1 - q[0]) and q[0] < 0.999):
+        taps = np.argsort(~nonzero, axis=-1, kind="stable")
+        reduced = (w, x0, math.log(q[0]) if q[0] else -math.inf)
+        own_magnitude = np.take_along_axis(magnitude, taps[:, :w], axis=-1)
     phase = np.angle(profiles)
     for shared in (chan.ue_mean, sig_array, profiles, phase, taps, own_magnitude):
         if shared is not None:  # every later caller gets these
@@ -378,8 +377,9 @@ def judge_sends(channel, rng, sig_idx, every, occasion=None):
     only when they are judged. The detector judges the first send's complex row
     at ``occasion``, with result ``first``. When ``every`` is set or the first is
     missed, the kernel judges the other K - 1 at once, drawn reduced where
-    ``channel.taps`` is set (``_noise_like``), else as complex rows that
-    ``_decide`` judges in their own windows. ``hits``, a bool array, says whether
+    ``channel.taps`` is set (``_noise_like``: ``_decide`` judges their whole tap
+    powers only in Fisher's tail), else as complex rows that ``_decide`` judges in
+    their own windows. ``hits``, a bool array, says whether
     each send judged is detected, ``sig_idx`` holds their signatures, and
     ``profile_of(n, rng)`` is send ``n``'s complex delay profile, rebuilt from ``rng``.
     """
@@ -405,61 +405,59 @@ def judge_sends(channel, rng, sig_idx, every, occasion=None):
 
 def _noise_like(channel, rng, idx):
     """The verdicts of sends of the signatures ``idx``, and ``profile_of(j, rng)``
-    rebuilding send ``j``'s profile. A send draws its window T's taps in polar
-    form: power ``P = theta * E``, ``theta = 2 * std**2``, at a uniform phase
-    ``2 * pi * F`` from the mean's, so ``|tap|**2 = P + |mu| * (|mu| + 2 *
-    sqrt(P) * cos(2 * pi * F))``. Its n other taps' power sum ``S_O`` is Gamma(n,
-    theta), independent of their largest share, Fisher's g (Devroye 1986). A g
-    below x0 cannot decide: T's peak is larger, or below ``x0 * S_O = f * (1 -
-    x0) * S_O / (L - 1)``, a miss. So g is drawn, by inversion, only in its tail."""
+    rebuilding send ``j``'s profile. A send draws its w mean taps in polar form:
+    power ``P = theta * E``, ``theta = 2 * std**2``, at a uniform phase ``2 * pi *
+    F`` from the mean's, so ``|tap|**2 = P + |mu| * (|mu| + 2 * sqrt(P) * cos(2 *
+    pi * F))``. Its n = L - w other taps' power sum ``S`` is Gamma(n, theta),
+    independent of their largest share, Fisher's g (Devroye 1986). A hit needs the
+    profile's peak above x0 times its sum, so a g below x0 leaves the verdict to the
+    mean taps and ``S``. So g is drawn, by inversion, only in its tail, and only
+    there are the other taps drawn before the verdict, which ``_decide`` gives."""
     (w, x0, log_q0), m, (_, length) = channel.reduced, len(idx), channel.taps.shape
-    s = channel.detector.shift_step
-    n, theta = length - s, 2 * channel.bins.std**2
+    det, n, theta = channel.detector, length - w, 2 * channel.bins.std**2
     # One row per quantity: reductions over a send's taps run along columns.
-    draws = rng.random((s + 1 + w, m))
-    logs, turns = draws[: s + 1], draws[s + 1 :]
+    draws = rng.random((2 * w + 1, m))
+    logs, turns = draws[: w + 1], draws[w + 1 :]
     np.log(np.subtract(1.0, logs, out=logs), out=logs)
-    power, log_v = logs[:s], logs[s]
-    power *= -theta
-    rest = rng.gamma(n, theta, m)
-    # power[:w] = tap + mean * (mean + 2 * sqrt(tap) * cos(2 * pi * turns)), in place
-    # and in this order of operations, which the records' bits depend on.
-    mean, tap = channel.own_magnitude[idx].T, power[:w].copy()
-    rice = np.sqrt(tap)
-    rice *= 2
-    rice *= np.cos(2 * np.pi * turns)
-    rice += mean
-    rice *= mean
-    np.add(tap, rice, out=power[:w])
-    g, tail = np.zeros(m), log_v <= log_q0
-    if tail.any():
-        g[tail] = _fisher_quantile(log_v[tail], n, x0)
-    hits = window_detected(power.T, rest, g * rest, length, channel.detector)
+    tap, log_v = logs[:w], logs[w]
+    tap *= -theta
+    pool = rng.gamma(n, theta, m)
+    mean = channel.own_magnitude[idx].T
+    power = tap + mean * (mean + 2 * np.sqrt(tap) * np.cos(2 * np.pi * turns))
+    hits = window_detected(power.T, pool, length, det)
+    tail = np.flatnonzero(log_v <= log_q0)
+    full = np.empty((len(tail), length))  # the tail's tap powers, judged whole
+    if len(tail):
+        g = _fisher_quantile(log_v[tail], n, x0).tolist()
+        for row, j, g_j in zip(full, tail.tolist(), g):
+            # g * S at integers(n) among the other taps, then the rest below it.
+            order, top, spot = channel.taps[idx[j]], g_j * float(pool[j]), int(rng.integers(n))
+            others = _pool(rng, n - 1, pool[j] - top, g_j / (1 - g_j))
+            row[order[:w]], row[order[w:]] = power[:, j], np.insert(others, spot, top)
+        hits[tail] = _decide(full, det)[2][np.arange(len(tail)), channel.sig_array[idx[tail], 1]]
+    tail_row = dict(zip(tail.tolist(), full))
 
     def profile_of(j, rng):
         i, order, turn = idx[j], channel.taps[idx[j]], rng.random(length)
         turn[order[:w]] = turns[:, j]
-        g_j, sum_o = float(g[j]), float(rest[j])  # Python floats skip numpy's scalar dispatch
-        in_tail, top = g_j > 0, g_j * sum_o
-        spot, share = (int(rng.integers(n)), g_j / (1 - g_j)) if in_tail else (0, x0)
-        while True:
-            e = rng.random(n - in_tail)
-            np.negative(np.log(np.subtract(1.0, e, out=e), out=e), out=e)
-            total = float(np.add.reduce(e))
-            if float(np.maximum.reduce(e)) < share * total:
-                break
-        e *= (sum_o - top) / total
-        # The others' taps in tap order, the tail's largest at ``spot`` among them.
-        noise, cut = np.empty(length), s + spot
-        noise[order[:s]] = power[:, j]
+        noise = np.empty(length)
+        noise[order[w:]] = tail_row[j][order[w:]] if j in tail_row else _pool(rng, n, pool[j], x0)
         noise[order[:w]] = tap[:, j]
-        if in_tail:
-            noise[order[s:cut]], noise[order[cut]] = e[:spot], top
-        noise[order[cut + in_tail :]] = e[spot:]
         return channel.profile[i] + np.sqrt(noise) * np.exp(
             1j * (channel.phase[i] + 2 * np.pi * turn))
 
     return hits, profile_of
+
+
+def _pool(rng, count, total, share):
+    """``count`` exponential tap powers summing to ``total``, drawn until their
+    largest is below ``share`` times their sum."""
+    while True:
+        e = rng.random(count)
+        np.negative(np.log(np.subtract(1.0, e, out=e), out=e), out=e)
+        drawn = float(np.add.reduce(e))  # Python floats skip numpy's scalar dispatch
+        if float(np.maximum.reduce(e)) < share * drawn:
+            return e * (float(total) / drawn)
 
 
 def run_interval(cfg: CampaignConfig, index: int) -> tuple[IntervalRecord, Logs]:

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 from .waveform import REPETITIONS, IqFrame
 
 __all__ = ["ChannelConfig", "superpose", "BinChannel", "bin_channel"]
@@ -30,8 +30,11 @@ class ChannelConfig:
     ue_delay_samples: int = 0
 
     def __post_init__(self) -> None:
+        check_number("noise_sigma", self.noise_sigma)
         if not 0 <= self.noise_sigma < math.inf:  # false for NaN too
             raise ConfigError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
+        if type(self.ue_delay_samples) is not int:  # superpose slices by it
+            raise ConfigError(f"ue_delay_samples must be an int, got {self.ue_delay_samples!r}")
         if self.ue_delay_samples < 0:
             raise ConfigError("ue_delay_samples must be >= 0")
 

@@ -29,7 +29,7 @@ from .campaign import (
     run_campaign,
 )
 from .detector import calibrate_threshold
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, SimulationError, check_number
 from .prach import load_record, occupancy_factors
 from .zc import cyclic_shift, generate_zc, periodic_xcorr
 
@@ -236,8 +236,7 @@ def _cmd_metrics(args) -> int:
 def _cmd_calibrate(args) -> int:
     params = _parse_overrides(args.overrides)
     target_far = params.pop("target_far", 1e-3)
-    if type(target_far) not in (int, float):
-        raise ConfigError(f"target_far must be a number, got {target_far!r}")
+    check_number("target_far", target_far)
     cfg = load_campaign_config(_load_config_doc(args, params))
     if not 0 < target_far < 1:
         raise ConfigError(f"target_far must be in (0, 1), got {target_far!r}")

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 from .prach import PrachConfig, PrachOccasion
 from .zc import generate_zc
 
@@ -53,9 +53,7 @@ class DetectorConfig:
     roots: tuple[int, ...] = (1,)
 
     def __post_init__(self) -> None:
-        factor = self.threshold_factor  # as in the JSON loader, a bool is no number
-        if isinstance(factor, bool) or not isinstance(factor, (int, float)):
-            raise ConfigError(f"threshold_factor must be a number, got {factor!r}")
+        check_number("threshold_factor", factor := self.threshold_factor)
         if not 1 < factor < math.inf:  # false for NaN too
             raise ConfigError(f"threshold_factor must be > 1 and finite, got {factor}")
         length = PrachConfig.preamble_length
@@ -196,19 +194,20 @@ def detect_preambles(
     return DetectionResult(detected=detected, noise_floor=min(floors), occasion=occasion)
 
 
-def window_detected(window, rest_sum, rest_peak, length: int, cfg: DetectorConfig):
+def window_detected(window, rest_sum, length: int, cfg: DetectorConfig):
     """Whether ``detect_preambles`` reports a window of tap powers ``window`` ``(M, s)``
-    of ``length``-tap profiles whose other powers sum to ``rest_sum``, peak at ``rest_peak``."""
+    of ``length``-tap profiles whose other powers sum to ``rest_sum``, each of them
+    below ``f / (f + length - 1)`` times that sum, so that none can be reported."""
     peak, total = window.max(axis=-1), window.sum(axis=-1) + rest_sum
-    return peak > _floor_and_limit(total, np.maximum(peak, rest_peak), length, cfg)[1]
+    return peak > _floor_and_limit(total, peak, length, cfg)[1]
 
 
 def _fisher_tail(n: int, x_min: float):
     """Fisher's ``P(g > x)`` (Proc. R. Soc. A 125, 1929), g the largest share of the
     sum of ``n`` i.i.d. exponentials, its derivative and a rounding bound for x >= ``x_min``:
-    ``sum((-1)**(k-1) C(n, k) (1 - k x)**(n-1), 1 <= k <= 1/x)``. At n = 126 and
-    ``x = f / (f + 138)``, float64 gives it to 2e-14 (relative) for f >= 4,
-    1.3e-12 at 3, 8e-9 at 2 and 1.8e-5 at 1.5; below 1.3, to no digit."""
+    ``sum((-1)**(k-1) C(n, k) (1 - k x)**(n-1), 1 <= k <= 1/x)``. At n = 138 and
+    ``x = f / (f + 138)``, float64 gives it to 3e-14 (relative) for f >= 3.4,
+    7e-13 at 3, 2e-9 at 2 and 1e-5 at 1.5; below 1.3, to no digit."""
     k = np.arange(1, math.floor(1 / x_min) + 1)
     c = np.array([(-1.0) ** (j + 1) * math.comb(n, j) for j in k.tolist()])
 

@@ -7,3 +7,9 @@ class ConfigError(ValueError):
 
 class SimulationError(RuntimeError):
     """A simulation failed at runtime with a valid configuration."""
+
+
+def check_number(name: str, value) -> None:
+    """Refuse a value that is no int or float: as in the JSON loader, a bool is no number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")

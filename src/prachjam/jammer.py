@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 from .prach import CellConfig, PrachOccasion
 from .waveform import IqFrame, build_occasion_frame
 
@@ -41,6 +41,9 @@ class JammerConfig:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"jammer kind must be one of {KINDS}, got '{self.kind}'")
+        check_number("snr_db", self.snr_db)
+        if type(self.enabled) is not bool:
+            raise ConfigError(f"enabled must be a bool, got {self.enabled!r}")
         if not math.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
         try:

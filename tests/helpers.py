@@ -27,7 +27,7 @@ CHUNK = 1000  # frames demapped in one stack, 17 MB of samples
 
 
 def interval_stream(seed):
-    """The interval stream of ``seed`` under seeding rule v11, rebuilt
+    """The interval stream of ``seed`` since seeding rule v11, rebuilt
     without prachjam: numpy's PCG64 seeding (one step from state 0 with the
     increment, add the initial state, one more step; O'Neill's
     ``pcg_setseq_128_srandom_r``) redone in Python ints on the four

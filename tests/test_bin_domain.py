@@ -1,7 +1,7 @@
 """The campaign's bin-domain occasions against the time-domain waveform.
 
 Campaigns draw an occasion's averaged PRACH bins, or a transmission's
-delay profile (where the means are sparse, only its own window and two
+delay profile (where the means are sparse, only its mean taps and two
 numbers for the rest), directly and judge a batch of them at once.
 These tests hold that path to the waveform chain it replaces
 (``modulate_preamble``, ``generate_jamming_frame``, ``superpose``,
@@ -23,6 +23,7 @@ from prachjam.detector import (
     DelayProfile,
     DetectorConfig,
     _decide,
+    _fisher_quantile,
     _window_indices,
     delay_profile,
     detect_preambles,
@@ -263,9 +264,9 @@ def judged_sends(channel, rng, n, chunk=2000):
 # all their tap powers) by a two-sided two-proportion z-test at 99.8 %
 # (Bonferroni over five cells). Cells: S1 in the transition band; S2; a
 # jammer-dominated S2 whose hits are own-window false alarms (about 200 ppm);
-# a factor of 6, where P(g > x0) = 0.48, so about half the sends take the
-# tail branch; and three roots. Columns: spectrum, factor, roots, reduced
-# sends, complex rows.
+# a factor of 6, where P(g > x0) = 0.35 over the n' = 138 taps of a send's
+# pool, so about a third of the sends take the tail branch; and three roots.
+# Columns: spectrum, factor, roots, reduced sends, complex rows.
 GATE = {
     "S1_-15dB": (JammerConfig(kind="S1", snr_db=-15.0), 12.35, (1,), 40_000, 40_000),
     "S2_-12dB": (JammerConfig(kind="S2", snr_db=-12.0), 12.35, (1,), 40_000, 40_000),
@@ -318,40 +319,51 @@ def test_dense_later_sends_miss_like_the_waveform_oracle(name):
                                             (30.0, -6.0)])
 def test_reduced_verdict_equals_the_full_row(factor, snr_db):
     # Full rows of exponential tap powers plus the shipped mean tap, a third
-    # of them with one other tap raised up to 60-fold, so that its share g
-    # of the others' sum passes x0 at every factor. From (T's powers, S_O,
-    # g) the reduced rule gives every row the verdict _decide gives the
-    # whole row, on both sides of x0.
+    # of them with one other tap raised up to 60-fold, so that the largest
+    # share g of the pool's sum S passes x0 at every factor. Where g < x0 the
+    # rule on (the mean tap's power, S) gives every row the verdict _decide
+    # gives the whole row; elsewhere the tail's row, laid out as _noise_like
+    # does (the mean tap, then g * S at its place among the others in tap
+    # order), does. Each branch holds hits and misses.
     det = DetectorConfig(threshold_factor=factor)
     spectrum = JammerConfig(kind="S1", snr_db=snr_db)
     channel = bin_domain(spectrum, det=det)
-    rows, length, (_, x0, _) = 20_000, PRACH.preamble_length, channel.reduced
+    rows, length, (w, x0, _) = 20_000, PRACH.preamble_length, channel.reduced
     rng = np.random.default_rng(int(factor * 100))
     idx = rng.integers(len(channel.signatures), size=rows)
-    theta, taps, at = 2 * channel.bins.std**2, channel.taps[idx, :13], np.arange(rows)
+    theta, at = 2 * channel.bins.std**2, np.arange(rows)[:, None]
+    mean_taps, pool_taps = channel.taps[idx, :w], channel.taps[idx, w:]
     power = -theta * np.log(1.0 - rng.random((rows, length)))
-    mean, tap = np.abs(channel.profile[idx, taps[:, 0]]), power[at, taps[:, 0]]
-    power[at, taps[:, 0]] = tap + mean * (
-        mean + 2 * np.sqrt(tap) * np.cos(2 * np.pi * rng.random(rows)))
-    others = np.ones((rows, length), dtype=bool)
-    others[at[:, None], taps] = False
-    rest = power[others].reshape(rows, -1)
-    raised = at[::3]
-    rest[raised, rng.integers(rest.shape[-1], size=len(raised))] *= rng.uniform(1, 60, len(raised))
-    power[others] = rest.ravel()
-    g = rest.max(axis=-1) / rest.sum(axis=-1)
-    top = np.where(g >= x0, g * rest.sum(axis=-1), 0.0)
-    reduced = window_detected(power[at[:, None], taps], rest.sum(axis=-1), top, length, det)
+    mean, tap = np.abs(channel.profile[idx[:, None], mean_taps]), power[at, mean_taps]
+    power[at, mean_taps] = tap + mean * (
+        mean + 2 * np.sqrt(tap) * np.cos(2 * np.pi * rng.random((rows, w))))
+    raised = at[::3, 0]
+    place = pool_taps[raised, rng.integers(length - w, size=len(raised))]
+    power[raised, place] *= rng.uniform(1, 60, len(raised))
+    pool = power[at, pool_taps]
+    total, spot = pool.sum(axis=-1), pool.argmax(axis=-1)
+    g = pool.max(axis=-1) / total
     full = own_window_hits(power, channel.sig_array[idx, 1], det)
-    for branch in (g >= x0, g < x0):
+    below = g < x0
+    reduced = window_detected(power[at, mean_taps], total, length, det)
+    tail = np.flatnonzero(~below)
+    laid = np.empty((len(tail), length))
+    for row, r in zip(laid, tail):
+        others = np.delete(pool[r], spot[r])
+        row[mean_taps[r]] = power[r, mean_taps[r]]
+        row[pool_taps[r]] = np.insert(others, spot[r], g[r] * total[r])
+    tail_hits = _decide(laid, det)[2][np.arange(len(tail)), channel.sig_array[idx[tail], 1]]
+    for branch in (below, ~below):
         assert 0 < full[branch].mean() < 1
-    assert np.array_equal(reduced, full)
+    assert np.array_equal(reduced[below], full[below])
+    assert np.array_equal(tail_hits, full[tail])
 
 
 @pytest.mark.parametrize("factor, reduced", [(1.08, False), (1.1, False), (2.0, False),
-                                             (3.0, False), (4.0, True), (1e6, True)])
+                                             (3.0, False), (3.3, False), (3.5, True),
+                                             (4.0, True), (1e6, True)])
 def test_reduced_draw_needs_sends_below_x0(factor, reduced):
-    # Below a factor of about 3.7 fewer than 1e-3 of the sends have g below x0,
+    # Below a factor of about 3.4 fewer than 1e-3 of the sends have g below x0,
     # and below 1.3 Fisher's float64 sum is no probability: those sparse means
     # draw complex rows. Either way every judged send is rebuilt and the
     # detector agrees with its verdict; at 1e6, P(g > x0) underflows to 0.
@@ -377,7 +389,7 @@ def rebuilt_sends(channel, rng, n):
 
 
 def test_rebuilt_taps_follow_the_complex_draw():
-    # 4,000 rebuilt sends at factor 6, where about half take the tail
+    # 4,000 rebuilt sends at factor 6, where about a third take the tail
     # branch: their zero-mean taps' powers over theta are standard
     # exponential (a KS test at 99 % over all of them), the largest of the
     # 126 taps outside their window lies anywhere among them (a chi-square
@@ -393,7 +405,9 @@ def test_rebuilt_taps_follow_the_complex_draw():
     zero = channel.profile[idx] == 0
     assert zero.sum(axis=-1).tolist() == [PRACH.preamble_length - 1] * len(idx)
     assert stats.kstest(power[zero], "expon").pvalue > 0.01
-    others = power[np.arange(len(idx))[:, None], channel.taps[idx, 13:]]
+    outside = np.ones(power.shape, dtype=bool)
+    outside[np.arange(len(idx))[:, None], _window_indices(139, 13)[channel.sig_array[idx, 1]]] = 0
+    others = power[outside].reshape(len(idx), 126)
     place = np.bincount(others.argmax(axis=-1), minlength=126)
     assert stats.chisquare(place).pvalue > 0.01
     reference_idx = rng.integers(len(channel.signatures), size=4000)
@@ -406,10 +420,10 @@ def test_rebuilt_taps_follow_the_complex_draw():
 @pytest.mark.parametrize("name", sorted(MEANS))
 def test_rebuilt_row_power_equals_kernel_power(name, monkeypatch):
     # A judged send that is rebuilt goes back to a complex profile. Drawn
-    # reduced (S1, at factor 6 so that both branches show), its window holds
-    # the powers the kernel judged and its other taps sum to S_O and peak at
-    # g * S_O in the tail, or below x0 * S_O; drawn as a complex row, its tap
-    # powers are the ones judged.
+    # reduced (S1, at factor 6 so that both branches show), its mean tap holds
+    # the power the kernel judged and its other taps sum to S; in the tail its
+    # tap powers are the ones _decide judged, else its other taps stay below
+    # x0 * S. Drawn as a complex row, its tap powers are the ones judged.
     det = replace(MEANS_DET, threshold_factor=6.0)
     channel = means_channel(name, det)
     idx = np.random.default_rng(81).integers(len(channel.signatures), size=128)
@@ -419,44 +433,49 @@ def test_rebuilt_row_power_equals_kernel_power(name, monkeypatch):
         rebuilt = np.array([profile_of(j, phases(j)) for j in range(len(power))])
         np.testing.assert_allclose(np.abs(rebuilt) ** 2, power, rtol=1e-12)
         return
-    judged = []
+    judged, tail_rows = [], []
 
-    def recording(window, rest_sum, rest_peak, length, cfg):
-        judged.append((window.copy(), rest_sum, rest_peak))
-        return window_detected(window, rest_sum, rest_peak, length, cfg)
+    def recording(window, rest_sum, length, cfg):
+        judged.append((window.copy(), rest_sum))
+        return window_detected(window, rest_sum, length, cfg)
+
+    def recording_decide(power, cfg):
+        tail_rows.extend(power.copy())
+        return _decide(power, cfg)
 
     with monkeypatch.context() as patch:
         patch.setattr(prachjam.campaign, "window_detected", recording)
+        patch.setattr(prachjam.campaign, "_decide", recording_decide)
         hits, _, profile_of, _ = judge_sends(channel, np.random.default_rng(82), idx, True)
-    (window, rest_sum, rest_peak), x0 = judged[0], channel.reduced[1]
-    assert 0 < np.count_nonzero(rest_peak) < len(rest_peak)
+    ((window, rest_sum),), (w, x0, _) = judged, channel.reduced
+    in_tail = []
     for j in range(1, len(idx)):
         power = np.abs(profile_of(j, phases(j))) ** 2
         taps = channel.taps[idx[j]]
-        others = power[taps[13:]]
-        np.testing.assert_allclose(power[taps[:13]], window[j - 1], rtol=1e-12)
+        others = power[taps[w:]]
+        np.testing.assert_allclose(power[taps[:w]], window[j - 1], rtol=1e-12)
         assert others.sum() == pytest.approx(rest_sum[j - 1], rel=1e-12)
-        if rest_peak[j - 1]:
-            assert others.max() == pytest.approx(rest_peak[j - 1], rel=1e-12)
-        else:
-            assert others.max() < x0 * rest_sum[j - 1]
+        in_tail.append(others.max() >= x0 * rest_sum[j - 1])
+        if in_tail[-1]:
+            np.testing.assert_allclose(power[taps[w:]], tail_rows[sum(in_tail) - 1][taps[w:]],
+                                       rtol=1e-12)
         assert _decide(power, det)[2][channel.sig_array[idx[j], 1]] == hits[j]
+    assert 0 < sum(in_tail) == len(tail_rows) < len(in_tail)
 
 
 @pytest.mark.parametrize("roots", [(1,), (1, 2, 5)])
 def test_round_off_rule_zeroes_all_but_the_own_tap(roots):
     # Shipped preset: one nonzero tap per signature, the rest round-off
     # (about 6e-14 against a peak of 11.79) set to 0. It is the first tap of
-    # its window.
+    # its window, and the first of its row's taps; the rest follow in tap order.
     det = DetectorConfig(roots=roots)
     spectrum = JammerConfig(kind="S1", snr_db=-6.0)
     channel = bin_domain(spectrum, det=det)
     sig_array = channel.sig_array
     assert (channel.profile == 0).sum(axis=-1).tolist() == [138] * len(channel.profile)
-    # Each row's taps: its window's (the nonzero one first), then the rest in order.
     assert np.all(np.sort(channel.taps, axis=-1) == np.arange(139))
-    np.testing.assert_array_equal(channel.taps[:, :13], _window_indices(139, 13)[sig_array[:, 1]])
-    assert np.all(np.diff(channel.taps[:, 13:]) > 0)
+    np.testing.assert_array_equal(channel.taps[:, 0], _window_indices(139, 13)[sig_array[:, 1], 0])
+    assert np.all(np.diff(channel.taps[:, 1:]) > 0)
     assert channel.reduced[0] == 1
     assert np.all(channel.profile[np.arange(len(sig_array)), channel.taps[:, 0]] != 0)
     for name in ("s1_literal", "delay_and_gains"):
@@ -479,34 +498,61 @@ def test_channel_holds_the_detector_it_was_built_for():
         assert not shared.flags.writeable
 
 
+def exponentials_below(rng, count, share):
+    """README's rejection draw: ``count`` exponentials ``-log(1 - random(count))``,
+    drawn again until their largest is below ``share`` times their sum."""
+    while True:
+        e = -np.log(1.0 - rng.random(count))
+        if e.max() < share * e.sum():
+            return e
+
+
 def test_first_transmission_is_a_complex_row():
-    # The first send reads 2 * L standard normals, as chan.draw; the other
-    # K - 1 read s + 1 + w uniforms each, as the columns of one block (s = 13
-    # window taps and w = 1 phase fraction on this preset), then K - 1
-    # Gamma variates S_O. A rebuilt send keeps its window's taps as they
-    # were drawn, bit for bit, and its other taps' powers sum to S_O.
-    channel = means_channel("S1")
-    chan = channel.bins
-    (w, _, _), s, length = channel.reduced, MEANS_DET.shift_step, PRACH.preamble_length
-    assert (w, s) == (1, 13)
-    idx = np.random.default_rng(93).integers(len(channel.signatures), size=5)
+    # Seeding rule v12 replayed from a second generator, at factor 6, where
+    # about a third of the sends fall in Fisher's tail. The first send reads
+    # 2 * L standard normals, as chan.draw; the other K - 1 read 2w + 1
+    # uniforms each, as the columns of one block (E, v and a phase fraction
+    # for the one mean tap of this preset), then K - 1 Gamma sums S of the
+    # n = 138 other taps; then each tail send in turn reads integers(n) for
+    # the place of g * S and the rejection draws of the other n - 1, and
+    # nothing else is read. A rebuilt send reads random(L) phases and, out
+    # of the tail, n exponentials scaled to S; its mean tap is the one drawn,
+    # bit for bit, and its other taps' powers are the replay's.
+    channel = means_channel("S1", replace(MEANS_DET, threshold_factor=6.0))
+    chan, length, k = channel.bins, PRACH.preamble_length, 9
+    (w, x0, log_q0), theta = channel.reduced, 2 * chan.std**2
+    n = length - w
+    assert (w, n) == (1, 138)
+    idx = np.random.default_rng(93).integers(len(channel.signatures), size=k)
     rng, replay = np.random.default_rng(94), np.random.default_rng(94)
     profile_of = judge_sends(channel, rng, idx, every=True)[2]
     first = chan.draw(replay, channel.profile[idx[:1]], 1)[0]
-    u = replay.random((s + 1 + w, 4))
-    rest = replay.gamma(length - s, 2 * chan.std**2, 4)
+    u = replay.random((2 * w + 1, k - 1))
+    sums = replay.gamma(n, theta, k - 1)
+    log_v = np.log(1.0 - u[w])
+    tail = np.flatnonzero(log_v <= log_q0)
+    assert 0 < len(tail) < k - 1
+    pools = {}
+    for j, g in zip(tail, _fisher_quantile(log_v[tail], n, x0)):
+        spot = replay.integers(n)
+        e = exponentials_below(replay, n - 1, g / (1 - g))
+        pools[j] = np.insert(e * ((sums[j] - g * sums[j]) / e.sum()), spot, g * sums[j])
+        assert pools[j].argmax() == spot
     assert rng.random() == replay.random()
     np.testing.assert_array_equal(profile_of(0, None), first)
-    for j in range(1, 5):
-        i, taps, row = idx[j], channel.taps[idx[j], :s], profile_of(j, phases(j))
-        turn = phases(j).random(length)
-        turn[taps[:w]] = u[s + 1:, j - 1]
-        noise = np.log(1.0 - u[:s, j - 1]) * -(2 * chan.std**2)
-        window = channel.profile[i, taps] + np.sqrt(noise) * np.exp(
-            1j * (channel.phase[i, taps] + 2 * np.pi * turn[taps]))
-        np.testing.assert_array_equal(row[taps], window)
-        others = np.abs(np.delete(row, taps)) ** 2
-        assert others.sum() == pytest.approx(rest[j - 1], rel=1e-12)
+    for j in range(1, k):
+        i, taps, row = idx[j], channel.taps[idx[j]], profile_of(j, phases(j))
+        rebuild = phases(j)
+        turn = rebuild.random(length)
+        turn[taps[:w]] = u[w + 1:, j - 1]
+        if j - 1 not in pools:
+            e = exponentials_below(rebuild, n, x0)
+            pools[j - 1] = e * (sums[j - 1] / e.sum())
+        noise = np.log(1.0 - u[:w, j - 1]) * -theta
+        mean = channel.profile[i, taps[:w]] + np.sqrt(noise) * np.exp(
+            1j * (channel.phase[i, taps[:w]] + 2 * np.pi * turn[taps[:w]]))
+        np.testing.assert_array_equal(row[taps[:w]], mean)
+        np.testing.assert_allclose(np.abs(row[taps[w:]]) ** 2, pools[j - 1], rtol=1e-12)
 
 
 def other_root_alarms(profiles, roots, det):

@@ -155,7 +155,7 @@ class TestSeeding:
         assert interval_seed(1234, 0) != interval_seed(1234, 1)
 
     def test_stream_is_pcg64_seeded_from_the_blake2b_words(self):
-        # Seeding rule v11: after its validity flag each interval stream is
+        # Since seeding rule v11, after its validity flag each interval stream is
         # where numpy's PCG64 seeding arithmetic, redone in Python ints on
         # the seed's blake2b words, is after one draw, and the flag agrees.
         cfg = make_config(invalid_probability=0.5)
@@ -413,8 +413,8 @@ class TestIntervals:
         cfg = make_config(spectrum=JammerConfig(kind="S1", snr_db=-14.0), detection_log=logged)
         records = [run_interval(cfg, i)[0] for i in range(11)]
         assert [(r.preambles_sent, r.ra_succeeded) for r in records] == [
-            (4, True), (9, True), (3, True), (4, True), (11, True), (11, True),
-            (19, False), (12, True), (19, False), (2, True), (1, True),
+            (19, False), (2, True), (19, False), (5, True), (19, False), (19, False),
+            (19, False), (19, False), (19, False), (6, True), (1, True),
         ]
         for r in records:
             fields = [int, bool, int, int, bool, float if r.ra_succeeded else type(None), int]
@@ -976,6 +976,22 @@ class TestConfigLoading:
         # non-finite level would make every verdict False.
         with pytest.raises(ConfigError, match=f"^{field} must be {re.escape(rule)}, got {value}$"):
             build(**{field: value})
+
+    @pytest.mark.parametrize("build, kwargs, message", [
+        (ChannelConfig, dict(noise_sigma=0.1, ue_delay_samples=2.5),
+         "ue_delay_samples must be an int, got 2.5"),
+        (ChannelConfig, dict(noise_sigma=0.1, ue_delay_samples=True),
+         "ue_delay_samples must be an int, got True"),
+        (ChannelConfig, dict(noise_sigma="0.1"), "noise_sigma must be a number, got '0.1'"),
+        (JammerConfig, dict(kind="S1", snr_db=True), "snr_db must be a number, got True"),
+        (JammerConfig, dict(kind="S1", snr_db=-6.0, enabled=1), "enabled must be a bool, got 1"),
+        (JammerConfig, dict(kind="S1", snr_db="-6"), "snr_db must be a number, got '-6'"),
+    ], ids=["delay-float", "delay-bool", "sigma-str", "snr_db-bool", "enabled-int", "snr_db-str"])
+    def test_library_callers_get_no_wrong_typed_value(self, build, kwargs, message):
+        # As DetectorConfig does: a fractional delay would reach superpose,
+        # which slices by it, and a string would raise a bare TypeError.
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build(**kwargs)
 
     def test_float_fields_are_stored_as_float(self):
         doc = self.base_doc()

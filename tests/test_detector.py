@@ -383,10 +383,9 @@ def exact_fisher_tail(x, n):
                for k in range(1, math.floor(1 / x) + 1))
 
 
-# The campaign's reduced draw sums Fisher's tail over the n = 126 taps
-# outside a 13-tap window, from x0 = f / (f + 138) up: the float64 sum's
-# relative error against the exact one at x0 and above, as its docstring
-# states it for each factor f.
+# Fisher's tail over n = 126 taps (those outside a 13-tap window), from x0 =
+# f / (f + 138) up: the float64 sum's relative error against the exact one
+# at x0 and above for each factor f.
 FISHER_BOUNDS = {1.5: 2e-5, 2.0: 1e-8, 3.0: 1.3e-12, 4.0: 2e-14, 6.0: 2e-14, 8.0: 2e-14,
                  12.35: 2e-14, 30.0: 2e-14}
 
@@ -406,6 +405,25 @@ def test_fisher_quantile_inverts_the_tail(factor):
     # tail there gives the probability back.
     n, x0 = 126, factor / (factor + 138)
     tail = _fisher_tail(n, x0)
+    v = np.geomspace(1e-16, tail(x0)[0], 400)
+    g = _fisher_quantile(np.log(v), n, x0)
+    assert np.all(g >= x0)
+    np.testing.assert_allclose(tail(g)[0], v, rtol=2e-12)
+
+
+# The campaign's reduced draw sums it over the n = 138 taps other than a
+# send's mean tap, from a factor of about 3.4 up, as the docstring states.
+POOL_BOUNDS = {2.0: 2e-9, 3.0: 7e-13, 3.4: 3e-14, 4.0: 3e-14, 6.0: 3e-14, 12.35: 3e-14,
+               30.0: 3e-14}
+
+
+@pytest.mark.parametrize("factor", sorted(POOL_BOUNDS))
+def test_fisher_tail_meets_its_bound_over_the_pool(factor):
+    n, x0 = 138, factor / (factor + 138)
+    tail = _fisher_tail(n, x0)
+    x = np.array([x0, 1.5 * x0, 0.3, 0.6])
+    want = np.array([float(exact_fisher_tail(v, n)) for v in x])
+    assert np.all(np.abs(tail(x)[0] / want - 1) <= POOL_BOUNDS[factor])
     v = np.geomspace(1e-16, tail(x0)[0], 400)
     g = _fisher_quantile(np.log(v), n, x0)
     assert np.all(g >= x0)

@@ -35,13 +35,14 @@ QUICK = ROOT / "configs" / "quick.json"
 
 # (preambles_sent, preambles_detected, time_to_success) per interval of
 # quick.json (10 x 2 s, S1 at -16 dB) with the spectrum varied, under
-# seeding rule v11 (v9 and v10 heard intervals 7 and 8 at sends 6 and 4, v8
-# intervals 6 and 8 at sends 17 and 13).
+# seeding rule v12 (v11 heard interval 4 at send 2, v9 and v10 intervals 7
+# and 8 at sends 6 and 4, v8 intervals 6 and 8 at sends 17 and 13).
 # S1 and S2 give equally distributed bins and draw them from the same
 # stream, so their records are the same.
 _JAMMED = (19, 0, None)
 _JAMMED_RECORDS = (
-    [_JAMMED] * 4 + [(2, 1, 0.2195)] + [_JAMMED] * 5
+    [_JAMMED] * 2 + [(15, 1, 1.5195)] + [_JAMMED] * 2 + [(14, 1, 1.4195), (9, 1, 0.9195)]
+    + [_JAMMED] * 3
 )
 PINNED_RECORDS = {
     "S1": _JAMMED_RECORDS,
@@ -85,49 +86,53 @@ PINNED_SUMMARY = (
     '"cp_samples": 18, "dft_size": 256, "n_prb": 12, "numerology": 1, '
     '"sample_rate": 7680000.0}, "channel": {"noise_sigma": 0.7071067811865476, '
     '"ue_delay_samples": 0}, "detector": {"roots": [1], "shift_step": 13, '
-    '"threshold_factor": 12.35}, "jammer_budget": {"active_span_per_period_ms": '
-    '0.42857142857142855, "bandwidth_hz": 4170000.0, "duty_period_ms": 20.0}, '
-    '"metrics": {"e_p_j": 0.005780346820809248, "e_p_j_exact": "1/173", '
-    '"e_p_j_ppm": 5780.346820809248, "e_s": 0.1, "e_s_exact": "1/10", '
-    '"mean_preambles_per_interval": 17.3, "mean_preambles_per_interval_exact": '
-    '"173/10", "n_e": 0, "n_p_j": 172, "n_ra_s": 1, "n_ra_u": 9}, "n_intervals": '
-    '10, "occupancy": {"bandwidth": 0.10425, "period": 0.5, "ratio": '
-    '0.002233928571428571, "temporal": 0.04285714285714286}, "prach": '
+    '"threshold_factor": 12.35}, "jammer_budget": '
+    '{"active_span_per_period_ms": 0.42857142857142855, "bandwidth_hz": '
+    '4170000.0, "duty_period_ms": 20.0}, "metrics": {"e_p_j": '
+    '0.017543859649122806, "e_p_j_exact": "1/57", "e_p_j_ppm": '
+    '17543.859649122805, "e_s": 0.3, "e_s_exact": "3/10", '
+    '"mean_preambles_per_interval": 17.1, "mean_preambles_per_interval_exact": '
+    '"171/10", "n_e": 0, "n_p_j": 168, "n_ra_s": 3, "n_ra_u": 7}, '
+    '"n_intervals": 10, "occupancy": {"bandwidth": 0.10425, "period": 0.5, '
+    '"ratio": 0.002233928571428571, "temporal": 0.04285714285714286}, "prach": '
     '{"duration_symbols": 4, "freq_occasions": 1, "freq_offset": 0, '
-    '"occasions_per_slot": 3, "prach_prbs": 12, "prach_subframes_per_frame": 1, '
-    '"preamble_format": "A2", "preamble_length": 139, "sfn_modulus": 2, '
-    '"sfn_remainder": 1, "slot_in_subframe": 1, "slots_per_subframe_with_prach": '
-    '1, "start_symbol": 0, "subframe_number": 9}, "schema_version": 1, '
-    '"seeding": "v11: interval_seed(i) = uint64(little-endian) of '
-    "blake2b(digest_size=8, data=pack('<QQ', base_seed, i)); interval stream = "
-    'numpy.random.Generator(numpy.random.PCG64(w)), w the 4 little-endian uint64 '
-    "words of blake2b(digest_size=32, data=pack('<Q', interval_seed(i))) that "
-    'PCG64 takes as its generate_state(4, uint64), drawing the validity flag '
-    "(random()), the first preamble's signature (integers(n_signatures)), then "
-    'the noise of its delay profile ifft(bins * conj(fft(zc(root)))) against its '
-    'own root: L taps mu[n] plus white noise of variance theta = 2 * std**2 (std '
-    "that of the bins' parts), mu its mean with taps below 1e-12 of its peak set "
-    'to 0, as 2*L standard normals (interleaved re, im); only if that preamble '
-    'is not detected or the run is logged, the signatures of the K - 1 later '
-    'preambles (integers(n_signatures, size=K - 1)), then their noise: 2*L '
-    "standard normals for each in turn unless each mu's nonzero taps lie in its "
-    'own window T of s < L/2 taps and 1 - Q(x0) >= 1e-3 with a float64 rounding '
-    'bound under 1e-6 of it; else random((s + 1 + w, K - 1)), column j for '
-    'preamble j + 1: E = -log(1 - u) at T (nonzero mu first, each part in tap '
-    "order), v = 1 - u, and phase fractions F at T's first w taps (w the most "
-    'nonzero taps of a mu), tap n being mu[n] + sqrt(theta * E[n]) * exp(1j * '
-    '(angle(mu[n]) + 2 * pi * F[n])), then the power sums S_O of the n = L - s '
-    "other taps, gamma(n, theta, size=K - 1); it is detected if T's peak exceeds "
-    "f * max((S_T + S_O - P) / (L - 1), 1e-12 * P), S_T T's power sum, P the "
-    "larger of T's peak and, if v <= Q(x0), g * S_O with Q(g) = v, Q(x) = "
-    'sum((-1)**(k-1) * C(n, k) * (1 - k * x)**(n - 1), 1 <= k <= 1/x), x0 = f / '
-    '(f + L - 1); then in occasion order each such preamble the detector judges '
-    'after the first reads random(L) for F at its other taps, integers(n) if v '
-    '<= Q(x0) for the place of g * S_O among its other taps in tap order, then '
-    '-log(1 - random(n)) (random(n - 1) if v <= Q(x0)) until their largest is '
-    'below x0 (g / (1 - g)) times their sum, scaled to sum S_O (S_O - g * S_O); '
-    'a logged run reads 2*L standard normals for each occasion without a '
-    'preamble; a record depends on no draw of a preamble after the first '
+    '"occasions_per_slot": 3, "prach_prbs": 12, "prach_subframes_per_frame": '
+    '1, "preamble_format": "A2", "preamble_length": 139, "sfn_modulus": 2, '
+    '"sfn_remainder": 1, "slot_in_subframe": 1, '
+    '"slots_per_subframe_with_prach": 1, "start_symbol": 0, "subframe_number": '
+    '9}, "schema_version": 1, "seeding": "v12: interval_seed(i) = '
+    "uint64(little-endian) of blake2b(digest_size=8, data=pack('<QQ', "
+    'base_seed, i)); interval stream = '
+    'numpy.random.Generator(numpy.random.PCG64(w)), w the 4 little-endian '
+    "uint64 words of blake2b(digest_size=32, data=pack('<Q', "
+    'interval_seed(i))) that PCG64 takes as its generate_state(4, uint64), '
+    "drawing the validity flag (random()), the first preamble's signature "
+    '(integers(n_signatures)), then the noise of its delay profile ifft(bins * '
+    'conj(fft(zc(root)))) against its own root: L taps mu[n] plus white noise '
+    "of variance theta = 2 * std**2 (std that of the bins' parts), mu its mean "
+    'with taps below 1e-12 of its peak set to 0, as 2*L standard normals '
+    '(interleaved re, im); only if that preamble is not detected or the run is '
+    'logged, the signatures of the K - 1 later preambles '
+    '(integers(n_signatures, size=K - 1)), then their noise: 2*L standard '
+    'normals for each in turn unless every mu has w nonzero taps, all in its '
+    'own window, and 1 - Q(x0) >= 1e-3 with a float64 rounding bound under '
+    '1e-6 of it; else random((2 * w + 1, K - 1)), column j for preamble j + 1: '
+    'E = -log(1 - u) at the w nonzero taps M of its mu (in tap order), v = 1 - '
+    'u, and phase fractions F at M, tap n being mu[n] + sqrt(theta * E[n]) * '
+    'exp(1j * (angle(mu[n]) + 2 * pi * F[n])), then the power sums S of the n '
+    '= L - w other taps, gamma(n, theta, size=K - 1), then for each preamble '
+    'with v <= Q(x0) in turn integers(n) for the place of g * S, Q(g) = v, '
+    'among its other taps in tap order and -log(1 - random(n - 1)) until their '
+    'largest is below g / (1 - g) times their sum, scaled to sum S - g * S; '
+    'such a preamble is detected as the detector judges its L tap powers in '
+    "its own window, any other if M's peak P exceeds f * max((S_M + S - P) / "
+    "(L - 1), 1e-12 * P), S_M M's power sum, Q(x) = sum((-1)**(k-1) * C(n, k) "
+    '* (1 - k * x)**(n - 1), 1 <= k <= 1/x), x0 = f / (f + L - 1); then in '
+    'occasion order each such preamble the detector judges after the first '
+    'reads random(L) for F at its other taps, then, unless v <= Q(x0), -log(1 '
+    '- random(n)) until their largest is below x0 times their sum, scaled to '
+    'sum S; a logged run reads 2*L standard normals for each occasion without '
+    'a preamble; a record depends on no draw of a preamble after the first '
     'detected", "spectrum": {"enabled": true, "kind": "S1", "snr_db": -16.0}}'
 )
 
@@ -144,12 +149,12 @@ def test_quick_summary_payload():
 # occasion's detections and noise floor and each UE transition.
 PINNED_LOGS = {
     "S1": (
-        "71634072a1f216c9b2ad5c24d9ce385aa390eafab2cda0373bbe8245b9f4365f",
-        "422078caa76be74cd6de01394d7e369d70597eec2ef464e10e2b3da93c361905",
+        "8448776c4779c8c353ed2783b673e076970b0e49c7932aaf15f1e0084fb713df",
+        "1a61cce48fedecd1adfe5c73cfa2ea23fe4891ff55aa3bbee3ca29797b10755f",
     ),
     "roots_1_2_5": (
-        "e88f5e362038d2fcba48f5df79d36bec564617cfbdce72ce7d1674130671ff00",
-        "686c6ee754a201026585e491230b944f8464647d2744cab96ad63138b92249b0",
+        "a309b2664e3807ffd631fdadaf3a6692bd1a003d7419106926e0850eeb0ef033",
+        "7001e467ff6f1d74b28128b8b4d202ce72b0becca13d5fefbaff7cab8e72062d",
     ),
 }
 
@@ -179,10 +184,11 @@ def test_quick_logs(name, tmp_path):
 def test_quick_log_replays_from_the_interval_stream(tmp_path):
     # Interval 0 of the logged quick.json, rebuilt by hand from its one
     # stream: the validity flag, the first send's signature and complex row,
-    # the other K - 1 signatures, s + 1 + w uniforms for each other send and
-    # their K - 1 Gamma variates, then the idle occasions before the UE's
-    # first send, drawn in one call, give its first log lines; the first
-    # send's row gives the line after them.
+    # the other K - 1 signatures, 2w + 1 uniforms for each other send and
+    # their K - 1 Gamma variates (no send of this interval falls in Fisher's
+    # tail, so nothing more is read for them), then the idle occasions before
+    # the UE's first send, drawn in one call, give its first log lines; the
+    # first send's row gives the line after them.
     logged_quick_run("S1", tmp_path)
     lines = (tmp_path / "detections.jsonl").read_text().splitlines()
     cfg = load_campaign_config(json.loads(QUICK.read_text()))
@@ -194,9 +200,10 @@ def test_quick_log_replays_from_the_interval_stream(tmp_path):
     own = rng.integers(len(channel.signatures))
     first_row = chan.draw(rng, channel.profile[own], 1)[0]
     rng.integers(len(channel.signatures), size=len(sends) - 1)
-    step, (w, _, _) = cfg.detector.shift_step, channel.reduced
-    rng.random((step + 1 + w, len(sends) - 1))
-    rng.gamma(cfg.prach.preamble_length - step, 2 * chan.std**2, len(sends) - 1)
+    (w, _, log_q0) = channel.reduced
+    v = 1.0 - rng.random((2 * w + 1, len(sends) - 1))[w]
+    assert np.all(np.log(v) > log_q0)
+    rng.gamma(cfg.prach.preamble_length - w, 2 * chan.std**2, len(sends) - 1)
     idle = [occ for _, occ in occasions_between(cfg.prach, cfg.cell, 0.0, sends[0][0])]
     rows = rng.standard_normal((len(idle), cfg.prach.preamble_length, 2))
     rows = rows.view(complex)[..., 0] * chan.std + chan.idle_mean

@@ -6,16 +6,12 @@ retries a preamble every 100 ms until a random-access procedure succeeds,
 and disappears before the jammer stops. Occasions are simulated as their
 averaged PRACH bins (``channel.bin_channel``). An unanswered UE sends on
 a fixed schedule (``ue_step`` stepped with no RAR), so the campaign knows
-its K transmissions up front. An interval reads one random stream, in the
-order that ``judge_sends`` alone holds. The detector judges the first send,
-which decides when the UE is heard at once, on its complex delay profile.
-The kernel judges the other K - 1 at once, which a record run needs only
-when the first is missed and a logged run always; only then are their
-signatures drawn, all at once. It needs no transform and
-reads only the tap powers: white bins times the constant-modulus ZC
-reference stay white, with the same variance, so each tap is its mean plus
-complex normal noise. Where the means are sparse, a send draws only its mean
-taps and two numbers for the other taps of its profile (``_noise_like``).
+its K transmissions up front. An interval reads one random stream in the
+order README's statement of the seeding rule gives, which ``judge_sends``
+alone holds here. The detector judges the first send, which decides when
+the UE is heard at once, on its complex delay profile. The kernel judges
+the other K - 1 at once on their tap powers, which a record run needs only
+when the first is missed and a logged run always.
 
 Every run then computes its record in closed form. Msg2 to Msg4 are
 delivered reliably and the single UE wins its contention, so it connects
@@ -97,36 +93,9 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-SEEDING_RULE = (
-    "v12: interval_seed(i) = uint64(little-endian) of blake2b(digest_size=8, "
-    "data=pack('<QQ', base_seed, i)); interval stream = "
-    "numpy.random.Generator(numpy.random.PCG64(w)), w the 4 little-endian uint64 words of "
-    "blake2b(digest_size=32, data=pack('<Q', interval_seed(i))) that PCG64 takes as its "
-    "generate_state(4, uint64), drawing the validity flag (random()), the first preamble's "
-    "signature (integers(n_signatures)), then the noise of its delay profile ifft(bins * "
-    "conj(fft(zc(root)))) against its own root: L taps mu[n] plus white noise of variance "
-    "theta = 2 * std**2 (std that of the bins' parts), mu its mean with taps below 1e-12 "
-    "of its peak set to 0, as 2*L standard normals (interleaved re, im); only if that "
-    "preamble is not detected or the run is logged, the signatures of the K - 1 later "
-    "preambles (integers(n_signatures, size=K - 1)), then their noise: 2*L standard "
-    "normals for each in turn unless every mu has w nonzero taps, all in its own window, "
-    "and 1 - Q(x0) >= 1e-3 with a float64 rounding bound under 1e-6 of it; else "
-    "random((2 * w + 1, K - 1)), column j for preamble j + 1: E = -log(1 - u) at the w "
-    "nonzero taps M of its mu (in tap order), v = 1 - u, and phase fractions F at M, tap n "
-    "being mu[n] + sqrt(theta * E[n]) * exp(1j * (angle(mu[n]) + 2 * pi * F[n])), then the "
-    "power sums S of the n = L - w other taps, gamma(n, theta, size=K - 1), then for each "
-    "preamble with v <= Q(x0) in turn integers(n) for the place of g * S, Q(g) = v, among "
-    "its other taps in tap order and -log(1 - random(n - 1)) until their largest is below "
-    "g / (1 - g) times their sum, scaled to sum S - g * S; such a preamble is detected as "
-    "the detector judges its L tap powers in its own window, any other if M's peak P "
-    "exceeds f * max((S_M + S - P) / (L - 1), 1e-12 * P), S_M M's power sum, Q(x) = "
-    "sum((-1)**(k-1) * C(n, k) * (1 - k * x)**(n - 1), 1 <= k <= 1/x), x0 = f / (f + L - "
-    "1); then in occasion order each such preamble the detector judges after the first "
-    "reads random(L) for F at its other taps, then, unless v <= Q(x0), -log(1 - random(n)) "
-    "until their largest is below x0 times their sum, scaled to sum S; a logged run reads "
-    "2*L standard normals for each occasion without a preamble; a record depends on no "
-    "draw of a preamble after the first detected"
-)
+# The tag of the seeding rule, recorded in summary.json. README states the
+# rule: the interval seeds, their stream and the order of its draws.
+SEEDING_RULE = "v12"
 
 
 @dataclass(frozen=True)
@@ -248,7 +217,7 @@ def detection_entry(interval: int, occ: PrachOccasion, result, transmitted) -> d
 
 
 def interval_seed(base_seed: int, index: int) -> int:
-    """Documented per-interval seed derivation (see ``SEEDING_RULE``)."""
+    """The seed of interval ``index``, as README's seeding rule derives it."""
     data = struct.pack("<QQ", base_seed, index)
     digest = hashlib.blake2b(data, digest_size=8).digest()
     return struct.unpack("<Q", digest)[0]
@@ -371,7 +340,7 @@ def _bins(prach, cell, spectrum, channel, det):
 
 def judge_sends(channel, rng, sig_idx, every, occasion=None):
     """Draw and judge an interval's sends from ``rng`` on ``channel`` (``_bins``)
-    with its detector, in the one order of ``SEEDING_RULE``: ``(hits, first,
+    with its detector, in the order of README's seeding rule: ``(hits, first,
     profile_of, sig_idx)``. ``sig_idx`` holds the signatures of the K sends, or
     is K: then the first's is drawn before its row, and the K - 1 later ones
     only when they are judged. The detector judges the first send's complex row

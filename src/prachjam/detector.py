@@ -221,14 +221,17 @@ def _fisher_tail(n: int, x_min: float):
 
 def _fisher_quantile(log_v: np.ndarray, n: int, x0: float) -> np.ndarray:
     """The ``g >= x0`` where ``_fisher_tail`` is ``exp(log_v)``: Newton's method on the near
-    linear ``log(-log(P))`` from the sum's first term, to a step below 1e-8 of x (<= 8 steps)."""
+    linear ``log(-log(P))`` from the sum's first term, to a step below 1e-8 of x (<= 8 steps).
+    Each element stops at its own last step, so its g does not depend on the batch."""
     tail, target = _fisher_tail(n, x0), np.log(-log_v)
     x = -np.expm1((log_v - math.log(n)) / (n - 1))
+    live = np.ones(len(x), dtype=bool)
     for _ in range(12):
-        p, slope, _ = tail(x)
-        step = (np.log(-np.log(p)) - target) * p * np.log(p) / slope
-        x = np.maximum(x - step, x0)
-        if np.all(np.abs(step) <= 1e-8 * x):
+        p, slope, _ = tail(x[live])
+        step = (np.log(-np.log(p)) - target[live]) * p * np.log(p) / slope
+        x[live] = np.maximum(x[live] - step, x0)
+        live[live] = np.abs(step) > 1e-8 * x[live]
+        if not live.any():
             break
     return x
 

@@ -5,16 +5,19 @@ import math
 import struct
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from prachjam.campaign import IntervalRecord, _bins
+from prachjam.campaign import IntervalRecord, _bins, _ue_sends
 from prachjam.channel import ChannelConfig, superpose
 from prachjam.detector import (
-    Detection, DetectionResult, DetectorConfig, _decide, delay_profile,
+    Detection, DetectionResult, DetectorConfig, _decide, _fisher_quantile, delay_profile,
 )
 from prachjam.jammer import generate_jamming_frame
-from prachjam.prach import PRESETS, CellConfig, PrachConfig, occasions_in_frame, occupancy_ratio
+from prachjam.prach import (
+    PRESETS, CellConfig, PrachConfig, occasions_between, occasions_in_frame, occupancy_ratio,
+)
 from prachjam.rafsm import GnbRaContext, Msg3, PreambleTx, RarEvent, gnb_step, ue_step
 from prachjam.waveform import IqFrame, demap_prach, modulate_preamble
 from prachjam.zc import cyclic_shift, generate_zc
@@ -27,8 +30,8 @@ CHUNK = 1000  # frames demapped in one stack, 17 MB of samples
 
 
 def interval_stream(seed):
-    """The interval stream of ``seed`` since seeding rule v11, rebuilt
-    without prachjam: numpy's PCG64 seeding (one step from state 0 with the
+    """The interval stream of ``seed``, rebuilt without prachjam: numpy's
+    PCG64 seeding (one step from state 0 with the
     increment, add the initial state, one more step; O'Neill's
     ``pcg_setseq_128_srandom_r``) redone in Python ints on the four
     little-endian uint64 words of the seed's 32-byte blake2b digest."""
@@ -41,6 +44,132 @@ def interval_stream(seed):
     bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                            "has_uint32": 0, "uinteger": 0}
     return np.random.Generator(bit_generator)
+
+
+class Replay(NamedTuple):
+    """An interval as ``replay_interval`` rebuilds it."""
+
+    signatures: list  # (root, window) of each send judged
+    hits: list  # whether each send judged is detected
+    tails: int  # later sends whose v falls in Fisher's tail
+    record: IntervalRecord
+    detections: list  # a logged run's detections.jsonl lines
+    rng: np.random.Generator  # the stream after the last number read
+
+
+def exponentials_below(rng, count, share):
+    """README's rejection draw: ``count`` exponentials ``-log(1 - random(count))``,
+    drawn again until their largest is below ``share`` times their sum."""
+    while True:
+        e = -np.log(1.0 - rng.random(count))
+        if e.max() < share * e.sum():
+            return e
+
+
+def replay_interval(cfg, index) -> Replay:
+    """Interval ``index`` of ``cfg`` rebuilt one send at a time from README's
+    statement of the interval stream (steps 1-4) and of the detection rule, in
+    public numpy. prachjam gives only the model, ``_bins``' mean profiles, ``std``
+    and choice of a reduced or a dense draw, and the UE's schedule (``_ue_sends``)."""
+    channel = _bins(cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector)
+    ue_on, _, ue_off, sends = _ue_sends(cfg)
+    f, step, roots = cfg.detector.threshold_factor, cfg.detector.shift_step, cfg.detector.roots
+    length, std, count = cfg.prach.preamble_length, channel.bins.std, len(sends)
+    theta, logged = 2 * std**2, cfg.detection_log or cfg.event_trace
+    windows = ((-step * np.arange(length // step))[:, None] + np.arange(step)) % length
+    refs = {r: np.conj(np.fft.fft(generate_zc(r, length).samples)) for r in roots}
+
+    def limit(peak, total):  # what a window's peak must exceed
+        return f * max((total - peak) / (length - 1), 1e-12 * peak)
+
+    def heard(power, j):  # send j's own window on its tap powers
+        return bool(power[windows[channel.signatures[idx[j]][1]]].max()
+                    > limit(power.max(), power.sum()))
+
+    def judge(values, own=None):
+        """The detections and noise floor of bins, or of a profile against root ``own``."""
+        detected, floors = [], []
+        bins = values if own is None else np.fft.fft(values) / refs[own]
+        for r in roots:
+            power = np.abs(values if r == own else np.fft.ifft(bins * refs[r])) ** 2
+            peak, total = power.max(), power.sum()
+            floors.append(float((total - peak) / (length - 1)))
+            peaks = power[windows].max(axis=-1).tolist()
+            detected += [[r, w, p] for w, p in enumerate(peaks) if p > limit(peak, total)]
+        return detected, min(floors)
+
+    def complex_row(mean):  # 2 * L standard normals, interleaved (re, im)
+        z = rng.standard_normal((length, 2))
+        return mean + std * (z[:, 0] + 1j * z[:, 1])
+
+    data = struct.pack("<QQ", cfg.base_seed, index)
+    seed = struct.unpack("<Q", hashlib.blake2b(data, digest_size=8).digest())[0]
+    rng = interval_stream(seed)
+    valid = bool(rng.random() >= cfg.invalid_probability)  # step 1
+    idx = [int(rng.integers(len(channel.signatures)))]  # step 2
+    rows = {0: complex_row(channel.profile[idx[0]])}  # step 3, the first send
+    hits, drawn, tails = [heard(np.abs(rows[0]) ** 2, 0)], {}, 0
+    if logged or not hits[0]:  # step 3, the later sends
+        idx += rng.integers(len(channel.signatures), size=count - 1).tolist()
+        if channel.reduced is None:
+            for j in range(1, count):
+                rows[j] = complex_row(channel.profile[idx[j]])
+                hits.append(heard(np.abs(rows[j]) ** 2, j))
+        else:
+            (w, x0, log_q0), n = channel.reduced, length - channel.reduced[0]
+            u, sums = rng.random((2 * w + 1, count - 1)), rng.gamma(n, theta, count - 1)
+            for j, column, s in zip(range(1, count), u.T, sums):
+                mu = channel.profile[idx[j]]
+                m, e = np.flatnonzero(mu), theta * -np.log(1.0 - column[:w])  # M's noise powers
+                turn, log_v = column[w + 1:], np.log(1.0 - column[w])
+                taps = mu[m] + np.sqrt(e) * np.exp(1j * (np.angle(mu[m]) + 2 * np.pi * turn))
+                power, pool = np.abs(taps) ** 2, None
+                if log_v <= log_q0:  # in Fisher's tail: O's taps, the largest g * S
+                    tails += 1
+                    spot, g = rng.integers(n), _fisher_quantile(np.array([log_v]), n, x0)[0]
+                    others = exponentials_below(rng, n - 1, g / (1 - g))
+                    pool = np.insert(others * ((s - g * s) / others.sum()), spot, g * s)
+                    full = np.empty(length)
+                    full[m], full[mu == 0] = power, pool
+                    hits.append(heard(full, j))
+                else:
+                    hits.append(bool(power.max() > limit(power.max(), power.sum() + s)))
+                drawn[j] = (mu, m, e, turn, s, pool)
+
+    def profile(j):  # step 4: the rest of a reduced send, rebuilt for the detector
+        if j in rows:
+            return rows[j]
+        mu, m, e, mean_turn, s, pool = drawn[j]
+        turn, power = rng.random(length), np.empty(length)
+        turn[m], power[m] = mean_turn, e
+        if pool is None:
+            pool = exponentials_below(rng, length - len(m), channel.reduced[1])
+            pool *= s / pool.sum()
+        power[mu == 0] = pool
+        return mu + np.sqrt(power) * np.exp(1j * (np.angle(mu) + 2 * np.pi * turn))
+
+    k = hits.index(True) if True in hits else count - 1
+    time = (sends[k][0] - ue_on) / 1000.0 if hits[k] else None
+    record = IntervalRecord(index, valid, k + 1, int(hits[k]), hits[k], time, seed)
+    replay = Replay([channel.signatures[i] for i in idx], hits, tails, record, [], rng)
+    if not logged:
+        if k:
+            profile(k)  # only a later deciding send is rebuilt
+        return replay
+    send_at = {occ: j for j, (_, occ) in enumerate(sends[: k + 1])}
+    for _, occ in occasions_between(cfg.prach, cfg.cell, 0.0, ue_off + cfg.jammer_lag * 1000.0):
+        j, signature = send_at.get(occ), None
+        if j is None:  # an occasion without a preamble
+            detected, floor = judge(complex_row(channel.bins.idle_mean))
+        else:
+            signature = list(channel.signatures[idx[j]])
+            detected, floor = judge(profile(j), signature[0])
+        replay.detections.append({
+            "interval": index, "sfn": occ.sfn, "slot": occ.slot,
+            "occasion_index": occ.occasion_index, "transmitted_signature": signature,
+            "detections": detected, "noise_floor": floor,
+        })
+    return replay
 
 
 def two_proportion_z(count_a, n_a, count_b, n_b):

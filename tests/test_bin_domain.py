@@ -23,7 +23,6 @@ from prachjam.detector import (
     DelayProfile,
     DetectorConfig,
     _decide,
-    _fisher_quantile,
     _window_indices,
     delay_profile,
     detect_preambles,
@@ -175,7 +174,7 @@ def test_miss_rate_matches_the_waveform_oracle(kind, snr_db):
 def missed_rows(channel, n, seed, as_bins):
     """Misses among ``n`` transmissions on ``channel`` drawn in chunks of
     2,000: as bin rows judged on their delay profiles, or as complex delay
-    profiles (seeding rule v4) judged on their tap powers."""
+    profiles judged on their tap powers."""
     chunk, chan, sig_array = 2000, channel.bins, channel.sig_array
     rng = np.random.default_rng(seed)
     missed = 0
@@ -496,63 +495,6 @@ def test_channel_holds_the_detector_it_was_built_for():
     for shared in (channel.bins.ue_mean, channel.sig_array, channel.profile, channel.phase,
                    channel.taps, channel.own_magnitude):
         assert not shared.flags.writeable
-
-
-def exponentials_below(rng, count, share):
-    """README's rejection draw: ``count`` exponentials ``-log(1 - random(count))``,
-    drawn again until their largest is below ``share`` times their sum."""
-    while True:
-        e = -np.log(1.0 - rng.random(count))
-        if e.max() < share * e.sum():
-            return e
-
-
-def test_first_transmission_is_a_complex_row():
-    # Seeding rule v12 replayed from a second generator, at factor 6, where
-    # about a third of the sends fall in Fisher's tail. The first send reads
-    # 2 * L standard normals, as chan.draw; the other K - 1 read 2w + 1
-    # uniforms each, as the columns of one block (E, v and a phase fraction
-    # for the one mean tap of this preset), then K - 1 Gamma sums S of the
-    # n = 138 other taps; then each tail send in turn reads integers(n) for
-    # the place of g * S and the rejection draws of the other n - 1, and
-    # nothing else is read. A rebuilt send reads random(L) phases and, out
-    # of the tail, n exponentials scaled to S; its mean tap is the one drawn,
-    # bit for bit, and its other taps' powers are the replay's.
-    channel = means_channel("S1", replace(MEANS_DET, threshold_factor=6.0))
-    chan, length, k = channel.bins, PRACH.preamble_length, 9
-    (w, x0, log_q0), theta = channel.reduced, 2 * chan.std**2
-    n = length - w
-    assert (w, n) == (1, 138)
-    idx = np.random.default_rng(93).integers(len(channel.signatures), size=k)
-    rng, replay = np.random.default_rng(94), np.random.default_rng(94)
-    profile_of = judge_sends(channel, rng, idx, every=True)[2]
-    first = chan.draw(replay, channel.profile[idx[:1]], 1)[0]
-    u = replay.random((2 * w + 1, k - 1))
-    sums = replay.gamma(n, theta, k - 1)
-    log_v = np.log(1.0 - u[w])
-    tail = np.flatnonzero(log_v <= log_q0)
-    assert 0 < len(tail) < k - 1
-    pools = {}
-    for j, g in zip(tail, _fisher_quantile(log_v[tail], n, x0)):
-        spot = replay.integers(n)
-        e = exponentials_below(replay, n - 1, g / (1 - g))
-        pools[j] = np.insert(e * ((sums[j] - g * sums[j]) / e.sum()), spot, g * sums[j])
-        assert pools[j].argmax() == spot
-    assert rng.random() == replay.random()
-    np.testing.assert_array_equal(profile_of(0, None), first)
-    for j in range(1, k):
-        i, taps, row = idx[j], channel.taps[idx[j]], profile_of(j, phases(j))
-        rebuild = phases(j)
-        turn = rebuild.random(length)
-        turn[taps[:w]] = u[w + 1:, j - 1]
-        if j - 1 not in pools:
-            e = exponentials_below(rebuild, n, x0)
-            pools[j - 1] = e * (sums[j - 1] / e.sum())
-        noise = np.log(1.0 - u[:w, j - 1]) * -theta
-        mean = channel.profile[i, taps[:w]] + np.sqrt(noise) * np.exp(
-            1j * (channel.phase[i, taps[:w]] + 2 * np.pi * turn[taps[:w]]))
-        np.testing.assert_array_equal(row[taps[:w]], mean)
-        np.testing.assert_allclose(np.abs(row[taps[w:]]) ** 2, pools[j - 1], rtol=1e-12)
 
 
 def other_root_alarms(profiles, roots, det):

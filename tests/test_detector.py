@@ -430,6 +430,16 @@ def test_fisher_tail_meets_its_bound_over_the_pool(factor):
     np.testing.assert_allclose(tail(g)[0], v, rtol=2e-12)
 
 
+def test_fisher_quantile_of_a_send_ignores_its_batch():
+    # A send's g depends on its own v alone: 2,000 tail values at factor 6,
+    # inverted at once, equal the same values inverted one at a time, bit for bit.
+    n, x0 = 138, 6.0 / 144.0
+    v = np.random.default_rng(1).random(2000) * _fisher_tail(n, x0)(x0)[0]
+    batched = _fisher_quantile(np.log(v), n, x0)
+    alone = [_fisher_quantile(np.log(v[i : i + 1]), n, x0)[0] for i in range(len(v))]
+    np.testing.assert_array_equal(batched, alone)
+
+
 class TestOneRootDraw:
     """A one-root calibration draws its tap powers as exponentials; its
     closed form also bounds the several-roots factor."""

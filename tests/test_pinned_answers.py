@@ -19,26 +19,21 @@ import pytest
 
 import prachjam.campaign
 from prachjam.campaign import (
-    SEEDING_RULE, _bins, _ue_sends, build_summary_payload,
-    compute_metrics, detection_entry, interval_seed, load_campaign_config, run_campaign,
+    SEEDING_RULE, build_summary_payload, compute_metrics, interval_seed, load_campaign_config,
+    run_campaign,
 )
 from prachjam.cli import main
-from prachjam.detector import (
-    DelayProfile, DetectorConfig, calibrate_threshold, detect_preambles, profile_bins,
-)
-from prachjam.prach import occasions_between
+from prachjam.detector import DelayProfile, DetectorConfig, calibrate_threshold, profile_bins
 
-from helpers import CALIBRATED_FACTORS, interval_stream
+from helpers import CALIBRATED_FACTORS
 
 ROOT = Path(__file__).resolve().parent.parent
 QUICK = ROOT / "configs" / "quick.json"
 
 # (preambles_sent, preambles_detected, time_to_success) per interval of
-# quick.json (10 x 2 s, S1 at -16 dB) with the spectrum varied, under
-# seeding rule v12 (v11 heard interval 4 at send 2, v9 and v10 intervals 7
-# and 8 at sends 6 and 4, v8 intervals 6 and 8 at sends 17 and 13).
-# S1 and S2 give equally distributed bins and draw them from the same
-# stream, so their records are the same.
+# quick.json (10 x 2 s, S1 at -16 dB) with the spectrum varied. S1 and S2
+# give equally distributed bins and draw them from the same stream, so their
+# records are the same.
 _JAMMED = (19, 0, None)
 _JAMMED_RECORDS = (
     [_JAMMED] * 2 + [(15, 1, 1.5195)] + [_JAMMED] * 2 + [(14, 1, 1.4195), (9, 1, 0.9195)]
@@ -100,40 +95,8 @@ PINNED_SUMMARY = (
     '1, "preamble_format": "A2", "preamble_length": 139, "sfn_modulus": 2, '
     '"sfn_remainder": 1, "slot_in_subframe": 1, '
     '"slots_per_subframe_with_prach": 1, "start_symbol": 0, "subframe_number": '
-    '9}, "schema_version": 1, "seeding": "v12: interval_seed(i) = '
-    "uint64(little-endian) of blake2b(digest_size=8, data=pack('<QQ', "
-    'base_seed, i)); interval stream = '
-    'numpy.random.Generator(numpy.random.PCG64(w)), w the 4 little-endian '
-    "uint64 words of blake2b(digest_size=32, data=pack('<Q', "
-    'interval_seed(i))) that PCG64 takes as its generate_state(4, uint64), '
-    "drawing the validity flag (random()), the first preamble's signature "
-    '(integers(n_signatures)), then the noise of its delay profile ifft(bins * '
-    'conj(fft(zc(root)))) against its own root: L taps mu[n] plus white noise '
-    "of variance theta = 2 * std**2 (std that of the bins' parts), mu its mean "
-    'with taps below 1e-12 of its peak set to 0, as 2*L standard normals '
-    '(interleaved re, im); only if that preamble is not detected or the run is '
-    'logged, the signatures of the K - 1 later preambles '
-    '(integers(n_signatures, size=K - 1)), then their noise: 2*L standard '
-    'normals for each in turn unless every mu has w nonzero taps, all in its '
-    'own window, and 1 - Q(x0) >= 1e-3 with a float64 rounding bound under '
-    '1e-6 of it; else random((2 * w + 1, K - 1)), column j for preamble j + 1: '
-    'E = -log(1 - u) at the w nonzero taps M of its mu (in tap order), v = 1 - '
-    'u, and phase fractions F at M, tap n being mu[n] + sqrt(theta * E[n]) * '
-    'exp(1j * (angle(mu[n]) + 2 * pi * F[n])), then the power sums S of the n '
-    '= L - w other taps, gamma(n, theta, size=K - 1), then for each preamble '
-    'with v <= Q(x0) in turn integers(n) for the place of g * S, Q(g) = v, '
-    'among its other taps in tap order and -log(1 - random(n - 1)) until their '
-    'largest is below g / (1 - g) times their sum, scaled to sum S - g * S; '
-    'such a preamble is detected as the detector judges its L tap powers in '
-    "its own window, any other if M's peak P exceeds f * max((S_M + S - P) / "
-    "(L - 1), 1e-12 * P), S_M M's power sum, Q(x) = sum((-1)**(k-1) * C(n, k) "
-    '* (1 - k * x)**(n - 1), 1 <= k <= 1/x), x0 = f / (f + L - 1); then in '
-    'occasion order each such preamble the detector judges after the first '
-    'reads random(L) for F at its other taps, then, unless v <= Q(x0), -log(1 '
-    '- random(n)) until their largest is below x0 times their sum, scaled to '
-    'sum S; a logged run reads 2*L standard normals for each occasion without '
-    'a preamble; a record depends on no draw of a preamble after the first '
-    'detected", "spectrum": {"enabled": true, "kind": "S1", "snr_db": -16.0}}'
+    '9}, "schema_version": 1, "seeding": "v12", "spectrum": {"enabled": true, '
+    '"kind": "S1", "snr_db": -16.0}}'
 )
 
 
@@ -181,43 +144,6 @@ def test_quick_logs(name, tmp_path):
     assert digests == PINNED_LOGS[name]
 
 
-def test_quick_log_replays_from_the_interval_stream(tmp_path):
-    # Interval 0 of the logged quick.json, rebuilt by hand from its one
-    # stream: the validity flag, the first send's signature and complex row,
-    # the other K - 1 signatures, 2w + 1 uniforms for each other send and
-    # their K - 1 Gamma variates (no send of this interval falls in Fisher's
-    # tail, so nothing more is read for them), then the idle occasions before
-    # the UE's first send, drawn in one call, give its first log lines; the
-    # first send's row gives the line after them.
-    logged_quick_run("S1", tmp_path)
-    lines = (tmp_path / "detections.jsonl").read_text().splitlines()
-    cfg = load_campaign_config(json.loads(QUICK.read_text()))
-    sends = _ue_sends(cfg)[3]
-    channel = _bins(cfg.prach, cfg.cell, cfg.spectrum, cfg.channel, cfg.detector)
-    chan = channel.bins
-    rng = interval_stream(interval_seed(cfg.base_seed, 0))
-    rng.random()
-    own = rng.integers(len(channel.signatures))
-    first_row = chan.draw(rng, channel.profile[own], 1)[0]
-    rng.integers(len(channel.signatures), size=len(sends) - 1)
-    (w, _, log_q0) = channel.reduced
-    v = 1.0 - rng.random((2 * w + 1, len(sends) - 1))[w]
-    assert np.all(np.log(v) > log_q0)
-    rng.gamma(cfg.prach.preamble_length - w, 2 * chan.std**2, len(sends) - 1)
-    idle = [occ for _, occ in occasions_between(cfg.prach, cfg.cell, 0.0, sends[0][0])]
-    rows = rng.standard_normal((len(idle), cfg.prach.preamble_length, 2))
-    rows = rows.view(complex)[..., 0] * chan.std + chan.idle_mean
-    entries = [
-        detection_entry(0, occ, detect_preambles(row, cfg.detector, occasion=occ), None)
-        for occ, row in zip(idle, rows)
-    ]
-    first_row = DelayProfile(channel.signatures[own][0], first_row)
-    first = detect_preambles(first_row, cfg.detector, occasion=sends[0][1])
-    entries.append(detection_entry(0, sends[0][1], first, channel.signatures[own]))
-    assert len(idle) == 90
-    assert [json.dumps(d, sort_keys=True) for d in entries] == lines[: len(idle) + 1]
-
-
 @pytest.mark.parametrize("name", sorted(PINNED_LOGS))
 def test_quick_logs_judge_like_the_round_trip(name, tmp_path, monkeypatch):
     # A stepped send is judged on the delay profile the kernel holds. Taken
@@ -256,9 +182,11 @@ def test_quick_logs_judge_like_the_round_trip(name, tmp_path, monkeypatch):
 
 def test_readme_names_the_current_seeding_rule():
     # The README's statement of the rule in force must move with the code.
-    named = re.search(r"\(seeding rule (v\d+), recorded", (ROOT / "README.md").read_text())
+    readme = (ROOT / "README.md").read_text()
+    named = re.search(r"\(seeding rule (v\d+), recorded", readme)
     assert named is not None
-    assert SEEDING_RULE.startswith(named.group(1) + ":")
+    assert SEEDING_RULE == named.group(1)
+    assert f'`"seeding": "{SEEDING_RULE}"`' in readme
 
 
 def test_readme_rebuilds_the_interval_stream():
